@@ -55,6 +55,7 @@ from .kronops import (
 from .mimo import (
     MimoChainResult,
     MimoConfig,
+    channel_table,
     mimo_block_channel,
     mimo_chain,
     mimo_effective_matrix,

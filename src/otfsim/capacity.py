@@ -23,7 +23,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .channel import ChannelModel, synthesize, trial_rng
+from .channel import ChannelModel
 from .errors import ConfigError, StructureError
 from .kronops import (
     DenseFactor,
@@ -35,24 +35,34 @@ from .kronops import (
     OperatorChain,
     block_diag,
     idft_matrix,
+    off_block_max,
 )
-from .mimo import MimoConfig, mimo_block_channel, mimo_window_diagonal
+from .mimo import MimoConfig, channel_table, mimo_block_channel, mimo_window_diagonal
 from .transceiver import WindowSpec
 
 
-def mutual_information(k_matrix: np.ndarray, noise_var: float) -> float:
-    """log2 det(I + K K^H / sigma2) in bits, via Cholesky of the Gram matrix
-    so large blocks stay in the log domain instead of overflowing a
-    determinant ratio."""
+def _gram(k_matrix: np.ndarray) -> np.ndarray:
+    """K K^H; a non-finite K raises ValueError."""
     k_matrix = np.asarray(k_matrix, dtype=np.complex128)
     if not np.all(np.isfinite(k_matrix)):
         raise ValueError("K contains non-finite entries")
+    return k_matrix @ k_matrix.conj().T
+
+
+def _log_det_bits(gram: np.ndarray, noise_var: float) -> float:
+    """log2 det(I + gram / sigma2) in bits, via Cholesky so large blocks stay
+    in the log domain instead of overflowing a determinant ratio."""
     if noise_var <= 0:
         raise ConfigError(f"noise variance must be > 0 for MI, got {noise_var}")
-    gram = np.eye(k_matrix.shape[0], dtype=np.complex128)
-    gram += (k_matrix @ k_matrix.conj().T) / noise_var
-    chol = np.linalg.cholesky(gram)
+    shifted = np.eye(gram.shape[0], dtype=np.complex128)
+    shifted += gram / noise_var
+    chol = np.linalg.cholesky(shifted)
     return float(2.0 * np.sum(np.log2(np.real(np.diag(chol)))))
+
+
+def mutual_information(k_matrix: np.ndarray, noise_var: float) -> float:
+    """log2 det(I + K K^H / sigma2) in bits, from the Cholesky factor."""
+    return _log_det_bits(_gram(k_matrix), noise_var)
 
 
 def per_symbol_k_matrices(
@@ -90,8 +100,13 @@ def full_k_matrix(
 
 @dataclass(frozen=True)
 class BlockMiResult:
+    """Block and per-symbol MIs plus the measured deviations: largest
+    off-diagonal-block |entry| of K K^H and |block MI - per-symbol sum|."""
+
     total_bits: float
     per_symbol_bits: List[float]
+    off_block_deviation: float
+    additivity_gap: float
 
 
 def otfs_block_mi(
@@ -109,24 +124,18 @@ def otfs_block_mi(
     :class:`StructureError`. On top of that, the result verifies that
     K K^H really is block diagonal and that the block MI equals the
     per-symbol sum; violations raise :class:`StructureError` since they
-    indicate a broken decoupling.
+    indicate a broken decoupling. K K^H is formed once and serves both the
+    block-diagonality scan and the block log-det.
     """
     block_channel = mimo_block_channel(channels, mcfg)
-    m = mcfg.frame.num_subcarriers
-    n = mcfg.frame.num_symbols
-    k_full = full_k_matrix(block_channel, tx_window, mcfg)
-    gram = k_full @ k_full.conj().T
-    block_rows = m * mcfg.num_rx
-    off = gram.copy()
-    for i in range(n):
-        off[i * block_rows:(i + 1) * block_rows, i * block_rows:(i + 1) * block_rows] = 0.0
-    worst = float(np.max(np.abs(off))) if off.size else 0.0
+    gram = _gram(full_k_matrix(block_channel, tx_window, mcfg))
+    worst = off_block_max(gram, mcfg.frame.num_subcarriers * mcfg.num_rx)
     if worst > block_tol:
         raise StructureError(
             f"K K^H has off-diagonal block magnitude {worst:.3e} > {block_tol:.1e}",
             deviation=worst,
         )
-    total = mutual_information(k_full, noise_var)
+    total = _log_det_bits(gram, noise_var)
     per_symbol = [
         mutual_information(k_n, noise_var)
         for k_n in per_symbol_k_matrices(block_channel, tx_window, mcfg)
@@ -137,7 +146,8 @@ def otfs_block_mi(
             f"block MI differs from per-symbol sum by {gap:.3e} > {additivity_tol:.1e}",
             deviation=gap,
         )
-    return BlockMiResult(total_bits=total, per_symbol_bits=per_symbol)
+    return BlockMiResult(total_bits=total, per_symbol_bits=per_symbol,
+                         off_block_deviation=worst, additivity_gap=gap)
 
 
 @dataclass(frozen=True)
@@ -159,14 +169,6 @@ class CapacityResult:
     def __post_init__(self):
         if self.capacity_otfs < 0 or self.capacity_ofdm < 0:
             raise ValueError("capacity estimates must be non-negative")
-
-
-def _trial_channels(model: ChannelModel, mcfg: MimoConfig, seed: int, trial: int):
-    return [
-        [synthesize(model, mcfg.frame, rng=trial_rng(seed, trial, r, t))
-         for t in range(mcfg.num_tx)]
-        for r in range(mcfg.num_rx)
-    ]
 
 
 def ergodic_capacity(
@@ -192,7 +194,7 @@ def ergodic_capacity(
     frame = mcfg.frame
 
     def one_trial(trial: int) -> Tuple[float, float]:
-        channels = _trial_channels(model, mcfg, seed, trial)
+        channels = channel_table(model, mcfg, seed, trial)
         result = otfs_block_mi(channels, tx_window, noise_var, mcfg)
         return result.total_bits, float(sum(result.per_symbol_bits))
 

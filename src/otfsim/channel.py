@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, StructureError
+from .errors import ConfigError, DimensionError, SizeCapError, StructureError
+from .kronops import DENSE_ENTRY_CAP, off_block_max
 from .transceiver import OtfsFrameConfig, cp_matrices
 
 
@@ -57,9 +58,6 @@ class LtvChannel:
         for l in range(1, self.length):
             out[l:] += self.taps[l:, l] * signal[:-l]
         return out
-
-    def to_matrix(self) -> np.ndarray:
-        return assemble_h_matrix(self)
 
 
 @dataclass(frozen=True)
@@ -197,6 +195,9 @@ def synthesize(
 def assemble_h_matrix(channel: LtvChannel) -> np.ndarray:
     """Dense frame-length channel matrix: entry (i, i-l) is taps[i, l]."""
     span, length = channel.span, channel.length
+    if span * span > DENSE_ENTRY_CAP:
+        raise SizeCapError(
+            f"dense channel matrix would have {span}x{span} entries (cap {DENSE_ENTRY_CAP})")
     h = np.zeros((span, span), dtype=np.complex128)
     for l in range(length):
         idx = np.arange(l, span)
@@ -225,10 +226,7 @@ def reduce_to_block_channel(
         [h_matrix[:, i * blen:(i + 1) * blen] @ cp.add for i in range(n)], axis=1)
     reduced = np.concatenate(
         [cols[i * blen + cfg.cp_len:(i + 1) * blen, :] for i in range(n)], axis=0)
-    off = reduced.copy()
-    for i in range(n):
-        off[i * m:(i + 1) * m, i * m:(i + 1) * m] = 0.0
-    worst = float(np.max(np.abs(off))) if off.size else 0.0
+    worst = off_block_max(reduced, m)
     if worst > tol:
         raise StructureError(
             f"reduced channel is not block diagonal (max off-block magnitude "

@@ -15,13 +15,13 @@ from typing import List
 
 import numpy as np
 
-from .capacity import full_k_matrix, otfs_block_mi
+from .capacity import otfs_block_mi
 from .channel import ChannelModel, assemble_h_matrix, reduce_to_block_channel, synthesize, trial_rng
 from .errors import StructureError
 from .kronops import dft_matrix, kron, vec
 from .mimo import (
     MimoConfig,
-    mimo_block_channel,
+    channel_table,
     mimo_chain,
     mimo_effective_matrix,
     stack_grids,
@@ -82,6 +82,14 @@ def _rand_complex(rng, *shape) -> np.ndarray:
 def _siso_channel(ctx: VerifyContext, key: int):
     rng = trial_rng(ctx.seed, 50, key)
     return synthesize(ctx.channel_model, ctx.frame, rng=rng, enforce_cp=False)
+
+
+def _flat_channel_table(ctx: VerifyContext, base: int):
+    """Rx-major channel table whose pair (r, t) uses the flat key
+    ``base + r*n_t + t`` under ``trial_rng(seed, 50, .)``."""
+    mcfg = ctx.mcfg
+    return [[_siso_channel(ctx, base + r * mcfg.num_tx + t) for t in range(mcfg.num_tx)]
+            for r in range(mcfg.num_rx)]
 
 
 def _gauge(dev: float, tol: float, name: str, detail: str = "") -> CheckResult:
@@ -154,8 +162,7 @@ def check_chain_vs_matrix(ctx: VerifyContext) -> CheckResult:
     grids = [_rand_complex(rng, frame.num_subcarriers, frame.num_symbols)
              for _ in range(mcfg.num_tx)]
     stacked = stack_grids(grids, mcfg)
-    channels = [[_siso_channel(ctx, 10 + r * mcfg.num_tx + t) for t in range(mcfg.num_tx)]
-                for r in range(mcfg.num_rx)]
+    channels = _flat_channel_table(ctx, 10)
     if mcfg.num_tx == 1 and mcfg.num_rx == 1:
         chain = siso_chain(grids[0], channels[0][0], ctx.tx_window, ctx.rx_window, frame)
         eff = effective_matrix_general(
@@ -234,29 +241,18 @@ def check_specializations(ctx: VerifyContext) -> List[CheckResult]:
 
 
 def check_mi_additivity(ctx: VerifyContext) -> List[CheckResult]:
-    mcfg = ctx.mcfg
-    channels = [[_siso_channel(ctx, 30 + r * mcfg.num_tx + t) for t in range(mcfg.num_tx)]
-                for r in range(mcfg.num_rx)]
+    channels = _flat_channel_table(ctx, 30)
     names = ("kkh-block-diagonality", "mi-additivity")
     try:
-        result = otfs_block_mi(channels, ctx.tx_window, ctx.noise_var, mcfg)
-        blocks = mimo_block_channel(channels, mcfg)
+        result = otfs_block_mi(channels, ctx.tx_window, ctx.noise_var, ctx.mcfg)
     except StructureError as err:
         return [CheckResult(name=name, passed=False, deviation=err.deviation,
                             tolerance=1e-12 if name == names[0] else 1e-8,
                             detail=str(err))
                 for name in names]
-    gap = abs(result.total_bits - sum(result.per_symbol_bits))
-    k_full = full_k_matrix(blocks, ctx.tx_window, mcfg)
-    gram = k_full @ k_full.conj().T
-    block_rows = mcfg.frame.num_subcarriers * mcfg.num_rx
-    off = gram.copy()
-    for i in range(mcfg.frame.num_symbols):
-        off[i * block_rows:(i + 1) * block_rows, i * block_rows:(i + 1) * block_rows] = 0.0
-    off_dev = float(np.max(np.abs(off))) if off.size else 0.0
     return [
-        _gauge(off_dev, 1e-12, names[0]),
-        _gauge(float(gap), 1e-8, names[1]),
+        _gauge(result.off_block_deviation, 1e-12, names[0]),
+        _gauge(result.additivity_gap, 1e-8, names[1]),
     ]
 
 
@@ -264,10 +260,8 @@ def check_capacity_routes(ctx: VerifyContext, trials: int = 3) -> CheckResult:
     mcfg = ctx.mcfg
     worst = 0.0
     for trial in range(trials):
-        channels = [[synthesize(ctx.channel_model, ctx.frame,
-                                rng=trial_rng(ctx.seed, 40 + trial, r, t),
-                                enforce_cp=False)
-                     for t in range(mcfg.num_tx)] for r in range(mcfg.num_rx)]
+        channels = channel_table(ctx.channel_model, mcfg, ctx.seed, 40 + trial,
+                                 enforce_cp=False)
         try:
             result = otfs_block_mi(channels, ctx.tx_window, ctx.noise_var, mcfg)
         except StructureError as err:

@@ -33,13 +33,12 @@ from .channel import (
     awgn,
     channel_to_json,
     reduce_to_block_channel,
-    synthesize,
     trial_rng,
 )
 from .checks import VerifyContext, run_invariant_checks
 from .errors import ConfigError, SizeCapError, StructureError
-from .kronops import DENSE_ENTRY_CAP, vec
-from .mimo import MimoConfig, mimo_chain, mimo_effective_matrix, stack_grids
+from .kronops import DENSE_ENTRY_CAP, block_diag, vec
+from .mimo import MimoConfig, channel_table, mimo_chain, mimo_effective_matrix, stack_grids
 from .transceiver import (
     OtfsFrameConfig,
     WindowSpec,
@@ -397,10 +396,9 @@ def run_capacity(cfg: ExperimentConfig, out_dir: Path) -> int:
         chan_dir = out_dir / "channels"
         chan_dir.mkdir(exist_ok=True)
         for trial in range(cfg.trials):
-            for r in range(cfg.mcfg.num_rx):
-                for t in range(cfg.mcfg.num_tx):
-                    ch = synthesize(cfg.channel_model, cfg.frame,
-                                    rng=trial_rng(cfg.seed, trial, r, t))
+            table = channel_table(cfg.channel_model, cfg.mcfg, cfg.seed, trial)
+            for r, row in enumerate(table):
+                for t, ch in enumerate(row):
                     name = f"trial{trial:04d}_rx{r}_tx{t}.json"
                     (chan_dir / name).write_text(
                         json.dumps(channel_to_json(ch), sort_keys=True))
@@ -427,11 +425,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, data_path: Optional[str])
     mcfg = cfg.mcfg
     frame = cfg.frame
     sigma2 = cfg.sigma2_list[0]
-    channels = [
-        [synthesize(cfg.channel_model, frame, rng=trial_rng(cfg.seed, 0, r, t))
-         for t in range(mcfg.num_tx)]
-        for r in range(mcfg.num_rx)
-    ]
+    channels = channel_table(cfg.channel_model, mcfg, cfg.seed, 0)
     if data_path is not None:
         with open(data_path) as fh:
             entries = json.load(fh)
@@ -523,11 +517,7 @@ def run_effective_channel(cfg: ExperimentConfig, out_dir: Path, threshold: float
         raise SizeCapError(
             f"effective matrix would have {rows_out}x{cols_out} entries "
             f"(cap {DENSE_ENTRY_CAP}); use the matrix-free operators from the library")
-    channels = [
-        [synthesize(cfg.channel_model, frame, rng=trial_rng(cfg.seed, 0, r, t))
-         for t in range(mcfg.num_tx)]
-        for r in range(mcfg.num_rx)
-    ]
+    channels = channel_table(cfg.channel_model, mcfg, cfg.seed, 0)
     effective = mimo_effective_matrix(channels, cfg.tx_window, cfg.rx_window, mcfg)
     entries = []
     nz = np.argwhere(np.abs(effective) > threshold)
@@ -544,11 +534,7 @@ def run_effective_channel(cfg: ExperimentConfig, out_dir: Path, threshold: float
             meta["two_d_circulant_deviation"] = conv.max_deviation
         if cfg.emit_frequency_domain:
             blocks = reduce_to_block_channel(assemble_h_matrix(channels[0][0]), frame)
-            freq_blocks = to_frequency_domain(blocks)
-            m = frame.num_subcarriers
-            freq = np.zeros((frame.grid_size, frame.grid_size), dtype=np.complex128)
-            for n, blk in enumerate(freq_blocks):
-                freq[n * m:(n + 1) * m, n * m:(n + 1) * m] = blk
+            freq = block_diag(to_frequency_domain(blocks))
             freq = (np.diag(cfg.rx_window.diagonal(frame)) @ freq
                     @ np.diag(cfg.tx_window.diagonal(frame)))
             fentries = []

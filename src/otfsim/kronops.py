@@ -68,6 +68,11 @@ def block_diag(blocks) -> np.ndarray:
     blocks = [np.asarray(b, dtype=np.complex128) for b in blocks]
     rows = sum(b.shape[0] for b in blocks)
     cols = sum(b.shape[1] for b in blocks)
+    if rows * cols > DENSE_ENTRY_CAP:
+        raise SizeCapError(
+            f"dense block-diagonal matrix would have {rows}x{cols} entries "
+            f"(cap {DENSE_ENTRY_CAP})"
+        )
     out = np.zeros((rows, cols), dtype=np.complex128)
     r = c = 0
     for b in blocks:
@@ -75,6 +80,16 @@ def block_diag(blocks) -> np.ndarray:
         r += b.shape[0]
         c += b.shape[1]
     return out
+
+
+def off_block_max(matrix: np.ndarray, block: int) -> float:
+    """Largest |entry| of a square matrix outside its diagonal ``block`` x
+    ``block`` blocks, 0.0 when there is none. The scan goes one block row
+    at a time, so the matrix is never copied."""
+    size = matrix.shape[0]
+    worst = [np.max(np.abs(part)) for i in range(0, size, block)
+             for part in (matrix[i:i + block, :i], matrix[i:i + block, i + block:]) if part.size]
+    return float(np.max(worst)) if worst else 0.0
 
 
 def _max_abs(x: np.ndarray) -> float:

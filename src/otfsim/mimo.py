@@ -15,7 +15,14 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .channel import LtvChannel, assemble_h_matrix, reduce_to_block_channel
+from .channel import (
+    ChannelModel,
+    LtvChannel,
+    assemble_h_matrix,
+    reduce_to_block_channel,
+    synthesize,
+    trial_rng,
+)
 from .errors import DimensionError
 from .kronops import (
     DenseFactor,
@@ -105,6 +112,22 @@ def mimo_window(x: np.ndarray, window: WindowSpec, mcfg: MimoConfig, antennas: i
     return x * diag
 
 
+def channel_table(
+    model: ChannelModel,
+    mcfg: MimoConfig,
+    seed: int,
+    *key: int,
+    enforce_cp: bool = True,
+) -> List[List[LtvChannel]]:
+    """Rx-major table of antenna-pair channels: entry [r][t] is the t -> r
+    channel drawn from ``trial_rng(seed, *key, r, t)``."""
+    return [
+        [synthesize(model, mcfg.frame, rng=trial_rng(seed, *key, r, t), enforce_cp=enforce_cp)
+         for t in range(mcfg.num_tx)]
+        for r in range(mcfg.num_rx)
+    ]
+
+
 def _validated_channels(channels, mcfg: MimoConfig) -> list:
     if len(channels) != mcfg.num_rx or any(len(row) != mcfg.num_tx for row in channels):
         raise DimensionError(
@@ -162,9 +185,6 @@ class MimoChainResult:
     demodulated: np.ndarray       # stacked post-CP-removal, post-DFT vector
     rx_windowed: np.ndarray
     estimate: np.ndarray          # stacked estimate, length M*N*n_r
-
-    def estimate_grids(self, mcfg: MimoConfig) -> List[np.ndarray]:
-        return split_stacked_vector(self.estimate, mcfg, mcfg.num_rx)
 
 
 def mimo_chain(

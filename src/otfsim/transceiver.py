@@ -140,11 +140,6 @@ class WindowSpec:
             )
         return self.taps
 
-    def per_symbol(self, cfg: OtfsFrameConfig, symbol: int) -> np.ndarray:
-        """Length-M diagonal of the window restricted to one OFDM symbol."""
-        m = cfg.num_subcarriers
-        return self.diagonal(cfg)[symbol * m:(symbol + 1) * m]
-
 
 def window_distortion(tx: WindowSpec, rx: WindowSpec, cfg: OtfsFrameConfig) -> float:
     """Max |rx*tx - 1| over the grid; zero means distortion-free reconstruction."""
@@ -153,13 +148,12 @@ def window_distortion(tx: WindowSpec, rx: WindowSpec, cfg: OtfsFrameConfig) -> f
 
 @dataclass(frozen=True)
 class CpMatrices:
-    """CP insertion matrix (appends the last cp_len samples of each OFDM
-    symbol to its beginning), CP removal matrix, and the tail selector the
-    insertion matrix is built from. ``remove @ add`` is exactly identity."""
+    """CP insertion matrix (prepends the last cp_len samples of an OFDM
+    symbol) and CP removal matrix (drops the first cp_len samples).
+    ``remove @ add`` is exactly identity."""
 
     add: np.ndarray        # (M+cp) x M
     remove: np.ndarray     # M x (M+cp)
-    tail_selector: np.ndarray  # M x cp, last cp columns of I_M
 
 
 def cp_matrices(cfg: OtfsFrameConfig) -> CpMatrices:
@@ -168,7 +162,7 @@ def cp_matrices(cfg: OtfsFrameConfig) -> CpMatrices:
     tail = eye[:, m - cp:] if cp > 0 else np.zeros((m, 0))
     add = np.concatenate([tail, eye], axis=1).T
     remove = np.eye(cfg.symbol_len)[cp:, :]
-    return CpMatrices(add=add, remove=remove, tail_selector=tail)
+    return CpMatrices(add=add, remove=remove)
 
 
 def isfft(data_grid: np.ndarray) -> np.ndarray:
@@ -241,19 +235,6 @@ class SisoChainResult:
         return vec(self.estimate_grid)
 
 
-def _channel_output(channel, signal: np.ndarray) -> np.ndarray:
-    """Apply a channel given either a dense frame-length matrix or any
-    object exposing ``apply(signal)`` (e.g. LtvChannel)."""
-    if hasattr(channel, "apply"):
-        return channel.apply(signal)
-    channel = np.asarray(channel, dtype=np.complex128)
-    if channel.shape != (signal.size, signal.size):
-        raise DimensionError(
-            f"channel matrix shape {channel.shape} does not match frame length {signal.size}"
-        )
-    return channel @ signal
-
-
 def siso_chain(
     data_grid: np.ndarray,
     channel,
@@ -264,9 +245,9 @@ def siso_chain(
 ) -> SisoChainResult:
     """Run the full transmit/channel/receive chain stage by stage.
 
-    ``channel`` is a frame-length square matrix or an object with an
-    ``apply`` method; ``noise`` is an optional length-frame_len vector
-    added at the channel output.
+    ``channel`` is an :class:`~otfsim.channel.LtvChannel` spanning the
+    frame; ``noise`` is an optional length-frame_len vector added at the
+    channel output.
     """
     data_grid = np.asarray(data_grid, dtype=np.complex128)
     if data_grid.shape != (cfg.num_subcarriers, cfg.num_symbols):
@@ -277,7 +258,7 @@ def siso_chain(
     tf_signal = vec(isfft(data_grid))
     tx_windowed = apply_window(tf_signal, tx_window, cfg)
     modulated = ofdm_modulate(tx_windowed, cfg)
-    received = _channel_output(channel, modulated)
+    received = channel.apply(modulated)
     if noise is not None:
         noise = np.asarray(noise, dtype=np.complex128)
         if noise.shape != (cfg.frame_len,):

@@ -16,10 +16,10 @@ from otfsim.capacity import (
     otfs_block_mi,
     per_symbol_k_matrices,
 )
-from otfsim.channel import ChannelModel, synthesize, trial_rng
+from otfsim.channel import ChannelModel, synthesize
 from otfsim.errors import ConfigError, StructureError
 from otfsim.kronops import dft_matrix, kron
-from otfsim.mimo import MimoConfig, mimo_block_channel
+from otfsim.mimo import MimoConfig, channel_table, mimo_block_channel
 from otfsim.transceiver import OtfsFrameConfig, WindowSpec
 
 
@@ -41,14 +41,6 @@ def frequency_response(gains, delays, m):
     for g, d in zip(gains, delays):
         response += g * np.exp(-2j * np.pi * d * np.arange(m) / m)
     return response
-
-
-def make_mimo_channels(model, mcfg, seed, trial=0):
-    return [
-        [synthesize(model, mcfg.frame, rng=trial_rng(seed, trial, r, t))
-         for t in range(mcfg.num_tx)]
-        for r in range(mcfg.num_rx)
-    ]
 
 
 class TestMutualInformation:
@@ -109,7 +101,7 @@ class TestBlockMi:
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
         mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=2)
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
-        channels = make_mimo_channels(model, mcfg, 1100 + trial)
+        channels = channel_table(model, mcfg, 1100 + trial, 0)
         result = otfs_block_mi(channels, WindowSpec.rectangular(), 0.8, mcfg)
         blocks = mimo_block_channel(channels, mcfg)
         k_full = full_k_matrix(blocks, WindowSpec.rectangular(), mcfg)
@@ -119,7 +111,7 @@ class TestBlockMi:
         frame = OtfsFrameConfig(num_subcarriers=2, num_symbols=2, cp_len=1)
         mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=2)
         model = ChannelModel.doppler_paths(num_taps=2, num_paths=1, max_doppler=0.1)
-        channels = make_mimo_channels(model, mcfg, 7)
+        channels = channel_table(model, mcfg, 7, 0)
         blocks = mimo_block_channel(channels, mcfg)
         rng = np.random.default_rng(8)
         window = WindowSpec.general(rand_complex(rng, 4))
@@ -140,7 +132,7 @@ class TestBlockMi:
         frame = OtfsFrameConfig(num_subcarriers=8, num_symbols=4, cp_len=3)
         mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=2)
         model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.1)
-        channels = make_mimo_channels(model, mcfg, 9)
+        channels = channel_table(model, mcfg, 9, 0)
         blocks = mimo_block_channel(channels, mcfg)
         rng = np.random.default_rng(10)
         window = WindowSpec.general(rand_complex(rng, 32))
@@ -152,6 +144,27 @@ class TestBlockMi:
                 if i != j:
                     assert np.max(np.abs(gram[i * rows:(i + 1) * rows,
                                               j * rows:(j + 1) * rows])) <= 1e-12
+
+    @pytest.mark.parametrize("antennas,window", [
+        (2, WindowSpec.rectangular()),
+        (1, WindowSpec.general(rand_complex(np.random.default_rng(13), 128))),
+    ])
+    def test_shared_gram_matches_separate_computation_exactly(self, antennas, window):
+        frame = OtfsFrameConfig(num_subcarriers=16, num_symbols=8, cp_len=4)
+        mcfg = MimoConfig(frame=frame, num_tx=antennas, num_rx=antennas)
+        model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.02)
+        channels = channel_table(model, mcfg, 5, 0)
+        result = otfs_block_mi(channels, window, 0.1, mcfg)
+        k_full = full_k_matrix(mimo_block_channel(channels, mcfg), window, mcfg)
+        assert result.total_bits == mutual_information(k_full, 0.1)
+        # The deviations as measured on a separate K K^H with its diagonal
+        # blocks zeroed in a copy.
+        off = k_full @ k_full.conj().T
+        rows = 16 * antennas
+        for i in range(8):
+            off[i * rows:(i + 1) * rows, i * rows:(i + 1) * rows] = 0.0
+        assert result.off_block_deviation == float(np.max(np.abs(off)))
+        assert result.additivity_gap == abs(result.total_bits - sum(result.per_symbol_bits))
 
     def test_short_cp_raises(self):
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=1)
@@ -165,7 +178,7 @@ class TestBlockMi:
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
         mcfg = MimoConfig(frame=frame, num_tx=1, num_rx=1)
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
-        channels = make_mimo_channels(model, mcfg, 11)
+        channels = channel_table(model, mcfg, 11, 0)
         rng = np.random.default_rng(12)
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, frame.grid_size))
         base = otfs_block_mi(channels, WindowSpec.rectangular(), 0.5, mcfg)
@@ -276,7 +289,7 @@ class TestReceiveWindowIrrelevance:
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
         mcfg = MimoConfig(frame=frame, num_tx=1, num_rx=1)
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
-        channels = make_mimo_channels(model, mcfg, 13)
+        channels = channel_table(model, mcfg, 13, 0)
         blocks = mimo_block_channel(channels, mcfg)
         rng = np.random.default_rng(14)
         tx = WindowSpec.general(rand_complex(rng, 8))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from otfsim import channel as channel_module
 from otfsim.channel import (
     ChannelModel,
     LtvChannel,
@@ -15,7 +16,7 @@ from otfsim.channel import (
     synthesize,
     trial_rng,
 )
-from otfsim.errors import ConfigError, StructureError
+from otfsim.errors import ConfigError, SizeCapError, StructureError
 from otfsim.transceiver import OtfsFrameConfig
 
 
@@ -149,6 +150,14 @@ class TestAssembleAndApply:
             fast = ch.apply(signal)
             assert np.max(np.abs(via_matrix - direct)) <= 1e-12
             assert np.max(np.abs(fast - direct)) <= 1e-12
+
+    def test_size_cap_checked_before_allocating(self, monkeypatch):
+        ch = synthesize(ChannelModel.identity(), CFG)
+        monkeypatch.setattr(channel_module, "DENSE_ENTRY_CAP", CFG.frame_len ** 2 - 1)
+        with pytest.raises(SizeCapError):
+            assemble_h_matrix(ch)
+        monkeypatch.setattr(channel_module, "DENSE_ENTRY_CAP", CFG.frame_len ** 2)
+        assert assemble_h_matrix(ch).shape == (CFG.frame_len, CFG.frame_len)
 
     def test_rejects_nonfinite(self):
         taps = np.ones((4, 1), dtype=complex)

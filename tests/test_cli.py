@@ -340,6 +340,29 @@ class TestEffectiveChannelMode:
         assert main(["effective-channel", "--config", path, "--out", str(tmp_path)]) == 4
 
 
+class TestCapacitySizeCap:
+    def test_oversized_frame_exits_before_allocating(self, tmp_path, monkeypatch):
+        # SISO M=256, N=64, M_cp=8: the dense 16896 x 16896 frame channel
+        # matrix would take 4.6 GB. Any zeros array above a million entries
+        # fails the test instead of being allocated, so a regressed cap check
+        # cannot exhaust memory.
+        real_zeros = np.zeros
+
+        def guarded_zeros(shape, *args, **kwargs):
+            assert int(np.prod(shape)) <= 1_000_000, f"allocated {shape} before the cap check"
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", guarded_zeros)
+        doc = {
+            "frame": {"M": 256, "N": 64, "M_cp": 8},
+            "channel": {"kind": "doppler-paths", "L": 4, "P": 3, "nu_max": 0.02},
+            "noise": {"snr_db": [10.0]},
+            "run": {"trials": 1, "seed": 0},
+        }
+        path = write_config(tmp_path, doc)
+        assert main(["capacity", "--config", path, "--out", str(tmp_path)]) == 4
+
+
 class TestLoadConfigDocument:
     def test_plain_config(self, tmp_path):
         path = write_config(tmp_path, dict(BASE))

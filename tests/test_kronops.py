@@ -8,6 +8,7 @@ operator application is compared against dense materialized products.
 import numpy as np
 import pytest
 
+from otfsim import kronops
 from otfsim.errors import DimensionError, SizeCapError
 from otfsim.kronops import (
     DenseFactor,
@@ -17,10 +18,12 @@ from otfsim.kronops import (
     InverseDftFactor,
     KronOperator,
     OperatorChain,
+    block_diag,
     dft_matrix,
     idft_matrix,
     kron,
     mixed_product_holds,
+    off_block_max,
     unvec,
     vec,
     vec_identity_holds,
@@ -259,3 +262,28 @@ class TestOperatorChain:
                 KronOperator([IdentityFactor(4)]),
                 KronOperator([IdentityFactor(5)]),
             ])
+
+
+class TestBlockDiag:
+    def test_size_cap_checked_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(kronops, "DENSE_ENTRY_CAP", 35)
+        with pytest.raises(SizeCapError):
+            block_diag([np.ones((3, 2)), np.ones((3, 4))])  # 6x6 = 36 entries
+        assert block_diag([np.ones((3, 2)), np.ones((2, 3))]).shape == (5, 5)
+
+
+class TestOffBlockMax:
+    def test_planted_entry_is_returned_exactly(self):
+        rng = np.random.default_rng(18)
+        matrix = block_diag([10.0 * rand_complex(rng, 3, 3) for _ in range(4)])
+        matrix[7, 1] = 0.25 - 0.5j
+        matrix[2, 10] = 0.1j
+        assert off_block_max(matrix, 3) == np.abs(np.complex128(0.25 - 0.5j))
+
+    def test_block_diagonal_input_gives_zero(self):
+        rng = np.random.default_rng(19)
+        assert off_block_max(block_diag([rand_complex(rng, 4, 4) for _ in range(3)]), 4) == 0.0
+
+    def test_single_block_gives_zero(self):
+        rng = np.random.default_rng(20)
+        assert off_block_max(rand_complex(rng, 5, 5), 5) == 0.0

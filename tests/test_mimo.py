@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from otfsim.channel import ChannelModel, LtvChannel, synthesize, trial_rng
-from otfsim.errors import DimensionError
+from otfsim.errors import ConfigError, DimensionError
 from otfsim.kronops import dft_matrix, kron, vec
 from otfsim.mimo import (
     MimoConfig,
+    channel_table,
     mimo_block_channel,
     mimo_chain,
     mimo_effective_matrix,
@@ -40,11 +41,28 @@ def zero_channel(cfg, length=1):
 
 def random_channels(seed, mcfg, length=3):
     model = ChannelModel.doppler_paths(num_taps=length, num_paths=2, max_doppler=0.05)
-    return [
-        [synthesize(model, mcfg.frame, rng=trial_rng(seed, r, t))
-         for t in range(mcfg.num_tx)]
-        for r in range(mcfg.num_rx)
-    ]
+    return channel_table(model, mcfg, seed)
+
+
+class TestChannelTable:
+    @pytest.mark.parametrize("key", [(), (7,), (40, 2)])
+    def test_pair_draws_from_its_own_stream(self, key):
+        mcfg = MimoConfig(frame=FRAME, num_tx=2, num_rx=3)
+        model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
+        table = channel_table(model, mcfg, 11, *key)
+        assert [len(row) for row in table] == [2, 2, 2]
+        for r, row in enumerate(table):
+            for t, ch in enumerate(row):
+                want = synthesize(model, FRAME, rng=trial_rng(11, *key, r, t))
+                assert np.array_equal(ch.taps, want.taps)
+
+    def test_enforce_cp_false_returns_channel_longer_than_cp(self):
+        mcfg = MimoConfig(frame=FRAME, num_tx=2, num_rx=2)
+        model = ChannelModel.doppler_paths(num_taps=4, num_paths=2, max_doppler=0.05)
+        with pytest.raises(ConfigError):
+            channel_table(model, mcfg, 1, 0)
+        table = channel_table(model, mcfg, 1, 0, enforce_cp=False)
+        assert [[ch.length for ch in row] for row in table] == [[4, 4], [4, 4]]
 
 
 class TestStacking:
