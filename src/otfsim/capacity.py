@@ -8,7 +8,8 @@ Because that transform is unitary and everything else is per-symbol block
 diagonal, K K^H is block diagonal with blocks K_n K_n^H, so the block
 mutual information log2 det(I + K K^H / sigma2) splits into per-symbol
 terms exactly. Both routes are computed here independently and their
-agreement is part of the contract.
+agreement is part of the contract. Only the log-dets depend on sigma2, so
+each trial forms its channels, K, every K_n and every Gram once for all SNRs.
 
 MI follows the paper's convention: identity input covariance, and only
 the transmit window appears in K (the receive window sits after the point
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -109,6 +110,34 @@ class BlockMiResult:
     additivity_gap: float
 
 
+def _trial_block_mis(channels, tx_window: WindowSpec, noise_vars: Sequence[float],
+                     mcfg: MimoConfig, block_tol: float = 1e-12,
+                     additivity_tol: float = 1e-8) -> List[BlockMiResult]:
+    """One :class:`BlockMiResult` per noise variance for one channel draw."""
+    block_channel = mimo_block_channel(channels, mcfg)
+    gram = _gram(full_k_matrix(block_channel, tx_window, mcfg))
+    worst = off_block_max(gram, mcfg.frame.num_subcarriers * mcfg.num_rx)
+    if worst > block_tol:
+        raise StructureError(
+            f"K K^H has off-diagonal block magnitude {worst:.3e} > {block_tol:.1e}",
+            deviation=worst,
+        )
+    symbol_grams = [_gram(k_n) for k_n in per_symbol_k_matrices(block_channel, tx_window, mcfg)]
+    results = []
+    for noise_var in noise_vars:
+        total = _log_det_bits(gram, noise_var)
+        per_symbol = [_log_det_bits(g, noise_var) for g in symbol_grams]
+        gap = abs(total - sum(per_symbol))
+        if gap > additivity_tol:
+            raise StructureError(
+                f"block MI differs from per-symbol sum by {gap:.3e} > {additivity_tol:.1e}",
+                deviation=gap,
+            )
+        results.append(BlockMiResult(total_bits=total, per_symbol_bits=per_symbol,
+                                     off_block_deviation=worst, additivity_gap=gap))
+    return results
+
+
 def otfs_block_mi(
     channels,
     tx_window: WindowSpec,
@@ -124,30 +153,10 @@ def otfs_block_mi(
     :class:`StructureError`. On top of that, the result verifies that
     K K^H really is block diagonal and that the block MI equals the
     per-symbol sum; violations raise :class:`StructureError` since they
-    indicate a broken decoupling. K K^H is formed once and serves both the
-    block-diagonality scan and the block log-det.
+    indicate a broken decoupling. This is the one-noise-variance case of
+    the per-trial pass that :func:`capacity_sweep` runs over its grid.
     """
-    block_channel = mimo_block_channel(channels, mcfg)
-    gram = _gram(full_k_matrix(block_channel, tx_window, mcfg))
-    worst = off_block_max(gram, mcfg.frame.num_subcarriers * mcfg.num_rx)
-    if worst > block_tol:
-        raise StructureError(
-            f"K K^H has off-diagonal block magnitude {worst:.3e} > {block_tol:.1e}",
-            deviation=worst,
-        )
-    total = _log_det_bits(gram, noise_var)
-    per_symbol = [
-        mutual_information(k_n, noise_var)
-        for k_n in per_symbol_k_matrices(block_channel, tx_window, mcfg)
-    ]
-    gap = abs(total - sum(per_symbol))
-    if gap > additivity_tol:
-        raise StructureError(
-            f"block MI differs from per-symbol sum by {gap:.3e} > {additivity_tol:.1e}",
-            deviation=gap,
-        )
-    return BlockMiResult(total_bits=total, per_symbol_bits=per_symbol,
-                         off_block_deviation=worst, additivity_gap=gap)
+    return _trial_block_mis(channels, tx_window, [noise_var], mcfg, block_tol, additivity_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -180,46 +189,10 @@ def ergodic_capacity(
     seed: int = 0,
     threads: int = 1,
 ) -> CapacityResult:
-    """Monte Carlo estimate of ergodic capacity in bits per time sample.
-
-    Channels are redrawn each trial from counter-based per-trial streams,
-    so the realization sequence depends on (seed, trial index) only; the
-    thread count changes wall time, never results. The OTFS route divides
-    the block MI by the frame length, the OFDM route divides the mean
-    per-symbol MI by the symbol length; per trial these are the same
-    number up to floating-point error.
-    """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    frame = mcfg.frame
-
-    def one_trial(trial: int) -> Tuple[float, float]:
-        channels = channel_table(model, mcfg, seed, trial)
-        result = otfs_block_mi(channels, tx_window, noise_var, mcfg)
-        return result.total_bits, float(sum(result.per_symbol_bits))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one_trial, range(trials)))
-    else:
-        outcomes = [one_trial(trial) for trial in range(trials)]
-
-    otfs_bits = np.array([o[0] for o in outcomes])
-    ofdm_bits = np.array([o[1] for o in outcomes])
-    otfs_rates = otfs_bits / frame.frame_len
-    ofdm_rates = ofdm_bits / (frame.num_symbols * frame.symbol_len)
-    if trials > 1:
-        ci = 1.96 * float(np.std(otfs_rates, ddof=1)) / np.sqrt(trials)
-    else:
-        ci = 0.0
-    return CapacityResult(
-        per_trial_otfs_bits=otfs_bits,
-        per_trial_ofdm_bits=ofdm_bits,
-        capacity_otfs=float(np.mean(otfs_rates)),
-        capacity_ofdm=float(np.mean(ofdm_rates)),
-        trials=trials,
-        ci_halfwidth=ci,
-    )
+    """Monte Carlo estimate of ergodic capacity in bits per time sample at
+    one noise variance: the one-point case of :func:`capacity_sweep`."""
+    return capacity_sweep([noise_var], model, tx_window, mcfg, trials,
+                          seed=seed, threads=threads)[0]
 
 
 def capacity_sweep(
@@ -231,12 +204,40 @@ def capacity_sweep(
     seed: int = 0,
     threads: int = 1,
 ) -> List[CapacityResult]:
-    """One capacity estimate per noise level, sharing channel realizations
-    across levels (common random numbers), so the curve is monotone in the
-    noise variance for the same seed."""
+    """Monte Carlo ergodic capacity in bits per time sample per noise level.
+
+    Trial k draws its channels from the stream keyed by (seed, k), so the
+    thread count never changes results, and all noise levels share them, so
+    the curve is monotone in the noise variance. Per trial the channels, K,
+    every K_n and every Gram are built once, and each noise level costs one
+    log-det per route. The OTFS route divides the block MI by the frame
+    length, the OFDM route the mean per-symbol MI by the symbol length.
+    """
     if not noise_vars:
         raise ConfigError("noise variance grid must be non-empty")
-    return [
-        ergodic_capacity(model, tx_window, nv, mcfg, trials, seed=seed, threads=threads)
-        for nv in noise_vars
-    ]
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    frame = mcfg.frame
+
+    def one_trial(trial: int) -> List[BlockMiResult]:
+        channels = channel_table(model, mcfg, seed, trial)
+        return _trial_block_mis(channels, tx_window, noise_vars, mcfg)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(one_trial, range(trials)))
+    else:
+        outcomes = [one_trial(trial) for trial in range(trials)]
+
+    results = []
+    for point in zip(*outcomes):
+        otfs_bits = np.array([r.total_bits for r in point])
+        ofdm_bits = np.array([float(sum(r.per_symbol_bits)) for r in point])
+        otfs_rates = otfs_bits / frame.frame_len
+        ofdm_rates = ofdm_bits / (frame.num_symbols * frame.symbol_len)
+        ci = 1.96 * float(np.std(otfs_rates, ddof=1)) / np.sqrt(trials) if trials > 1 else 0.0
+        results.append(CapacityResult(
+            per_trial_otfs_bits=otfs_bits, per_trial_ofdm_bits=ofdm_bits,
+            capacity_otfs=float(np.mean(otfs_rates)), capacity_ofdm=float(np.mean(ofdm_rates)),
+            trials=trials, ci_halfwidth=ci))
+    return results

@@ -246,31 +246,30 @@ def parse_config(
     seed: Optional[int] = None,
     threads: Optional[int] = None,
 ) -> ExperimentConfig:
-    """Validate a config document, apply CLI overrides, and build the
-    runtime objects. Raises :class:`ConfigError` with an actionable message
-    on any schema or cross-field violation."""
+    """Apply CLI overrides to a copy of a config document, validate the
+    copy, and build the runtime objects. Raises :class:`ConfigError` with
+    an actionable message on any schema or cross-field violation."""
+    effective = json.loads(json.dumps(doc))  # deep copy via round trip
+    run = effective.setdefault("run", {})
+    if isinstance(run, dict):  # any other run fails the schema below
+        for key, value in (("trials", trials), ("seed", seed), ("threads", threads)):
+            if value is not None:
+                run[key] = value
     try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
+        jsonschema.validate(effective, CONFIG_SCHEMA)
     except jsonschema.ValidationError as err:
         path = ".".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config schema violation at {path}: {err.message}") from err
 
-    effective = json.loads(json.dumps(doc))  # deep copy via round trip
-    run = effective.setdefault("run", {})
     config_mode = run.get("mode")
     if config_mode is not None and config_mode != mode:
         raise ConfigError(
             f"config run.mode is {config_mode!r} but the {mode!r} subcommand was invoked; "
             f"remove run.mode or use the matching subcommand")
     run["mode"] = mode
-    if trials is not None:
-        run["trials"] = trials
-    if seed is not None:
-        run["seed"] = seed
     # Threads affect wall time only, never results, so they are not part
     # of the experiment identity (hash or embedded config).
-    effective_threads = threads if threads is not None else run.pop("threads", 1)
-    run.pop("threads", None)
+    effective_threads = run.pop("threads", 1)
 
     frame_doc = effective["frame"]
     frame = OtfsFrameConfig(

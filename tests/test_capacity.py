@@ -5,9 +5,14 @@ on small matrices, and circulant-channel capacity against the closed form
 in terms of the channel's frequency-response values.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import otfsim.capacity
 from otfsim.capacity import (
     capacity_sweep,
     ergodic_capacity,
@@ -230,12 +235,16 @@ class TestErgodicCapacity:
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
         mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=2)
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
-        serial = ergodic_capacity(model, WindowSpec.rectangular(), 0.5, mcfg,
-                                  trials=8, seed=4, threads=1)
-        parallel = ergodic_capacity(model, WindowSpec.rectangular(), 0.5, mcfg,
-                                    trials=8, seed=4, threads=4)
-        assert np.array_equal(serial.per_trial_otfs_bits, parallel.per_trial_otfs_bits)
-        assert serial.capacity_otfs == parallel.capacity_otfs
+        sigmas = [0.1, 0.5, 2.0]
+        serial = capacity_sweep(sigmas, model, WindowSpec.rectangular(), mcfg,
+                                trials=8, seed=4, threads=1)
+        parallel = capacity_sweep(sigmas, model, WindowSpec.rectangular(), mcfg,
+                                  trials=8, seed=4, threads=4)
+        for one, many in zip(serial, parallel, strict=True):
+            assert np.array_equal(one.per_trial_otfs_bits, many.per_trial_otfs_bits)
+            assert np.array_equal(one.per_trial_ofdm_bits, many.per_trial_ofdm_bits)
+            assert one.capacity_otfs == many.capacity_otfs
+            assert one.ci_halfwidth == many.ci_halfwidth
 
     def test_trials_validated(self):
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=0)
@@ -280,6 +289,77 @@ class TestCapacitySweep:
         with pytest.raises(ConfigError):
             capacity_sweep([], ChannelModel.identity(), WindowSpec.rectangular(),
                            mcfg, trials=1)
+
+
+def assert_sweep_matches_block_mi(noise_vars, model, window, mcfg, trials, seed):
+    """Every sweep point equals the one-point ``otfs_block_mi`` of the same
+    draw exactly, and the two routes agree to 1e-8 bits per sample."""
+    sweep = capacity_sweep(noise_vars, model, window, mcfg, trials=trials, seed=seed)
+    frame = mcfg.frame
+    for sigma2, res in zip(noise_vars, sweep, strict=True):
+        for trial in range(trials):
+            channels = channel_table(model, mcfg, seed, trial)
+            single = otfs_block_mi(channels, window, sigma2, mcfg)
+            assert res.per_trial_otfs_bits[trial] == single.total_bits
+            assert res.per_trial_ofdm_bits[trial] == float(sum(single.per_symbol_bits))
+        gap = abs(res.per_trial_otfs_bits - res.per_trial_ofdm_bits) / frame.frame_len
+        assert np.max(gap) <= 1e-8
+        assert abs(res.capacity_otfs - res.capacity_ofdm) <= 1e-8
+
+
+class TestOnePassSweep:
+    def test_trial_work_runs_once_per_trial_whatever_the_grid(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name):
+            original = getattr(otfsim.capacity, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        names = ("channel_table", "mimo_block_channel", "full_k_matrix",
+                 "per_symbol_k_matrices", "_gram")
+        for name in names:
+            monkeypatch.setattr(otfsim.capacity, name, counting(name))
+        frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
+        mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=2)
+        model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
+        trials = 3
+        sweep = capacity_sweep([0.1, 0.5, 2.0], model, WindowSpec.rectangular(), mcfg,
+                               trials=trials, seed=8)
+        assert len(sweep) == 3
+        # One full-K Gram and one Gram per K_n in each trial.
+        assert counts == {**{name: trials for name in names[:-1]},
+                          "_gram": trials * (1 + frame.num_symbols)}
+
+    def test_every_point_equals_one_point_block_mi(self):
+        frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
+        mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=2)
+        model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
+        window = WindowSpec.general(rand_complex(np.random.default_rng(15), 8))
+        assert_sweep_matches_block_mi([0.1, 0.5, 2.0], model, window, mcfg, trials=3, seed=9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), n_t=st.sampled_from([1, 2]),
+           n_r=st.sampled_from([1, 2]), general_window=st.booleans(),
+           noise_vars=st.lists(st.floats(0.01, 10.0), min_size=2, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_geometries(self, data, n, n_t, n_r, general_window, noise_vars, seed):
+        # The frame needs cp < M and the model distinct delays, so P <= L.
+        m = data.draw(st.integers(2, 8), label="M")
+        taps = data.draw(st.integers(1, m), label="L")
+        cp = data.draw(st.integers(taps - 1, m - 1), label="cp")
+        paths = data.draw(st.integers(1, taps), label="P")
+        frame = OtfsFrameConfig(num_subcarriers=m, num_symbols=n, cp_len=cp)
+        mcfg = MimoConfig(frame=frame, num_tx=n_t, num_rx=n_r)
+        model = ChannelModel.doppler_paths(num_taps=taps, num_paths=paths, max_doppler=0.05)
+        if general_window:
+            window = WindowSpec.general(rand_complex(np.random.default_rng(seed), m * n))
+        else:
+            window = WindowSpec.rectangular()
+        assert_sweep_matches_block_mi(noise_vars, model, window, mcfg, trials=2, seed=seed)
 
 
 class TestReceiveWindowIrrelevance:

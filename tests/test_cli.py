@@ -185,9 +185,19 @@ class TestCapacityMode:
                 total += float(np.log2(np.real(np.linalg.det(gram) / 0.5 ** (m * 2))))
             assert abs(total - float(row["mi_ofdm_sum_bits"])) <= 1e-8
 
-    def test_invalid_config_exit_code(self, tmp_path):
+    def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"frame": {"M": 4}})
         assert main(["capacity", "--config", path, "--out", str(tmp_path)]) == 2
+        # CLI overrides go through the same schema as the file.
+        path = write_config(tmp_path, BASE)
+        cases = [(mode, ["--seed", "-1"])
+                 for mode in ("capacity", "verify", "simulate", "effective-channel")]
+        cases += [("capacity", ["--threads", "0"]), ("capacity", ["--threads", "-2"]),
+                  ("capacity", ["--trials", "0"])]
+        capsys.readouterr()
+        for mode, extra in cases:
+            assert main([mode, "--config", path, "--out", str(tmp_path), *extra]) == 2, extra
+            assert "schema violation" in capsys.readouterr().err, (mode, extra)
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["capacity", "--config", str(tmp_path / "nope.json"),
