@@ -37,6 +37,7 @@ from .errors import (
 )
 from .kronops import (
     DENSE_ENTRY_CAP,
+    BlockDiagonalFactor,
     DenseFactor,
     DftFactor,
     DiagonalFactor,
@@ -61,6 +62,7 @@ from .mimo import (
     mimo_effective_matrix,
     mimo_effective_operator,
     mimo_isfft,
+    mimo_transmit_stages,
     mimo_window,
     mimo_window_diagonal,
     split_stacked_vector,

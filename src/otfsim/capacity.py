@@ -26,19 +26,9 @@ import numpy as np
 
 from .channel import ChannelModel
 from .errors import ConfigError, StructureError
-from .kronops import (
-    DenseFactor,
-    DftFactor,
-    DiagonalFactor,
-    IdentityFactor,
-    InverseDftFactor,
-    KronOperator,
-    OperatorChain,
-    block_diag,
-    idft_matrix,
-    off_block_max,
-)
-from .mimo import MimoConfig, channel_table, mimo_block_channel, mimo_window_diagonal
+from .kronops import OperatorChain, idft_matrix, off_block_max
+from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_transmit_stages,
+                   mimo_window_diagonal)
 from .transceiver import WindowSpec
 
 
@@ -67,36 +57,25 @@ def mutual_information(k_matrix: np.ndarray, noise_var: float) -> float:
 
 
 def per_symbol_k_matrices(
-    block_channel: Sequence[np.ndarray],
+    block_channel: np.ndarray,
     tx_window: WindowSpec,
     mcfg: MimoConfig,
-) -> List[np.ndarray]:
-    """K_n for each OFDM symbol, shape (M*n_r) x (M*n_t)."""
+) -> np.ndarray:
+    """K_n for each OFDM symbol, an (N, M*n_r, M*n_t) array."""
     m = mcfg.frame.num_subcarriers
-    idft = idft_matrix(m)
-    modulator = np.kron(np.eye(mcfg.num_tx), idft)
+    modulator = np.kron(np.eye(mcfg.num_tx), idft_matrix(m))
     window = mimo_window_diagonal(tx_window, mcfg, mcfg.num_tx).reshape(
-        mcfg.frame.num_symbols, m * mcfg.num_tx)
-    return [
-        np.asarray(block, dtype=np.complex128) @ (modulator * window[sym][None, :])
-        for sym, block in enumerate(block_channel)
-    ]
+        mcfg.frame.num_symbols, 1, m * mcfg.num_tx)
+    return np.asarray(block_channel, dtype=np.complex128) @ (modulator * window)
 
 
 def full_k_matrix(
-    block_channel: Sequence[np.ndarray],
+    block_channel: np.ndarray,
     tx_window: WindowSpec,
     mcfg: MimoConfig,
 ) -> np.ndarray:
     """The whole-block K, shape (M*N*n_r) x (M*N*n_t)."""
-    m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
-    chain = OperatorChain([
-        KronOperator([DenseFactor(block_diag(block_channel))]),
-        KronOperator([IdentityFactor(n * mcfg.num_tx), InverseDftFactor(m)]),
-        KronOperator([DiagonalFactor(mimo_window_diagonal(tx_window, mcfg, mcfg.num_tx))]),
-        KronOperator([InverseDftFactor(n), IdentityFactor(mcfg.num_tx), DftFactor(m)]),
-    ])
-    return chain.materialize()
+    return OperatorChain(mimo_transmit_stages(block_channel, tx_window, mcfg)).materialize()
 
 
 @dataclass(frozen=True)

@@ -209,8 +209,8 @@ def reduce_to_block_channel(
     h_matrix: np.ndarray,
     cfg: OtfsFrameConfig,
     tol: float = 1e-14,
-) -> list:
-    """Per-symbol M x M channel blocks after CP removal and CP insertion.
+) -> np.ndarray:
+    """(N, M, M) stack of the per-symbol blocks after CP removal and CP insertion.
 
     Computes the full reduced matrix and verifies it is block diagonal;
     residual energy in off-diagonal blocks means the CP was shorter than
@@ -233,7 +233,7 @@ def reduce_to_block_channel(
             f"{worst:.3e} > {tol:.1e}); CP is shorter than the channel memory",
             deviation=worst,
         )
-    return [reduced[i * m:(i + 1) * m, i * m:(i + 1) * m] for i in range(n)]
+    return reduced.reshape(n, m, n, m)[np.arange(n), :, np.arange(n), :]
 
 
 def awgn(length: int, spec: NoiseSpec) -> np.ndarray:

@@ -3,7 +3,8 @@
 Normalized DFT matrices, Kronecker products, column-stacking
 vectorization, and matrix-free application of Kronecker-structured
 operators (DFT factors go through the FFT, so a factor of size n costs
-O(total * log n) instead of a dense product).
+O(total * log n) instead of a dense product; block-diagonal factors go
+through one batched product over their blocks).
 
 Conventions: ``vec`` stacks columns (Fortran order), so for conformable
 A, X, B the identity ``kron(B.T, A) @ vec(X) == vec(A @ X @ B)`` holds.
@@ -60,26 +61,6 @@ def kron(a: np.ndarray, b: np.ndarray, entry_cap: int = DENSE_ENTRY_CAP) -> np.n
             f"(cap {entry_cap}); use KronOperator for matrix-free application"
         )
     return np.kron(a, b)
-
-
-def block_diag(blocks) -> np.ndarray:
-    """Dense block-diagonal matrix from a sequence of (possibly rectangular)
-    complex blocks."""
-    blocks = [np.asarray(b, dtype=np.complex128) for b in blocks]
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    if rows * cols > DENSE_ENTRY_CAP:
-        raise SizeCapError(
-            f"dense block-diagonal matrix would have {rows}x{cols} entries "
-            f"(cap {DENSE_ENTRY_CAP})"
-        )
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
 
 
 def off_block_max(matrix: np.ndarray, block: int) -> float:
@@ -141,6 +122,39 @@ class DenseFactor:
     def apply(self, tensor: np.ndarray, axis: int) -> np.ndarray:
         out = np.tensordot(self.matrix, tensor, axes=([1], [axis]))
         return np.moveaxis(out, 0, axis)
+
+
+class BlockDiagonalFactor:
+    """Block-diagonal matrix diag(B_0, ..., B_{N-1}) from an (N, rows, cols)
+    stack of equal blocks, applied as one batched product so the zero
+    blocks are never stored or multiplied."""
+
+    def __init__(self, blocks: np.ndarray):
+        blocks = np.asarray(blocks, dtype=np.complex128)
+        if blocks.ndim != 3:
+            raise DimensionError("block-diagonal factor needs an (N, rows, cols) stack")
+        if not np.all(np.isfinite(blocks)):
+            raise ValueError("block-diagonal factor contains non-finite entries")
+        self.blocks = blocks
+        count, block_rows, block_cols = blocks.shape
+        self.rows, self.cols = count * block_rows, count * block_cols
+
+    def materialize(self) -> np.ndarray:
+        if self.rows * self.cols > DENSE_ENTRY_CAP:
+            raise SizeCapError(
+                f"dense block-diagonal matrix would have {self.rows}x{self.cols} entries "
+                f"(cap {DENSE_ENTRY_CAP})"
+            )
+        count, block_rows, block_cols = self.blocks.shape
+        dense = np.zeros((count, block_rows, count, block_cols), dtype=np.complex128)
+        dense[np.arange(count), :, np.arange(count), :] = self.blocks
+        return dense.reshape(self.rows, self.cols)
+
+    def apply(self, tensor: np.ndarray, axis: int) -> np.ndarray:
+        moved = np.moveaxis(tensor, axis, 0)
+        count, _, block_cols = self.blocks.shape
+        out = self.blocks @ moved.reshape(count, block_cols, -1)
+        return np.moveaxis(out.reshape((self.rows,) + moved.shape[1:]), 0, axis)
 
 
 class IdentityFactor:
@@ -207,7 +221,8 @@ class DiagonalFactor:
         return tensor * self.diagonal.reshape(shape)
 
 
-Factor = Union[DenseFactor, IdentityFactor, DftFactor, InverseDftFactor, DiagonalFactor]
+Factor = Union[DenseFactor, BlockDiagonalFactor, IdentityFactor, DftFactor, InverseDftFactor,
+               DiagonalFactor]
 
 
 class KronOperator:

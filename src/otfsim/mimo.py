@@ -25,14 +25,13 @@ from .channel import (
 )
 from .errors import DimensionError
 from .kronops import (
-    DenseFactor,
+    BlockDiagonalFactor,
     DftFactor,
     DiagonalFactor,
     IdentityFactor,
     InverseDftFactor,
     KronOperator,
     OperatorChain,
-    block_diag,
     vec,
 )
 from .transceiver import OtfsFrameConfig, WindowSpec
@@ -150,8 +149,8 @@ def mimo_block_channel(
     channels: Sequence[Sequence[LtvChannel]],
     mcfg: MimoConfig,
     tol: float = 1e-14,
-) -> List[np.ndarray]:
-    """Per-symbol stacked channel matrices, shape (M*n_r) x (M*n_t).
+) -> np.ndarray:
+    """Per-symbol stacked channel matrices, an (N, M*n_r, M*n_t) array.
 
     Block (r, t) of the n-th matrix is the n-th per-symbol block of the
     (t -> r) antenna-pair channel after CP removal/insertion; each pair's
@@ -159,18 +158,9 @@ def mimo_block_channel(
     """
     table = _validated_channels(channels, mcfg)
     m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
-    per_pair = [
-        [reduce_to_block_channel(assemble_h_matrix(ch), mcfg.frame, tol=tol) for ch in row]
-        for row in table
-    ]
-    stacked = []
-    for sym in range(n):
-        block = np.zeros((m * mcfg.num_rx, m * mcfg.num_tx), dtype=np.complex128)
-        for r in range(mcfg.num_rx):
-            for t in range(mcfg.num_tx):
-                block[r * m:(r + 1) * m, t * m:(t + 1) * m] = per_pair[r][t][sym]
-        stacked.append(block)
-    return stacked
+    per_pair = np.array([[reduce_to_block_channel(assemble_h_matrix(ch), mcfg.frame, tol=tol)
+                          for ch in row] for row in table])  # (n_r, n_t, N, M, M)
+    return per_pair.transpose(2, 0, 3, 1, 4).reshape(n, m * mcfg.num_rx, m * mcfg.num_tx)
 
 
 @dataclass
@@ -249,26 +239,38 @@ def mimo_chain(
     )
 
 
+def mimo_transmit_stages(
+    block_channel: np.ndarray,
+    tx_window: WindowSpec,
+    mcfg: MimoConfig,
+) -> List[KronOperator]:
+    """Stacked map from the data vector to the received samples after CP
+    removal, as factorized stages: the per-symbol block channel, OFDM
+    modulation, the transmit window and the inverse 2-D transform. Its
+    product is the whole-block K of the capacity routes."""
+    m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
+    return [
+        KronOperator([BlockDiagonalFactor(block_channel)]),
+        KronOperator([IdentityFactor(n * mcfg.num_tx), InverseDftFactor(m)]),
+        KronOperator([DiagonalFactor(mimo_window_diagonal(tx_window, mcfg, mcfg.num_tx))]),
+        KronOperator([InverseDftFactor(n), IdentityFactor(mcfg.num_tx), DftFactor(m)]),
+    ]
+
+
 def mimo_effective_operator(
     channels: Sequence[Sequence[LtvChannel]],
     tx_window: WindowSpec,
     rx_window: WindowSpec,
     mcfg: MimoConfig,
 ) -> OperatorChain:
-    """Noiseless stacked end-to-end map as factorized stages: transforms and
-    windows as Kronecker factors around the per-symbol block channel."""
-    frame = mcfg.frame
-    m, n = frame.num_subcarriers, frame.num_symbols
-    block = block_diag(mimo_block_channel(channels, mcfg))
+    """Noiseless stacked end-to-end map as factorized stages: the receive
+    transforms and window in front of :func:`mimo_transmit_stages`."""
+    m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
     return OperatorChain([
         KronOperator([DftFactor(n), IdentityFactor(mcfg.num_rx), InverseDftFactor(m)]),
         KronOperator([DiagonalFactor(mimo_window_diagonal(rx_window, mcfg, mcfg.num_rx))]),
         KronOperator([IdentityFactor(n * mcfg.num_rx), DftFactor(m)]),
-        KronOperator([DenseFactor(block)]),
-        KronOperator([IdentityFactor(n * mcfg.num_tx), InverseDftFactor(m)]),
-        KronOperator([DiagonalFactor(mimo_window_diagonal(tx_window, mcfg, mcfg.num_tx))]),
-        KronOperator([InverseDftFactor(n), IdentityFactor(mcfg.num_tx), DftFactor(m)]),
-    ])
+    ] + mimo_transmit_stages(mimo_block_channel(channels, mcfg), tx_window, mcfg))
 
 
 def mimo_effective_matrix(

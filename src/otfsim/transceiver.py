@@ -22,12 +22,13 @@ agree with it under their preconditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionError
 from .kronops import (
+    BlockDiagonalFactor,
     DenseFactor,
     DftFactor,
     DiagonalFactor,
@@ -35,7 +36,6 @@ from .kronops import (
     InverseDftFactor,
     KronOperator,
     OperatorChain,
-    block_diag,
     dft_matrix,
     unvec,
     vec,
@@ -319,14 +319,14 @@ def effective_matrix_general(
 
 
 def effective_matrix_separable(
-    block_channel: Sequence[np.ndarray],
+    block_channel: np.ndarray,
     tx_window: WindowSpec,
     rx_window: WindowSpec,
     cfg: OtfsFrameConfig,
 ) -> np.ndarray:
     """Specialized build for separable windows.
 
-    ``block_channel`` is the list of N per-symbol M x M channel matrices
+    ``block_channel`` is the (N, M, M) stack of per-symbol channel matrices
     (the post-CP-removal, pre-CP-insertion channel). With transmit taper
     pair (a, b) and receive pair (p, q) the chain collapses to
 
@@ -346,7 +346,7 @@ def effective_matrix_separable(
         KronOperator([IdentityFactor(n), DenseFactor(rx_freq)]),
         KronOperator([DftFactor(n), IdentityFactor(m)]),
         KronOperator([DiagonalFactor(rx_window.time_taper), IdentityFactor(m)]),
-        KronOperator([DenseFactor(block_diag(block_channel))]),
+        KronOperator([BlockDiagonalFactor(block_channel)]),
         KronOperator([DiagonalFactor(tx_window.time_taper), IdentityFactor(m)]),
         KronOperator([InverseDftFactor(n), IdentityFactor(m)]),
         KronOperator([IdentityFactor(n), DenseFactor(tx_freq)]),
@@ -355,7 +355,7 @@ def effective_matrix_separable(
 
 
 def effective_matrix_rectangular(
-    block_channel: Sequence[np.ndarray],
+    block_channel: np.ndarray,
     cfg: OtfsFrameConfig,
 ) -> np.ndarray:
     """Specialized build for rectangular windows:
@@ -365,24 +365,22 @@ def effective_matrix_rectangular(
         raise DimensionError(f"need {n} per-symbol channel blocks, got {len(block_channel)}")
     chain = OperatorChain([
         KronOperator([DftFactor(n), IdentityFactor(m)]),
-        KronOperator([DenseFactor(block_diag(block_channel))]),
+        KronOperator([BlockDiagonalFactor(block_channel)]),
         KronOperator([InverseDftFactor(n), IdentityFactor(m)]),
     ])
     return chain.materialize()
 
 
-def to_frequency_domain(block_channel: Sequence[np.ndarray]) -> list:
-    """Per-symbol frequency-domain channel blocks F_M C F_M^H."""
-    out = []
-    for block in block_channel:
-        block = np.asarray(block, dtype=np.complex128)
-        fm = dft_matrix(block.shape[0])
-        out.append(fm @ block @ fm.conj().T)
-    return out
+def to_frequency_domain(block_channel: np.ndarray) -> np.ndarray:
+    """Per-symbol frequency-domain channel blocks F_M C F_M^H, stacked into
+    an (N, M, M) array."""
+    block_channel = np.asarray(block_channel, dtype=np.complex128)
+    fm = dft_matrix(block_channel.shape[1])
+    return fm @ block_channel @ fm.conj().T
 
 
 def effective_matrix_frequency_domain(
-    freq_block_channel: Sequence[np.ndarray],
+    freq_block_channel: np.ndarray,
     tx_window: WindowSpec,
     rx_window: WindowSpec,
     cfg: OtfsFrameConfig,
@@ -396,7 +394,7 @@ def effective_matrix_frequency_domain(
     chain = OperatorChain([
         KronOperator([DftFactor(n), InverseDftFactor(m)]),
         KronOperator([DiagonalFactor(rx_window.diagonal(cfg))]),
-        KronOperator([DenseFactor(block_diag(freq_block_channel))]),
+        KronOperator([BlockDiagonalFactor(freq_block_channel)]),
         KronOperator([DiagonalFactor(tx_window.diagonal(cfg))]),
         KronOperator([InverseDftFactor(n), DftFactor(m)]),
     ])

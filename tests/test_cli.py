@@ -339,6 +339,39 @@ class TestEffectiveChannelMode:
         assert meta["two_d_circulant_deviation"] <= 1e-9
         assert (tmp_path / "effective_freq.csv").exists()
 
+    def test_frequency_domain_file_maps_to_dd_file(self, tmp_path):
+        m, n = 4, 3
+        rng = np.random.default_rng(12)
+
+        def taper(size):
+            return [[float(v), float(w)] for v, w in 1.0 + 0.3 * rng.standard_normal((size, 2))]
+
+        doc = {
+            "frame": {"M": m, "N": n, "M_cp": 2},
+            "window": {"tx": {"kind": "general", "taps": taper(m * n)},
+                       "rx": {"kind": "separable", "time": taper(n), "freq": taper(m)}},
+            "channel": {"kind": "doppler-paths", "L": 3, "P": 2, "nu_max": 0.05},
+            "noise": {"sigma2": [1.0]},
+            "run": {"seed": 6, "emit_frequency_domain": True},
+        }
+        path = write_config(tmp_path, doc)
+        assert main(["effective-channel", "--config", path, "--out", str(tmp_path)]) == 0
+
+        def read_matrix(name):
+            rows = read_csv(tmp_path / name)
+            index = [(int(r["row"]), int(r["col"])) for r in rows]
+            assert index == sorted(index)  # row-major order
+            matrix = np.zeros((m * n, m * n), dtype=complex)
+            for (i, j), r in zip(index, rows):
+                matrix[i, j] = complex(float(r["re"]), float(r["im"]))
+            return matrix
+
+        dd = read_matrix("effective_dd.csv")
+        freq = read_matrix("effective_freq.csv")
+        fm, fn = dft_matrix(m), dft_matrix(n)
+        expected = kron(fn, fm.conj().T) @ freq @ kron(fn.conj().T, fm)
+        assert np.max(np.abs(dd - expected)) <= 1e-10
+
     def test_size_cap_exit_code(self, tmp_path):
         doc = {
             "frame": {"M": 4096, "N": 4096, "M_cp": 0},

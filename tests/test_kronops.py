@@ -11,6 +11,7 @@ import pytest
 from otfsim import kronops
 from otfsim.errors import DimensionError, SizeCapError
 from otfsim.kronops import (
+    BlockDiagonalFactor,
     DenseFactor,
     DftFactor,
     DiagonalFactor,
@@ -18,7 +19,6 @@ from otfsim.kronops import (
     InverseDftFactor,
     KronOperator,
     OperatorChain,
-    block_diag,
     dft_matrix,
     idft_matrix,
     kron,
@@ -265,24 +265,51 @@ class TestOperatorChain:
 
 
 class TestBlockDiag:
+    def test_materialize_places_blocks_on_the_diagonal(self):
+        rng = np.random.default_rng(17)
+        blocks = rand_complex(rng, 3, 2, 4)
+        dense = BlockDiagonalFactor(blocks).materialize()
+        expected = np.zeros((6, 12), dtype=complex)
+        for n in range(3):
+            expected[n * 2:(n + 1) * 2, n * 4:(n + 1) * 4] = blocks[n]
+        assert np.array_equal(dense, expected)
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_apply_between_other_factors_matches_materialization(self, position):
+        rng = np.random.default_rng(30 + position)
+        factors = [DftFactor(3), DenseFactor(rand_complex(rng, 2, 3))]
+        factors.insert(position, BlockDiagonalFactor(rand_complex(rng, 4, 3, 2)))
+        op = KronOperator(factors)
+        x = rand_complex(rng, op.shape[1], 2)
+        dense = op.materialize()
+        assert np.max(np.abs(op.apply(x) - dense @ x)) <= 1e-10
+
+    def test_needs_finite_three_dimensional_stack(self):
+        with pytest.raises(DimensionError):
+            BlockDiagonalFactor(np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            BlockDiagonalFactor(np.full((2, 2, 2), np.nan))
+
     def test_size_cap_checked_before_allocating(self, monkeypatch):
         monkeypatch.setattr(kronops, "DENSE_ENTRY_CAP", 35)
         with pytest.raises(SizeCapError):
-            block_diag([np.ones((3, 2)), np.ones((3, 4))])  # 6x6 = 36 entries
-        assert block_diag([np.ones((3, 2)), np.ones((2, 3))]).shape == (5, 5)
+            BlockDiagonalFactor(np.ones((2, 3, 3))).materialize()  # 6x6 = 36 entries
+        assert BlockDiagonalFactor(np.ones((2, 3, 2))).materialize().shape == (6, 4)
 
 
 class TestOffBlockMax:
     def test_planted_entry_is_returned_exactly(self):
         rng = np.random.default_rng(18)
-        matrix = block_diag([10.0 * rand_complex(rng, 3, 3) for _ in range(4)])
+        blocks = [10.0 * rand_complex(rng, 3, 3) for _ in range(4)]
+        matrix = BlockDiagonalFactor(blocks).materialize()
         matrix[7, 1] = 0.25 - 0.5j
         matrix[2, 10] = 0.1j
         assert off_block_max(matrix, 3) == np.abs(np.complex128(0.25 - 0.5j))
 
     def test_block_diagonal_input_gives_zero(self):
         rng = np.random.default_rng(19)
-        assert off_block_max(block_diag([rand_complex(rng, 4, 4) for _ in range(3)]), 4) == 0.0
+        matrix = BlockDiagonalFactor([rand_complex(rng, 4, 4) for _ in range(3)]).materialize()
+        assert off_block_max(matrix, 4) == 0.0
 
     def test_single_block_gives_zero(self):
         rng = np.random.default_rng(20)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otfsim.channel import ChannelModel, LtvChannel, synthesize, trial_rng
 from otfsim.errors import ConfigError, DimensionError
@@ -33,6 +35,19 @@ FRAME = OtfsFrameConfig(num_subcarriers=4, num_symbols=3, cp_len=2)
 
 def rand_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_window(rng, kind, role, cfg):
+    """Window of the given kind with random complex taps."""
+    if kind == "rectangular":
+        return WindowSpec.rectangular(role)
+    if kind == "separable":
+        return WindowSpec.separable(rand_complex(rng, cfg.num_symbols),
+                                    rand_complex(rng, cfg.num_subcarriers), role=role)
+    return WindowSpec.general(rand_complex(rng, cfg.grid_size), role=role)
+
+
+WINDOW_KINDS = st.sampled_from(["rectangular", "separable", "general"])
 
 
 def zero_channel(cfg, length=1):
@@ -180,6 +195,29 @@ class TestMimoChain:
         rx = WindowSpec.general(rand_complex(rng, 12), role="receive")
         grids = [rand_complex(rng, 4, 3) for _ in range(2)]
         stacked = stack_grids(grids, mcfg)
+        out = mimo_chain(stacked, channels, tx, rx, mcfg)
+        eff = mimo_effective_matrix(channels, tx, rx, mcfg)
+        assert np.max(np.abs(out.estimate - eff @ vec(stacked))) <= 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), n_t=st.sampled_from([1, 2]),
+           n_r=st.sampled_from([1, 2]), tx_kind=WINDOW_KINDS, rx_kind=WINDOW_KINDS,
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_chain_matches_effective_matrix_over_random_geometries(
+            self, data, n, n_t, n_r, tx_kind, rx_kind, seed):
+        # The frame needs cp < M and the model distinct delays, so P <= L.
+        m = data.draw(st.integers(2, 8), label="M")
+        taps = data.draw(st.integers(1, m), label="L")
+        cp = data.draw(st.integers(taps - 1, m - 1), label="cp")
+        paths = data.draw(st.integers(1, taps), label="P")
+        frame = OtfsFrameConfig(num_subcarriers=m, num_symbols=n, cp_len=cp)
+        mcfg = MimoConfig(frame=frame, num_tx=n_t, num_rx=n_r)
+        model = ChannelModel.doppler_paths(num_taps=taps, num_paths=paths, max_doppler=0.05)
+        channels = channel_table(model, mcfg, seed)
+        rng = np.random.default_rng(seed)
+        tx = random_window(rng, tx_kind, "transmit", frame)
+        rx = random_window(rng, rx_kind, "receive", frame)
+        stacked = stack_grids([rand_complex(rng, m, n) for _ in range(n_t)], mcfg)
         out = mimo_chain(stacked, channels, tx, rx, mcfg)
         eff = mimo_effective_matrix(channels, tx, rx, mcfg)
         assert np.max(np.abs(out.estimate - eff @ vec(stacked))) <= 1e-10

@@ -9,6 +9,8 @@ relation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otfsim.channel import ChannelModel, assemble_h_matrix, reduce_to_block_channel, synthesize, trial_rng
 from otfsim.errors import DimensionError
@@ -39,6 +41,19 @@ from otfsim.transceiver import (
 
 def rand_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_window(rng, kind, role, cfg):
+    """Window of the given kind with random complex taps."""
+    if kind == "rectangular":
+        return WindowSpec.rectangular(role)
+    if kind == "separable":
+        return WindowSpec.separable(rand_complex(rng, cfg.num_symbols),
+                                    rand_complex(rng, cfg.num_subcarriers), role=role)
+    return WindowSpec.general(rand_complex(rng, cfg.grid_size), role=role)
+
+
+WINDOW_KINDS = st.sampled_from(["rectangular", "separable", "general"])
 
 
 def isfft_double_sum(data):
@@ -386,6 +401,35 @@ class TestSpecializations:
         special = effective_matrix_frequency_domain(
             to_frequency_domain(blocks), tx, rx, self.cfg)
         assert np.max(np.abs(general - special)) <= 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), tx_kind=WINDOW_KINDS, rx_kind=WINDOW_KINDS,
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_geometries_match_general(self, data, n, tx_kind, rx_kind, seed):
+        # The frame needs cp < M and the model distinct delays, so P <= L.
+        m = data.draw(st.integers(2, 8), label="M")
+        taps = data.draw(st.integers(1, m), label="L")
+        cp = data.draw(st.integers(taps - 1, m - 1), label="cp")
+        paths = data.draw(st.integers(1, taps), label="P")
+        cfg = OtfsFrameConfig(num_subcarriers=m, num_symbols=n, cp_len=cp)
+        model = ChannelModel.doppler_paths(num_taps=taps, num_paths=paths, max_doppler=0.05)
+        h = assemble_h_matrix(synthesize(model, cfg, rng=trial_rng(seed, 0)))
+        blocks = reduce_to_block_channel(h, cfg)
+        rng = np.random.default_rng(seed)
+
+        tx = random_window(rng, "separable", "transmit", cfg)
+        rx = random_window(rng, "separable", "receive", cfg)
+        special = effective_matrix_separable(blocks, tx, rx, cfg)
+        assert np.max(np.abs(effective_matrix_general(h, tx, rx, cfg) - special)) <= 1e-10
+
+        tx, rx = WindowSpec.rectangular(), WindowSpec.rectangular("receive")
+        special = effective_matrix_rectangular(blocks, cfg)
+        assert np.max(np.abs(effective_matrix_general(h, tx, rx, cfg) - special)) <= 1e-10
+
+        tx = random_window(rng, tx_kind, "transmit", cfg)
+        rx = random_window(rng, rx_kind, "receive", cfg)
+        special = effective_matrix_frequency_domain(to_frequency_domain(blocks), tx, rx, cfg)
+        assert np.max(np.abs(effective_matrix_general(h, tx, rx, cfg) - special)) <= 1e-10
 
 
 class TestTwoDConvolution:
