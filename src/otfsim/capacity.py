@@ -25,8 +25,8 @@ from typing import List, Sequence
 import numpy as np
 
 from .channel import ChannelModel
-from .errors import ConfigError, StructureError
-from .kronops import OperatorChain, idft_matrix, off_block_max
+from .errors import ConfigError, SizeCapError, StructureError
+from .kronops import DENSE_ENTRY_CAP, OperatorChain, idft_matrix, off_block_max
 from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_transmit_stages,
                    mimo_window_diagonal)
 from .transceiver import WindowSpec
@@ -92,7 +92,16 @@ class BlockMiResult:
 def _trial_block_mis(channels, tx_window: WindowSpec, noise_vars: Sequence[float],
                      mcfg: MimoConfig, block_tol: float = 1e-12,
                      additivity_tol: float = 1e-8) -> List[BlockMiResult]:
-    """One :class:`BlockMiResult` per noise variance for one channel draw."""
+    """One :class:`BlockMiResult` per noise variance for one channel draw.
+
+    The trial's largest dense arrays are K, (M*N*n_r) x (M*N*n_t), and its
+    Gram, (M*N*n_r) x (M*N*n_r); both are checked against the size cap
+    before anything is built."""
+    rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
+    if rows * max(rows, cols) > DENSE_ENTRY_CAP:
+        raise SizeCapError(
+            f"whole-block K and its Gram would need {rows}x{max(rows, cols)} entries "
+            f"(cap {DENSE_ENTRY_CAP})")
     block_channel = mimo_block_channel(channels, mcfg)
     gram = _gram(full_k_matrix(block_channel, tx_window, mcfg))
     worst = off_block_max(gram, mcfg.frame.num_subcarriers * mcfg.num_rx)

@@ -205,6 +205,17 @@ def assemble_h_matrix(channel: LtvChannel) -> np.ndarray:
     return h
 
 
+def require_block_diagonal(worst: float, tol: float = 1e-14) -> None:
+    """Raise :class:`StructureError` when the largest off-block magnitude
+    ``worst`` of a reduced channel exceeds ``tol``."""
+    if worst > tol:
+        raise StructureError(
+            f"reduced channel is not block diagonal (max off-block magnitude "
+            f"{worst:.3e} > {tol:.1e}); CP is shorter than the channel memory",
+            deviation=worst,
+        )
+
+
 def reduce_to_block_channel(
     h_matrix: np.ndarray,
     cfg: OtfsFrameConfig,
@@ -212,9 +223,9 @@ def reduce_to_block_channel(
 ) -> np.ndarray:
     """(N, M, M) stack of the per-symbol blocks after CP removal and CP insertion.
 
-    Computes the full reduced matrix and verifies it is block diagonal;
-    residual energy in off-diagonal blocks means the CP was shorter than
-    the channel memory and raises :class:`StructureError`.
+    The dense reference: computes the full reduced matrix and verifies it
+    is block diagonal; residual energy in off-diagonal blocks means the CP
+    was shorter than the channel memory and raises :class:`StructureError`.
     """
     h_matrix = np.asarray(h_matrix, dtype=np.complex128)
     span = cfg.frame_len
@@ -226,13 +237,7 @@ def reduce_to_block_channel(
         [h_matrix[:, i * blen:(i + 1) * blen] @ cp.add for i in range(n)], axis=1)
     reduced = np.concatenate(
         [cols[i * blen + cfg.cp_len:(i + 1) * blen, :] for i in range(n)], axis=0)
-    worst = off_block_max(reduced, m)
-    if worst > tol:
-        raise StructureError(
-            f"reduced channel is not block diagonal (max off-block magnitude "
-            f"{worst:.3e} > {tol:.1e}); CP is shorter than the channel memory",
-            deviation=worst,
-        )
+    require_block_diagonal(off_block_max(reduced, m), tol)
     return reduced.reshape(n, m, n, m)[np.arange(n), :, np.arange(n), :]
 
 

@@ -22,6 +22,7 @@ from .kronops import dft_matrix, kron, vec
 from .mimo import (
     MimoConfig,
     channel_table,
+    mimo_block_channel,
     mimo_chain,
     mimo_effective_matrix,
     stack_grids,
@@ -199,10 +200,11 @@ def check_block_diagonality(ctx: VerifyContext) -> CheckResult:
 
 
 def _specialization_blocks(ctx: VerifyContext, key: int):
+    """The dense H that ``effective_matrix_general`` takes and the per-symbol
+    blocks from the tap-table builder, so the specialization checks also
+    cross-check the two."""
     channel = _siso_channel(ctx, key)
-    h_matrix = assemble_h_matrix(channel)
-    blocks = reduce_to_block_channel(h_matrix, ctx.frame)
-    return h_matrix, blocks
+    return assemble_h_matrix(channel), mimo_block_channel([[channel]], MimoConfig(ctx.frame))
 
 
 def check_specializations(ctx: VerifyContext) -> List[CheckResult]:

@@ -25,19 +25,12 @@ import jsonschema
 import numpy as np
 
 from .capacity import CapacityResult, capacity_sweep
-from .channel import (
-    ChannelModel,
-    NoiseSpec,
-    assemble_h_matrix,
-    awgn,
-    channel_to_json,
-    reduce_to_block_channel,
-    trial_rng,
-)
+from .channel import ChannelModel, NoiseSpec, awgn, channel_to_json, trial_rng
 from .checks import VerifyContext, run_invariant_checks
 from .errors import ConfigError, SizeCapError, StructureError
 from .kronops import DENSE_ENTRY_CAP, BlockDiagonalFactor, vec
-from .mimo import MimoConfig, channel_table, mimo_chain, mimo_effective_matrix, stack_grids
+from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_chain,
+                   mimo_effective_matrix, stack_grids)
 from .transceiver import (
     OtfsFrameConfig,
     WindowSpec,
@@ -362,14 +355,18 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]])
 
 def _write_sparse_csv(path: Path, matrix: np.ndarray, threshold: float) -> int:
     """Write the entries of ``matrix`` above ``threshold`` in magnitude as
-    (row, col, re, im) rows in row-major order, formatting each row as it
-    is written; returns the entry count."""
-    rows, cols = np.nonzero(np.abs(matrix) > threshold)
-    values = matrix[rows, cols]
-    entries = ([str(i), str(j), _fmt(re), _fmt(im)] for i, j, re, im in zip(
-        rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist()))
-    _write_csv(path, ["row", "col", "re", "im"], entries)
-    return len(rows)
+    (row, col, re, im) lines in row-major order, floats formatted as by
+    :func:`_fmt`, one matrix row at a time; returns the entry count."""
+    count = 0
+    with path.open("w") as fh:
+        fh.write("row,col,re,im\n")
+        for i, row in enumerate(matrix):
+            cols = np.flatnonzero(np.abs(row) > threshold)
+            values = row[cols]
+            fh.writelines(f"{i},{j},{re:.17g},{im:.17g}\n" for j, re, im in zip(
+                cols.tolist(), values.real.tolist(), values.imag.tolist()))
+            count += len(cols)
+    return count
 
 
 def _complex_pairs(values: np.ndarray) -> list:
@@ -534,7 +531,7 @@ def run_effective_channel(cfg: ExperimentConfig, out_dir: Path, threshold: float
             meta["two_d_circulant"] = bool(conv.is_circulant)
             meta["two_d_circulant_deviation"] = conv.max_deviation
         if cfg.emit_frequency_domain:
-            blocks = reduce_to_block_channel(assemble_h_matrix(channels[0][0]), frame)
+            blocks = mimo_block_channel(channels, mcfg)
             freq = BlockDiagonalFactor(to_frequency_domain(blocks)).materialize()
             freq = (np.diag(cfg.rx_window.diagonal(frame)) @ freq
                     @ np.diag(cfg.tx_window.diagonal(frame)))

@@ -15,14 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .channel import (
-    ChannelModel,
-    LtvChannel,
-    assemble_h_matrix,
-    reduce_to_block_channel,
-    synthesize,
-    trial_rng,
-)
+from .channel import ChannelModel, LtvChannel, require_block_diagonal, synthesize, trial_rng
 from .errors import DimensionError
 from .kronops import (
     BlockDiagonalFactor,
@@ -148,19 +141,38 @@ def _validated_channels(channels, mcfg: MimoConfig) -> list:
 def mimo_block_channel(
     channels: Sequence[Sequence[LtvChannel]],
     mcfg: MimoConfig,
-    tol: float = 1e-14,
 ) -> np.ndarray:
     """Per-symbol stacked channel matrices, an (N, M*n_r, M*n_t) array.
 
     Block (r, t) of the n-th matrix is the n-th per-symbol block of the
-    (t -> r) antenna-pair channel after CP removal/insertion; each pair's
-    reduction is individually verified block diagonal.
+    (t -> r) antenna-pair channel after CP insertion and removal, gathered
+    from the tap table: ``block_n[k, (k - l) mod M] += taps[n(M+cp)+cp+k, l]``
+    for every tap whose input sample lies in its own symbol. A tap of a
+    symbol n >= 1 that reaches before the symbol start is an off-block
+    entry of the reduced channel; the first antenna pair (rx-major) with
+    one above 1e-14 raises :class:`StructureError`. Taps reaching before
+    the frame start meet the zero initial state and drop out.
     """
     table = _validated_channels(channels, mcfg)
-    m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
-    per_pair = np.array([[reduce_to_block_channel(assemble_h_matrix(ch), mcfg.frame, tol=tol)
-                          for ch in row] for row in table])  # (n_r, n_t, N, M, M)
-    return per_pair.transpose(2, 0, 3, 1, 4).reshape(n, m * mcfg.num_rx, m * mcfg.num_tx)
+    frame = mcfg.frame
+    m, n, cp = frame.num_subcarriers, frame.num_symbols, frame.cp_len
+    taps = np.array([[ch.taps for ch in row] for row in table])  # (n_r, n_t, frame_len, L)
+    length = taps.shape[-1]
+    # body[k, l, n, r, t]: tap l of the k-th sample after the CP of symbol n.
+    body = taps.reshape(mcfg.num_rx, mcfg.num_tx, n, frame.symbol_len, length)[
+        :, :, :, cp:].transpose(3, 4, 2, 0, 1)
+    # Input-sample offset of tap (k, l) from its symbol start; a negative
+    # one that still lands inside the frame is interference across symbols.
+    offset = (cp + np.arange(m)[:, None] - np.arange(length))[..., None]
+    leaks = (offset < 0) & (offset >= -frame.symbol_len * np.arange(n))  # (M, L, N)
+    worst = np.where(leaks[..., None, None], np.abs(body), 0.0).max(axis=(0, 1, 2))
+    for pair_worst in worst.reshape(-1):
+        require_block_diagonal(float(pair_worst))
+    blocks = np.zeros((n, mcfg.num_rx, m, mcfg.num_tx, m), dtype=np.complex128)
+    for lag in range(length):
+        rows = np.arange(max(lag - cp, 0), m)
+        blocks[:, :, rows, :, (rows - lag) % m] += body[rows, lag]
+    return blocks.reshape(n, m * mcfg.num_rx, m * mcfg.num_tx)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from otfsim.capacity import (
     per_symbol_k_matrices,
 )
 from otfsim.channel import ChannelModel, synthesize
-from otfsim.errors import ConfigError, StructureError
+from otfsim.errors import ConfigError, SizeCapError, StructureError
 from otfsim.kronops import dft_matrix, kron
 from otfsim.mimo import MimoConfig, channel_table, mimo_block_channel
 from otfsim.transceiver import OtfsFrameConfig, WindowSpec
@@ -379,3 +379,23 @@ class TestReceiveWindowIrrelevance:
         for n, k_n in enumerate(k_list):
             expected = blocks[n] @ dft_matrix(4).conj().T @ np.diag(per_symbol[n])
             assert np.max(np.abs(k_n - expected)) <= 1e-12
+
+
+class TestSizeCap:
+    def test_gram_checked_before_blocks_are_built(self, monkeypatch):
+        # n_r=2, n_t=1, M=4, N=2: K has 16 x 8 = 128 entries, K K^H 16 x 16 = 256.
+        frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
+        mcfg = MimoConfig(frame=frame, num_tx=1, num_rx=2)
+        model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
+        channels = channel_table(model, mcfg, 12, 0)
+        window = WindowSpec.rectangular()
+        monkeypatch.setattr(otfsim.capacity, "DENSE_ENTRY_CAP", 256)
+        otfs_block_mi(channels, window, 0.5, mcfg)
+
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("blocks built before the size check")
+
+        monkeypatch.setattr(otfsim.capacity, "mimo_block_channel", no_blocks)
+        monkeypatch.setattr(otfsim.capacity, "DENSE_ENTRY_CAP", 255)
+        with pytest.raises(SizeCapError, match="16x16"):
+            otfs_block_mi(channels, window, 0.5, mcfg)

@@ -1,6 +1,7 @@
 """CLI behavior: config validation, the four modes, determinism, exit codes."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from otfsim.channel import channel_from_json
 from otfsim.cli import (
     CONFIG_SCHEMA,
+    _fmt,
+    _write_sparse_csv,
     config_hash,
     load_config_document,
     main,
@@ -381,6 +384,21 @@ class TestEffectiveChannelMode:
         }
         path = write_config(tmp_path, doc)
         assert main(["effective-channel", "--config", path, "--out", str(tmp_path)]) == 4
+
+
+class TestSparseCsv:
+    def test_bytes_match_csv_writer_with_fmt(self, tmp_path):
+        matrix = np.array([[complex(1 / 3, -0.0), 0.0, complex(-2.5e17, 1e-300)],
+                           [complex(0.1, 0.0), 5e-13, -1.0]])
+        count = _write_sparse_csv(tmp_path / "m.csv", matrix, 1e-12)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["row", "col", "re", "im"])
+        kept = [(0, 0), (0, 2), (1, 0), (1, 2)]
+        writer.writerows([str(i), str(j), _fmt(matrix[i, j].real), _fmt(matrix[i, j].imag)]
+                         for i, j in kept)
+        assert count == len(kept)
+        assert (tmp_path / "m.csv").read_bytes() == expected.getvalue().encode()
 
 
 class TestCapacitySizeCap:

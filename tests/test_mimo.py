@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otfsim.channel import ChannelModel, LtvChannel, synthesize, trial_rng
-from otfsim.errors import ConfigError, DimensionError
+from otfsim.errors import ConfigError, DimensionError, StructureError
 from otfsim.kronops import dft_matrix, kron, vec
 from otfsim.mimo import (
     MimoConfig,
@@ -339,3 +339,78 @@ class TestAntennaStructure:
                 for n, block in enumerate(stacked):
                     got = block[r * 4:(r + 1) * 4, t * 4:(t + 1) * 4]
                     assert np.max(np.abs(got - pair[n])) == 0.0
+
+
+def dense_block_channel(channels, mcfg):
+    """The per-pair dense reference: reduce each pair's frame matrix in
+    rx-major order and stack the blocks as the builder does."""
+    m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
+    per_pair = np.array([[reduce_to_block_channel(assemble_h_matrix(ch), mcfg.frame)
+                          for ch in row] for row in channels])
+    return per_pair.transpose(2, 0, 3, 1, 4).reshape(n, m * mcfg.num_rx, m * mcfg.num_tx)
+
+
+def raised_structure_error(build, *args):
+    try:
+        build(*args)
+    except StructureError as err:
+        return err
+    return None
+
+
+class TestTapTableBuilder:
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), n_t=st.sampled_from([1, 2]),
+           n_r=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_geometries_match_dense_reduction(self, data, n, n_t, n_r, seed):
+        # cp covers the memory (cp >= L-1) or not; both builders must agree.
+        m = data.draw(st.integers(2, 8), label="M")
+        taps = data.draw(st.integers(1, m), label="L")
+        cp = data.draw(st.integers(0, m - 1), label="cp")
+        paths = data.draw(st.integers(1, taps), label="P")
+        frame = OtfsFrameConfig(num_subcarriers=m, num_symbols=n, cp_len=cp)
+        mcfg = MimoConfig(frame=frame, num_tx=n_t, num_rx=n_r)
+        model = ChannelModel.doppler_paths(num_taps=taps, num_paths=paths, max_doppler=0.05)
+        channels = channel_table(model, mcfg, seed, enforce_cp=False)
+        dense_err = raised_structure_error(dense_block_channel, channels, mcfg)
+        if cp >= taps - 1 or n == 1:
+            assert dense_err is None
+        if dense_err is None:
+            # Equal values; only the sign of an exact zero may differ, where
+            # the dense BLAS product multiplies a tap by a 0 CP-matrix entry.
+            assert np.array_equal(mimo_block_channel(channels, mcfg),
+                                  dense_block_channel(channels, mcfg))
+        else:
+            err = raised_structure_error(mimo_block_channel, channels, mcfg)
+            assert err is not None
+            assert str(err) == str(dense_err)
+            assert err.deviation == dense_err.deviation
+
+    def test_first_failing_pair_rx_major_sets_the_deviation(self):
+        frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=1)
+        mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=2)
+
+        def channel(leak):
+            model = ChannelModel.static_multipath([1.0, leak], [0, 3])
+            return synthesize(model, frame, enforce_cp=False)
+
+        channels = [[channel(0.0), channel(0.3)], [channel(0.7), channel(0.0)]]
+        with pytest.raises(StructureError, match="CP is shorter") as info:
+            mimo_block_channel(channels, mcfg)
+        assert info.value.deviation == 0.3
+
+    def test_memory_longer_than_the_block(self):
+        # L > M: taps M apart land on one entry, summed in a block and
+        # beyond the CP with more than one symbol.
+        model = ChannelModel.doppler_paths(num_taps=6, num_paths=6, max_doppler=0.05)
+        frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=3, cp_len=2)
+        mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=1)
+        channels = channel_table(model, mcfg, 31, enforce_cp=False)
+        with pytest.raises(StructureError, match="CP is shorter"):
+            mimo_block_channel(channels, mcfg)
+        with pytest.raises(StructureError, match="CP is shorter"):
+            dense_block_channel(channels, mcfg)
+        single = MimoConfig(frame=OtfsFrameConfig(num_subcarriers=4, num_symbols=1, cp_len=3))
+        channels = channel_table(model, single, 32, enforce_cp=False)
+        assert np.array_equal(mimo_block_channel(channels, single),
+                              dense_block_channel(channels, single))
