@@ -25,35 +25,40 @@ from typing import List, Sequence
 import numpy as np
 
 from .channel import ChannelModel
-from .errors import ConfigError, SizeCapError, StructureError
-from .kronops import DENSE_ENTRY_CAP, OperatorChain, idft_matrix, off_block_max
+from .errors import ConfigError, StructureError
+from .kronops import OperatorChain, idft_matrix, off_block_max, require_dense
 from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_transmit_stages,
                    mimo_window_diagonal)
 from .transceiver import WindowSpec
 
+# Bounds on K K^H's off-diagonal blocks and on the gap between the two MI routes.
+BLOCK_TOL = 1e-12
+ADDITIVITY_TOL = 1e-8
+
 
 def _gram(k_matrix: np.ndarray) -> np.ndarray:
-    """K K^H; a non-finite K raises ValueError."""
+    """K K^H of each matrix in a (..., rows, cols) stack; a non-finite K raises ValueError."""
     k_matrix = np.asarray(k_matrix, dtype=np.complex128)
     if not np.all(np.isfinite(k_matrix)):
         raise ValueError("K contains non-finite entries")
-    return k_matrix @ k_matrix.conj().T
+    return k_matrix @ k_matrix.conj().swapaxes(-1, -2)
 
 
-def _log_det_bits(gram: np.ndarray, noise_var: float) -> float:
-    """log2 det(I + gram / sigma2) in bits, via Cholesky so large blocks stay
-    in the log domain instead of overflowing a determinant ratio."""
+def _log_det_bits(gram: np.ndarray, noise_var: float) -> np.ndarray:
+    """log2 det(I + gram / sigma2) in bits of each matrix in a (..., R, R) stack,
+    via Cholesky so large blocks stay in the log domain instead of overflowing."""
     if noise_var <= 0:
         raise ConfigError(f"noise variance must be > 0 for MI, got {noise_var}")
-    shifted = np.eye(gram.shape[0], dtype=np.complex128)
-    shifted += gram / noise_var
+    shifted = gram / noise_var
+    diagonal = np.arange(gram.shape[-1])
+    shifted[..., diagonal, diagonal] += 1.0
     chol = np.linalg.cholesky(shifted)
-    return float(2.0 * np.sum(np.log2(np.real(np.diag(chol)))))
+    return 2.0 * np.sum(np.log2(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
 
 
 def mutual_information(k_matrix: np.ndarray, noise_var: float) -> float:
     """log2 det(I + K K^H / sigma2) in bits, from the Cholesky factor."""
-    return _log_det_bits(_gram(k_matrix), noise_var)
+    return float(_log_det_bits(_gram(k_matrix), noise_var))
 
 
 def per_symbol_k_matrices(
@@ -90,35 +95,31 @@ class BlockMiResult:
 
 
 def _trial_block_mis(channels, tx_window: WindowSpec, noise_vars: Sequence[float],
-                     mcfg: MimoConfig, block_tol: float = 1e-12,
-                     additivity_tol: float = 1e-8) -> List[BlockMiResult]:
+                     mcfg: MimoConfig) -> List[BlockMiResult]:
     """One :class:`BlockMiResult` per noise variance for one channel draw.
 
     The trial's largest dense arrays are K, (M*N*n_r) x (M*N*n_t), and its
     Gram, (M*N*n_r) x (M*N*n_r); both are checked against the size cap
     before anything is built."""
     rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
-    if rows * max(rows, cols) > DENSE_ENTRY_CAP:
-        raise SizeCapError(
-            f"whole-block K and its Gram would need {rows}x{max(rows, cols)} entries "
-            f"(cap {DENSE_ENTRY_CAP})")
+    require_dense(rows, max(rows, cols), "whole-block K and its Gram")
     block_channel = mimo_block_channel(channels, mcfg)
     gram = _gram(full_k_matrix(block_channel, tx_window, mcfg))
     worst = off_block_max(gram, mcfg.frame.num_subcarriers * mcfg.num_rx)
-    if worst > block_tol:
+    if worst > BLOCK_TOL:
         raise StructureError(
-            f"K K^H has off-diagonal block magnitude {worst:.3e} > {block_tol:.1e}",
+            f"K K^H has off-diagonal block magnitude {worst:.3e} > {BLOCK_TOL:.1e}",
             deviation=worst,
         )
-    symbol_grams = [_gram(k_n) for k_n in per_symbol_k_matrices(block_channel, tx_window, mcfg)]
+    symbol_grams = _gram(per_symbol_k_matrices(block_channel, tx_window, mcfg))
     results = []
     for noise_var in noise_vars:
-        total = _log_det_bits(gram, noise_var)
-        per_symbol = [_log_det_bits(g, noise_var) for g in symbol_grams]
+        total = float(_log_det_bits(gram, noise_var))
+        per_symbol = _log_det_bits(symbol_grams, noise_var).tolist()
         gap = abs(total - sum(per_symbol))
-        if gap > additivity_tol:
+        if gap > ADDITIVITY_TOL:
             raise StructureError(
-                f"block MI differs from per-symbol sum by {gap:.3e} > {additivity_tol:.1e}",
+                f"block MI differs from per-symbol sum by {gap:.3e} > {ADDITIVITY_TOL:.1e}",
                 deviation=gap,
             )
         results.append(BlockMiResult(total_bits=total, per_symbol_bits=per_symbol,
@@ -131,8 +132,6 @@ def otfs_block_mi(
     tx_window: WindowSpec,
     noise_var: float,
     mcfg: MimoConfig,
-    block_tol: float = 1e-12,
-    additivity_tol: float = 1e-8,
 ) -> BlockMiResult:
     """Block MI from the full K plus per-symbol MIs from each K_n.
 
@@ -144,7 +143,7 @@ def otfs_block_mi(
     indicate a broken decoupling. This is the one-noise-variance case of
     the per-trial pass that :func:`capacity_sweep` runs over its grid.
     """
-    return _trial_block_mis(channels, tx_window, [noise_var], mcfg, block_tol, additivity_tol)[0]
+    return _trial_block_mis(channels, tx_window, [noise_var], mcfg)[0]
 
 
 @dataclass(frozen=True)

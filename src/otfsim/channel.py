@@ -22,9 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, SizeCapError, StructureError
-from .kronops import DENSE_ENTRY_CAP, off_block_max
+from .errors import ConfigError, DimensionError, StructureError
+from .kronops import off_block_max, require_dense
 from .transceiver import OtfsFrameConfig, cp_matrices
+
+# Largest off-block magnitude of a reduced channel; a long enough CP leaves 0.
+CP_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -195,9 +198,7 @@ def synthesize(
 def assemble_h_matrix(channel: LtvChannel) -> np.ndarray:
     """Dense frame-length channel matrix: entry (i, i-l) is taps[i, l]."""
     span, length = channel.span, channel.length
-    if span * span > DENSE_ENTRY_CAP:
-        raise SizeCapError(
-            f"dense channel matrix would have {span}x{span} entries (cap {DENSE_ENTRY_CAP})")
+    require_dense(span, span, "dense channel matrix")
     h = np.zeros((span, span), dtype=np.complex128)
     for l in range(length):
         idx = np.arange(l, span)
@@ -205,13 +206,13 @@ def assemble_h_matrix(channel: LtvChannel) -> np.ndarray:
     return h
 
 
-def require_block_diagonal(worst: float, tol: float = 1e-14) -> None:
+def require_block_diagonal(worst: float) -> None:
     """Raise :class:`StructureError` when the largest off-block magnitude
-    ``worst`` of a reduced channel exceeds ``tol``."""
-    if worst > tol:
+    ``worst`` of a reduced channel exceeds ``CP_TOL``."""
+    if worst > CP_TOL:
         raise StructureError(
             f"reduced channel is not block diagonal (max off-block magnitude "
-            f"{worst:.3e} > {tol:.1e}); CP is shorter than the channel memory",
+            f"{worst:.3e} > {CP_TOL:.1e}); CP is shorter than the channel memory",
             deviation=worst,
         )
 
@@ -219,7 +220,6 @@ def require_block_diagonal(worst: float, tol: float = 1e-14) -> None:
 def reduce_to_block_channel(
     h_matrix: np.ndarray,
     cfg: OtfsFrameConfig,
-    tol: float = 1e-14,
 ) -> np.ndarray:
     """(N, M, M) stack of the per-symbol blocks after CP removal and CP insertion.
 
@@ -237,7 +237,7 @@ def reduce_to_block_channel(
         [h_matrix[:, i * blen:(i + 1) * blen] @ cp.add for i in range(n)], axis=1)
     reduced = np.concatenate(
         [cols[i * blen + cfg.cp_len:(i + 1) * blen, :] for i in range(n)], axis=0)
-    require_block_diagonal(off_block_max(reduced, m), tol)
+    require_block_diagonal(off_block_max(reduced, m))
     return reduced.reshape(n, m, n, m)[np.arange(n), :, np.arange(n), :]
 
 

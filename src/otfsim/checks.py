@@ -15,8 +15,9 @@ from typing import List
 
 import numpy as np
 
-from .capacity import otfs_block_mi
-from .channel import ChannelModel, assemble_h_matrix, reduce_to_block_channel, synthesize, trial_rng
+from .capacity import ADDITIVITY_TOL, BLOCK_TOL, otfs_block_mi
+from .channel import (CP_TOL, ChannelModel, assemble_h_matrix, reduce_to_block_channel,
+                      synthesize, trial_rng)
 from .errors import StructureError
 from .kronops import dft_matrix, kron, vec
 from .mimo import (
@@ -195,8 +196,8 @@ def check_block_diagonality(ctx: VerifyContext) -> CheckResult:
     except StructureError as err:
         return CheckResult(
             name="block-diagonality", passed=False,
-            deviation=err.deviation, tolerance=1e-14, detail=str(err))
-    return _gauge(0.0, 1e-14, "block-diagonality")
+            deviation=err.deviation, tolerance=CP_TOL, detail=str(err))
+    return _gauge(0.0, CP_TOL, "block-diagonality")
 
 
 def _specialization_blocks(ctx: VerifyContext, key: int):
@@ -249,12 +250,12 @@ def check_mi_additivity(ctx: VerifyContext) -> List[CheckResult]:
         result = otfs_block_mi(channels, ctx.tx_window, ctx.noise_var, ctx.mcfg)
     except StructureError as err:
         return [CheckResult(name=name, passed=False, deviation=err.deviation,
-                            tolerance=1e-12 if name == names[0] else 1e-8,
+                            tolerance=BLOCK_TOL if name == names[0] else ADDITIVITY_TOL,
                             detail=str(err))
                 for name in names]
     return [
-        _gauge(result.off_block_deviation, 1e-12, names[0]),
-        _gauge(result.additivity_gap, 1e-8, names[1]),
+        _gauge(result.off_block_deviation, BLOCK_TOL, names[0]),
+        _gauge(result.additivity_gap, ADDITIVITY_TOL, names[1]),
     ]
 
 
@@ -268,12 +269,12 @@ def check_capacity_routes(ctx: VerifyContext, trials: int = 3) -> CheckResult:
             result = otfs_block_mi(channels, ctx.tx_window, ctx.noise_var, mcfg)
         except StructureError as err:
             return CheckResult(name="capacity-route-equality", passed=False,
-                               deviation=err.deviation, tolerance=1e-8,
+                               deviation=err.deviation, tolerance=ADDITIVITY_TOL,
                                detail="needs block-diagonal per-symbol channel")
         otfs_rate = result.total_bits / ctx.frame.frame_len
         ofdm_rate = float(np.mean(result.per_symbol_bits)) / ctx.frame.symbol_len
         worst = max(worst, abs(otfs_rate - ofdm_rate))
-    return _gauge(worst, 1e-8, "capacity-route-equality")
+    return _gauge(worst, ADDITIVITY_TOL, "capacity-route-equality")
 
 
 def run_invariant_checks(ctx: VerifyContext) -> List[CheckResult]:

@@ -27,8 +27,8 @@ import numpy as np
 from .capacity import CapacityResult, capacity_sweep
 from .channel import ChannelModel, NoiseSpec, awgn, channel_to_json, trial_rng
 from .checks import VerifyContext, run_invariant_checks
-from .errors import ConfigError, SizeCapError, StructureError
-from .kronops import DENSE_ENTRY_CAP, BlockDiagonalFactor, vec
+from .errors import ConfigError, DimensionError, SizeCapError, StructureError
+from .kronops import BlockDiagonalFactor, require_dense, vec
 from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_chain,
                    mimo_effective_matrix, stack_grids)
 from .transceiver import (
@@ -128,7 +128,7 @@ def _fmt(x: float) -> str:
 
 
 def _complex_list(values, what: str) -> np.ndarray:
-    """Accept a JSON array of numbers or of [re, im] pairs."""
+    """Accept a JSON array of finite numbers or of [re, im] pairs."""
     out = []
     for v in values:
         if isinstance(v, (int, float)):
@@ -137,7 +137,10 @@ def _complex_list(values, what: str) -> np.ndarray:
             out.append(complex(float(v[0]), float(v[1])))
         else:
             raise ConfigError(f"{what}: entries must be numbers or [re, im] pairs, got {v!r}")
-    return np.asarray(out, dtype=np.complex128)
+    out = np.asarray(out, dtype=np.complex128)
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"{what}: entries must be finite")
+    return out
 
 
 def _window_from_doc(doc: Optional[dict], role: str, frame: OtfsFrameConfig) -> WindowSpec:
@@ -264,11 +267,10 @@ def parse_config(
     effective_threads = run.pop("threads", 1)
 
     frame_doc = effective["frame"]
-    frame = OtfsFrameConfig(
-        num_subcarriers=frame_doc["M"],
-        num_symbols=frame_doc["N"],
-        cp_len=frame_doc.get("M_cp", 0),
-    )
+    try:
+        frame = OtfsFrameConfig(frame_doc["M"], frame_doc["N"], frame_doc.get("M_cp", 0))
+    except DimensionError as err:
+        raise ConfigError(f"frame: {err}") from err
     mimo_doc = effective.get("mimo", {})
     mcfg = MimoConfig(frame=frame, num_tx=mimo_doc.get("n_t", 1), num_rx=mimo_doc.get("n_r", 1))
 
@@ -286,9 +288,14 @@ def parse_config(
             f"largest delay {int(model.delays.max())} must be below M={frame.num_subcarriers}")
 
     noise_doc = effective.get("noise", {"sigma2": [1.0]})
+    if not all(np.all(np.isfinite(values)) for values in noise_doc.values()):
+        raise ConfigError(f"noise: entries must be finite, got {noise_doc}")
     if "snr_db" in noise_doc:
         snr_db_list = [float(s) for s in noise_doc["snr_db"]]
-        sigma2_list = [10.0 ** (-s / 10.0) for s in snr_db_list]
+        try:
+            sigma2_list = [10.0 ** (-s / 10.0) for s in snr_db_list]
+        except OverflowError as err:
+            raise ConfigError(f"noise.snr_db: {min(snr_db_list)} dB overflows sigma2") from err
     else:
         sigma2_list = [float(s) for s in noise_doc["sigma2"]]
         snr_db_list = [(-10.0 * np.log10(s)) if s > 0 else float("inf") for s in sigma2_list]
@@ -510,15 +517,13 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0 if report["all_passed"] else 3
 
 
-def run_effective_channel(cfg: ExperimentConfig, out_dir: Path, threshold: float = 1e-12) -> int:
+def run_effective_channel(cfg: ExperimentConfig, out_dir: Path) -> int:
+    threshold = 1e-12  # entries at or below this magnitude stay out of the CSVs
     mcfg = cfg.mcfg
     frame = cfg.frame
     rows_out = frame.grid_size * mcfg.num_rx
     cols_out = frame.grid_size * mcfg.num_tx
-    if rows_out * cols_out > DENSE_ENTRY_CAP:
-        raise SizeCapError(
-            f"effective matrix would have {rows_out}x{cols_out} entries "
-            f"(cap {DENSE_ENTRY_CAP}); use the matrix-free operators from the library")
+    require_dense(rows_out, cols_out, "effective matrix")
     channels = channel_table(cfg.channel_model, mcfg, cfg.seed, 0)
     effective = mimo_effective_matrix(channels, cfg.tx_window, cfg.rx_window, mcfg)
     count = _write_sparse_csv(out_dir / "effective_dd.csv", effective, threshold)

@@ -24,6 +24,13 @@ from .errors import DimensionError, SizeCapError
 DENSE_ENTRY_CAP = 100_000_000
 
 
+def require_dense(rows: int, cols: int, what: str) -> None:
+    """Raise :class:`SizeCapError` if a dense ``rows`` x ``cols`` ``what`` would exceed
+    ``DENSE_ENTRY_CAP`` (read at call time). Every dense builder calls this first."""
+    if rows * cols > DENSE_ENTRY_CAP:
+        raise SizeCapError(f"{what} would have {rows}x{cols} entries (cap {DENSE_ENTRY_CAP})")
+
+
 def dft_matrix(n: int) -> np.ndarray:
     """Normalized n-point DFT matrix: entry (m, k) = exp(-2j*pi*m*k/n)/sqrt(n)."""
     if n < 1:
@@ -49,17 +56,11 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-def kron(a: np.ndarray, b: np.ndarray, entry_cap: int = DENSE_ENTRY_CAP) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a guard against runaway dense sizes."""
     a = np.atleast_2d(np.asarray(a))
     b = np.atleast_2d(np.asarray(b))
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows * cols > entry_cap:
-        raise SizeCapError(
-            f"dense Kronecker product would have {rows}x{cols} entries "
-            f"(cap {entry_cap}); use KronOperator for matrix-free application"
-        )
+    require_dense(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1], "dense Kronecker product")
     return np.kron(a, b)
 
 
@@ -140,11 +141,7 @@ class BlockDiagonalFactor:
         self.rows, self.cols = count * block_rows, count * block_cols
 
     def materialize(self) -> np.ndarray:
-        if self.rows * self.cols > DENSE_ENTRY_CAP:
-            raise SizeCapError(
-                f"dense block-diagonal matrix would have {self.rows}x{self.cols} entries "
-                f"(cap {DENSE_ENTRY_CAP})"
-            )
+        require_dense(self.rows, self.cols, "dense block-diagonal matrix")
         count, block_rows, block_cols = self.blocks.shape
         dense = np.zeros((count, block_rows, count, block_cols), dtype=np.complex128)
         dense[np.arange(count), :, np.arange(count), :] = self.blocks
@@ -261,12 +258,8 @@ class KronOperator:
         out = tensor.reshape(self.shape[0], batch)
         return out[:, 0] if single else out
 
-    def materialize(self, entry_cap: int = DENSE_ENTRY_CAP) -> np.ndarray:
-        if self.shape[0] * self.shape[1] > entry_cap:
-            raise SizeCapError(
-                f"materializing {self.shape[0]}x{self.shape[1]} operator exceeds "
-                f"cap of {entry_cap} entries"
-            )
+    def materialize(self) -> np.ndarray:
+        require_dense(*self.shape, "materialized Kronecker operator")
         return reduce(np.kron, (f.materialize() for f in self.factors))
 
 
@@ -294,10 +287,6 @@ class OperatorChain:
             x = stage.apply(x)
         return x
 
-    def materialize(self, entry_cap: int = DENSE_ENTRY_CAP) -> np.ndarray:
-        if self.shape[0] * self.shape[1] > entry_cap:
-            raise SizeCapError(
-                f"materializing {self.shape[0]}x{self.shape[1]} chain exceeds "
-                f"cap of {entry_cap} entries"
-            )
+    def materialize(self) -> np.ndarray:
+        require_dense(*self.shape, "materialized operator chain")
         return self.apply(np.eye(self.shape[1], dtype=np.complex128))

@@ -150,7 +150,7 @@ def mimo_block_channel(
     for every tap whose input sample lies in its own symbol. A tap of a
     symbol n >= 1 that reaches before the symbol start is an off-block
     entry of the reduced channel; the first antenna pair (rx-major) with
-    one above 1e-14 raises :class:`StructureError`. Taps reaching before
+    one above ``CP_TOL`` raises :class:`StructureError`. Taps reaching before
     the frame start meet the zero initial state and drop out.
     """
     table = _validated_channels(channels, mcfg)

@@ -416,7 +416,6 @@ class TwoDConvResult:
 def dd_channel_as_2d_convolution(
     effective: np.ndarray,
     cfg: OtfsFrameConfig,
-    tol: float = 1e-9,
 ) -> TwoDConvResult:
     """Extract the delay-Doppler impulse response and test circulant structure.
 
@@ -438,7 +437,7 @@ def dd_channel_as_2d_convolution(
     d_doppler = (doppler[:, None] - doppler[None, :]) % n
     rebuilt = kernel[d_delay, d_doppler]
     dev = float(np.max(np.abs(effective - rebuilt)))
-    return TwoDConvResult(kernel=kernel, is_circulant=dev <= tol, max_deviation=dev)
+    return TwoDConvResult(kernel=kernel, is_circulant=dev <= 1e-9, max_deviation=dev)
 
 
 def convolve_2d_circular(data_grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import otfsim.capacity
+import otfsim.kronops
 from otfsim.capacity import (
     capacity_sweep,
     ergodic_capacity,
@@ -330,9 +331,8 @@ class TestOnePassSweep:
         sweep = capacity_sweep([0.1, 0.5, 2.0], model, WindowSpec.rectangular(), mcfg,
                                trials=trials, seed=8)
         assert len(sweep) == 3
-        # One full-K Gram and one Gram per K_n in each trial.
-        assert counts == {**{name: trials for name in names[:-1]},
-                          "_gram": trials * (1 + frame.num_symbols)}
+        # One full-K Gram and one stacked Gram of every K_n in each trial.
+        assert counts == {**{name: trials for name in names[:-1]}, "_gram": trials * 2}
 
     def test_every_point_equals_one_point_block_mi(self):
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
@@ -360,6 +360,12 @@ class TestOnePassSweep:
         else:
             window = WindowSpec.rectangular()
         assert_sweep_matches_block_mi(noise_vars, model, window, mcfg, trials=2, seed=seed)
+        # The stacked per-symbol route equals one mutual_information per K_n, bit for bit.
+        channels = channel_table(model, mcfg, seed, 0)
+        k_ns = per_symbol_k_matrices(mimo_block_channel(channels, mcfg), window, mcfg)
+        for sigma2 in noise_vars:
+            assert otfs_block_mi(channels, window, sigma2, mcfg).per_symbol_bits == [
+                mutual_information(k_n, sigma2) for k_n in k_ns]
 
 
 class TestReceiveWindowIrrelevance:
@@ -389,13 +395,13 @@ class TestSizeCap:
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
         channels = channel_table(model, mcfg, 12, 0)
         window = WindowSpec.rectangular()
-        monkeypatch.setattr(otfsim.capacity, "DENSE_ENTRY_CAP", 256)
+        monkeypatch.setattr(otfsim.kronops, "DENSE_ENTRY_CAP", 256)
         otfs_block_mi(channels, window, 0.5, mcfg)
 
         def no_blocks(*args, **kwargs):
             raise AssertionError("blocks built before the size check")
 
         monkeypatch.setattr(otfsim.capacity, "mimo_block_channel", no_blocks)
-        monkeypatch.setattr(otfsim.capacity, "DENSE_ENTRY_CAP", 255)
+        monkeypatch.setattr(otfsim.kronops, "DENSE_ENTRY_CAP", 255)
         with pytest.raises(SizeCapError, match="16x16"):
             otfs_block_mi(channels, window, 0.5, mcfg)

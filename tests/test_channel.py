@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from otfsim import channel as channel_module
+from otfsim import kronops
 from otfsim.channel import (
     ChannelModel,
     LtvChannel,
@@ -153,10 +153,10 @@ class TestAssembleAndApply:
 
     def test_size_cap_checked_before_allocating(self, monkeypatch):
         ch = synthesize(ChannelModel.identity(), CFG)
-        monkeypatch.setattr(channel_module, "DENSE_ENTRY_CAP", CFG.frame_len ** 2 - 1)
+        monkeypatch.setattr(kronops, "DENSE_ENTRY_CAP", CFG.frame_len ** 2 - 1)
         with pytest.raises(SizeCapError):
             assemble_h_matrix(ch)
-        monkeypatch.setattr(channel_module, "DENSE_ENTRY_CAP", CFG.frame_len ** 2)
+        monkeypatch.setattr(kronops, "DENSE_ENTRY_CAP", CFG.frame_len ** 2)
         assert assemble_h_matrix(ch).shape == (CFG.frame_len, CFG.frame_len)
 
     def test_rejects_nonfinite(self):

@@ -207,6 +207,28 @@ class TestCapacityMode:
                      "--out", str(tmp_path)]) == 2
 
 
+# 1e400 overflows to inf when the JSON is read.
+BROKEN_CONFIGS = {
+    "cp-equals-M": dict(BASE, frame={"M": 4, "N": 2, "M_cp": 4}),
+    "window-overflow": dict(BASE, window={"tx": {"kind": "general",
+                                                 "taps": ["1e400"] + [1.0] * 7}}),
+    "gain-overflow": dict(BASE, channel={"kind": "static-multipath", "gains": ["1e400"],
+                                         "delays": [0]}),
+    "snr-db-overflow": dict(BASE, noise={"snr_db": ["1e400"]}),
+    "sigma2-overflow": dict(BASE, noise={"sigma2": ["1e400"]}),
+    "snr-db-overflows-sigma2": dict(BASE, noise={"snr_db": [-4000.0]}),
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_CONFIGS)
+@pytest.mark.parametrize("mode", ["capacity", "simulate", "verify", "effective-channel"])
+def test_broken_config_exits_two(tmp_path, capsys, mode, broken):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(BROKEN_CONFIGS[broken]).replace('"1e400"', "1e400"))
+    assert main([mode, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 class TestSimulateMode:
     def test_identity_no_noise_reconstructs(self, tmp_path, capsys):
         doc = {

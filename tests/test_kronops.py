@@ -5,10 +5,15 @@ Kronecker product is rebuilt block by block from its definition, and
 operator application is compared against dense materialized products.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from otfsim import kronops
+from otfsim.capacity import otfs_block_mi
+from otfsim.channel import ChannelModel, LtvChannel, assemble_h_matrix, synthesize
+from otfsim.cli import main
 from otfsim.errors import DimensionError, SizeCapError
 from otfsim.kronops import (
     BlockDiagonalFactor,
@@ -28,6 +33,8 @@ from otfsim.kronops import (
     vec,
     vec_identity_holds,
 )
+from otfsim.mimo import MimoConfig
+from otfsim.transceiver import OtfsFrameConfig, WindowSpec
 
 
 def kron_blockwise(a, b):
@@ -71,7 +78,7 @@ class TestKron:
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
-            kron(np.ones((100, 100)), np.ones((200, 200)), entry_cap=10_000)
+            kron(np.ones((100, 100)), np.ones((200, 200)))
 
     def test_associative(self):
         rng = np.random.default_rng(2)
@@ -239,7 +246,7 @@ class TestKronOperator:
     def test_materialize_cap(self):
         op = KronOperator([IdentityFactor(100), IdentityFactor(200)])
         with pytest.raises(SizeCapError):
-            op.materialize(entry_cap=10_000)
+            op.materialize()
 
 
 class TestOperatorChain:
@@ -314,3 +321,37 @@ class TestOffBlockMax:
     def test_single_block_gives_zero(self):
         rng = np.random.default_rng(20)
         assert off_block_max(rand_complex(rng, 5, 5), 5) == 0.0
+
+
+TINY = OtfsFrameConfig(num_subcarriers=2, num_symbols=1)
+
+# Every dense builder, each asked for a 2x2 result.
+DENSE_SITES = {
+    "kron": lambda: kron(np.eye(2), np.eye(1)),
+    "BlockDiagonalFactor.materialize": lambda: BlockDiagonalFactor(np.ones((2, 1, 1))).materialize(),
+    "KronOperator.materialize": lambda: KronOperator([IdentityFactor(2)]).materialize(),
+    "OperatorChain.materialize":
+        lambda: OperatorChain([KronOperator([IdentityFactor(2)])]).materialize(),
+    "assemble_h_matrix": lambda: assemble_h_matrix(LtvChannel(taps=np.ones((2, 1)))),
+    "otfs_block_mi": lambda: otfs_block_mi(
+        [[synthesize(ChannelModel.identity(), TINY)]], WindowSpec.rectangular(), 1.0,
+        MimoConfig(TINY)),
+}
+
+
+class TestOneCap:
+    """Patching ``kronops.DENSE_ENTRY_CAP`` alone moves the cap of every site."""
+
+    @pytest.mark.parametrize("site", DENSE_SITES)
+    def test_library_site_reads_the_one_cap(self, site, monkeypatch):
+        DENSE_SITES[site]()
+        monkeypatch.setattr(kronops, "DENSE_ENTRY_CAP", 3)
+        with pytest.raises(SizeCapError, match=r"2x2 entries \(cap 3\)"):
+            DENSE_SITES[site]()
+
+    def test_cli_effective_channel_reads_the_one_cap(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"frame": {"M": 2, "N": 1}}))
+        monkeypatch.setattr(kronops, "DENSE_ENTRY_CAP", 3)
+        assert main(["effective-channel", "--config", str(path), "--out", str(tmp_path)]) == 4
+        assert "2x2 entries (cap 3)" in capsys.readouterr().err
