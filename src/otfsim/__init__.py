@@ -31,6 +31,7 @@ from .channel import (
 from .errors import (
     ConfigError,
     DimensionError,
+    NonFiniteError,
     OtfsimError,
     SizeCapError,
     StructureError,

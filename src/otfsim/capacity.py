@@ -25,8 +25,9 @@ from typing import List, Sequence
 import numpy as np
 
 from .channel import ChannelModel
-from .errors import ConfigError, StructureError
-from .kronops import OperatorChain, idft_matrix, off_block_max, require_dense
+from .errors import ConfigError
+from .kronops import (OperatorChain, idft_matrix, off_block_max, require_dense, require_finite,
+                      require_within)
 from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_transmit_stages,
                    mimo_window_diagonal)
 from .transceiver import WindowSpec
@@ -37,21 +38,28 @@ ADDITIVITY_TOL = 1e-8
 
 
 def _gram(k_matrix: np.ndarray) -> np.ndarray:
-    """K K^H of each matrix in a (..., rows, cols) stack; a non-finite K raises ValueError."""
+    """K K^H of each matrix in a (..., rows, cols) stack. A non-finite K, or a
+    Gram that overflows, shows on the Gram's diagonal (sums of |K_ij|^2), so
+    only that diagonal is checked."""
     k_matrix = np.asarray(k_matrix, dtype=np.complex128)
-    if not np.all(np.isfinite(k_matrix)):
-        raise ValueError("K contains non-finite entries")
-    return k_matrix @ k_matrix.conj().swapaxes(-1, -2)
+    gram = k_matrix @ k_matrix.conj().swapaxes(-1, -2)
+    require_finite(np.diagonal(gram, axis1=-2, axis2=-1), "K K^H")
+    return gram
 
 
 def _log_det_bits(gram: np.ndarray, noise_var: float) -> np.ndarray:
     """log2 det(I + gram / sigma2) in bits of each matrix in a (..., R, R) stack,
-    via Cholesky so large blocks stay in the log domain instead of overflowing."""
+    via Cholesky so large blocks stay in the log domain instead of overflowing.
+    A sigma2 so small that gram / sigma2 overflows raises NonFiniteError; one
+    that leaves the unit shift of a rank-deficient gram below rounding makes
+    the Cholesky raise numpy's LinAlgError."""
     if noise_var <= 0:
         raise ConfigError(f"noise variance must be > 0 for MI, got {noise_var}")
     shifted = gram / noise_var
     diagonal = np.arange(gram.shape[-1])
     shifted[..., diagonal, diagonal] += 1.0
+    require_finite(np.diagonal(shifted, axis1=-2, axis2=-1),
+                   f"I + K K^H / sigma2 at sigma2={noise_var:g}")
     chol = np.linalg.cholesky(shifted)
     return 2.0 * np.sum(np.log2(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
 
@@ -106,22 +114,16 @@ def _trial_block_mis(channels, tx_window: WindowSpec, noise_vars: Sequence[float
     block_channel = mimo_block_channel(channels, mcfg)
     gram = _gram(full_k_matrix(block_channel, tx_window, mcfg))
     worst = off_block_max(gram, mcfg.frame.num_subcarriers * mcfg.num_rx)
-    if worst > BLOCK_TOL:
-        raise StructureError(
-            f"K K^H has off-diagonal block magnitude {worst:.3e} > {BLOCK_TOL:.1e}",
-            deviation=worst,
-        )
+    require_within(worst, BLOCK_TOL,
+                   "K K^H has off-diagonal block magnitude {deviation:.3e} > {tolerance:.1e}")
     symbol_grams = _gram(per_symbol_k_matrices(block_channel, tx_window, mcfg))
     results = []
     for noise_var in noise_vars:
         total = float(_log_det_bits(gram, noise_var))
         per_symbol = _log_det_bits(symbol_grams, noise_var).tolist()
         gap = abs(total - sum(per_symbol))
-        if gap > ADDITIVITY_TOL:
-            raise StructureError(
-                f"block MI differs from per-symbol sum by {gap:.3e} > {ADDITIVITY_TOL:.1e}",
-                deviation=gap,
-            )
+        require_within(gap, ADDITIVITY_TOL, "block MI differs from per-symbol sum by "
+                       "{deviation:.3e} > {tolerance:.1e}")
         results.append(BlockMiResult(total_bits=total, per_symbol_bits=per_symbol,
                                      off_block_deviation=worst, additivity_gap=gap))
     return results

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, StructureError
-from .kronops import off_block_max, require_dense
+from .errors import ConfigError, DimensionError
+from .kronops import off_block_max, require_dense, require_finite, require_within
 from .transceiver import OtfsFrameConfig, cp_matrices
 
 # Largest off-block magnitude of a reduced channel; a long enough CP leaves 0.
@@ -40,8 +40,7 @@ class LtvChannel:
         taps = np.asarray(self.taps, dtype=np.complex128)
         if taps.ndim != 2 or taps.shape[1] < 1:
             raise DimensionError("taps must be a (span, length) array with length >= 1")
-        if not np.all(np.isfinite(taps)):
-            raise ValueError("channel taps contain non-finite entries")
+        require_finite(taps, "channel tap table")
         object.__setattr__(self, "taps", taps)
 
     @property
@@ -207,14 +206,11 @@ def assemble_h_matrix(channel: LtvChannel) -> np.ndarray:
 
 
 def require_block_diagonal(worst: float) -> None:
-    """Raise :class:`StructureError` when the largest off-block magnitude
-    ``worst`` of a reduced channel exceeds ``CP_TOL``."""
-    if worst > CP_TOL:
-        raise StructureError(
-            f"reduced channel is not block diagonal (max off-block magnitude "
-            f"{worst:.3e} > {CP_TOL:.1e}); CP is shorter than the channel memory",
-            deviation=worst,
-        )
+    """Raise :class:`StructureError` unless the largest off-block magnitude
+    ``worst`` of a reduced channel is within ``CP_TOL``."""
+    require_within(worst, CP_TOL, "reduced channel is not block diagonal (max off-block "
+                   "magnitude {deviation:.3e} > {tolerance:.1e}); CP is shorter than the "
+                   "channel memory")
 
 
 def reduce_to_block_channel(

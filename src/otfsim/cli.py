@@ -6,7 +6,8 @@ overrides): floats are printed with 17 significant digits, rows follow a
 fixed order, and aggregation order never depends on the thread count, so
 identical runs produce byte-identical files.
 
-Exit codes: 0 success, 2 config error, 3 invariant/structural failure,
+Exit codes: 0 success, 2 config error, 3 invariant/structural failure, a
+non-finite number or a log-det that double precision cannot resolve,
 4 dense-size cap exceeded.
 """
 
@@ -27,8 +28,8 @@ import numpy as np
 from .capacity import CapacityResult, capacity_sweep
 from .channel import ChannelModel, NoiseSpec, awgn, channel_to_json, trial_rng
 from .checks import VerifyContext, run_invariant_checks
-from .errors import ConfigError, DimensionError, SizeCapError, StructureError
-from .kronops import BlockDiagonalFactor, require_dense, vec
+from .errors import ConfigError, DimensionError, NonFiniteError, SizeCapError, StructureError
+from .kronops import BlockDiagonalFactor, require_dense, require_finite, require_within, vec
 from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_chain,
                    mimo_effective_matrix, stack_grids)
 from .transceiver import (
@@ -127,13 +128,18 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _complex_list(values, what: str) -> np.ndarray:
-    """Accept a JSON array of finite numbers or of [re, im] pairs."""
+    """Accept a JSON array of finite numbers or of [re, im] pairs of numbers;
+    booleans are not numbers here."""
     out = []
     for v in values:
-        if isinstance(v, (int, float)):
+        if _is_number(v):
             out.append(complex(v))
-        elif isinstance(v, (list, tuple)) and len(v) == 2:
+        elif isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
             out.append(complex(float(v[0]), float(v[1])))
         else:
             raise ConfigError(f"{what}: entries must be numbers or [re, im] pairs, got {v!r}")
@@ -217,16 +223,22 @@ class ExperimentConfig:
     hash: str
 
 
+def _read_json(path: str, what: str):
+    """Parse the JSON file ``path``; an unreadable or malformed file raises
+    :class:`ConfigError` naming ``what`` it should have held."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise ConfigError(f"cannot read {what} {path}: {err}") from err
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{what} {path} is not valid JSON: {err}") from err
+
+
 def load_config_document(path: str) -> dict:
     """Read a config JSON; a summary JSON with an embedded config is
     accepted transparently so results can be reproduced from outputs."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+    doc = _read_json(path, "config")
     if isinstance(doc, dict) and "config" in doc and "results" in doc:
         doc = doc["config"]
     if not isinstance(doc, dict):
@@ -363,11 +375,13 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]])
 def _write_sparse_csv(path: Path, matrix: np.ndarray, threshold: float) -> int:
     """Write the entries of ``matrix`` above ``threshold`` in magnitude as
     (row, col, re, im) lines in row-major order, floats formatted as by
-    :func:`_fmt`, one matrix row at a time; returns the entry count."""
+    :func:`_fmt`, one matrix row at a time; returns the entry count. A
+    non-finite row raises :class:`NonFiniteError` before it is written."""
     count = 0
     with path.open("w") as fh:
         fh.write("row,col,re,im\n")
         for i, row in enumerate(matrix):
+            require_finite(row, f"{path.name} row {i}")
             cols = np.flatnonzero(np.abs(row) > threshold)
             values = row[cols]
             fh.writelines(f"{i},{j},{re:.17g},{im:.17g}\n" for j, re, im in zip(
@@ -436,8 +450,9 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, data_path: Optional[str])
     sigma2 = cfg.sigma2_list[0]
     channels = channel_table(cfg.channel_model, mcfg, cfg.seed, 0)
     if data_path is not None:
-        with open(data_path) as fh:
-            entries = json.load(fh)
+        entries = _read_json(data_path, "symbol file")
+        if not isinstance(entries, list):
+            raise ConfigError(f"symbol file {data_path} must be a JSON array")
         data = _complex_list(entries, "symbol file")
         if data.size != frame.grid_size * mcfg.num_tx:
             raise ConfigError(
@@ -479,14 +494,13 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, data_path: Optional[str])
         },
     }
     (out_dir / "transcript.json").write_text(json.dumps(transcript, sort_keys=True) + "\n")
-    error = float(np.max(np.abs(chain.estimate - vec(stacked))))
-    print(f"max |estimate - data| = {_fmt(error)}")
+    if mcfg.num_tx == mcfg.num_rx:  # otherwise estimate and data differ in length
+        error = float(np.max(np.abs(chain.estimate - vec(stacked))))
+        print(f"max |estimate - data| = {_fmt(error)}")
     print(f"max |estimate - (H_eff @ data + noise_hat)| = {_fmt(residual)}")
     print(f"wrote {out_dir / 'transcript.json'}")
-    if residual > 1e-9:
-        print(f"FAIL: chain/effective-matrix residual {residual:.3e} exceeds 1e-9",
-              file=sys.stderr)
-        return 3
+    require_within(residual, 1e-9, "chain/effective-matrix residual {deviation:.3e} exceeds "
+                   "{tolerance:.0e}")
     return 0
 
 
@@ -591,6 +605,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 4
     except StructureError as err:
         print(f"structural invariant violated: {err}", file=sys.stderr)
+        return 3
+    except NonFiniteError as err:
+        print(f"non-finite number: {err}", file=sys.stderr)
+        return 3
+    except np.linalg.LinAlgError as err:
+        # Cholesky of I + K K^H / sigma2 when sigma2 is too small for the unit
+        # shift to survive rounding on a rank-deficient Gram.
+        print(f"numerical failure: {err}; sigma2 is too small for the scale of K K^H",
+              file=sys.stderr)
         return 3
 
 

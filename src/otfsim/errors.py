@@ -24,5 +24,12 @@ class StructureError(OtfsimError):
         self.deviation = deviation
 
 
+class NonFiniteError(OtfsimError, ValueError):
+    """An input or an intermediate result holds a NaN or an infinity.
+
+    Also a :class:`ValueError`, since a non-finite argument is a bad value.
+    """
+
+
 class ConfigError(OtfsimError):
     """Invalid or inconsistent experiment configuration."""

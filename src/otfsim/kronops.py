@@ -4,7 +4,10 @@ Normalized DFT matrices, Kronecker products, column-stacking
 vectorization, and matrix-free application of Kronecker-structured
 operators (DFT factors go through the FFT, so a factor of size n costs
 O(total * log n) instead of a dense product; block-diagonal factors go
-through one batched product over their blocks).
+through one batched product over their blocks). The package's three
+guards live here too: every dense allocation, every finiteness check and
+every raising tolerance verdict goes through ``require_dense``,
+``require_finite`` and ``require_within``.
 
 Conventions: ``vec`` stacks columns (Fortran order), so for conformable
 A, X, B the identity ``kron(B.T, A) @ vec(X) == vec(A @ X @ B)`` holds.
@@ -18,7 +21,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError, SizeCapError
+from .errors import DimensionError, NonFiniteError, SizeCapError, StructureError
 
 # Refuse dense materialization above this many entries (~1.6 GB complex128).
 DENSE_ENTRY_CAP = 100_000_000
@@ -29,6 +32,22 @@ def require_dense(rows: int, cols: int, what: str) -> None:
     ``DENSE_ENTRY_CAP`` (read at call time). Every dense builder calls this first."""
     if rows * cols > DENSE_ENTRY_CAP:
         raise SizeCapError(f"{what} would have {rows}x{cols} entries (cap {DENSE_ENTRY_CAP})")
+
+
+def require_finite(values: np.ndarray, what: str) -> None:
+    """Raise :class:`NonFiniteError` if ``values`` holds a NaN or an infinity.
+    The one finiteness test of the package."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError(f"{what} contains non-finite entries")
+
+
+def require_within(deviation: float, tolerance: float, message: str) -> None:
+    """Raise :class:`StructureError` unless ``deviation <= tolerance``, so a NaN
+    deviation fails. ``message`` is formatted with the fields ``deviation`` and
+    ``tolerance`` only on failure. The one tolerance verdict that raises."""
+    if not deviation <= tolerance:
+        raise StructureError(message.format(deviation=deviation, tolerance=tolerance),
+                             deviation=deviation)
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -112,8 +131,7 @@ class DenseFactor:
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim != 2:
             raise DimensionError("dense factor must be a 2-D array")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("dense factor contains non-finite entries")
+        require_finite(matrix, "dense factor")
         self.matrix = matrix
         self.rows, self.cols = matrix.shape
 
@@ -134,8 +152,7 @@ class BlockDiagonalFactor:
         blocks = np.asarray(blocks, dtype=np.complex128)
         if blocks.ndim != 3:
             raise DimensionError("block-diagonal factor needs an (N, rows, cols) stack")
-        if not np.all(np.isfinite(blocks)):
-            raise ValueError("block-diagonal factor contains non-finite entries")
+        require_finite(blocks, "block-diagonal factor")
         self.blocks = blocks
         count, block_rows, block_cols = blocks.shape
         self.rows, self.cols = count * block_rows, count * block_cols
@@ -204,8 +221,7 @@ class DiagonalFactor:
 
     def __init__(self, diagonal: np.ndarray):
         diagonal = np.asarray(diagonal, dtype=np.complex128).reshape(-1)
-        if not np.all(np.isfinite(diagonal)):
-            raise ValueError("diagonal factor contains non-finite entries")
+        require_finite(diagonal, "diagonal factor")
         self.diagonal = diagonal
         self.rows = self.cols = diagonal.size
 

@@ -23,7 +23,7 @@ from otfsim.capacity import (
     per_symbol_k_matrices,
 )
 from otfsim.channel import ChannelModel, synthesize
-from otfsim.errors import ConfigError, SizeCapError, StructureError
+from otfsim.errors import ConfigError, NonFiniteError, SizeCapError, StructureError
 from otfsim.kronops import dft_matrix, kron
 from otfsim.mimo import MimoConfig, channel_table, mimo_block_channel
 from otfsim.transceiver import OtfsFrameConfig, WindowSpec
@@ -75,6 +75,23 @@ class TestMutualInformation:
             mutual_information(np.eye(2), 0.0)
         with pytest.raises(ValueError):
             mutual_information(np.array([[np.inf, 0], [0, 1]]), 1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_k_shows_on_the_gram_diagonal(self):
+        rng = np.random.default_rng(4)
+        for bad in (np.nan, np.inf, -np.inf, complex(np.inf, np.nan)):
+            for _ in range(50):
+                stack = rand_complex(rng, *rng.integers(1, 5, size=3))
+                stack[tuple(rng.integers(0, n) for n in stack.shape)] = bad
+                with pytest.raises(NonFiniteError, match="K K\\^H"):
+                    otfsim.capacity._gram(stack)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_gram_and_shift_raise(self):
+        with pytest.raises(NonFiniteError, match="K K\\^H"):
+            mutual_information(np.full((2, 2), 1e200), 1.0)
+        with pytest.raises(NonFiniteError, match="sigma2=1e-310"):
+            mutual_information(np.eye(2), 1e-310)
 
     def test_result_non_negative(self):
         rng = np.random.default_rng(3)

@@ -217,6 +217,10 @@ BROKEN_CONFIGS = {
     "snr-db-overflow": dict(BASE, noise={"snr_db": ["1e400"]}),
     "sigma2-overflow": dict(BASE, noise={"sigma2": ["1e400"]}),
     "snr-db-overflows-sigma2": dict(BASE, noise={"snr_db": [-4000.0]}),
+    "boolean-gain": dict(BASE, channel={"kind": "static-multipath", "gains": [True],
+                                        "delays": [0]}),
+    "boolean-in-window-pair": dict(BASE, window={"tx": {"kind": "general",
+                                                        "taps": [[1, False]] + [1.0] * 7}}),
 }
 
 
@@ -284,6 +288,26 @@ class TestSimulateMode:
         path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", path, "--out", str(tmp_path),
                      "--data", str(data_path)]) == 2
+
+    @pytest.mark.parametrize("contents", [None, "[1, 2", '{"re": 1}'])
+    def test_bad_symbol_file_is_a_config_error(self, tmp_path, capsys, contents):
+        data_path = tmp_path / "symbols.json"
+        if contents is not None:
+            data_path.write_text(contents)
+        path = write_config(tmp_path, dict(BASE))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path),
+                     "--data", str(data_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("n_t, n_r", [(2, 1), (1, 2)])
+    def test_unequal_antenna_counts(self, tmp_path, capsys, n_t, n_r):
+        doc = dict(BASE, mimo={"n_t": n_t, "n_r": n_r})
+        path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+        transcript = json.loads((tmp_path / "transcript.json").read_text())
+        assert len(transcript["stages"]["estimate"]) == 8 * n_r
+        assert transcript["residual_max_abs"] <= 1e-9
+        assert "estimate - data" not in capsys.readouterr().out
 
 
 class TestVerifyMode:

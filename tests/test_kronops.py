@@ -14,7 +14,7 @@ from otfsim import kronops
 from otfsim.capacity import otfs_block_mi
 from otfsim.channel import ChannelModel, LtvChannel, assemble_h_matrix, synthesize
 from otfsim.cli import main
-from otfsim.errors import DimensionError, SizeCapError
+from otfsim.errors import DimensionError, NonFiniteError, SizeCapError, StructureError
 from otfsim.kronops import (
     BlockDiagonalFactor,
     DenseFactor,
@@ -29,6 +29,8 @@ from otfsim.kronops import (
     kron,
     mixed_product_holds,
     off_block_max,
+    require_finite,
+    require_within,
     unvec,
     vec,
     vec_identity_holds,
@@ -355,3 +357,37 @@ class TestOneCap:
         monkeypatch.setattr(kronops, "DENSE_ENTRY_CAP", 3)
         assert main(["effective-channel", "--config", str(path), "--out", str(tmp_path)]) == 4
         assert "2x2 entries (cap 3)" in capsys.readouterr().err
+
+
+# Every input that must be finite, each given one NaN.
+FINITE_SITES = {
+    "DenseFactor": lambda bad: DenseFactor(np.array([[1.0, bad]])),
+    "BlockDiagonalFactor": lambda bad: BlockDiagonalFactor(np.array([[[1.0, bad]]])),
+    "DiagonalFactor": lambda bad: DiagonalFactor(np.array([bad, 1.0])),
+    "LtvChannel": lambda bad: LtvChannel(taps=np.array([[1.0], [bad]])),
+}
+
+
+class TestNumericalGuards:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf)])
+    def test_require_finite(self, bad):
+        require_finite(np.array([0.0, 1e308, -1e-320]), "x")
+        with pytest.raises(NonFiniteError, match="^row 3 contains non-finite entries$"):
+            require_finite(np.array([1.0, bad]), "row 3")
+
+    @pytest.mark.parametrize("site", FINITE_SITES)
+    def test_every_input_site_uses_the_guard(self, site):
+        FINITE_SITES[site](2.0)
+        with pytest.raises(NonFiniteError):
+            FINITE_SITES[site](np.nan)
+
+    def test_require_within_passes_at_the_tolerance(self):
+        require_within(1e-12, 1e-12, "unused {deviation} {tolerance}")
+        require_within(0.0, 0.0, "unused")
+
+    @pytest.mark.parametrize("deviation", [2e-12, np.inf, np.nan])
+    def test_require_within_fails_above_and_on_nan(self, deviation):
+        with pytest.raises(StructureError) as err:
+            require_within(deviation, 1e-12, "gap {deviation:.1e} > {tolerance:.0e}")
+        assert str(err.value) == f"gap {deviation:.1e} > 1e-12"
+        assert err.value.deviation is deviation
