@@ -25,7 +25,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .channel import ChannelModel
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteError
 from .kronops import (OperatorChain, idft_matrix, off_block_max, require_dense, require_finite,
                       require_within)
 from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_transmit_stages,
@@ -50,9 +50,9 @@ def _gram(k_matrix: np.ndarray) -> np.ndarray:
 def _log_det_bits(gram: np.ndarray, noise_var: float) -> np.ndarray:
     """log2 det(I + gram / sigma2) in bits of each matrix in a (..., R, R) stack,
     via Cholesky so large blocks stay in the log domain instead of overflowing.
-    A sigma2 so small that gram / sigma2 overflows raises NonFiniteError; one
-    that leaves the unit shift of a rank-deficient gram below rounding makes
-    the Cholesky raise numpy's LinAlgError."""
+    A sigma2 so small that gram / sigma2 overflows, or that leaves the unit
+    shift of a rank-deficient gram below rounding so the Cholesky fails,
+    raises NonFiniteError."""
     if noise_var <= 0:
         raise ConfigError(f"noise variance must be > 0 for MI, got {noise_var}")
     shifted = gram / noise_var
@@ -60,7 +60,11 @@ def _log_det_bits(gram: np.ndarray, noise_var: float) -> np.ndarray:
     shifted[..., diagonal, diagonal] += 1.0
     require_finite(np.diagonal(shifted, axis1=-2, axis2=-1),
                    f"I + K K^H / sigma2 at sigma2={noise_var:g}")
-    chol = np.linalg.cholesky(shifted)
+    try:
+        chol = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError as err:
+        raise NonFiniteError(f"Cholesky of I + K K^H / sigma2 at sigma2={noise_var:g}: {err}; "
+                             "sigma2 is too small for the scale of K K^H") from err
     return 2.0 * np.sum(np.log2(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
 
 

@@ -1,15 +1,18 @@
 """Runtime invariant suite backing the CLI verify mode.
 
-Each check measures a deviation at the configured dimensions and compares
-it against the tolerance the library promises elsewhere. Checks that
-depend on the per-symbol channel decoupling report a failure (rather than
-crashing) when the CP is shorter than the channel memory, so a deliberately
-broken configuration produces a readable report with the block-diagonality
-check named as the culprit.
+Each check measures deviations at the configured dimensions and returns
+one (deviation, tolerance) pair per report entry, the tolerance being the
+one the library promises elsewhere; a pair may carry a detail string as a
+third item. A check that raises :class:`StructureError` or
+:class:`NonFiniteError` on the way, for example because the CP is shorter
+than the channel memory, fails its entries with the error's deviation,
+tolerance and message instead of ending the run, so a broken configuration
+still produces a full report.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -18,7 +21,7 @@ import numpy as np
 from .capacity import ADDITIVITY_TOL, BLOCK_TOL, otfs_block_mi
 from .channel import (CP_TOL, ChannelModel, assemble_h_matrix, reduce_to_block_channel,
                       synthesize, trial_rng)
-from .errors import StructureError
+from .errors import NonFiniteError, StructureError
 from .kronops import dft_matrix, kron, vec
 from .mimo import (
     MimoConfig,
@@ -51,11 +54,12 @@ class CheckResult:
     detail: str = ""
 
     def as_dict(self) -> dict:
+        """JSON-ready entry; a non-finite deviation or tolerance becomes None."""
         return {
             "name": self.name,
             "passed": self.passed,
-            "deviation": self.deviation,
-            "tolerance": self.tolerance,
+            "deviation": self.deviation if math.isfinite(self.deviation) else None,
+            "tolerance": self.tolerance if math.isfinite(self.tolerance) else None,
             "detail": self.detail,
         }
 
@@ -94,11 +98,7 @@ def _flat_channel_table(ctx: VerifyContext, base: int):
             for r in range(mcfg.num_rx)]
 
 
-def _gauge(dev: float, tol: float, name: str, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, passed=dev <= tol, deviation=dev, tolerance=tol, detail=detail)
-
-
-def check_kron_identities(ctx: VerifyContext, cases: int = 25) -> List[CheckResult]:
+def check_kron_identities(ctx: VerifyContext, cases: int = 25) -> List[tuple]:
     rng = trial_rng(ctx.seed, 1)
     worst_mixed = worst_herm = worst_vec = worst_assoc = 0.0
     for _ in range(cases):
@@ -117,15 +117,10 @@ def check_kron_identities(ctx: VerifyContext, cases: int = 25) -> List[CheckResu
             kron(e.T, a) @ vec(x) - vec(a @ x @ e)))))
         worst_assoc = max(worst_assoc, float(np.max(np.abs(
             kron(kron(a, b), d) - kron(a, kron(b, d))))))
-    return [
-        _gauge(worst_mixed, 1e-10, "kron-mixed-product"),
-        _gauge(worst_herm, 1e-12, "kron-hermitian-order"),
-        _gauge(worst_vec, 1e-10, "kron-vec-identity"),
-        _gauge(worst_assoc, 1e-12, "kron-associativity"),
-    ]
+    return [(worst_mixed, 1e-10), (worst_herm, 1e-12), (worst_vec, 1e-10), (worst_assoc, 1e-12)]
 
 
-def check_dft_unitarity(ctx: VerifyContext) -> CheckResult:
+def check_dft_unitarity(ctx: VerifyContext) -> List[tuple]:
     worst = 0.0
     sizes = sorted({ctx.frame.num_subcarriers, ctx.frame.num_symbols, ctx.frame.symbol_len})
     for size in sizes:
@@ -134,19 +129,19 @@ def check_dft_unitarity(ctx: VerifyContext) -> CheckResult:
         # since F is symmetric), cheap even at large sizes.
         prod = np.fft.fft(f.conj(), axis=0, norm="ortho")
         worst = max(worst, float(np.max(np.abs(prod - np.eye(size)))))
-    return _gauge(worst, 1e-12, "dft-unitarity", detail=f"sizes {sizes}")
+    return [(worst, 1e-12, f"sizes {sizes}")]
 
 
-def check_sfft_inverse(ctx: VerifyContext) -> CheckResult:
+def check_sfft_inverse(ctx: VerifyContext) -> List[tuple]:
     rng = trial_rng(ctx.seed, 2)
     grid = _rand_complex(rng, ctx.frame.num_subcarriers, ctx.frame.num_symbols)
     spread = isfft(grid)
     round_trip = float(np.max(np.abs(sfft(spread) - grid)))
     norm_gap = abs(np.linalg.norm(spread) - np.linalg.norm(grid))
-    return _gauge(max(round_trip, float(norm_gap)), 1e-12, "sfft-inverse-pair")
+    return [(max(round_trip, float(norm_gap)), 1e-12)]
 
 
-def check_perfect_reconstruction(ctx: VerifyContext) -> CheckResult:
+def check_perfect_reconstruction(ctx: VerifyContext) -> List[tuple]:
     rng = trial_rng(ctx.seed, 3)
     frame = ctx.frame
     grid = _rand_complex(rng, frame.num_subcarriers, frame.num_symbols)
@@ -154,10 +149,10 @@ def check_perfect_reconstruction(ctx: VerifyContext) -> CheckResult:
     rect = WindowSpec.rectangular()
     out = siso_chain(grid, ident, rect, WindowSpec.rectangular("receive"), frame)
     dev = float(np.max(np.abs(out.estimate_grid - grid)))
-    return _gauge(dev, 1e-10, "perfect-reconstruction")
+    return [(dev, 1e-10)]
 
 
-def check_chain_vs_matrix(ctx: VerifyContext) -> CheckResult:
+def check_chain_vs_matrix(ctx: VerifyContext) -> List[tuple]:
     rng = trial_rng(ctx.seed, 4)
     mcfg = ctx.mcfg
     frame = ctx.frame
@@ -169,21 +164,13 @@ def check_chain_vs_matrix(ctx: VerifyContext) -> CheckResult:
         chain = siso_chain(grids[0], channels[0][0], ctx.tx_window, ctx.rx_window, frame)
         eff = effective_matrix_general(
             assemble_h_matrix(channels[0][0]), ctx.tx_window, ctx.rx_window, frame)
-        dev = float(np.max(np.abs(chain.estimate - eff @ vec(grids[0]))))
-        return _gauge(dev, 1e-10, "chain-vs-effective-matrix")
-    try:
-        chain = mimo_chain(stacked, channels, ctx.tx_window, ctx.rx_window, mcfg)
-        eff = mimo_effective_matrix(channels, ctx.tx_window, ctx.rx_window, mcfg)
-    except StructureError as err:
-        return CheckResult(
-            name="chain-vs-effective-matrix", passed=False,
-            deviation=err.deviation, tolerance=1e-10,
-            detail="needs block-diagonal per-symbol channel; " + str(err))
-    dev = float(np.max(np.abs(chain.estimate - eff @ vec(stacked))))
-    return _gauge(dev, 1e-10, "chain-vs-effective-matrix")
+        return [(float(np.max(np.abs(chain.estimate - eff @ vec(grids[0])))), 1e-10)]
+    chain = mimo_chain(stacked, channels, ctx.tx_window, ctx.rx_window, mcfg)
+    eff = mimo_effective_matrix(channels, ctx.tx_window, ctx.rx_window, mcfg)
+    return [(float(np.max(np.abs(chain.estimate - eff @ vec(stacked)))), 1e-10)]
 
 
-def check_block_diagonality(ctx: VerifyContext) -> CheckResult:
+def check_block_diagonality(ctx: VerifyContext) -> List[tuple]:
     # Probe with a tap at every delay up to the declared channel length, so
     # a CP shorter than the memory fails deterministically (a random draw
     # could miss the worst delay).
@@ -191,13 +178,9 @@ def check_block_diagonality(ctx: VerifyContext) -> CheckResult:
     probe = ChannelModel.static_multipath(
         np.full(length, 1.0 / np.sqrt(length)), np.arange(length))
     channel = synthesize(probe, ctx.frame, enforce_cp=False)
-    try:
-        reduce_to_block_channel(assemble_h_matrix(channel), ctx.frame)
-    except StructureError as err:
-        return CheckResult(
-            name="block-diagonality", passed=False,
-            deviation=err.deviation, tolerance=CP_TOL, detail=str(err))
-    return _gauge(0.0, CP_TOL, "block-diagonality")
+    # A CP shorter than the memory raises StructureError with the deviation.
+    reduce_to_block_channel(assemble_h_matrix(channel), ctx.frame)
+    return [(0.0, CP_TOL)]
 
 
 def _specialization_blocks(ctx: VerifyContext, key: int):
@@ -208,18 +191,10 @@ def _specialization_blocks(ctx: VerifyContext, key: int):
     return assemble_h_matrix(channel), mimo_block_channel([[channel]], MimoConfig(ctx.frame))
 
 
-def check_specializations(ctx: VerifyContext) -> List[CheckResult]:
+def check_specializations(ctx: VerifyContext) -> List[tuple]:
     rng = trial_rng(ctx.seed, 5)
     frame = ctx.frame
-    names = ("specialization-separable", "specialization-rectangular",
-             "specialization-frequency-domain")
-    try:
-        h_matrix, blocks = _specialization_blocks(ctx, 21)
-    except StructureError as err:
-        return [CheckResult(name=name, passed=False, deviation=err.deviation,
-                            tolerance=1e-10,
-                            detail="needs block-diagonal per-symbol channel")
-                for name in names]
+    h_matrix, blocks = _specialization_blocks(ctx, 21)
     results = []
 
     tx_sep = WindowSpec.separable(_rand_complex(rng, frame.num_symbols),
@@ -228,65 +203,65 @@ def check_specializations(ctx: VerifyContext) -> List[CheckResult]:
                                   _rand_complex(rng, frame.num_subcarriers), role="receive")
     general = effective_matrix_general(h_matrix, tx_sep, rx_sep, frame)
     special = effective_matrix_separable(blocks, tx_sep, rx_sep, frame)
-    results.append(_gauge(float(np.max(np.abs(general - special))), 1e-10, names[0]))
+    results.append((float(np.max(np.abs(general - special))), 1e-10))
 
     rect_tx = WindowSpec.rectangular()
     rect_rx = WindowSpec.rectangular("receive")
     general = effective_matrix_general(h_matrix, rect_tx, rect_rx, frame)
     special = effective_matrix_rectangular(blocks, frame)
-    results.append(_gauge(float(np.max(np.abs(general - special))), 1e-10, names[1]))
+    results.append((float(np.max(np.abs(general - special))), 1e-10))
 
     general = effective_matrix_general(h_matrix, ctx.tx_window, ctx.rx_window, frame)
     special = effective_matrix_frequency_domain(
         to_frequency_domain(blocks), ctx.tx_window, ctx.rx_window, frame)
-    results.append(_gauge(float(np.max(np.abs(general - special))), 1e-10, names[2]))
+    results.append((float(np.max(np.abs(general - special))), 1e-10))
     return results
 
 
-def check_mi_additivity(ctx: VerifyContext) -> List[CheckResult]:
+def check_mi_additivity(ctx: VerifyContext) -> List[tuple]:
     channels = _flat_channel_table(ctx, 30)
-    names = ("kkh-block-diagonality", "mi-additivity")
-    try:
-        result = otfs_block_mi(channels, ctx.tx_window, ctx.noise_var, ctx.mcfg)
-    except StructureError as err:
-        return [CheckResult(name=name, passed=False, deviation=err.deviation,
-                            tolerance=BLOCK_TOL if name == names[0] else ADDITIVITY_TOL,
-                            detail=str(err))
-                for name in names]
-    return [
-        _gauge(result.off_block_deviation, BLOCK_TOL, names[0]),
-        _gauge(result.additivity_gap, ADDITIVITY_TOL, names[1]),
-    ]
+    result = otfs_block_mi(channels, ctx.tx_window, ctx.noise_var, ctx.mcfg)
+    return [(result.off_block_deviation, BLOCK_TOL), (result.additivity_gap, ADDITIVITY_TOL)]
 
 
-def check_capacity_routes(ctx: VerifyContext, trials: int = 3) -> CheckResult:
+def check_capacity_routes(ctx: VerifyContext, trials: int = 3) -> List[tuple]:
     mcfg = ctx.mcfg
     worst = 0.0
     for trial in range(trials):
         channels = channel_table(ctx.channel_model, mcfg, ctx.seed, 40 + trial,
                                  enforce_cp=False)
-        try:
-            result = otfs_block_mi(channels, ctx.tx_window, ctx.noise_var, mcfg)
-        except StructureError as err:
-            return CheckResult(name="capacity-route-equality", passed=False,
-                               deviation=err.deviation, tolerance=ADDITIVITY_TOL,
-                               detail="needs block-diagonal per-symbol channel")
+        result = otfs_block_mi(channels, ctx.tx_window, ctx.noise_var, mcfg)
         otfs_rate = result.total_bits / ctx.frame.frame_len
         ofdm_rate = float(np.mean(result.per_symbol_bits)) / ctx.frame.symbol_len
         worst = max(worst, abs(otfs_rate - ofdm_rate))
-    return _gauge(worst, ADDITIVITY_TOL, "capacity-route-equality")
+    return [(worst, ADDITIVITY_TOL)]
 
 
 def run_invariant_checks(ctx: VerifyContext) -> List[CheckResult]:
-    """The full suite, in reporting order."""
+    """The full suite, in reporting order: one entry per name. An entry
+    passes when its deviation is within its tolerance. A check that raises
+    :class:`StructureError` or :class:`NonFiniteError` fails each of its
+    entries with the error's deviation, tolerance and message;
+    :class:`SizeCapError` propagates."""
+    suite = (
+        (check_kron_identities, ("kron-mixed-product", "kron-hermitian-order",
+                                 "kron-vec-identity", "kron-associativity")),
+        (check_dft_unitarity, ("dft-unitarity",)),
+        (check_sfft_inverse, ("sfft-inverse-pair",)),
+        (check_perfect_reconstruction, ("perfect-reconstruction",)),
+        (check_chain_vs_matrix, ("chain-vs-effective-matrix",)),
+        (check_block_diagonality, ("block-diagonality",)),
+        (check_specializations, ("specialization-separable", "specialization-rectangular",
+                                 "specialization-frequency-domain")),
+        (check_mi_additivity, ("kkh-block-diagonality", "mi-additivity")),
+        (check_capacity_routes, ("capacity-route-equality",)),
+    )
     results: List[CheckResult] = []
-    results.extend(check_kron_identities(ctx))
-    results.append(check_dft_unitarity(ctx))
-    results.append(check_sfft_inverse(ctx))
-    results.append(check_perfect_reconstruction(ctx))
-    results.append(check_chain_vs_matrix(ctx))
-    results.append(check_block_diagonality(ctx))
-    results.extend(check_specializations(ctx))
-    results.extend(check_mi_additivity(ctx))
-    results.append(check_capacity_routes(ctx))
+    for check, names in suite:
+        try:
+            measured = check(ctx)
+        except (StructureError, NonFiniteError) as err:
+            measured = [(err.deviation, err.tolerance, f"{err.label}: {err}")] * len(names)
+        results.extend(CheckResult(name, dev <= tol, dev, tol, *detail)
+                       for name, (dev, tol, *detail) in zip(names, measured, strict=True))
     return results

@@ -6,9 +6,10 @@ overrides): floats are printed with 17 significant digits, rows follow a
 fixed order, and aggregation order never depends on the thread count, so
 identical runs produce byte-identical files.
 
-Exit codes: 0 success, 2 config error, 3 invariant/structural failure, a
-non-finite number or a log-det that double precision cannot resolve,
-4 dense-size cap exceeded.
+Exit codes: 0 success, otherwise the ``exit_code`` that the package error
+ending the run carries (see :mod:`otfsim.errors`): 2 config error,
+3 invariant/structural failure, a non-finite number or a log-det that
+double precision cannot resolve, 4 dense-size cap exceeded.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .capacity import CapacityResult, capacity_sweep
 from .channel import ChannelModel, NoiseSpec, awgn, channel_to_json, trial_rng
 from .checks import VerifyContext, run_invariant_checks
-from .errors import ConfigError, DimensionError, NonFiniteError, SizeCapError, StructureError
+from .errors import ConfigError, DimensionError, OtfsimError
 from .kronops import BlockDiagonalFactor, require_dense, require_finite, require_within, vec
 from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_chain,
                    mimo_effective_matrix, stack_grids)
@@ -134,22 +135,29 @@ def _is_number(x) -> bool:
 
 def _complex_list(values, what: str) -> np.ndarray:
     """Accept a JSON array of finite numbers or of [re, im] pairs of numbers;
-    booleans are not numbers here."""
+    booleans are not numbers here, and an integer beyond the float range is
+    not finite."""
     out = []
     for v in values:
         if _is_number(v):
-            out.append(complex(v))
+            parts = (v, 0.0)
         elif isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
-            out.append(complex(float(v[0]), float(v[1])))
+            parts = v
         else:
             raise ConfigError(f"{what}: entries must be numbers or [re, im] pairs, got {v!r}")
+        try:
+            out.append(complex(float(parts[0]), float(parts[1])))
+        except OverflowError:
+            raise ConfigError(f"{what}: entries must be finite") from None
     out = np.asarray(out, dtype=np.complex128)
     if not np.all(np.isfinite(out)):
         raise ConfigError(f"{what}: entries must be finite")
     return out
 
 
-def _window_from_doc(doc: Optional[dict], role: str, frame: OtfsFrameConfig) -> WindowSpec:
+def _window_from_doc(doc: Optional[dict], key: str, frame: OtfsFrameConfig) -> WindowSpec:
+    """The window under config key ``key`` (``tx`` or ``rx``)."""
+    role = "transmit" if key == "tx" else "receive"
     if doc is None:
         return WindowSpec.rectangular(role)
     kind = doc["kind"]
@@ -157,22 +165,22 @@ def _window_from_doc(doc: Optional[dict], role: str, frame: OtfsFrameConfig) -> 
         return WindowSpec.rectangular(role)
     if kind == "separable":
         if "time" not in doc or "freq" not in doc:
-            raise ConfigError(f"window.{role[:2]}: separable window needs 'time' and 'freq' arrays")
-        time = _complex_list(doc["time"], f"window.{role[:2]}.time")
-        freq = _complex_list(doc["freq"], f"window.{role[:2]}.freq")
+            raise ConfigError(f"window.{key}: separable window needs 'time' and 'freq' arrays")
+        time = _complex_list(doc["time"], f"window.{key}.time")
+        freq = _complex_list(doc["freq"], f"window.{key}.freq")
         if time.size != frame.num_symbols:
             raise ConfigError(
-                f"window.{role[:2]}.time has {time.size} entries, need N={frame.num_symbols}")
+                f"window.{key}.time has {time.size} entries, need N={frame.num_symbols}")
         if freq.size != frame.num_subcarriers:
             raise ConfigError(
-                f"window.{role[:2]}.freq has {freq.size} entries, need M={frame.num_subcarriers}")
+                f"window.{key}.freq has {freq.size} entries, need M={frame.num_subcarriers}")
         return WindowSpec.separable(time, freq, role)
     if "taps" not in doc:
-        raise ConfigError(f"window.{role[:2]}: general window needs a 'taps' array")
-    taps = _complex_list(doc["taps"], f"window.{role[:2]}.taps")
+        raise ConfigError(f"window.{key}: general window needs a 'taps' array")
+    taps = _complex_list(doc["taps"], f"window.{key}.taps")
     if taps.size != frame.grid_size:
         raise ConfigError(
-            f"window.{role[:2]}.taps has {taps.size} entries, need M*N={frame.grid_size}")
+            f"window.{key}.taps has {taps.size} entries, need M*N={frame.grid_size}")
     return WindowSpec.general(taps, role)
 
 
@@ -212,7 +220,6 @@ class ExperimentConfig:
     channel_model: ChannelModel
     sigma2_list: List[float]
     snr_db_list: List[float]
-    mode: str
     trials: int
     seed: int
     threads: int
@@ -231,7 +238,7 @@ def _read_json(path: str, what: str):
             return json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read {what} {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # malformed JSON, bad encoding, an over-long integer
         raise ConfigError(f"{what} {path} is not valid JSON: {err}") from err
 
 
@@ -287,29 +294,30 @@ def parse_config(
     mcfg = MimoConfig(frame=frame, num_tx=mimo_doc.get("n_t", 1), num_rx=mimo_doc.get("n_r", 1))
 
     window_doc = effective.get("window", {})
-    tx_window = _window_from_doc(window_doc.get("tx"), "transmit", frame)
-    rx_window = _window_from_doc(window_doc.get("rx"), "receive", frame)
+    tx_window = _window_from_doc(window_doc.get("tx"), "tx", frame)
+    rx_window = _window_from_doc(window_doc.get("rx"), "rx", frame)
+    # Bound the delays before the model converts them to machine integers.
+    channel_doc = effective.get("channel", {})
+    if channel_doc.get("kind") == "static-multipath":
+        largest = max(channel_doc.get("delays", [0]))
+        if largest >= frame.num_subcarriers:
+            raise ConfigError(f"largest delay {largest} must be below M={frame.num_subcarriers}")
     model = _channel_from_doc(effective.get("channel"))
 
     if mode != "verify" and model.channel_length - 1 > frame.cp_len:
         raise ConfigError(
             f"channel length L={model.channel_length} needs M_cp >= {model.channel_length - 1} "
             f"but M_cp={frame.cp_len}; lengthen the CP or shorten the channel")
-    if model.kind == "static-multipath" and int(model.delays.max()) >= frame.num_subcarriers:
-        raise ConfigError(
-            f"largest delay {int(model.delays.max())} must be below M={frame.num_subcarriers}")
 
     noise_doc = effective.get("noise", {"sigma2": [1.0]})
-    if not all(np.all(np.isfinite(values)) for values in noise_doc.values()):
-        raise ConfigError(f"noise: entries must be finite, got {noise_doc}")
     if "snr_db" in noise_doc:
-        snr_db_list = [float(s) for s in noise_doc["snr_db"]]
+        snr_db_list = _complex_list(noise_doc["snr_db"], "noise.snr_db").real.tolist()
         try:
             sigma2_list = [10.0 ** (-s / 10.0) for s in snr_db_list]
         except OverflowError as err:
             raise ConfigError(f"noise.snr_db: {min(snr_db_list)} dB overflows sigma2") from err
     else:
-        sigma2_list = [float(s) for s in noise_doc["sigma2"]]
+        sigma2_list = _complex_list(noise_doc["sigma2"], "noise.sigma2").real.tolist()
         snr_db_list = [(-10.0 * np.log10(s)) if s > 0 else float("inf") for s in sigma2_list]
     if mode == "capacity" and any(s <= 0 for s in sigma2_list):
         raise ConfigError("capacity mode needs strictly positive noise variances")
@@ -323,7 +331,6 @@ def parse_config(
         channel_model=model,
         sigma2_list=sigma2_list,
         snr_db_list=snr_db_list,
-        mode=mode,
         trials=run.get("trials", 1),
         seed=run.get("seed", 0),
         threads=effective_threads,
@@ -526,7 +533,7 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
         line = f"[{status}] {r.name}: deviation {r.deviation:.3e} (tol {r.tolerance:.1e})"
         if r.detail:
             line += f" -- {r.detail}"
-        print(line)
+        print(line, file=sys.stdout if r.passed else sys.stderr)
     print(f"wrote {out_dir / 'report.json'}")
     return 0 if report["all_passed"] else 3
 
@@ -597,24 +604,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.mode == "verify":
             return run_verify(cfg, out_dir)
         return run_effective_channel(cfg, out_dir)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except SizeCapError as err:
-        print(f"size cap exceeded: {err}", file=sys.stderr)
-        return 4
-    except StructureError as err:
-        print(f"structural invariant violated: {err}", file=sys.stderr)
-        return 3
-    except NonFiniteError as err:
-        print(f"non-finite number: {err}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as err:
-        # Cholesky of I + K K^H / sigma2 when sigma2 is too small for the unit
-        # shift to survive rounding on a rank-deficient Gram.
-        print(f"numerical failure: {err}; sigma2 is too small for the scale of K K^H",
-              file=sys.stderr)
-        return 3
+    except OtfsimError as err:
+        if err.exit_code is None:  # a bug, not a failure the CLI reports
+            raise
+        print(f"{err.label}: {err}", file=sys.stderr)
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -42,12 +42,13 @@ def require_finite(values: np.ndarray, what: str) -> None:
 
 
 def require_within(deviation: float, tolerance: float, message: str) -> None:
-    """Raise :class:`StructureError` unless ``deviation <= tolerance``, so a NaN
-    deviation fails. ``message`` is formatted with the fields ``deviation`` and
-    ``tolerance`` only on failure. The one tolerance verdict that raises."""
+    """Raise :class:`StructureError`, carrying ``deviation`` and ``tolerance``,
+    unless ``deviation <= tolerance``, so a NaN deviation fails. ``message`` is
+    formatted with those two fields only on failure. The one tolerance verdict
+    that raises."""
     if not deviation <= tolerance:
         raise StructureError(message.format(deviation=deviation, tolerance=tolerance),
-                             deviation=deviation)
+                             deviation=deviation, tolerance=tolerance)
 
 
 def dft_matrix(n: int) -> np.ndarray:

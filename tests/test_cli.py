@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from otfsim.channel import channel_from_json
+from otfsim.channel import CP_TOL, channel_from_json
 from otfsim.cli import (
     CONFIG_SCHEMA,
     _fmt,
@@ -71,8 +71,9 @@ class TestConfigParsing:
 
     def test_rejects_window_length_mismatch(self):
         doc = dict(BASE, window={"tx": {"kind": "general", "taps": [1.0, 2.0]}})
-        with pytest.raises(ConfigError, match="taps"):
+        with pytest.raises(ConfigError, match="taps") as err:
             parse_config(doc, mode="capacity")
+        assert "window.tx.taps has 2 entries" in str(err.value)
 
     def test_rejects_mode_mismatch(self):
         doc = dict(BASE, run={"mode": "simulate"})
@@ -207,7 +208,8 @@ class TestCapacityMode:
                      "--out", str(tmp_path)]) == 2
 
 
-# 1e400 overflows to inf when the JSON is read.
+# 1e400 overflows to inf when the JSON is read; 10**400 is written out as
+# an integer beyond the float range.
 BROKEN_CONFIGS = {
     "cp-equals-M": dict(BASE, frame={"M": 4, "N": 2, "M_cp": 4}),
     "window-overflow": dict(BASE, window={"tx": {"kind": "general",
@@ -221,6 +223,16 @@ BROKEN_CONFIGS = {
                                         "delays": [0]}),
     "boolean-in-window-pair": dict(BASE, window={"tx": {"kind": "general",
                                                         "taps": [[1, False]] + [1.0] * 7}}),
+    "huge-integer-gain": dict(BASE, channel={"kind": "static-multipath", "gains": [10**400],
+                                             "delays": [0]}),
+    "huge-integer-window": dict(BASE, window={"tx": {"kind": "general",
+                                                     "taps": [10**400] + [1.0] * 7}}),
+    "huge-integer-in-pair": dict(BASE, window={"tx": {"kind": "general",
+                                                      "taps": [[1.0, 10**400]] + [1.0] * 7}}),
+    "huge-integer-snr-db": dict(BASE, noise={"snr_db": [10**400]}),
+    "huge-integer-sigma2": dict(BASE, noise={"sigma2": [10**400]}),
+    "huge-integer-delay": dict(BASE, channel={"kind": "static-multipath", "gains": [1.0],
+                                              "delays": [10**400]}),
 }
 
 
@@ -289,7 +301,8 @@ class TestSimulateMode:
         assert main(["simulate", "--config", path, "--out", str(tmp_path),
                      "--data", str(data_path)]) == 2
 
-    @pytest.mark.parametrize("contents", [None, "[1, 2", '{"re": 1}'])
+    @pytest.mark.parametrize("contents", [None, "[1, 2", '{"re": 1}', pytest.param(
+        "[1" + "0" * 5000 + "]", id="integer-beyond-the-parser-digit-limit")])
     def test_bad_symbol_file_is_a_config_error(self, tmp_path, capsys, contents):
         data_path = tmp_path / "symbols.json"
         if contents is not None:
@@ -328,6 +341,7 @@ class TestVerifyMode:
         by_name = {c["name"]: c for c in report["checks"]}
         assert not by_name["block-diagonality"]["passed"]
         assert by_name["block-diagonality"]["deviation"] > 1e-14
+        assert by_name["capacity-route-equality"]["tolerance"] == CP_TOL
 
     def test_large_config_passes_in_budget(self, tmp_path):
         import time

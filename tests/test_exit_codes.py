@@ -2,7 +2,8 @@
 
 A run exits 0 only when everything it wrote is finite; a NaN or an
 overflow anywhere on the way, or a log-det that double precision cannot
-resolve, exits 3, never 0 and never a traceback.
+resolve, exits 3, never 0 and never a traceback. ``verify`` still writes
+its full report, as strict JSON, before it exits 3.
 """
 
 import csv
@@ -64,6 +65,31 @@ def test_numerical_failure_exits_three(tmp_path, capsys, name, mode):
     path.write_text(json.dumps(doc))
     assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
     assert phrases[mode] in capsys.readouterr().err
+
+
+def _strict_json(path: Path):
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def _verify_report(tmp_path: Path, doc: dict):
+    tmp_path.mkdir()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+    return code, _strict_json(tmp_path / "out" / "report.json")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", [name for name, (_, modes) in EXIT_THREE_CONFIGS.items()
+                                  if "verify" in modes])
+def test_failing_verify_writes_its_full_report(tmp_path, name):
+    code, passing = _verify_report(tmp_path / "pass", {"frame": FRAME})
+    assert code == 0 and passing["all_passed"]
+    code, report = _verify_report(tmp_path / "fail", EXIT_THREE_CONFIGS[name][0])
+    assert code == 3
+    assert report["all_passed"] is False
+    assert [c["name"] for c in report["checks"]] == [c["name"] for c in passing["checks"]]
+    assert len(report["checks"]) == 15
 
 
 MAGNITUDES = st.sampled_from([0.0, 1.0, 1e150, 1e300])
@@ -157,3 +183,5 @@ def test_any_tiny_config_exits_cleanly(doc, mode):
         assert code in (0, 2, 3, 4)
         if code == 0:
             _assert_outputs_finite(out_dir)
+        if code == 3 and mode == "verify":
+            _strict_json(out_dir / "report.json")
