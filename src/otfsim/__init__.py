@@ -63,6 +63,7 @@ from .mimo import (
     mimo_effective_matrix,
     mimo_effective_operator,
     mimo_isfft,
+    mimo_modulation_stages,
     mimo_transmit_stages,
     mimo_window,
     mimo_window_diagonal,

@@ -9,7 +9,9 @@ diagonal, K K^H is block diagonal with blocks K_n K_n^H, so the block
 mutual information log2 det(I + K K^H / sigma2) splits into per-symbol
 terms exactly. Both routes are computed here independently and their
 agreement is part of the contract. Only the log-dets depend on sigma2, so
-each trial forms its channels, K, every K_n and every Gram once for all SNRs.
+each trial forms its channels, K, every K_n and every Gram once for all SNRs,
+and the parts of K and of every K_n that do not depend on the channel are
+built once per sweep.
 
 MI follows the paper's convention: identity input covariance, and only
 the transmit window appears in K (the receive window sits after the point
@@ -24,11 +26,12 @@ from typing import List, Sequence
 
 import numpy as np
 
+from . import _lapack
 from .channel import ChannelModel
 from .errors import ConfigError, NonFiniteError
-from .kronops import (OperatorChain, idft_matrix, off_block_max, require_dense, require_finite,
-                      require_within)
-from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_transmit_stages,
+from .kronops import (BlockDiagonalFactor, KronOperator, OperatorChain, idft_matrix,
+                      off_block_max, require_dense, require_finite, require_within)
+from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_modulation_stages,
                    mimo_window_diagonal)
 from .transceiver import WindowSpec
 
@@ -52,25 +55,78 @@ def _log_det_bits(gram: np.ndarray, noise_var: float) -> np.ndarray:
     via Cholesky so large blocks stay in the log domain instead of overflowing.
     A sigma2 so small that gram / sigma2 overflows, or that leaves the unit
     shift of a rank-deficient gram below rounding so the Cholesky fails,
-    raises NonFiniteError."""
+    raises NonFiniteError.
+
+    A single matrix is shifted into a Fortran-ordered buffer, the layout
+    ``np.linalg.cholesky`` copies its input into, and factored there in place
+    by numpy's own ``zpotrf`` when that is found, with the same bits. A
+    Fortran-ordered ``gram`` makes that divide read contiguous memory."""
     if noise_var <= 0:
         raise ConfigError(f"noise variance must be > 0 for MI, got {noise_var}")
-    shifted = gram / noise_var
+    in_place = gram.ndim == 2 and _lapack.zpotrf() is not None
+    shifted = np.divide(gram, noise_var,
+                        out=np.empty(gram.shape, np.complex128, order="F" if in_place else "C"))
     diagonal = np.arange(gram.shape[-1])
     shifted[..., diagonal, diagonal] += 1.0
     require_finite(np.diagonal(shifted, axis1=-2, axis2=-1),
                    f"I + K K^H / sigma2 at sigma2={noise_var:g}")
-    try:
-        chol = np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError as err:
-        raise NonFiniteError(f"Cholesky of I + K K^H / sigma2 at sigma2={noise_var:g}: {err}; "
-                             "sigma2 is too small for the scale of K K^H") from err
-    return 2.0 * np.sum(np.log2(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
+    if in_place:
+        factor = shifted if _lapack.factor_lower(shifted) else None
+    else:
+        try:
+            factor = np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            factor = None
+    if factor is None:
+        raise NonFiniteError(f"Cholesky of I + K K^H / sigma2 at sigma2={noise_var:g}: "
+                             "Matrix is not positive definite; sigma2 is too small for the "
+                             "scale of K K^H")
+    return 2.0 * np.sum(np.log2(np.real(np.diagonal(factor, axis1=-2, axis2=-1))), axis=-1)
 
 
 def mutual_information(k_matrix: np.ndarray, noise_var: float) -> float:
     """log2 det(I + K K^H / sigma2) in bits, from the Cholesky factor."""
     return float(_log_det_bits(_gram(k_matrix), noise_var))
+
+
+def require_k_fits(mcfg: MimoConfig) -> None:
+    """Raise :class:`SizeCapError` unless the whole-block K, (M*N*n_r) x
+    (M*N*n_t), and its Gram, (M*N*n_r) x (M*N*n_r), fit under the dense cap.
+    Runs before any channel of a run is drawn."""
+    rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
+    require_dense(rows, max(rows, cols), "whole-block K and its Gram")
+
+
+class _SweepPlan:
+    """The channel-independent parts of K and of every K_n for one transmit
+    window and geometry, built once per sweep and shared by its trials.
+
+    ``transform`` is B, the C x C product of :func:`mimo_modulation_stages`,
+    so K = diag(blocks) B is the last step ``OperatorChain.materialize``
+    takes on :func:`mimo_transmit_stages`, with the same bits.
+    ``modulator`` is the (N, M*n_t, M*n_t) stack kron(I_{n_t}, F_M^H) W_n,
+    so K_n = block_n modulator_n. B feeds only the block route and the
+    modulator only the per-symbol route, so the two stay independent.
+    """
+
+    def __init__(self, tx_window: WindowSpec, mcfg: MimoConfig):
+        require_k_fits(mcfg)
+        m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
+        self.mcfg = mcfg
+        self.transform = OperatorChain(mimo_modulation_stages(tx_window, mcfg)).materialize()
+        window = mimo_window_diagonal(tx_window, mcfg, mcfg.num_tx).reshape(n, 1, m * mcfg.num_tx)
+        self.modulator = np.kron(np.eye(mcfg.num_tx), idft_matrix(m)) * window
+        # Trials may share the plan across threads.
+        self.transform.flags.writeable = False
+        self.modulator.flags.writeable = False
+
+    def full_k(self, block_channel: np.ndarray) -> np.ndarray:
+        """The whole-block K, shape (M*N*n_r) x (M*N*n_t)."""
+        return KronOperator([BlockDiagonalFactor(block_channel)]).apply(self.transform)
+
+    def per_symbol_k(self, block_channel: np.ndarray) -> np.ndarray:
+        """K_n for each OFDM symbol, an (N, M*n_r, M*n_t) array."""
+        return np.asarray(block_channel, dtype=np.complex128) @ self.modulator
 
 
 def per_symbol_k_matrices(
@@ -79,11 +135,7 @@ def per_symbol_k_matrices(
     mcfg: MimoConfig,
 ) -> np.ndarray:
     """K_n for each OFDM symbol, an (N, M*n_r, M*n_t) array."""
-    m = mcfg.frame.num_subcarriers
-    modulator = np.kron(np.eye(mcfg.num_tx), idft_matrix(m))
-    window = mimo_window_diagonal(tx_window, mcfg, mcfg.num_tx).reshape(
-        mcfg.frame.num_symbols, 1, m * mcfg.num_tx)
-    return np.asarray(block_channel, dtype=np.complex128) @ (modulator * window)
+    return _SweepPlan(tx_window, mcfg).per_symbol_k(block_channel)
 
 
 def full_k_matrix(
@@ -92,7 +144,7 @@ def full_k_matrix(
     mcfg: MimoConfig,
 ) -> np.ndarray:
     """The whole-block K, shape (M*N*n_r) x (M*N*n_t)."""
-    return OperatorChain(mimo_transmit_stages(block_channel, tx_window, mcfg)).materialize()
+    return _SweepPlan(tx_window, mcfg).full_k(block_channel)
 
 
 @dataclass(frozen=True)
@@ -106,21 +158,18 @@ class BlockMiResult:
     additivity_gap: float
 
 
-def _trial_block_mis(channels, tx_window: WindowSpec, noise_vars: Sequence[float],
-                     mcfg: MimoConfig) -> List[BlockMiResult]:
-    """One :class:`BlockMiResult` per noise variance for one channel draw.
-
-    The trial's largest dense arrays are K, (M*N*n_r) x (M*N*n_t), and its
-    Gram, (M*N*n_r) x (M*N*n_r); both are checked against the size cap
-    before anything is built."""
-    rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
-    require_dense(rows, max(rows, cols), "whole-block K and its Gram")
+def _trial_block_mis(channels, plan: _SweepPlan,
+                     noise_vars: Sequence[float]) -> List[BlockMiResult]:
+    """One :class:`BlockMiResult` per noise variance for one channel draw."""
+    mcfg = plan.mcfg
     block_channel = mimo_block_channel(channels, mcfg)
-    gram = _gram(full_k_matrix(block_channel, tx_window, mcfg))
+    gram = _gram(plan.full_k(block_channel))
     worst = off_block_max(gram, mcfg.frame.num_subcarriers * mcfg.num_rx)
     require_within(worst, BLOCK_TOL,
                    "K K^H has off-diagonal block magnitude {deviation:.3e} > {tolerance:.1e}")
-    symbol_grams = _gram(per_symbol_k_matrices(block_channel, tx_window, mcfg))
+    # Fortran order once per trial, so that each noise level's shift reads it contiguously.
+    gram = np.asfortranarray(gram)
+    symbol_grams = _gram(plan.per_symbol_k(block_channel))
     results = []
     for noise_var in noise_vars:
         total = float(_log_det_bits(gram, noise_var))
@@ -149,7 +198,7 @@ def otfs_block_mi(
     indicate a broken decoupling. This is the one-noise-variance case of
     the per-trial pass that :func:`capacity_sweep` runs over its grid.
     """
-    return _trial_block_mis(channels, tx_window, [noise_var], mcfg)[0]
+    return _trial_block_mis(channels, _SweepPlan(tx_window, mcfg), [noise_var])[0]
 
 
 @dataclass(frozen=True)
@@ -201,20 +250,22 @@ def capacity_sweep(
 
     Trial k draws its channels from the stream keyed by (seed, k), so the
     thread count never changes results, and all noise levels share them, so
-    the curve is monotone in the noise variance. Per trial the channels, K,
-    every K_n and every Gram are built once, and each noise level costs one
-    log-det per route. The OTFS route divides the block MI by the frame
-    length, the OFDM route the mean per-symbol MI by the symbol length.
+    the curve is monotone in the noise variance. The channel-independent
+    parts of K and of every K_n are built once, before any channel is drawn;
+    per trial the channels, K, every K_n and every Gram are built once, and
+    each noise level costs one log-det per route. The OTFS route divides the
+    block MI by the frame length, the OFDM route the mean per-symbol MI by the
+    symbol length.
     """
     if not noise_vars:
         raise ConfigError("noise variance grid must be non-empty")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     frame = mcfg.frame
+    plan = _SweepPlan(tx_window, mcfg)
 
     def one_trial(trial: int) -> List[BlockMiResult]:
-        channels = channel_table(model, mcfg, seed, trial)
-        return _trial_block_mis(channels, tx_window, noise_vars, mcfg)
+        return _trial_block_mis(channel_table(model, mcfg, seed, trial), plan, noise_vars)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional, Sequence
 import jsonschema
 import numpy as np
 
-from .capacity import CapacityResult, capacity_sweep
+from .capacity import CapacityResult, capacity_sweep, require_k_fits
 from .channel import ChannelModel, NoiseSpec, awgn, channel_to_json, trial_rng
 from .checks import VerifyContext, run_invariant_checks
 from .errors import ConfigError, DimensionError, OtfsimError
@@ -296,12 +296,17 @@ def parse_config(
     window_doc = effective.get("window", {})
     tx_window = _window_from_doc(window_doc.get("tx"), "tx", frame)
     rx_window = _window_from_doc(window_doc.get("rx"), "rx", frame)
-    # Bound the delays before the model converts them to machine integers.
+    # Bound the delays and the channel length before the model converts them
+    # to machine integers. A tap delayed by the frame length or more reaches
+    # before the frame start from every output sample.
     channel_doc = effective.get("channel", {})
     if channel_doc.get("kind") == "static-multipath":
         largest = max(channel_doc.get("delays", [0]))
         if largest >= frame.num_subcarriers:
             raise ConfigError(f"largest delay {largest} must be below M={frame.num_subcarriers}")
+    elif channel_doc.get("kind") != "identity" and channel_doc.get("L", 1) > frame.frame_len:
+        raise ConfigError(f"channel length L={channel_doc['L']} exceeds the frame length "
+                          f"N*(M+M_cp)={frame.frame_len}")
     model = _channel_from_doc(effective.get("channel"))
 
     if mode != "verify" and model.channel_length - 1 > frame.cp_len:
@@ -455,6 +460,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, data_path: Optional[str])
     mcfg = cfg.mcfg
     frame = cfg.frame
     sigma2 = cfg.sigma2_list[0]
+    require_dense(mcfg.rx_vector_len, mcfg.tx_vector_len, "effective matrix")
     channels = channel_table(cfg.channel_model, mcfg, cfg.seed, 0)
     if data_path is not None:
         entries = _read_json(data_path, "symbol file")
@@ -512,6 +518,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, data_path: Optional[str])
 
 
 def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
+    require_k_fits(cfg.mcfg)
     ctx = VerifyContext(
         mcfg=cfg.mcfg,
         channel_model=cfg.channel_model,

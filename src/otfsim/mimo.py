@@ -251,22 +251,30 @@ def mimo_chain(
     )
 
 
+def mimo_modulation_stages(tx_window: WindowSpec, mcfg: MimoConfig) -> List[KronOperator]:
+    """The channel-independent right-hand part of :func:`mimo_transmit_stages`:
+    OFDM modulation, the transmit window and the inverse 2-D transform, as
+    factorized stages from the data vector to each symbol's samples before
+    CP insertion."""
+    m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
+    return [
+        KronOperator([IdentityFactor(n * mcfg.num_tx), InverseDftFactor(m)]),
+        KronOperator([DiagonalFactor(mimo_window_diagonal(tx_window, mcfg, mcfg.num_tx))]),
+        KronOperator([InverseDftFactor(n), IdentityFactor(mcfg.num_tx), DftFactor(m)]),
+    ]
+
+
 def mimo_transmit_stages(
     block_channel: np.ndarray,
     tx_window: WindowSpec,
     mcfg: MimoConfig,
 ) -> List[KronOperator]:
     """Stacked map from the data vector to the received samples after CP
-    removal, as factorized stages: the per-symbol block channel, OFDM
-    modulation, the transmit window and the inverse 2-D transform. Its
-    product is the whole-block K of the capacity routes."""
-    m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
-    return [
-        KronOperator([BlockDiagonalFactor(block_channel)]),
-        KronOperator([IdentityFactor(n * mcfg.num_tx), InverseDftFactor(m)]),
-        KronOperator([DiagonalFactor(mimo_window_diagonal(tx_window, mcfg, mcfg.num_tx))]),
-        KronOperator([InverseDftFactor(n), IdentityFactor(mcfg.num_tx), DftFactor(m)]),
-    ]
+    removal, as factorized stages: the per-symbol block channel in front of
+    :func:`mimo_modulation_stages`. Its product is the whole-block K of the
+    capacity routes."""
+    return [KronOperator([BlockDiagonalFactor(block_channel)])] + mimo_modulation_stages(
+        tx_window, mcfg)
 
 
 def mimo_effective_operator(

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otfsim._lapack
 import otfsim.capacity
 import otfsim.kronops
 from otfsim.capacity import (
@@ -24,8 +25,9 @@ from otfsim.capacity import (
 )
 from otfsim.channel import ChannelModel, synthesize
 from otfsim.errors import ConfigError, NonFiniteError, SizeCapError, StructureError
-from otfsim.kronops import dft_matrix, kron
-from otfsim.mimo import MimoConfig, channel_table, mimo_block_channel
+from otfsim.kronops import OperatorChain, dft_matrix, kron
+from otfsim.mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_transmit_stages,
+                         mimo_window_diagonal)
 from otfsim.transceiver import OtfsFrameConfig, WindowSpec
 
 
@@ -329,18 +331,18 @@ class TestOnePassSweep:
     def test_trial_work_runs_once_per_trial_whatever_the_grid(self, monkeypatch):
         counts = Counter()
 
-        def counting(name):
-            original = getattr(otfsim.capacity, name)
+        def count(owner, name):
+            original = getattr(owner, name)
 
             def counted(*args, **kwargs):
                 counts[name] += 1
                 return original(*args, **kwargs)
-            return counted
+            monkeypatch.setattr(owner, name, counted)
 
-        names = ("channel_table", "mimo_block_channel", "full_k_matrix",
-                 "per_symbol_k_matrices", "_gram")
-        for name in names:
-            monkeypatch.setattr(otfsim.capacity, name, counting(name))
+        for name in ("channel_table", "mimo_block_channel", "_gram"):
+            count(otfsim.capacity, name)
+        for name in ("__init__", "full_k", "per_symbol_k"):
+            count(otfsim.capacity._SweepPlan, name)
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
         mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=2)
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
@@ -348,8 +350,10 @@ class TestOnePassSweep:
         sweep = capacity_sweep([0.1, 0.5, 2.0], model, WindowSpec.rectangular(), mcfg,
                                trials=trials, seed=8)
         assert len(sweep) == 3
-        # One full-K Gram and one stacked Gram of every K_n in each trial.
-        assert counts == {**{name: trials for name in names[:-1]}, "_gram": trials * 2}
+        # One plan per sweep; in each trial one K, one stack of every K_n, and
+        # one Gram of each.
+        assert counts == {"__init__": 1, "channel_table": trials, "mimo_block_channel": trials,
+                          "full_k": trials, "per_symbol_k": trials, "_gram": trials * 2}
 
     def test_every_point_equals_one_point_block_mi(self):
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
@@ -422,3 +426,101 @@ class TestSizeCap:
         monkeypatch.setattr(otfsim.kronops, "DENSE_ENTRY_CAP", 255)
         with pytest.raises(SizeCapError, match="16x16"):
             otfs_block_mi(channels, window, 0.5, mcfg)
+
+
+@pytest.fixture(params=["zpotrf", "fallback"])
+def log_det_path(request, monkeypatch):
+    """Run a test on numpy's bundled zpotrf called in place, and again with
+    that handle forced to the ``np.linalg.cholesky`` fallback."""
+    if request.param == "fallback":
+        monkeypatch.setattr(otfsim._lapack, "zpotrf", lambda: None)
+    elif otfsim._lapack.zpotrf() is None:
+        pytest.skip("numpy's bundled zpotrf is not found on this platform")
+    return request.param
+
+
+def shifted_gram(gram, noise_var):
+    """I + gram / sigma2, C-ordered."""
+    shifted = gram / noise_var
+    diagonal = np.arange(gram.shape[-1])
+    shifted[..., diagonal, diagonal] += 1.0
+    return shifted
+
+
+class TestInPlaceLogDet:
+    def test_bits_equal_numpy_cholesky(self, log_det_path):
+        rng = np.random.default_rng(21)
+        for rows in [*range(1, 71), 255, 256]:
+            for cols in (rows + 3, max(rows // 2, 1)):
+                gram = otfsim.capacity._gram(rand_complex(rng, rows, cols))
+                for noise_var in (0.1, 10.0):
+                    shifted = shifted_gram(gram, noise_var)
+                    expected = np.real(np.diagonal(np.linalg.cholesky(shifted)))
+                    if log_det_path == "zpotrf":
+                        factor = np.asfortranarray(shifted)
+                        assert otfsim._lapack.factor_lower(factor)
+                        assert np.array_equal(np.real(np.diagonal(factor)), expected), rows
+                    reference = 2.0 * np.sum(np.log2(expected))
+                    for layout in (gram, np.asfortranarray(gram)):
+                        assert otfsim.capacity._log_det_bits(layout, noise_var) == reference, rows
+
+    def test_not_positive_definite_raises_the_same_error(self, log_det_path):
+        # I - 2I and I + [[1, 3], [3, 1]] are not positive definite.
+        message = ("Cholesky of I + K K^H / sigma2 at sigma2=1: Matrix is not positive "
+                   "definite; sigma2 is too small for the scale of K K^H")
+        for gram in (-2.0 * np.eye(3, dtype=complex), np.array([[1, 3], [3, 1]], dtype=complex),
+                     np.stack([np.eye(2), -2.0 * np.eye(2)]).astype(complex)):
+            with pytest.raises(NonFiniteError) as err:
+                otfsim.capacity._log_det_bits(gram, 1.0)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("m, n, antennas, window_kind", [
+        (5, 3, (1, 1), "rectangular"), (7, 5, (2, 1), "general"), (9, 6, (1, 2), "separable"),
+        (4, 2, (2, 2), "general")])
+    def test_sweep_bits_equal_on_both_paths(self, m, n, antennas, window_kind):
+        frame = OtfsFrameConfig(num_subcarriers=m, num_symbols=n, cp_len=3)
+        mcfg = MimoConfig(frame=frame, num_tx=antennas[0], num_rx=antennas[1])
+        model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.05)
+        window = random_window(np.random.default_rng(m), window_kind, frame)
+        noise_vars = [10.0, 1.0, 0.01]
+        fast = capacity_sweep(noise_vars, model, window, mcfg, trials=3, seed=n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(otfsim._lapack, "zpotrf", lambda: None)
+            fallback = capacity_sweep(noise_vars, model, window, mcfg, trials=3, seed=n)
+        for a, b in zip(fast, fallback, strict=True):
+            assert np.array_equal(a.per_trial_otfs_bits, b.per_trial_otfs_bits)
+            assert np.array_equal(a.per_trial_ofdm_bits, b.per_trial_ofdm_bits)
+
+
+def random_window(rng, kind, frame):
+    m, n = frame.num_subcarriers, frame.num_symbols
+    if kind == "separable":
+        return WindowSpec.separable(rand_complex(rng, n), rand_complex(rng, m))
+    if kind == "general":
+        return WindowSpec.general(rand_complex(rng, m * n))
+    return WindowSpec.rectangular()
+
+
+class TestSweepPlan:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4),
+           antennas=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+           window_kind=st.sampled_from(["rectangular", "separable", "general"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_plan_k_is_the_operator_chain_k(self, data, n, antennas, window_kind, seed):
+        m = data.draw(st.integers(1, 8), label="M")
+        taps = data.draw(st.integers(1, m), label="L")
+        cp = data.draw(st.integers(taps - 1, m - 1), label="cp")
+        frame = OtfsFrameConfig(num_subcarriers=m, num_symbols=n, cp_len=cp)
+        mcfg = MimoConfig(frame=frame, num_tx=antennas[0], num_rx=antennas[1])
+        model = ChannelModel.doppler_paths(num_taps=taps, num_paths=1, max_doppler=0.05)
+        window = random_window(np.random.default_rng(seed), window_kind, frame)
+        plan = otfsim.capacity._SweepPlan(window, mcfg)
+        window_stack = mimo_window_diagonal(window, mcfg, mcfg.num_tx).reshape(n, 1, -1)
+        modulator = np.kron(np.eye(mcfg.num_tx), dft_matrix(m).conj().T) * window_stack
+        for trial in range(2):
+            blocks = mimo_block_channel(channel_table(model, mcfg, seed, trial), mcfg)
+            expected = OperatorChain(mimo_transmit_stages(blocks, window, mcfg)).materialize()
+            assert np.array_equal(plan.full_k(blocks), expected)
+            assert np.array_equal(full_k_matrix(blocks, window, mcfg), expected)
+            assert np.array_equal(plan.per_symbol_k(blocks), blocks @ modulator)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from otfsim.channel import CP_TOL, channel_from_json
+from otfsim.channel import CP_TOL, LtvChannel, channel_from_json
 from otfsim.cli import (
     CONFIG_SCHEMA,
     _fmt,
@@ -233,6 +233,10 @@ BROKEN_CONFIGS = {
     "huge-integer-sigma2": dict(BASE, noise={"sigma2": [10**400]}),
     "huge-integer-delay": dict(BASE, channel={"kind": "static-multipath", "gains": [1.0],
                                               "delays": [10**400]}),
+    # verify runs short CPs on purpose, so only the frame length bounds L there.
+    "huge-integer-channel-length": dict(BASE, channel={"kind": "doppler-paths", "L": 10**400,
+                                                       "P": 2}),
+    "channel-longer-than-frame": dict(BASE, channel={"kind": "doppler-paths", "L": 13, "P": 2}),
 }
 
 
@@ -482,6 +486,22 @@ class TestCapacitySizeCap:
         }
         path = write_config(tmp_path, doc)
         assert main(["capacity", "--config", path, "--out", str(tmp_path)]) == 4
+
+
+HUGE_DIMENSIONS = {"antennas": dict(BASE, mimo={"n_t": 10**400}),
+                   "subcarriers": dict(BASE, frame={"M": 10**400, "N": 2, "M_cp": 2})}
+
+
+@pytest.mark.parametrize("huge", HUGE_DIMENSIONS)
+@pytest.mark.parametrize("mode", ["capacity", "simulate", "verify", "effective-channel"])
+def test_huge_dimension_exits_four_before_any_draw(tmp_path, monkeypatch, capsys, mode, huge):
+    def no_draw(self):
+        raise AssertionError("a channel was drawn before the size check")
+
+    monkeypatch.setattr(LtvChannel, "__post_init__", no_draw)
+    path = write_config(tmp_path, HUGE_DIMENSIONS[huge])
+    assert main([mode, "--config", path, "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err.startswith("size cap exceeded: ")
 
 
 class TestLoadConfigDocument:
