@@ -49,10 +49,8 @@ from .kronops import (
     dft_matrix,
     idft_matrix,
     kron,
-    mixed_product_holds,
     unvec,
     vec,
-    vec_identity_holds,
 )
 from .mimo import (
     MimoChainResult,
@@ -64,7 +62,6 @@ from .mimo import (
     mimo_effective_operator,
     mimo_isfft,
     mimo_modulation_stages,
-    mimo_transmit_stages,
     mimo_window,
     mimo_window_diagonal,
     split_stacked_vector,

@@ -11,7 +11,7 @@ terms exactly. Both routes are computed here independently and their
 agreement is part of the contract. Only the log-dets depend on sigma2, so
 each trial forms its channels, K, every K_n and every Gram once for all SNRs,
 and the parts of K and of every K_n that do not depend on the channel are
-built once per sweep.
+built at most once per run, each only by the route that reads it.
 
 MI follows the paper's convention: identity input covariance, and only
 the transmit window appears in K (the receive window sits after the point
@@ -22,15 +22,16 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence
 
 import numpy as np
 
 from . import _lapack
 from .channel import ChannelModel
-from .errors import ConfigError, NonFiniteError
-from .kronops import (BlockDiagonalFactor, KronOperator, OperatorChain, idft_matrix,
-                      off_block_max, require_dense, require_finite, require_within)
+from .errors import ConfigError, DimensionError, NonFiniteError
+from .kronops import (BlockDiagonalFactor, OperatorChain, idft_matrix, off_block_max,
+                      require_dense, require_finite, require_within)
 from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_modulation_stages,
                    mimo_window_diagonal)
 from .transceiver import WindowSpec
@@ -89,40 +90,55 @@ def mutual_information(k_matrix: np.ndarray, noise_var: float) -> float:
     return float(_log_det_bits(_gram(k_matrix), noise_var))
 
 
-def require_k_fits(mcfg: MimoConfig) -> None:
-    """Raise :class:`SizeCapError` unless the whole-block K, (M*N*n_r) x
-    (M*N*n_t), and its Gram, (M*N*n_r) x (M*N*n_r), fit under the dense cap.
-    Runs before any channel of a run is drawn."""
-    rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
-    require_dense(rows, max(rows, cols), "whole-block K and its Gram")
-
-
 class _SweepPlan:
     """The channel-independent parts of K and of every K_n for one transmit
-    window and geometry, built once per sweep and shared by its trials.
+    window and geometry, shared by every trial of a run.
 
-    ``transform`` is B, the C x C product of :func:`mimo_modulation_stages`,
-    so K = diag(blocks) B is the last step ``OperatorChain.materialize``
-    takes on :func:`mimo_transmit_stages`, with the same bits.
-    ``modulator`` is the (N, M*n_t, M*n_t) stack kron(I_{n_t}, F_M^H) W_n,
-    so K_n = block_n modulator_n. B feeds only the block route and the
-    modulator only the per-symbol route, so the two stay independent.
+    The constructor is the cap check: it raises :class:`SizeCapError` unless
+    the whole-block K, (M*N*n_r) x (M*N*n_t), and its Gram, (M*N*n_r) x
+    (M*N*n_r), fit under the dense cap, so an oversized run stops before any
+    channel is drawn. Each part is built on first use and then kept:
+
+    - ``transform`` is B, the C x C product of :func:`mimo_modulation_stages`,
+      so K = diag(blocks) B is the last step ``OperatorChain.materialize``
+      takes with the block-channel stage in front, with the same bits;
+    - ``modulator`` is the (N, M*n_t, M*n_t) stack kron(I_{n_t}, F_M^H) W_n,
+      so K_n = block_n modulator_n.
+
+    B feeds only the block route and the modulator only the per-symbol route,
+    so the two stay independent.
     """
 
     def __init__(self, tx_window: WindowSpec, mcfg: MimoConfig):
-        require_k_fits(mcfg)
-        m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
+        rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
+        require_dense(rows, max(rows, cols), "whole-block K and its Gram")
+        self.tx_window = tx_window
         self.mcfg = mcfg
-        self.transform = OperatorChain(mimo_modulation_stages(tx_window, mcfg)).materialize()
-        window = mimo_window_diagonal(tx_window, mcfg, mcfg.num_tx).reshape(n, 1, m * mcfg.num_tx)
-        self.modulator = np.kron(np.eye(mcfg.num_tx), idft_matrix(m)) * window
-        # Trials may share the plan across threads.
-        self.transform.flags.writeable = False
-        self.modulator.flags.writeable = False
+
+    @cached_property
+    def transform(self) -> np.ndarray:
+        transform = OperatorChain(mimo_modulation_stages(self.tx_window, self.mcfg)).materialize()
+        transform.flags.writeable = False
+        return transform
+
+    @cached_property
+    def modulator(self) -> np.ndarray:
+        mcfg = self.mcfg
+        m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
+        width = m * mcfg.num_tx
+        require_dense(n * width, width, "per-symbol modulator")
+        window = mimo_window_diagonal(self.tx_window, mcfg, mcfg.num_tx).reshape(n, 1, width)
+        modulator = np.kron(np.eye(mcfg.num_tx), idft_matrix(m)) * window
+        modulator.flags.writeable = False
+        return modulator
 
     def full_k(self, block_channel: np.ndarray) -> np.ndarray:
         """The whole-block K, shape (M*N*n_r) x (M*N*n_t)."""
-        return KronOperator([BlockDiagonalFactor(block_channel)]).apply(self.transform)
+        blocks = BlockDiagonalFactor(block_channel)
+        if blocks.cols != self.mcfg.tx_vector_len:
+            raise DimensionError(f"block channel with {blocks.cols} columns cannot act on "
+                                 f"B's {self.mcfg.tx_vector_len} rows")
+        return blocks.apply(self.transform, 0)
 
     def per_symbol_k(self, block_channel: np.ndarray) -> np.ndarray:
         """K_n for each OFDM symbol, an (N, M*n_r, M*n_t) array."""
@@ -263,6 +279,9 @@ def capacity_sweep(
         raise ConfigError(f"trials must be >= 1, got {trials}")
     frame = mcfg.frame
     plan = _SweepPlan(tx_window, mcfg)
+    # Both parts before the first draw, so a part over the cap stops the run
+    # before any channel is drawn, and before trials share the plan across threads.
+    plan.transform, plan.modulator
 
     def one_trial(trial: int) -> List[BlockMiResult]:
         return _trial_block_mis(channel_table(model, mcfg, seed, trial), plan, noise_vars)

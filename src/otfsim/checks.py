@@ -13,12 +13,12 @@ still produces a full report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
 
-from .capacity import ADDITIVITY_TOL, BLOCK_TOL, otfs_block_mi
+from .capacity import ADDITIVITY_TOL, BLOCK_TOL, _SweepPlan, _trial_block_mis
 from .channel import (CP_TOL, ChannelModel, assemble_h_matrix, reduce_to_block_channel,
                       synthesize, trial_rng)
 from .errors import NonFiniteError, StructureError
@@ -64,10 +64,19 @@ class CheckResult:
         }
 
 
+# Random operand sets of the Kronecker identity check, and channel draws of
+# the capacity-route check.
+KRON_CASES = 25
+ROUTE_TRIALS = 3
+
+
 @dataclass
 class VerifyContext:
     """Everything a check needs: frame/antenna geometry, the configured
-    channel model and windows, the first noise level, and the seed."""
+    channel model and windows, the first noise level, and the seed, plus the
+    run's one plan of K's channel-independent parts. Building the plan checks
+    K and its Gram against the dense cap, before any channel is drawn; the
+    MI checks build its parts on first use."""
 
     mcfg: MimoConfig
     channel_model: ChannelModel
@@ -75,6 +84,10 @@ class VerifyContext:
     rx_window: WindowSpec
     noise_var: float
     seed: int
+    plan: _SweepPlan = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.plan = _SweepPlan(self.tx_window, self.mcfg)
 
     @property
     def frame(self) -> OtfsFrameConfig:
@@ -98,10 +111,10 @@ def _flat_channel_table(ctx: VerifyContext, base: int):
             for r in range(mcfg.num_rx)]
 
 
-def check_kron_identities(ctx: VerifyContext, cases: int = 25) -> List[tuple]:
+def check_kron_identities(ctx: VerifyContext) -> List[tuple]:
     rng = trial_rng(ctx.seed, 1)
     worst_mixed = worst_herm = worst_vec = worst_assoc = 0.0
-    for _ in range(cases):
+    for _ in range(KRON_CASES):
         a = _rand_complex(rng, 3, 4)
         b = _rand_complex(rng, 2, 3)
         c = _rand_complex(rng, 4, 2)
@@ -220,17 +233,16 @@ def check_specializations(ctx: VerifyContext) -> List[tuple]:
 
 def check_mi_additivity(ctx: VerifyContext) -> List[tuple]:
     channels = _flat_channel_table(ctx, 30)
-    result = otfs_block_mi(channels, ctx.tx_window, ctx.noise_var, ctx.mcfg)
+    result = _trial_block_mis(channels, ctx.plan, [ctx.noise_var])[0]
     return [(result.off_block_deviation, BLOCK_TOL), (result.additivity_gap, ADDITIVITY_TOL)]
 
 
-def check_capacity_routes(ctx: VerifyContext, trials: int = 3) -> List[tuple]:
-    mcfg = ctx.mcfg
+def check_capacity_routes(ctx: VerifyContext) -> List[tuple]:
     worst = 0.0
-    for trial in range(trials):
-        channels = channel_table(ctx.channel_model, mcfg, ctx.seed, 40 + trial,
+    for trial in range(ROUTE_TRIALS):
+        channels = channel_table(ctx.channel_model, ctx.mcfg, ctx.seed, 40 + trial,
                                  enforce_cp=False)
-        result = otfs_block_mi(channels, ctx.tx_window, ctx.noise_var, mcfg)
+        result = _trial_block_mis(channels, ctx.plan, [ctx.noise_var])[0]
         otfs_rate = result.total_bits / ctx.frame.frame_len
         ofdm_rate = float(np.mean(result.per_symbol_bits)) / ctx.frame.symbol_len
         worst = max(worst, abs(otfs_rate - ofdm_rate))

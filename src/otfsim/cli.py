@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional, Sequence
 import jsonschema
 import numpy as np
 
-from .capacity import CapacityResult, capacity_sweep, require_k_fits
+from .capacity import CapacityResult, capacity_sweep
 from .channel import ChannelModel, NoiseSpec, awgn, channel_to_json, trial_rng
 from .checks import VerifyContext, run_invariant_checks
 from .errors import ConfigError, DimensionError, OtfsimError
@@ -518,7 +518,6 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, data_path: Optional[str])
 
 
 def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
-    require_k_fits(cfg.mcfg)
     ctx = VerifyContext(
         mcfg=cfg.mcfg,
         channel_model=cfg.channel_model,

@@ -55,6 +55,7 @@ def dft_matrix(n: int) -> np.ndarray:
     """Normalized n-point DFT matrix: entry (m, k) = exp(-2j*pi*m*k/n)/sqrt(n)."""
     if n < 1:
         raise DimensionError(f"DFT size must be >= 1, got {n}")
+    require_dense(n, n, "DFT matrix")
     return np.fft.fft(np.eye(n), axis=0, norm="ortho")
 
 
@@ -92,37 +93,6 @@ def off_block_max(matrix: np.ndarray, block: int) -> float:
     worst = [np.max(np.abs(part)) for i in range(0, size, block)
              for part in (matrix[i:i + block, :i], matrix[i:i + block, i + block:]) if part.size]
     return float(np.max(worst)) if worst else 0.0
-
-
-def _max_abs(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x))) if x.size else 0.0
-
-
-def mixed_product_holds(a, b, c, d, tol: float = 1e-10) -> bool:
-    """Whether kron(a, b) @ kron(c, d) equals kron(a @ c, b @ d) to tolerance.
-
-    Test utility; relative to the right-hand side's largest entry.
-    """
-    a, b, c, d = (np.atleast_2d(np.asarray(m)) for m in (a, b, c, d))
-    if a.shape[1] != c.shape[0] or b.shape[1] != d.shape[0]:
-        raise DimensionError(
-            f"inner dimensions not conformable: {a.shape}x{c.shape}, {b.shape}x{d.shape}"
-        )
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
-    return _max_abs(lhs - rhs) <= tol * max(1.0, _max_abs(rhs))
-
-
-def vec_identity_holds(a, x, b, tol: float = 1e-10) -> bool:
-    """Whether kron(b.T, a) @ vec(x) equals vec(a @ x @ b) to tolerance."""
-    a, x, b = (np.atleast_2d(np.asarray(m)) for m in (a, x, b))
-    if a.shape[1] != x.shape[0] or x.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"a @ x @ b not conformable: {a.shape}, {x.shape}, {b.shape}"
-        )
-    lhs = kron(b.T, a) @ vec(x)
-    rhs = vec(a @ x @ b)
-    return _max_abs(lhs - rhs) <= tol * max(1.0, _max_abs(rhs))
 
 
 class DenseFactor:

@@ -25,6 +25,7 @@ from .kronops import (
     InverseDftFactor,
     KronOperator,
     OperatorChain,
+    require_dense,
     vec,
 )
 from .transceiver import OtfsFrameConfig, WindowSpec
@@ -153,6 +154,8 @@ def mimo_block_channel(
     one above ``CP_TOL`` raises :class:`StructureError`. Taps reaching before
     the frame start meet the zero initial state and drop out.
     """
+    require_dense(mcfg.rx_vector_len, mcfg.frame.num_subcarriers * mcfg.num_tx,
+                  "per-symbol block channel stack")
     table = _validated_channels(channels, mcfg)
     frame = mcfg.frame
     m, n, cp = frame.num_subcarriers, frame.num_symbols, frame.cp_len
@@ -252,29 +255,17 @@ def mimo_chain(
 
 
 def mimo_modulation_stages(tx_window: WindowSpec, mcfg: MimoConfig) -> List[KronOperator]:
-    """The channel-independent right-hand part of :func:`mimo_transmit_stages`:
-    OFDM modulation, the transmit window and the inverse 2-D transform, as
-    factorized stages from the data vector to each symbol's samples before
-    CP insertion."""
+    """The channel-independent transmit stages: OFDM modulation, the transmit
+    window and the inverse 2-D transform, as factorized stages from the data
+    vector to each symbol's samples before CP insertion. With the per-symbol
+    block channel in front, their product is the whole-block K of the capacity
+    routes."""
     m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
     return [
         KronOperator([IdentityFactor(n * mcfg.num_tx), InverseDftFactor(m)]),
         KronOperator([DiagonalFactor(mimo_window_diagonal(tx_window, mcfg, mcfg.num_tx))]),
         KronOperator([InverseDftFactor(n), IdentityFactor(mcfg.num_tx), DftFactor(m)]),
     ]
-
-
-def mimo_transmit_stages(
-    block_channel: np.ndarray,
-    tx_window: WindowSpec,
-    mcfg: MimoConfig,
-) -> List[KronOperator]:
-    """Stacked map from the data vector to the received samples after CP
-    removal, as factorized stages: the per-symbol block channel in front of
-    :func:`mimo_modulation_stages`. Its product is the whole-block K of the
-    capacity routes."""
-    return [KronOperator([BlockDiagonalFactor(block_channel)])] + mimo_modulation_stages(
-        tx_window, mcfg)
 
 
 def mimo_effective_operator(
@@ -284,13 +275,15 @@ def mimo_effective_operator(
     mcfg: MimoConfig,
 ) -> OperatorChain:
     """Noiseless stacked end-to-end map as factorized stages: the receive
-    transforms and window in front of :func:`mimo_transmit_stages`."""
+    transforms and window, then the per-symbol block channel, in front of
+    :func:`mimo_modulation_stages`."""
     m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
     return OperatorChain([
         KronOperator([DftFactor(n), IdentityFactor(mcfg.num_rx), InverseDftFactor(m)]),
         KronOperator([DiagonalFactor(mimo_window_diagonal(rx_window, mcfg, mcfg.num_rx))]),
         KronOperator([IdentityFactor(n * mcfg.num_rx), DftFactor(m)]),
-    ] + mimo_transmit_stages(mimo_block_channel(channels, mcfg), tx_window, mcfg))
+        KronOperator([BlockDiagonalFactor(mimo_block_channel(channels, mcfg))]),
+    ] + mimo_modulation_stages(tx_window, mcfg))
 
 
 def mimo_effective_matrix(

@@ -37,6 +37,7 @@ from .kronops import (
     KronOperator,
     OperatorChain,
     dft_matrix,
+    require_dense,
     unvec,
     vec,
 )
@@ -455,6 +456,7 @@ def transmit_basis(cfg: OtfsFrameConfig) -> np.ndarray:
     the CP-extended complex exponential occupying OFDM symbol slot l.
     ``ofdm_modulate`` synthesizes exactly ``sum x[k,l] * basis[k,l]``."""
     m, n, cp = cfg.num_subcarriers, cfg.num_symbols, cfg.cp_len
+    require_dense(m * n, cfg.frame_len, "transmit basis")
     blen = cfg.symbol_len
     basis = np.zeros((m, n, cfg.frame_len), dtype=np.complex128)
     j = np.arange(blen)
@@ -471,6 +473,7 @@ def receive_basis(cfg: OtfsFrameConfig) -> np.ndarray:
     frame onto it (plain sum, entry (k,l) dotted with the frame) equals
     CP removal followed by the per-symbol DFT."""
     m, n, cp = cfg.num_subcarriers, cfg.num_symbols, cfg.cp_len
+    require_dense(m * n, cfg.frame_len, "receive basis")
     blen = cfg.symbol_len
     basis = np.zeros((m, n, cfg.frame_len), dtype=np.complex128)
     j = np.arange(cp, blen)

@@ -5,6 +5,7 @@ on small matrices, and circulant-channel capacity against the closed form
 in terms of the channel's frequency-response values.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -24,9 +25,10 @@ from otfsim.capacity import (
     per_symbol_k_matrices,
 )
 from otfsim.channel import ChannelModel, synthesize
-from otfsim.errors import ConfigError, NonFiniteError, SizeCapError, StructureError
-from otfsim.kronops import OperatorChain, dft_matrix, kron
-from otfsim.mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_transmit_stages,
+from otfsim.cli import main
+from otfsim.errors import ConfigError, DimensionError, NonFiniteError, SizeCapError, StructureError
+from otfsim.kronops import BlockDiagonalFactor, KronOperator, OperatorChain, dft_matrix, kron
+from otfsim.mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_modulation_stages,
                          mimo_window_diagonal)
 from otfsim.transceiver import OtfsFrameConfig, WindowSpec
 
@@ -427,6 +429,22 @@ class TestSizeCap:
         with pytest.raises(SizeCapError, match="16x16"):
             otfs_block_mi(channels, window, 0.5, mcfg)
 
+    def test_transform_over_the_cap_stops_capacity_before_any_draw(self, tmp_path, monkeypatch):
+        # n_t=2, n_r=1, M=4, N=2: K has 8 x 16 = 128 entries and K K^H 64, so
+        # the plan's cap check passes, but B has 16 x 16 = 256 > 200.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "frame": {"M": 4, "N": 2, "M_cp": 2}, "mimo": {"n_t": 2, "n_r": 1},
+            "channel": {"kind": "doppler-paths", "L": 3, "P": 2, "nu_max": 0.05},
+            "noise": {"sigma2": [0.5]}, "run": {"trials": 2, "seed": 7}}))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a channel was drawn before B's cap check")
+
+        monkeypatch.setattr(otfsim.capacity, "channel_table", no_draw)
+        monkeypatch.setattr(otfsim.kronops, "DENSE_ENTRY_CAP", 200)
+        assert main(["capacity", "--config", str(path), "--out", str(tmp_path)]) == 4
+
 
 @pytest.fixture(params=["zpotrf", "fallback"])
 def log_det_path(request, monkeypatch):
@@ -520,7 +538,56 @@ class TestSweepPlan:
         modulator = np.kron(np.eye(mcfg.num_tx), dft_matrix(m).conj().T) * window_stack
         for trial in range(2):
             blocks = mimo_block_channel(channel_table(model, mcfg, seed, trial), mcfg)
-            expected = OperatorChain(mimo_transmit_stages(blocks, window, mcfg)).materialize()
+            expected = OperatorChain([KronOperator([BlockDiagonalFactor(blocks)])]
+                                     + mimo_modulation_stages(window, mcfg)).materialize()
             assert np.array_equal(plan.full_k(blocks), expected)
             assert np.array_equal(full_k_matrix(blocks, window, mcfg), expected)
             assert np.array_equal(plan.per_symbol_k(blocks), blocks @ modulator)
+
+    def test_block_channel_of_the_wrong_width_is_a_dimension_error(self):
+        mcfg = MimoConfig(frame=OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=1))
+        with pytest.raises(DimensionError, match="4 columns cannot act on B's 8 rows"):
+            full_k_matrix(np.ones((1, 2, 4)), WindowSpec.rectangular(), mcfg)
+
+
+class TestOnePlanPerRun:
+    """B (the product of ``mimo_modulation_stages``) and the per-symbol
+    modulator (built from ``idft_matrix``) are each built only by the route
+    that reads them, and at most once per run."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(otfsim.capacity._SweepPlan, "__init__", "plan")
+        count(otfsim.capacity, "mimo_modulation_stages", "transform")
+        count(otfsim.capacity, "idft_matrix", "modulator")
+        return counts
+
+    def test_verify_builds_one_plan_and_one_transform(self, counts, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "frame": {"M": 4, "N": 2, "M_cp": 2}, "mimo": {"n_t": 2, "n_r": 2},
+            "channel": {"kind": "doppler-paths", "L": 3, "P": 2, "nu_max": 0.05},
+            "noise": {"sigma2": [0.5]}, "run": {"seed": 7}}))
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert counts == {"plan": 1, "transform": 1, "modulator": 1}
+
+    def test_each_one_route_builder_builds_only_its_part(self, counts):
+        frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
+        mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=1)
+        model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
+        blocks = mimo_block_channel(channel_table(model, mcfg, 3, 0), mcfg)
+        window = WindowSpec.rectangular()
+        per_symbol_k_matrices(blocks, window, mcfg)
+        assert counts == {"plan": 1, "modulator": 1}
+        full_k_matrix(blocks, window, mcfg)
+        assert counts == {"plan": 2, "modulator": 1, "transform": 1}
