@@ -132,17 +132,22 @@ class _SweepPlan:
         modulator.flags.writeable = False
         return modulator
 
+    def _blocks(self, block_channel: np.ndarray) -> np.ndarray:
+        """``block_channel`` as the (N, M*n_r, M*n_t) stack that both routes read."""
+        mcfg, m = self.mcfg, self.mcfg.frame.num_subcarriers
+        shape = (mcfg.frame.num_symbols, m * mcfg.num_rx, m * mcfg.num_tx)
+        blocks = np.asarray(block_channel, dtype=np.complex128)
+        if blocks.shape != shape:
+            raise DimensionError(f"block channel of shape {blocks.shape}, need {shape}")
+        return blocks
+
     def full_k(self, block_channel: np.ndarray) -> np.ndarray:
         """The whole-block K, shape (M*N*n_r) x (M*N*n_t)."""
-        blocks = BlockDiagonalFactor(block_channel)
-        if blocks.cols != self.mcfg.tx_vector_len:
-            raise DimensionError(f"block channel with {blocks.cols} columns cannot act on "
-                                 f"B's {self.mcfg.tx_vector_len} rows")
-        return blocks.apply(self.transform, 0)
+        return BlockDiagonalFactor(self._blocks(block_channel)).apply(self.transform, 0)
 
     def per_symbol_k(self, block_channel: np.ndarray) -> np.ndarray:
         """K_n for each OFDM symbol, an (N, M*n_r, M*n_t) array."""
-        return np.asarray(block_channel, dtype=np.complex128) @ self.modulator
+        return self._blocks(block_channel) @ self.modulator
 
 
 def per_symbol_k_matrices(

@@ -1,7 +1,7 @@
 """Command-line front end: experiment configs, execution, result export.
 
-Config files are JSON validated against ``CONFIG_SCHEMA``. All outputs are
-deterministic for a given effective config (file config plus CLI
+Config files are JSON, checked in one pass by :func:`parse_config`. All
+outputs are deterministic for a given effective config (file config plus CLI
 overrides): floats are printed with 17 significant digits, rows follow a
 fixed order, and aggregation order never depends on the thread count, so
 identical runs produce byte-identical files.
@@ -21,9 +21,8 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Collection, Iterable, List, Optional, Sequence
 
-import jsonschema
 import numpy as np
 
 from .capacity import CapacityResult, capacity_sweep
@@ -40,88 +39,12 @@ from .transceiver import (
     to_frequency_domain,
 )
 
-_WINDOW_SCHEMA = {
-    "type": "object",
-    "required": ["kind"],
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": ["rectangular", "separable", "general"]},
-        "time": {"type": "array", "minItems": 1},
-        "freq": {"type": "array", "minItems": 1},
-        "taps": {"type": "array", "minItems": 1},
-    },
-}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["frame"],
-    "additionalProperties": False,
-    "properties": {
-        "frame": {
-            "type": "object",
-            "required": ["M", "N"],
-            "additionalProperties": False,
-            "properties": {
-                "M": {"type": "integer", "minimum": 1},
-                "N": {"type": "integer", "minimum": 1},
-                "M_cp": {"type": "integer", "minimum": 0},
-            },
-        },
-        "mimo": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_t": {"type": "integer", "minimum": 1},
-                "n_r": {"type": "integer", "minimum": 1},
-            },
-        },
-        "window": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"tx": _WINDOW_SCHEMA, "rx": _WINDOW_SCHEMA},
-        },
-        "channel": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["identity", "static-multipath", "doppler-paths",
-                                  "block-invariant-doppler"]},
-                "L": {"type": "integer", "minimum": 1},
-                "P": {"type": "integer", "minimum": 1},
-                "nu_max": {"type": "number", "minimum": 0},
-                "gains": {"type": "array", "minItems": 1},
-                "delays": {"type": "array", "minItems": 1,
-                           "items": {"type": "integer", "minimum": 0}},
-            },
-        },
-        "noise": {
-            "type": "object",
-            "additionalProperties": False,
-            "oneOf": [{"required": ["snr_db"]}, {"required": ["sigma2"]}],
-            "properties": {
-                "snr_db": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-                "sigma2": {"type": "array", "minItems": 1,
-                           "items": {"type": "number", "minimum": 0}},
-            },
-        },
-        "run": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": ["capacity", "simulate", "verify", "effective-channel"]},
-                "trials": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-                "threads": {"type": "integer", "minimum": 1},
-                "emit_trials": {"type": "boolean"},
-                "export_channels": {"type": "boolean"},
-                "emit_frequency_domain": {"type": "boolean"},
-                "symbols": {"enum": ["gaussian", "qpsk"]},
-            },
-        },
-    },
-}
+_MODES = ("capacity", "simulate", "verify", "effective-channel")
+# Each window and channel kind with the keys it needs besides "kind".
+_WINDOW_KINDS = {"rectangular": (), "separable": ("time", "freq"), "general": ("taps",)}
+_CHANNEL_KINDS = {"identity": (), "static-multipath": ("gains", "delays"),
+                  "doppler-paths": ("L", "P"), "block-invariant-doppler": ("L", "P")}
+_RUN_FLAGS = ("emit_trials", "export_channels", "emit_frequency_domain")
 
 
 def _fmt(x: float) -> str:
@@ -129,78 +52,133 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_finite_number(x) -> bool:
+    """A JSON number in the float range: not a boolean, a NaN, an infinity or an
+    integer beyond the float range."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _violation(path: str, message: str) -> ConfigError:
+    return ConfigError(f"config schema violation at {path or '<root>'}: {message}")
+
+
+def _object(value, path: str, keys: Sequence[str], required: Sequence[str] = ()) -> dict:
+    """``value`` as a JSON object whose keys are among ``keys`` and include
+    every one of ``required``."""
+    if not isinstance(value, dict):
+        raise _violation(path, f"must be an object, got {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            raise _violation(path, f"unknown key {key!r} (allowed: {', '.join(keys)})")
+    for key in required:
+        if key not in value:
+            raise _violation(path, f"{key!r} is a required key")
+    return value
+
+
+def _number(value, path: str, minimum=None):
+    """``value`` as a finite JSON number at or above ``minimum``."""
+    if not _is_finite_number(value):
+        raise _violation(path, f"{value!r} is not a finite number")
+    if minimum is not None and value < minimum:
+        raise _violation(path, f"{value!r} is less than the minimum of {minimum}")
+    return value
+
+
+def _integer(value, path: str, minimum: int) -> int:
+    """``value`` as an int at or above ``minimum``, of any size. An integral
+    float such as 16.0 counts, as in JSON, and becomes an int."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise _violation(path, f"{value!r} is not an integer")
+    if value < minimum:
+        raise _violation(path, f"{value!r} is less than the minimum of {minimum}")
+    return value
+
+
+def _choice(value, path: str, choices: Collection):
+    """``value`` if it is one of ``choices`` and of the same type, so 1 is not true."""
+    if not any(type(value) is type(choice) and value == choice for choice in choices):
+        raise _violation(path, f"{value!r} is not one of {', '.join(map(json.dumps, choices))}")
+    return value
+
+
+def _array(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise _violation(path, "must be a non-empty array")
+    return value
 
 
 def _complex_list(values, what: str) -> np.ndarray:
-    """Accept a JSON array of finite numbers or of [re, im] pairs of numbers;
-    booleans are not numbers here, and an integer beyond the float range is
-    not finite."""
+    """A JSON array of finite numbers or of [re, im] pairs of them, as complex numbers."""
     out = []
     for v in values:
-        if _is_number(v):
-            parts = (v, 0.0)
-        elif isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
-            parts = v
-        else:
-            raise ConfigError(f"{what}: entries must be numbers or [re, im] pairs, got {v!r}")
-        try:
-            out.append(complex(float(parts[0]), float(parts[1])))
-        except OverflowError:
-            raise ConfigError(f"{what}: entries must be finite") from None
-    out = np.asarray(out, dtype=np.complex128)
-    if not np.all(np.isfinite(out)):
-        raise ConfigError(f"{what}: entries must be finite")
-    return out
+        parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+        if not all(map(_is_finite_number, parts)):
+            raise ConfigError(
+                f"{what}: entries must be finite numbers or [re, im] pairs of them, got {v!r}")
+        out.append(complex(float(parts[0]), float(parts[1])))
+    return np.asarray(out, dtype=np.complex128)
 
 
-def _window_from_doc(doc: Optional[dict], key: str, frame: OtfsFrameConfig) -> WindowSpec:
-    """The window under config key ``key`` (``tx`` or ``rx``)."""
-    role = "transmit" if key == "tx" else "receive"
-    if doc is None:
-        return WindowSpec.rectangular(role)
-    kind = doc["kind"]
+def _window_from_doc(doc, key: str, frame: OtfsFrameConfig) -> WindowSpec:
+    """The window under config key ``key`` (``tx`` or ``rx``). Every array
+    present is checked, whichever kind reads it."""
+    path, role = f"window.{key}", "transmit" if key == "tx" else "receive"
+    keys = ("kind", "time", "freq", "taps")
+    doc = _object(doc, path, keys, ("kind",))
+    kind = _choice(doc["kind"], f"{path}.kind", _WINDOW_KINDS)
+    for name in keys[1:]:
+        if name in doc:
+            _array(doc[name], f"{path}.{name}")
+    _object(doc, path, keys, _WINDOW_KINDS[kind])  # the keys this kind needs
     if kind == "rectangular":
         return WindowSpec.rectangular(role)
     if kind == "separable":
-        if "time" not in doc or "freq" not in doc:
-            raise ConfigError(f"window.{key}: separable window needs 'time' and 'freq' arrays")
-        time = _complex_list(doc["time"], f"window.{key}.time")
-        freq = _complex_list(doc["freq"], f"window.{key}.freq")
+        time = _complex_list(doc["time"], f"{path}.time")
+        freq = _complex_list(doc["freq"], f"{path}.freq")
         if time.size != frame.num_symbols:
-            raise ConfigError(
-                f"window.{key}.time has {time.size} entries, need N={frame.num_symbols}")
+            raise ConfigError(f"{path}.time has {time.size} entries, need N={frame.num_symbols}")
         if freq.size != frame.num_subcarriers:
             raise ConfigError(
-                f"window.{key}.freq has {freq.size} entries, need M={frame.num_subcarriers}")
+                f"{path}.freq has {freq.size} entries, need M={frame.num_subcarriers}")
         return WindowSpec.separable(time, freq, role)
-    if "taps" not in doc:
-        raise ConfigError(f"window.{key}: general window needs a 'taps' array")
-    taps = _complex_list(doc["taps"], f"window.{key}.taps")
+    taps = _complex_list(doc["taps"], f"{path}.taps")
     if taps.size != frame.grid_size:
-        raise ConfigError(
-            f"window.{key}.taps has {taps.size} entries, need M*N={frame.grid_size}")
+        raise ConfigError(f"{path}.taps has {taps.size} entries, need M*N={frame.grid_size}")
     return WindowSpec.general(taps, role)
 
 
-def _channel_from_doc(doc: Optional[dict]) -> ChannelModel:
-    if doc is None:
-        return ChannelModel.identity()
-    kind = doc["kind"]
+def _channel_from_doc(doc, frame: OtfsFrameConfig) -> ChannelModel:
+    """The channel model. Every key present is checked, whichever kind reads
+    it, and the delays and the channel length are bounded by the frame
+    before the model converts them to machine integers: a tap delayed by the
+    frame length or more reaches before the frame start from every output
+    sample."""
+    keys = ("kind", "L", "P", "nu_max", "gains", "delays")
+    doc = _object(doc, "channel", keys, ("kind",))
+    kind = _choice(doc["kind"], "channel.kind", _CHANNEL_KINDS)
+    sizes = {name: _integer(doc[name], f"channel.{name}", 1) for name in ("L", "P") if name in doc}
+    max_doppler = _number(doc.get("nu_max", 0.0), "channel.nu_max", 0)
+    gains = _array(doc.get("gains", [0.0]), "channel.gains")
+    delays = [_integer(d, f"channel.delays.{i}", 0)
+              for i, d in enumerate(_array(doc.get("delays", [0]), "channel.delays"))]
+    _object(doc, "channel", keys, _CHANNEL_KINDS[kind])  # the keys this kind needs
     if kind == "identity":
         return ChannelModel.identity()
     if kind == "static-multipath":
-        if "gains" not in doc or "delays" not in doc:
-            raise ConfigError("channel: static-multipath needs 'gains' and 'delays'")
-        return ChannelModel.static_multipath(
-            _complex_list(doc["gains"], "channel.gains"), doc["delays"])
-    if "L" not in doc or "P" not in doc:
-        raise ConfigError(f"channel: {kind} needs 'L' (taps) and 'P' (paths)")
+        if max(delays) >= frame.num_subcarriers:
+            raise ConfigError(
+                f"largest delay {max(delays)} must be below M={frame.num_subcarriers}")
+        return ChannelModel.static_multipath(_complex_list(gains, "channel.gains"), delays)
+    if sizes["L"] > frame.frame_len:
+        raise ConfigError(f"channel length L={sizes['L']} exceeds the frame length "
+                          f"N*(M+M_cp)={frame.frame_len}")
     return ChannelModel.doppler_paths(
-        num_taps=doc["L"],
-        num_paths=doc["P"],
-        max_doppler=doc.get("nu_max", 0.0),
+        num_taps=sizes["L"],
+        num_paths=sizes["P"],
+        max_doppler=max_doppler,
         block_invariant=(kind == "block-invariant-doppler"),
     )
 
@@ -260,70 +238,72 @@ def parse_config(
     seed: Optional[int] = None,
     threads: Optional[int] = None,
 ) -> ExperimentConfig:
-    """Apply CLI overrides to a copy of a config document, validate the
-    copy, and build the runtime objects. Raises :class:`ConfigError` with
-    an actionable message on any schema or cross-field violation."""
+    """Apply CLI overrides to a copy of a config document, check the copy
+    in one pass, and build the runtime objects. Raises :class:`ConfigError`
+    with an actionable message on any violation; a missing or unknown key,
+    a wrong type, a choice outside its set, a value below its minimum or an
+    empty array is a ``config schema violation at <dotted.path>``. Integer
+    fields accept integral floats such as 16.0; the runtime objects get
+    ints, while the hash and the embedded config keep what was written."""
     effective = json.loads(json.dumps(doc))  # deep copy via round trip
-    run = effective.setdefault("run", {})
-    if isinstance(run, dict):  # any other run fails the schema below
-        for key, value in (("trials", trials), ("seed", seed), ("threads", threads)):
-            if value is not None:
-                run[key] = value
-    try:
-        jsonschema.validate(effective, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {path}: {err.message}") from err
-
-    config_mode = run.get("mode")
-    if config_mode is not None and config_mode != mode:
-        raise ConfigError(
-            f"config run.mode is {config_mode!r} but the {mode!r} subcommand was invoked; "
-            f"remove run.mode or use the matching subcommand")
-    run["mode"] = mode
+    _object(effective, "", ("frame", "mimo", "window", "channel", "noise", "run"), ("frame",))
+    run = _object(effective.setdefault("run", {}), "run",
+                  ("mode", "trials", "seed", "threads", "symbols") + _RUN_FLAGS)
+    for key, value in (("trials", trials), ("seed", seed), ("threads", threads)):
+        if value is not None:
+            run[key] = value
+    # Each count's default is also its minimum.
+    counts = {key: _integer(run.get(key, default), f"run.{key}", default)
+              for key, default in (("trials", 1), ("seed", 0), ("threads", 1))}
+    flags = {key: _choice(run.get(key, False), f"run.{key}", (False, True)) for key in _RUN_FLAGS}
+    symbols = _choice(run.get("symbols", "gaussian"), "run.symbols", ("gaussian", "qpsk"))
+    if "mode" in run:
+        _choice(run["mode"], "run.mode", _MODES)
     # Threads affect wall time only, never results, so they are not part
     # of the experiment identity (hash or embedded config).
-    effective_threads = run.pop("threads", 1)
+    run.pop("threads", None)
 
-    frame_doc = effective["frame"]
+    frame_doc = _object(effective["frame"], "frame", ("M", "N", "M_cp"), ("M", "N"))
     try:
-        frame = OtfsFrameConfig(frame_doc["M"], frame_doc["N"], frame_doc.get("M_cp", 0))
+        frame = OtfsFrameConfig(_integer(frame_doc["M"], "frame.M", 1),
+                                _integer(frame_doc["N"], "frame.N", 1),
+                                _integer(frame_doc.get("M_cp", 0), "frame.M_cp", 0))
     except DimensionError as err:
         raise ConfigError(f"frame: {err}") from err
-    mimo_doc = effective.get("mimo", {})
-    mcfg = MimoConfig(frame=frame, num_tx=mimo_doc.get("n_t", 1), num_rx=mimo_doc.get("n_r", 1))
+    mimo_doc = _object(effective.get("mimo", {}), "mimo", ("n_t", "n_r"))
+    mcfg = MimoConfig(frame=frame, num_tx=_integer(mimo_doc.get("n_t", 1), "mimo.n_t", 1),
+                      num_rx=_integer(mimo_doc.get("n_r", 1), "mimo.n_r", 1))
 
-    window_doc = effective.get("window", {})
-    tx_window = _window_from_doc(window_doc.get("tx"), "tx", frame)
-    rx_window = _window_from_doc(window_doc.get("rx"), "rx", frame)
-    # Bound the delays and the channel length before the model converts them
-    # to machine integers. A tap delayed by the frame length or more reaches
-    # before the frame start from every output sample.
-    channel_doc = effective.get("channel", {})
-    if channel_doc.get("kind") == "static-multipath":
-        largest = max(channel_doc.get("delays", [0]))
-        if largest >= frame.num_subcarriers:
-            raise ConfigError(f"largest delay {largest} must be below M={frame.num_subcarriers}")
-    elif channel_doc.get("kind") != "identity" and channel_doc.get("L", 1) > frame.frame_len:
-        raise ConfigError(f"channel length L={channel_doc['L']} exceeds the frame length "
-                          f"N*(M+M_cp)={frame.frame_len}")
-    model = _channel_from_doc(effective.get("channel"))
+    window_doc = _object(effective.get("window", {}), "window", ("tx", "rx"))
+    tx_window = _window_from_doc(window_doc.get("tx", {"kind": "rectangular"}), "tx", frame)
+    rx_window = _window_from_doc(window_doc.get("rx", {"kind": "rectangular"}), "rx", frame)
+    model = _channel_from_doc(effective.get("channel", {"kind": "identity"}), frame)
 
-    if mode != "verify" and model.channel_length - 1 > frame.cp_len:
-        raise ConfigError(
-            f"channel length L={model.channel_length} needs M_cp >= {model.channel_length - 1} "
-            f"but M_cp={frame.cp_len}; lengthen the CP or shorten the channel")
-
-    noise_doc = effective.get("noise", {"sigma2": [1.0]})
-    if "snr_db" in noise_doc:
-        snr_db_list = _complex_list(noise_doc["snr_db"], "noise.snr_db").real.tolist()
+    noise_doc = _object(effective.get("noise", {"sigma2": [1.0]}), "noise", ("snr_db", "sigma2"))
+    if len(noise_doc) != 1:
+        raise _violation("noise", "needs exactly one of 'snr_db' and 'sigma2'")
+    (key, values), = noise_doc.items()
+    values = [float(_number(value, f"noise.{key}.{i}", 0 if key == "sigma2" else None))
+              for i, value in enumerate(_array(values, f"noise.{key}"))]
+    if key == "snr_db":
+        snr_db_list = values
         try:
             sigma2_list = [10.0 ** (-s / 10.0) for s in snr_db_list]
         except OverflowError as err:
             raise ConfigError(f"noise.snr_db: {min(snr_db_list)} dB overflows sigma2") from err
     else:
-        sigma2_list = _complex_list(noise_doc["sigma2"], "noise.sigma2").real.tolist()
+        sigma2_list = values
         snr_db_list = [(-10.0 * np.log10(s)) if s > 0 else float("inf") for s in sigma2_list]
+    # The checks across blocks come last, so a document with a violation in
+    # some block reports that violation.
+    if run.setdefault("mode", mode) != mode:
+        raise ConfigError(
+            f"config run.mode is {run['mode']!r} but the {mode!r} subcommand was invoked; "
+            f"remove run.mode or use the matching subcommand")
+    if mode != "verify" and model.channel_length - 1 > frame.cp_len:
+        raise ConfigError(
+            f"channel length L={model.channel_length} needs M_cp >= {model.channel_length - 1} "
+            f"but M_cp={frame.cp_len}; lengthen the CP or shorten the channel")
     if mode == "capacity" and any(s <= 0 for s in sigma2_list):
         raise ConfigError("capacity mode needs strictly positive noise variances")
 
@@ -336,14 +316,12 @@ def parse_config(
         channel_model=model,
         sigma2_list=sigma2_list,
         snr_db_list=snr_db_list,
-        trials=run.get("trials", 1),
-        seed=run.get("seed", 0),
-        threads=effective_threads,
-        emit_trials=run.get("emit_trials", False),
-        export_channels=run.get("export_channels", False),
-        emit_frequency_domain=run.get("emit_frequency_domain", False),
-        symbols=run.get("symbols", "gaussian"),
+        trials=counts["trials"],
+        seed=counts["seed"],
+        threads=counts["threads"],
+        symbols=symbols,
         hash=config_hash(effective),
+        **flags,
     )
 
 
@@ -456,11 +434,17 @@ def _noise_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(1)[0])
 
 
+def _require_effective_fits(mcfg: MimoConfig) -> None:
+    """The cap check that ``mimo_effective_matrix`` makes, before any channel is drawn."""
+    cols = mcfg.tx_vector_len
+    require_dense(max(mcfg.rx_vector_len, cols), cols, "effective matrix's operator chain")
+
+
 def run_simulate(cfg: ExperimentConfig, out_dir: Path, data_path: Optional[str]) -> int:
     mcfg = cfg.mcfg
     frame = cfg.frame
     sigma2 = cfg.sigma2_list[0]
-    require_dense(mcfg.rx_vector_len, mcfg.tx_vector_len, "effective matrix")
+    _require_effective_fits(mcfg)
     channels = channel_table(cfg.channel_model, mcfg, cfg.seed, 0)
     if data_path is not None:
         entries = _read_json(data_path, "symbol file")
@@ -548,13 +532,11 @@ def run_effective_channel(cfg: ExperimentConfig, out_dir: Path) -> int:
     threshold = 1e-12  # entries at or below this magnitude stay out of the CSVs
     mcfg = cfg.mcfg
     frame = cfg.frame
-    rows_out = frame.grid_size * mcfg.num_rx
-    cols_out = frame.grid_size * mcfg.num_tx
-    require_dense(rows_out, cols_out, "effective matrix")
+    _require_effective_fits(mcfg)
     channels = channel_table(cfg.channel_model, mcfg, cfg.seed, 0)
     effective = mimo_effective_matrix(channels, cfg.tx_window, cfg.rx_window, mcfg)
     count = _write_sparse_csv(out_dir / "effective_dd.csv", effective, threshold)
-    meta = {"config_hash": cfg.hash, "shape": [int(rows_out), int(cols_out)],
+    meta = {"config_hash": cfg.hash, "shape": [mcfg.rx_vector_len, mcfg.tx_vector_len],
             "entries_above_threshold": count, "threshold": threshold}
 
     if mcfg.num_tx == 1 and mcfg.num_rx == 1:
@@ -581,14 +563,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "invariant verification, effective-channel export",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("capacity", "simulate", "verify", "effective-channel"):
+    for mode in _MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=".", help="output directory (created if missing)")
-        p.add_argument("--trials", type=int, default=None, help="override run.trials")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (speed only, never changes results)")
+        if mode == "capacity":  # the only mode that reads run.trials and run.threads
+            p.add_argument("--trials", type=int, default=None, help="override run.trials")
+            p.add_argument("--threads", type=int, default=None,
+                           help="worker threads (speed only, never changes results)")
         if mode == "simulate":
             p.add_argument("--data", default=None,
                            help="JSON file of data symbols (numbers or [re, im] pairs)")
@@ -599,8 +582,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         doc = load_config_document(args.config)
-        cfg = parse_config(doc, mode=args.mode, trials=args.trials,
-                           seed=args.seed, threads=args.threads)
+        cfg = parse_config(doc, mode=args.mode, trials=getattr(args, "trials", None),
+                           seed=args.seed, threads=getattr(args, "threads", None))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.mode == "capacity":

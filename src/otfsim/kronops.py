@@ -275,5 +275,9 @@ class OperatorChain:
         return x
 
     def materialize(self) -> np.ndarray:
-        require_dense(*self.shape, "materialized operator chain")
-        return self.apply(np.eye(self.shape[1], dtype=np.complex128))
+        """The stages applied to the C x C identity; the widest array this holds
+        is max(C, every stage's rows) x C."""
+        cols = self.shape[1]
+        require_dense(max(cols, *(stage.shape[0] for stage in self.stages)), cols,
+                      "materialized operator chain")
+        return self.apply(np.eye(cols, dtype=np.complex128))

@@ -546,8 +546,19 @@ class TestSweepPlan:
 
     def test_block_channel_of_the_wrong_width_is_a_dimension_error(self):
         mcfg = MimoConfig(frame=OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=1))
-        with pytest.raises(DimensionError, match="4 columns cannot act on B's 8 rows"):
+        with pytest.raises(DimensionError, match=r"shape \(1, 2, 4\), need \(2, 4, 4\)"):
             full_k_matrix(np.ones((1, 2, 4)), WindowSpec.rectangular(), mcfg)
+
+    # An M=4, N=2 SISO frame needs a (2, 4, 4) stack. Without the shape check
+    # the first stack gave an 8 x 8 K, the second broadcast to two K_n, and the
+    # third ended in numpy's matmul ValueError.
+    @pytest.mark.parametrize("builder, shape", [
+        (full_k_matrix, (1, 8, 8)), (per_symbol_k_matrices, (1, 4, 4)),
+        (per_symbol_k_matrices, (1, 8, 8))], ids=["full-k-8x8", "k-n-4x4", "k-n-8x8"])
+    def test_both_routes_check_the_whole_block_channel_shape(self, builder, shape):
+        mcfg = MimoConfig(frame=OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=1))
+        with pytest.raises(DimensionError, match=r"need \(2, 4, 4\)"):
+            builder(np.ones(shape), WindowSpec.rectangular(), mcfg)
 
 
 class TestOnePlanPerRun:

@@ -3,13 +3,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otfsim
+from otfsim import kronops
 from otfsim.channel import CP_TOL, LtvChannel, channel_from_json
 from otfsim.cli import (
-    CONFIG_SCHEMA,
     _fmt,
     _write_sparse_csv,
     config_hash,
@@ -94,10 +99,6 @@ class TestConfigParsing:
     def test_hash_is_stable(self):
         doc = {"frame": {"M": 4, "N": 2}}
         assert config_hash(doc) == config_hash(json.loads(json.dumps(doc)))
-
-    def test_schema_is_valid_jsonschema(self):
-        import jsonschema
-        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
 
 class TestCapacityMode:
@@ -502,6 +503,151 @@ def test_huge_dimension_exits_four_before_any_draw(tmp_path, monkeypatch, capsys
     path = write_config(tmp_path, HUGE_DIMENSIONS[huge])
     assert main([mode, "--config", path, "--out", str(tmp_path)]) == 4
     assert capsys.readouterr().err.startswith("size cap exceeded: ")
+
+
+# Four transmit antennas and one receive antenna on an M=4, N=2 frame: the
+# effective matrix is 8 x 32 (256 entries), but materializing it applies its
+# stages to the 32 x 32 identity first.
+WIDE_TRANSMIT = dict(BASE, frame={"M": 4, "N": 2, "M_cp": 1}, mimo={"n_t": 4, "n_r": 1},
+                     channel={"kind": "doppler-paths", "L": 2, "P": 2})
+
+
+@pytest.mark.parametrize("mode", ["simulate", "effective-channel"])
+def test_effective_matrix_check_counts_the_identity(tmp_path, monkeypatch, capsys, mode):
+    def no_draw(self):
+        raise AssertionError("a channel was drawn before the size check")
+
+    monkeypatch.setattr(LtvChannel, "__post_init__", no_draw)
+    monkeypatch.setattr(kronops, "DENSE_ENTRY_CAP", 256)
+    path = write_config(tmp_path, WIDE_TRANSMIT)
+    assert main([mode, "--config", path, "--out", str(tmp_path)]) == 4
+    assert "32x32 entries (cap 256)" in capsys.readouterr().err
+
+
+# One bad value for each rule of the config's shape; each exits 2 as a
+# schema violation in every subcommand.
+SCHEMA_VIOLATIONS = {
+    "unknown-key": dict(BASE, bogus=1),
+    "unknown-frame-key": dict(BASE, frame={"M": 4, "N": 2, "K": 1}),
+    "unknown-window-key": dict(BASE, window={"tx": {"kind": "rectangular", "gain": [1]}}),
+    "unknown-run-key": dict(BASE, run={"trails": 3}),
+    "missing-frame": {"channel": {"kind": "identity"}},
+    "missing-N": dict(BASE, frame={"M": 4}),
+    "missing-window-kind": dict(BASE, window={"tx": {}}),
+    "missing-channel-kind": dict(BASE, channel={"L": 3, "P": 2}),
+    "window-kind": dict(BASE, window={"rx": {"kind": "hann"}}),
+    "channel-kind": dict(BASE, channel={"kind": "rayleigh"}),
+    "run-mode": dict(BASE, run={"mode": "train"}),
+    "symbols": dict(BASE, run={"symbols": "bpsk"}),
+    "boolean-M": dict(BASE, frame={"M": True, "N": 2}),
+    "fractional-M": dict(BASE, frame={"M": 4.5, "N": 2}),
+    "string-seed": dict(BASE, run={"seed": "1"}),
+    "boolean-n_t": dict(BASE, mimo={"n_t": True}),
+    "fractional-delay": dict(BASE, channel={"kind": "static-multipath", "gains": [1.0],
+                                            "delays": [0.5]}),
+    "infinite-L": dict(BASE, channel={"kind": "doppler-paths", "L": "1e400", "P": 2}),
+    "M-below-minimum": dict(BASE, frame={"M": 0, "N": 2}),
+    "M_cp-below-minimum": dict(BASE, frame={"M": 4, "N": 2, "M_cp": -1}),
+    "n_r-below-minimum": dict(BASE, mimo={"n_r": 0}),
+    "P-below-minimum": dict(BASE, channel={"kind": "doppler-paths", "L": 3, "P": 0}),
+    "trials-below-minimum": dict(BASE, run={"trials": 0}),
+    "threads-below-minimum": dict(BASE, run={"threads": 0.0}),
+    "negative-delay": dict(BASE, channel={"kind": "static-multipath", "gains": [1.0],
+                                          "delays": [-1]}),
+    "negative-nu_max": dict(BASE, channel={"kind": "doppler-paths", "L": 3, "P": 2,
+                                           "nu_max": -0.1}),
+    "negative-sigma2": dict(BASE, noise={"sigma2": [-0.5]}),
+    "string-snr_db": dict(BASE, noise={"snr_db": ["10"]}),
+    "empty-taps": dict(BASE, window={"tx": {"kind": "general", "taps": []}}),
+    "empty-unread-array": dict(BASE, window={"tx": {"kind": "rectangular", "time": []}}),
+    "empty-gains": dict(BASE, channel={"kind": "static-multipath", "gains": [], "delays": [0]}),
+    "empty-snr_db": dict(BASE, noise={"snr_db": []}),
+    "non-array-time": dict(BASE, window={"tx": {"kind": "separable", "time": 1.0,
+                                                "freq": [1.0] * 4}}),
+    "non-boolean-flag": dict(BASE, run={"emit_trials": 1}),
+    "both-noise-forms": dict(BASE, noise={"snr_db": [1.0], "sigma2": [0.5]}),
+    "neither-noise-form": dict(BASE, noise={}),
+    "null-mimo": dict(BASE, mimo=None),
+    "null-window": dict(BASE, window={"tx": None}),
+    "null-channel": dict(BASE, channel=None),
+    "null-run": dict(BASE, run=None),
+}
+
+
+@pytest.mark.parametrize("rule", SCHEMA_VIOLATIONS)
+@pytest.mark.parametrize("mode", ["capacity", "simulate", "verify", "effective-channel"])
+def test_schema_violation_exits_two(tmp_path, capsys, mode, rule):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SCHEMA_VIOLATIONS[rule]).replace('"1e400"', "1e400"))
+    assert main([mode, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config schema violation at ")
+
+
+# The keys that only some kinds need, each left out once.
+KIND_KEYS = {
+    "freq": dict(BASE, window={"tx": {"kind": "separable", "time": [1.0, 1.0]}}),
+    "taps": dict(BASE, window={"rx": {"kind": "general"}}),
+    "delays": dict(BASE, channel={"kind": "static-multipath", "gains": [1.0]}),
+    "P": dict(BASE, channel={"kind": "block-invariant-doppler", "L": 3}),
+}
+
+
+@pytest.mark.parametrize("key", KIND_KEYS)
+@pytest.mark.parametrize("mode", ["capacity", "simulate", "verify", "effective-channel"])
+def test_key_the_kind_needs_exits_two(tmp_path, capsys, mode, key):
+    path = write_config(tmp_path, KIND_KEYS[key])
+    assert main([mode, "--config", path, "--out", str(tmp_path)]) == 2
+    assert f"{key!r} is a required key" in capsys.readouterr().err
+
+
+def _integral_floats(doc):
+    return json.loads(json.dumps(doc), parse_int=float)
+
+
+INTEGER_FIELDS = {"frame": {"M": 4, "N": 2, "M_cp": 2}, "mimo": {"n_t": 2, "n_r": 1},
+                  "channel": {"kind": "doppler-paths", "L": 3, "P": 2, "nu_max": 0.05},
+                  "noise": {"snr_db": [10]}, "run": {"trials": 2, "seed": 1, "threads": 2}}
+
+
+def _outputs(out_dir):
+    """Every output file, with the config and its hash left out."""
+    files = {}
+    for path in sorted(out_dir.rglob("*")):
+        if path.suffix == ".json":
+            doc = json.loads(path.read_text())
+            files[path.name] = {k: v for k, v in doc.items() if k not in ("config", "config_hash")}
+        elif path.suffix == ".csv":
+            files[path.name] = [{k: v for k, v in row.items() if k != "config_hash"}
+                                for row in read_csv(path)]
+    return files
+
+
+@pytest.mark.parametrize("mode", ["capacity", "simulate", "verify", "effective-channel"])
+def test_integral_floats_run_like_integers(tmp_path, mode):
+    floats = _integral_floats(INTEGER_FIELDS)
+    assert floats["frame"]["M"] == 4.0 and isinstance(floats["frame"]["M"], float)
+    for name, doc in (("int", INTEGER_FIELDS), ("float", floats)):
+        path = write_config(tmp_path, doc, f"{name}.json")
+        assert main([mode, "--config", path, "--out", str(tmp_path / name)]) == 0
+    assert _outputs(tmp_path / "int") == _outputs(tmp_path / "float")
+    cfg = parse_config(floats, mode=mode)
+    assert type(cfg.frame.num_subcarriers) is int and type(cfg.trials) is int
+    assert cfg.raw["frame"]["M"] == 4.0 and isinstance(cfg.raw["frame"]["M"], float)
+
+
+@pytest.mark.parametrize("mode", ["simulate", "verify", "effective-channel"])
+@pytest.mark.parametrize("flag", ["--trials", "--threads"])
+def test_capacity_only_flags(tmp_path, mode, flag):
+    path = write_config(tmp_path, dict(BASE))
+    with pytest.raises(SystemExit) as err:
+        main([mode, "--config", path, "--out", str(tmp_path), flag, "2"])
+    assert err.value.code == 2
+
+
+def test_cli_import_leaves_jsonschema_out():
+    code = "import sys, otfsim.cli; sys.exit('jsonschema' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(otfsim.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestLoadConfigDocument:

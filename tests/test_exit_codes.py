@@ -105,16 +105,21 @@ def _values(draw, size):
 @st.composite
 def config_documents(draw):
     """A tiny config whose sizes either all fit (``fits``) or may each be off
-    by one: window lengths, the CP, the channel length and the delays."""
+    by one: window lengths, the CP, the channel length and the delays. Each
+    integer field is sometimes written as an integral float such as 2.0."""
     fits = draw(st.booleans())
 
     def size(right, low=1):
         return right if fits else draw(st.integers(max(right - 1, low), right + 1))
 
+    def integer(value):
+        return float(value) if draw(st.booleans()) else value
+
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     cp = draw(st.integers(0, size(m - 1, low=0)))
-    doc = {"frame": {"M": m, "N": n, "M_cp": cp},
-           "mimo": {"n_t": draw(st.sampled_from([1, 2])), "n_r": draw(st.sampled_from([1, 2]))},
+    doc = {"frame": {"M": integer(m), "N": integer(n), "M_cp": integer(cp)},
+           "mimo": {"n_t": integer(draw(st.sampled_from([1, 2]))),
+                    "n_r": integer(draw(st.sampled_from([1, 2])))},
            "window": {}}
     for role in ("tx", "rx"):
         kind = draw(st.sampled_from(["rectangular", "separable", "general"]))
@@ -132,18 +137,20 @@ def config_documents(draw):
     if kind == "static-multipath":
         delays = draw(st.lists(st.integers(0, longest - 1), min_size=1, max_size=3,
                                unique=fits))
-        channel["delays"] = delays
+        channel["delays"] = [integer(delay) for delay in delays]
         channel["gains"] = _values(draw, size(len(delays)))
     elif kind != "identity":
-        channel["L"] = draw(st.integers(1, longest))
-        channel["P"] = draw(st.integers(1, size(channel["L"])))
+        taps = draw(st.integers(1, longest))
+        channel["L"] = integer(taps)
+        channel["P"] = integer(draw(st.integers(1, size(taps))))
         channel["nu_max"] = draw(st.sampled_from([0.0, 0.05]))
     doc["channel"] = channel
     if draw(st.booleans()):
         doc["noise"] = {"sigma2": [draw(st.sampled_from([0.0, 1e-310, 0.5, 1e300]))]}
     else:
         doc["noise"] = {"snr_db": [draw(st.sampled_from([-4000.0, 0.0, 3090.0]))]}
-    doc["run"] = {"seed": draw(st.integers(0, 3)), "trials": draw(st.integers(1, 2)),
+    doc["run"] = {"seed": integer(draw(st.integers(0, 3))),
+                  "trials": integer(draw(st.integers(1, 2))),
                   "emit_trials": draw(st.booleans()), "export_channels": draw(st.booleans()),
                   "emit_frequency_domain": draw(st.booleans())}
     return doc

@@ -325,6 +325,16 @@ class TestOneCap:
         with pytest.raises(SizeCapError, match=r"2x2 entries \(cap 3\)"):
             DENSE_SITES[site]()
 
+    def test_operator_chain_counts_its_widest_stage(self, monkeypatch):
+        # A 1 x 1 product whose first stage applied to the 1 x 1 identity
+        # gives a 4 x 1 array.
+        chain = OperatorChain([KronOperator([DenseFactor(np.ones((1, 4)))]),
+                               KronOperator([DenseFactor(np.ones((4, 1)))])])
+        assert chain.materialize() == 4.0
+        monkeypatch.setattr(kronops, "DENSE_ENTRY_CAP", 3)
+        with pytest.raises(SizeCapError, match=r"4x1 entries \(cap 3\)"):
+            chain.materialize()
+
     def test_cli_effective_channel_reads_the_one_cap(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"frame": {"M": 2, "N": 1}}))
