@@ -15,13 +15,16 @@ double precision cannot resolve, 4 dense-size cap exceeded.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import csv
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, List, Optional, Sequence
+from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -362,21 +365,89 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]])
         writer.writerows(rows)
 
 
+# Matrix entries per task of the sparse-CSV writer: at most about 1.7 MB of
+# CSV text per task, so the chunks in flight stay small in the parent.
+_CSV_CHUNK_ENTRIES = 1 << 15
+
+
+def _csv_rows(first: int, rows: np.ndarray, threshold: float) -> Tuple[str, int]:
+    """The sparse-CSV lines of ``rows``, numbered from ``first``, and their
+    entry count. Each row is one ``%`` template; ``"%.17g" % x`` formats as
+    :func:`_fmt` does."""
+    parts = []
+    count = 0
+    for i, row in enumerate(rows, first):
+        cols = np.flatnonzero(np.abs(row) > threshold)
+        values = row[cols]
+        cells = [None] * (3 * len(cols))
+        cells[0::3] = cols.tolist()
+        cells[1::3] = values.real.tolist()
+        cells[2::3] = values.imag.tolist()
+        parts.append((f"{i},%d,%.17g,%.17g\n" * len(cols)) % tuple(cells))
+        count += len(cols)
+    return "".join(parts), count
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _formatted_chunks(chunks: Sequence[tuple]) -> Iterator[Iterator[Tuple[str, int]]]:
+    """Iterate over ``_csv_rows(*chunk)`` for each chunk, in order. In-process
+    for one chunk or one usable CPU; otherwise on a process pool with one
+    worker per usable CPU and at most two chunks per worker in flight. No
+    worker outlives the ``with`` block, also when it raises."""
+    workers = min(_usable_cpus(), len(chunks))
+    if workers < 2:
+        yield (_csv_rows(*chunk) for chunk in chunks)
+        return
+    # Imported here, so that importing the CLI does not load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    def in_order(pool):
+        pending = collections.deque()
+        for chunk in chunks:
+            pending.append(pool.submit(_csv_rows, *chunk))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+    # The platform's default start method: fork on Linux up to Python 3.13.
+    # Spawned workers would each import numpy and the package again, which
+    # took 1.1 s more wall time and 2 s more CPU time per effective-channel
+    # run at M=64, N=16 on 2 vCPUs. Workers only format; they call no BLAS.
+    pool = ProcessPoolExecutor(workers)
+    try:
+        yield in_order(pool)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _write_sparse_csv(path: Path, matrix: np.ndarray, threshold: float) -> int:
     """Write the entries of ``matrix`` above ``threshold`` in magnitude as
     (row, col, re, im) lines in row-major order, floats formatted as by
-    :func:`_fmt`, one matrix row at a time; returns the entry count. A
-    non-finite row raises :class:`NonFiniteError` before it is written."""
+    :func:`_fmt`; returns the entry count. Rows are formatted in chunks on
+    every usable CPU, with the same bytes for any CPU count. A non-finite
+    matrix raises :class:`NonFiniteError`, naming its first non-finite row,
+    before the file is created."""
+    finite_rows = np.isfinite(matrix).all(axis=1)
+    if not finite_rows.all():
+        first = int(np.argmin(finite_rows))
+        require_finite(matrix[first], f"{path.name} row {first}")
+    step = max(1, _CSV_CHUNK_ENTRIES // max(1, matrix.shape[1]))
+    chunks = [(first, matrix[first:first + step], threshold)
+              for first in range(0, len(matrix), step)]
     count = 0
-    with path.open("w") as fh:
+    with path.open("w") as fh, _formatted_chunks(chunks) as texts:
         fh.write("row,col,re,im\n")
-        for i, row in enumerate(matrix):
-            require_finite(row, f"{path.name} row {i}")
-            cols = np.flatnonzero(np.abs(row) > threshold)
-            values = row[cols]
-            fh.writelines(f"{i},{j},{re:.17g},{im:.17g}\n" for j, re, im in zip(
-                cols.tolist(), values.real.tolist(), values.imag.tolist()))
-            count += len(cols)
+        for text, n in texts:
+            fh.write(text)
+            count += n
     return count
 
 

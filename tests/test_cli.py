@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,11 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import otfsim
 from otfsim import kronops
 from otfsim.channel import CP_TOL, LtvChannel, channel_from_json
 from otfsim.cli import (
+    _CSV_CHUNK_ENTRIES,
     _fmt,
     _write_sparse_csv,
     config_hash,
@@ -22,7 +26,7 @@ from otfsim.cli import (
     main,
     parse_config,
 )
-from otfsim.errors import ConfigError
+from otfsim.errors import ConfigError, NonFiniteError
 from otfsim.kronops import dft_matrix, kron
 
 
@@ -451,6 +455,48 @@ class TestEffectiveChannelMode:
         assert main(["effective-channel", "--config", path, "--out", str(tmp_path)]) == 4
 
 
+THRESHOLD = 1e-12  # the effective-channel export's threshold
+TINY = 5e-324
+HUGE = 1.7976931348623157e308
+SPECIAL_PARTS = [0.0, -0.0, TINY, -TINY, HUGE, -HUGE, 1.0, -2.5e17, 1e17,
+                 THRESHOLD, -THRESHOLD, np.nextafter(THRESHOLD, 1.0), THRESHOLD / 2]
+BELOW_THRESHOLD = [0.0, -0.0, TINY, complex(-0.0, THRESHOLD), THRESHOLD / 2 - 1e-13j]
+
+
+def _per_line_csv(matrix, threshold):
+    """The sparse CSV written one f-string per entry: the writer's reference."""
+    lines = ["row,col,re,im\n"]
+    for i, row in enumerate(matrix):
+        cols = np.flatnonzero(np.abs(row) > threshold)
+        values = row[cols]
+        lines.extend(f"{i},{j},{re:.17g},{im:.17g}\n" for j, re, im in zip(
+            cols.tolist(), values.real.tolist(), values.imag.tolist()))
+    return "".join(lines).encode(), len(lines) - 1
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A complex matrix filled from a drawn palette of parts: the extremes,
+    -0.0, integral values and the threshold's neighbourhood among them. The
+    shapes cover 1x1, 1xn, nx1 and a matrix of several writer chunks; some
+    rows hold only entries at or below the threshold."""
+    size = st.integers(2, 12)
+    rows, cols = draw(st.one_of(
+        st.just((1, 1)), st.tuples(st.just(1), size), st.tuples(size, st.just(1)),
+        st.tuples(size, size),
+        st.tuples(st.integers(33, 40), st.just(_CSV_CHUNK_ENTRIES // 16))))
+    part = st.one_of(st.sampled_from(SPECIAL_PARTS),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    palette = np.array([complex(draw(part), draw(part))
+                        for _ in range(draw(st.integers(1, 8)))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = palette[rng.integers(len(palette), size=(rows, cols))]
+    quiet = draw(st.lists(st.integers(0, rows - 1), max_size=3))
+    matrix[quiet] = np.array(BELOW_THRESHOLD)[rng.integers(len(BELOW_THRESHOLD),
+                                                           size=(len(quiet), cols))]
+    return np.asfortranarray(matrix) if draw(st.booleans()) else matrix
+
+
 class TestSparseCsv:
     def test_bytes_match_csv_writer_with_fmt(self, tmp_path):
         matrix = np.array([[complex(1 / 3, -0.0), 0.0, complex(-2.5e17, 1e-300)],
@@ -464,6 +510,32 @@ class TestSparseCsv:
                          for i, j in kept)
         assert count == len(kept)
         assert (tmp_path / "m.csv").read_bytes() == expected.getvalue().encode()
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(matrix=sparse_matrices())
+    def test_bytes_match_the_per_line_writer(self, tmp_path, matrix):
+        path = tmp_path / "m.csv"
+        count = _write_sparse_csv(path, matrix, THRESHOLD)
+        expected, expected_count = _per_line_csv(matrix, THRESHOLD)
+        assert count == expected_count
+        assert path.read_bytes() == expected
+
+    def test_non_finite_row_writes_no_file_and_leaves_no_process(self, tmp_path):
+        path = tmp_path / "m.csv"
+        matrix = np.ones((70, _CSV_CHUNK_ENTRIES // 16), dtype=complex)  # five chunks
+        matrix[37, 3] = complex(1.0, np.nan)
+        matrix[52, 0] = np.inf
+        with pytest.raises(NonFiniteError, match="m.csv row 37 "):
+            _write_sparse_csv(path, matrix, THRESHOLD)
+        assert not path.exists()
+        assert multiprocessing.active_children() == []
+        with pytest.raises(TypeError):  # raised in a worker, read in the parent
+            _write_sparse_csv(path, np.ones((70, _CSV_CHUNK_ENTRIES // 16)), None)
+        assert multiprocessing.active_children() == []
+        matrix[37, 3] = matrix[52, 0] = 1.0
+        assert _write_sparse_csv(path, matrix, THRESHOLD) == matrix.size
+        assert multiprocessing.active_children() == []
 
 
 class TestCapacitySizeCap:
@@ -644,8 +716,9 @@ def test_capacity_only_flags(tmp_path, mode, flag):
     assert err.value.code == 2
 
 
-def test_cli_import_leaves_jsonschema_out():
-    code = "import sys, otfsim.cli; sys.exit('jsonschema' in sys.modules)"
+@pytest.mark.parametrize("module", ["jsonschema", "multiprocessing"])
+def test_cli_import_leaves_module_out(module):
+    code = f"import sys, otfsim.cli; sys.exit({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(otfsim.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
