@@ -1,20 +1,32 @@
-"""numpy's own LAPACK ``zpotrf``, called in place through ctypes.
+"""numpy's own OpenBLAS through ctypes: ``zpotrf`` in place, the ``zgemm``
+Gram, and the library's thread count.
 
 ``np.linalg.cholesky`` copies its input into Fortran order, hands that
 buffer to the ``zpotrf`` of the OpenBLAS that numpy bundles, and copies the
 factor back out. Calling the same routine on a Fortran-ordered matrix the
 caller already owns skips both copies and gives the same bits, because
-LAPACK sees the same matrix in the same memory layout. The library and its
-symbol are looked up on first use, never at import. Where either is
-missing (another numpy build, another platform) :func:`zpotrf` returns
-None and callers use ``np.linalg.cholesky``.
+LAPACK sees the same matrix in the same memory layout. Likewise numpy forms
+``K @ K.conj().T`` by handing a conjugated copy of K to the bundled
+``zgemm``; asking that ``zgemm`` for K times K^H directly skips the copy
+and gives the same values.
+
+A threaded Cholesky factor's last bits depend on the thread count, so
+:func:`one_blas_thread` runs a block with the library on one thread. The
+library, its symbols and its thread control are looked up on first use,
+never at import. Where one is missing (another numpy build, another
+platform) its function returns None: callers then use numpy, and the pin
+does nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import os
+import threading
 from pathlib import Path
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -22,28 +34,60 @@ from .errors import DimensionError
 
 # numpy's wheels bundle scipy-openblas with 64-bit LAPACK integers under
 # this file name (numpy.libs on Linux and Windows, numpy/.dylibs on macOS)
-# and this symbol prefix.
+# and these symbol prefixes.
 _LIBRARY = "libscipy_openblas64_*"
-_SYMBOL = "scipy_zpotrf_64_"
+# CBLAS enum values.
+_ROW_MAJOR, _NO_TRANS, _CONJ_TRANS = 101, 111, 113
+
+
+@functools.cache
+def _library() -> Optional[ctypes.CDLL]:
+    """numpy's bundled OpenBLAS, or None when it is not found."""
+    package = Path(np.__file__).resolve().parent
+    for library in sorted([*(package.parent / "numpy.libs").glob(_LIBRARY),
+                           *(package / ".dylibs").glob(_LIBRARY)]):
+        try:
+            return ctypes.CDLL(str(library))
+        except OSError:
+            continue
+    return None
+
+
+def _function(symbol: str, argtypes: list, restype=None):
+    """The bundled library's ``symbol`` as a ctypes function, or None."""
+    function = getattr(_library(), symbol, None)
+    if function is not None:
+        function.argtypes = argtypes
+        function.restype = restype
+    return function
 
 
 @functools.cache
 def zpotrf():
     """numpy's bundled ``zpotrf`` as a ctypes function, or None when the
     library or the symbol is not found."""
-    package = Path(np.__file__).resolve().parent
-    for library in sorted([*(package.parent / "numpy.libs").glob(_LIBRARY),
-                           *(package / ".dylibs").glob(_LIBRARY)]):
-        try:
-            function = getattr(ctypes.CDLL(str(library)), _SYMBOL)
-        except (OSError, AttributeError):
-            continue
-        int_pointer = ctypes.POINTER(ctypes.c_int64)
-        function.argtypes = [ctypes.c_char_p, int_pointer, ctypes.c_void_p, int_pointer,
-                             int_pointer]
-        function.restype = None
-        return function
-    return None
+    int_pointer = ctypes.POINTER(ctypes.c_int64)
+    return _function("scipy_zpotrf_64_", [ctypes.c_char_p, int_pointer, ctypes.c_void_p,
+                                          int_pointer, int_pointer])
+
+
+@functools.cache
+def zgemm():
+    """numpy's bundled ``cblas_zgemm`` as a ctypes function, or None."""
+    enum, size, pointer = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+    return _function("scipy_cblas_zgemm64_", [enum, enum, enum, size, size, size, pointer,
+                                              pointer, size, pointer, size, pointer, pointer,
+                                              size])
+
+
+@functools.cache
+def thread_control() -> Optional[tuple]:
+    """The bundled library's process-wide thread-count getter and setter, or
+    None. (Its exported ``openblas_set_num_threads_local`` is not used: it
+    changed the count that other threads read back.)"""
+    get = _function("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
+    set_ = _function("scipy_openblas_set_num_threads64_", [ctypes.c_int])
+    return None if get is None or set_ is None else (get, set_)
 
 
 def factor_lower(matrix: np.ndarray) -> bool:
@@ -61,3 +105,66 @@ def factor_lower(matrix: np.ndarray) -> bool:
     zpotrf()(b"L", ctypes.byref(size), matrix.ctypes.data, ctypes.byref(size),
              ctypes.byref(info))
     return info.value == 0
+
+
+_ONE = np.array(1.0 + 0.0j)
+_ZERO = np.array(0.0j)
+
+
+def gram(matrix: np.ndarray) -> np.ndarray:
+    """``matrix @ matrix.conj().T`` by one ``zgemm`` call with ``ConjTrans``
+    on ``matrix`` itself. For a C-contiguous complex128 matrix with more than
+    one row and more than one column it has the bits of numpy's product, but
+    that where ``matrix`` holds exact zeros an exact-zero entry may carry the
+    other sign; numpy takes another BLAS path when either side is 1.
+    ``matrix`` must be such a matrix, and :func:`zgemm` must not be None."""
+    if (matrix.dtype != np.complex128 or matrix.ndim != 2 or min(matrix.shape) < 2
+            or not matrix.flags.c_contiguous):
+        raise DimensionError("the zgemm Gram needs a C-contiguous complex128 matrix with "
+                             f"both sides above 1, got {matrix.dtype} {matrix.shape}")
+    rows, cols = matrix.shape
+    out = np.empty((rows, rows), np.complex128)
+    zgemm()(_ROW_MAJOR, _NO_TRANS, _CONJ_TRANS, rows, rows, cols, _ONE.ctypes.data,
+            matrix.ctypes.data, cols, matrix.ctypes.data, cols, _ZERO.ctypes.data,
+            out.ctypes.data, rows)
+    return out
+
+
+_pin_lock = threading.Lock()
+_pin_users = 0
+_pin_saved = 1
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the block with the bundled library on one thread. The pin is
+    process-wide and counts its users, so blocks may nest and overlap across
+    threads: the first user in saves the count and sets 1, the last one out
+    restores it, also when the block raises. Without :func:`thread_control`
+    the block runs unpinned."""
+    global _pin_users, _pin_saved
+    control = thread_control()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    with _pin_lock:
+        if _pin_users == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_users += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_users -= 1
+            if _pin_users == 0:
+                set_(_pin_saved)
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1

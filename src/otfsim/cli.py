@@ -3,8 +3,9 @@
 Config files are JSON, checked in one pass by :func:`parse_config`. All
 outputs are deterministic for a given effective config (file config plus CLI
 overrides): floats are printed with 17 significant digits, rows follow a
-fixed order, and aggregation order never depends on the thread count, so
-identical runs produce byte-identical files.
+fixed order, aggregation order never depends on the thread count and every
+log-det factors with BLAS on one thread, so identical runs produce
+byte-identical files.
 
 Exit codes: 0 success, otherwise the ``exit_code`` that the package error
 ending the run carries (see :mod:`otfsim.errors`): 2 config error,
@@ -20,7 +21,6 @@ import contextlib
 import csv
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +28,7 @@ from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tup
 
 import numpy as np
 
+from . import _lapack
 from .capacity import CapacityResult, capacity_sweep
 from .channel import ChannelModel, NoiseSpec, awgn, channel_to_json, trial_rng
 from .checks import VerifyContext, run_invariant_checks
@@ -203,7 +204,7 @@ class ExperimentConfig:
     snr_db_list: List[float]
     trials: int
     seed: int
-    threads: int
+    threads: Optional[int]
     emit_trials: bool
     export_channels: bool
     emit_frequency_domain: bool
@@ -255,9 +256,11 @@ def parse_config(
     for key, value in (("trials", trials), ("seed", seed), ("threads", threads)):
         if value is not None:
             run[key] = value
-    # Each count's default is also its minimum.
-    counts = {key: _integer(run.get(key, default), f"run.{key}", default)
-              for key, default in (("trials", 1), ("seed", 0), ("threads", 1))}
+    # Each count's default is its minimum, but for threads: without it the
+    # sweep picks its own worker count.
+    counts = {key: _integer(run[key], f"run.{key}", minimum) if key in run else default
+              for key, minimum, default in (("trials", 1, 1), ("seed", 0, 0),
+                                            ("threads", 1, None))}
     flags = {key: _choice(run.get(key, False), f"run.{key}", (False, True)) for key in _RUN_FLAGS}
     symbols = _choice(run.get("symbols", "gaussian"), "run.symbols", ("gaussian", "qpsk"))
     if "mode" in run:
@@ -388,20 +391,13 @@ def _csv_rows(first: int, rows: np.ndarray, threshold: float) -> Tuple[str, int]
     return "".join(parts), count
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 @contextlib.contextmanager
 def _formatted_chunks(chunks: Sequence[tuple]) -> Iterator[Iterator[Tuple[str, int]]]:
     """Iterate over ``_csv_rows(*chunk)`` for each chunk, in order. In-process
     for one chunk or one usable CPU; otherwise on a process pool with one
     worker per usable CPU and at most two chunks per worker in flight. No
     worker outlives the ``with`` block, also when it raises."""
-    workers = min(_usable_cpus(), len(chunks))
+    workers = min(_lapack.usable_cpus(), len(chunks))
     if workers < 2:
         yield (_csv_rows(*chunk) for chunk in chunks)
         return
@@ -642,7 +638,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if mode == "capacity":  # the only mode that reads run.trials and run.threads
             p.add_argument("--trials", type=int, default=None, help="override run.trials")
             p.add_argument("--threads", type=int, default=None,
-                           help="worker threads (speed only, never changes results)")
+                           help="trials run at once (speed only, never changes results; "
+                                "default: from the usable CPUs and the trial size)")
         if mode == "simulate":
             p.add_argument("--data", default=None,
                            help="JSON file of data symbols (numbers or [re, im] pairs)")
@@ -672,4 +669,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # The imported module's main, so that what the process pool pickles is
+    # found as otfsim.cli also when a profiler runs this file as __main__.
+    from otfsim.cli import main as imported_main
+
+    sys.exit(imported_main())

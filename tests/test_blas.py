@@ -1,0 +1,321 @@
+"""numpy's bundled OpenBLAS called directly: the zgemm Gram, the one-thread
+pin around every log-det, and the sweep's workers.
+
+The Gram's bits must equal numpy's ``K @ K.conj().T`` on both paths, and
+every MI the package computes must have the same bits whatever the BLAS
+thread count and the worker count.
+"""
+
+import json
+import threading
+import time
+
+import numpy as np
+import pytest
+
+import otfsim._lapack
+import otfsim.capacity
+from otfsim.capacity import _gram, capacity_sweep
+from otfsim.channel import ChannelModel
+from otfsim.cli import main
+from otfsim.errors import DimensionError, StructureError
+from otfsim.mimo import MimoConfig
+from otfsim.transceiver import OtfsFrameConfig, WindowSpec
+
+PAPER = MimoConfig(frame=OtfsFrameConfig(num_subcarriers=16, num_symbols=8, cp_len=4),
+                   num_tx=2, num_rx=2)
+PAPER_MODEL = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.02)
+PAPER_NOISE = [10.0 ** (-snr / 10.0) for snr in (0, 5, 10, 15, 20)]
+
+
+# The real thread control, also for tests that hide it from the package.
+CONTROL = otfsim._lapack.thread_control()
+
+
+def blas_count():
+    return CONTROL[0]()
+
+
+@pytest.fixture
+def set_blas_threads():
+    """Set the bundled OpenBLAS's thread count at run time; the count from
+    before the test is restored afterwards."""
+    if CONTROL is None:
+        pytest.skip("the bundled OpenBLAS's thread control is not found on this platform")
+    get, set_ = CONTROL
+    before = get()
+
+    def set_threads(count):
+        set_(count)
+        if get() != count:
+            pytest.skip(f"OpenBLAS does not run {count} threads here")
+
+    yield set_threads
+    set_(before)
+
+
+def same_bits(a, b):
+    """Equal bit patterns, so the sign of every zero counts too."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.fixture(params=["zgemm", "numpy"])
+def gram_path(request, monkeypatch):
+    """Run a test on numpy's bundled zgemm, and again with that handle
+    forced to numpy's product."""
+    if request.param == "numpy":
+        monkeypatch.setattr(otfsim._lapack, "zgemm", lambda: None)
+    elif otfsim._lapack.zgemm() is None:
+        pytest.skip("numpy's bundled zgemm is not found on this platform")
+    return request.param
+
+
+GRID = ([(rows, cols) for rows in range(1, 41) for cols in range(1, 41)]
+        + [(rows, cols) for rows in (64, 96, 127, 128, 129, 255, 256, 300, 512)
+           for cols in (2, 3, 64, 127, 128, 256, 300, 512)])
+
+
+class TestZgemmGram:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bits_equal_numpy_product(self, gram_path, set_blas_threads, threads):
+        set_blas_threads(threads)
+        rng = np.random.default_rng(31)
+        for rows, cols in GRID:
+            k = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            assert same_bits(_gram(k), k @ k.conj().T), (rows, cols)
+
+    def test_exact_zeros_change_only_the_sign_of_zero_entries(self, gram_path):
+        # With exact zeros in K, zgemm's ConjTrans kernel and numpy's product
+        # of the conjugate copy can give zero entries of opposite signs. The
+        # values are equal, and so is every log-det, since the factor's
+        # diagonal never reads the sign of a zero.
+        rng = np.random.default_rng(32)
+        for rows, cols in GRID[::7]:
+            k = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            k[rng.random((rows, cols)) < 0.3] = -0.0
+            k[rng.integers(rows)] = 0.0
+            gram, reference = _gram(k), k @ k.conj().T
+            assert np.array_equal(gram, reference), (rows, cols)
+            for noise_var in (0.1, 10.0):
+                assert (otfsim.capacity._log_det_bits(gram, noise_var)
+                        == otfsim.capacity._log_det_bits(reference, noise_var)), (rows, cols)
+
+    @pytest.mark.parametrize("size", [1024, 2048])
+    def test_bits_equal_numpy_product_at_large_sizes(self, gram_path, size):
+        rng = np.random.default_rng(size)
+        k = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        assert same_bits(_gram(k), k @ k.conj().T)
+
+    def test_stacks_and_other_layouts_stay_on_numpy(self, monkeypatch):
+        def no_zgemm(matrix):
+            raise AssertionError("the zgemm Gram was called")
+
+        monkeypatch.setattr(otfsim._lapack, "gram", no_zgemm)
+        rng = np.random.default_rng(3)
+        k = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        for other in (k[None], k[:, :1], k[:1], np.asfortranarray(k), k[::2]):
+            assert same_bits(_gram(other), other @ other.conj().swapaxes(-1, -2))
+
+    def test_rejects_what_it_does_not_cover(self):
+        with pytest.raises(DimensionError):
+            otfsim._lapack.gram(np.ones((4, 1), complex))
+        with pytest.raises(DimensionError):
+            otfsim._lapack.gram(np.asfortranarray(np.ones((4, 3), complex)))
+
+
+class TestOneBlasThread:
+    def test_pin_nests_and_restores(self, set_blas_threads):
+        set_blas_threads(2)
+        with otfsim._lapack.one_blas_thread():
+            assert blas_count() == 1
+            with otfsim._lapack.one_blas_thread():
+                assert blas_count() == 1
+            assert blas_count() == 1
+        assert blas_count() == 2
+        with pytest.raises(RuntimeError), otfsim._lapack.one_blas_thread():
+            raise RuntimeError
+        assert blas_count() == 2
+
+    def test_pin_holds_while_any_thread_uses_it(self, set_blas_threads):
+        set_blas_threads(2)
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            with otfsim._lapack.one_blas_thread():
+                entered.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert entered.wait(10)
+        with otfsim._lapack.one_blas_thread():
+            pass
+        assert blas_count() == 1  # the other thread still holds the pin
+        release.set()
+        holder.join()
+        assert blas_count() == 2
+
+    def test_without_thread_control_the_pin_does_nothing(self, set_blas_threads, monkeypatch):
+        set_blas_threads(2)
+        monkeypatch.setattr(otfsim._lapack, "thread_control", lambda: None)
+        with otfsim._lapack.one_blas_thread():
+            assert blas_count() == 2
+
+
+def counts_inside(monkeypatch, owner, name, seen):
+    """Record the BLAS thread count each call of ``owner.name`` runs under."""
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        seen.append(blas_count())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+
+
+class TestSweepBitsAndWorkers:
+    def test_paper_sweep_bits_do_not_depend_on_blas_or_worker_threads(self, set_blas_threads):
+        runs = []
+        for blas in (1, 2):
+            set_blas_threads(blas)
+            for workers in (1, 2, None):
+                runs.append(capacity_sweep(PAPER_NOISE, PAPER_MODEL, WindowSpec.rectangular(),
+                                           PAPER, trials=4, seed=11, threads=workers))
+                assert blas_count() == blas
+        for run in runs[1:]:
+            for first, other in zip(runs[0], run, strict=True):
+                assert np.array_equal(first.per_trial_otfs_bits, other.per_trial_otfs_bits)
+                assert np.array_equal(first.per_trial_ofdm_bits, other.per_trial_ofdm_bits)
+
+    def test_default_workers_follow_cpus_trials_and_trial_size(self, monkeypatch):
+        monkeypatch.setattr(otfsim._lapack, "usable_cpus", lambda: 4)
+        plan = otfsim.capacity._SweepPlan(WindowSpec.rectangular(), PAPER)
+        assert plan.trial_bytes == 16 * 256 * (256 + 2 * 256)
+        workers = otfsim.capacity._sweep_workers
+        if otfsim._lapack.thread_control() is not None:
+            assert [workers(plan, trials) for trials in (1, 3, 100)] == [1, 3, 4]
+        monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", plan.trial_bytes - 1)
+        assert workers(plan, 100) == 1
+        monkeypatch.setattr(otfsim._lapack, "thread_control", lambda: None)
+        monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", plan.trial_bytes)
+        assert workers(plan, 100) == 1
+
+    def test_workers_pin_the_whole_trial_and_one_worker_only_the_log_dets(
+            self, set_blas_threads, monkeypatch):
+        if otfsim._lapack.zgemm() is None or otfsim._lapack.zpotrf() is None:
+            pytest.skip("numpy's bundled zgemm or zpotrf is not found on this platform")
+        set_blas_threads(2)
+        grams, factors = [], []
+        counts_inside(monkeypatch, otfsim._lapack, "gram", grams)
+        counts_inside(monkeypatch, otfsim._lapack, "factor_lower", factors)
+        capacity_sweep([1.0], PAPER_MODEL, WindowSpec.rectangular(), PAPER, trials=2, seed=1,
+                       threads=1)
+        assert (grams, factors) == ([2, 2], [1, 1])
+        grams.clear()
+        factors.clear()
+        capacity_sweep([1.0], PAPER_MODEL, WindowSpec.rectangular(), PAPER, trials=2, seed=1,
+                       threads=2)
+        assert (grams, factors) == ([1, 1], [1, 1])
+        assert blas_count() == 2
+
+    def test_without_thread_control_one_worker_and_no_pin(self, set_blas_threads, monkeypatch,
+                                                          tmp_path):
+        set_blas_threads(2)
+        monkeypatch.setattr(otfsim._lapack, "thread_control", lambda: None)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(otfsim.capacity, "ThreadPoolExecutor", no_pool)
+        seen = []
+        counts_inside(monkeypatch, np.linalg, "cholesky", seen)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "frame": {"M": 4, "N": 2, "M_cp": 2}, "mimo": {"n_t": 2, "n_r": 2},
+            "channel": {"kind": "doppler-paths", "L": 3, "P": 2, "nu_max": 0.05},
+            "noise": {"snr_db": [0, 10]}, "run": {"trials": 5, "seed": 3}}))
+        assert main(["capacity", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert seen and set(seen) == {2}
+        assert (tmp_path / "out" / "results.csv").is_file()
+
+
+def patch_channel_table(monkeypatch, failing, held=()):
+    """Make ``capacity.channel_table`` record each trial it is called for,
+    hold the trials in ``held`` for 1 s, raise StructureError at the trials
+    in ``failing`` and take 50 ms for every other trial."""
+    calls = []
+    original = otfsim.capacity.channel_table
+
+    def channel_table(model, mcfg, seed, trial):
+        calls.append(trial)
+        if trial in held:
+            time.sleep(1.0)
+        if trial in failing:
+            raise StructureError(f"trial {trial} failed", 1.0, 0.0)
+        time.sleep(0.05)
+        return original(model, mcfg, seed, trial)
+
+    monkeypatch.setattr(otfsim.capacity, "channel_table", channel_table)
+    return calls
+
+
+SMALL = MimoConfig(frame=OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2))
+
+
+class TestFailingTrial:
+    """A failing trial cancels the trials not yet started, raises what a
+    serial run raises, restores the BLAS thread count and leaves no worker."""
+
+    # Failing trial 1 while trial 0 still runs: the other worker used to run
+    # every queued trial before trial 0 ended and the error was seen.
+    @pytest.mark.parametrize("failing, held", [({0}, ()), ({1}, {0})], ids=["first", "second"])
+    def test_queued_trials_are_cancelled(self, set_blas_threads, monkeypatch, failing, held):
+        set_blas_threads(2)
+        calls = patch_channel_table(monkeypatch, failing, held)
+        threads_before = threading.active_count()
+        with pytest.raises(StructureError, match=f"trial {min(failing)} failed"):
+            capacity_sweep([1.0], ChannelModel.identity(), WindowSpec.rectangular(), SMALL,
+                           trials=40, seed=0, threads=2)
+        assert len(calls) <= 4, calls
+        assert blas_count() == 2
+        assert threading.active_count() == threads_before
+
+    def test_lowest_failing_trial_is_raised(self, monkeypatch):
+        # Trial 1 fails first; trial 0 fails later and is the one raised.
+        calls = patch_channel_table(monkeypatch, failing={0, 1}, held={0})
+        with pytest.raises(StructureError, match="trial 0 failed"):
+            capacity_sweep([1.0], ChannelModel.identity(), WindowSpec.rectangular(), SMALL,
+                           trials=40, seed=0, threads=2)
+        assert calls[:2] == [0, 1] and len(calls) <= 4
+
+
+def reference_export_config(seed, m=64, n=16, cp=8):
+    """SISO frame with a drawn general transmit window and separable receive
+    window, as in the benchmark's reference-export workload."""
+    rng = np.random.default_rng(seed)
+
+    def taper(size):
+        values = 1.0 + 0.3 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        return [[float(v.real), float(v.imag)] for v in values]
+
+    return {
+        "frame": {"M": m, "N": n, "M_cp": cp},
+        "window": {"tx": {"kind": "general", "taps": taper(m * n)},
+                   "rx": {"kind": "separable", "time": taper(n), "freq": taper(m)}},
+        "channel": {"kind": "doppler-paths", "L": 6, "P": 4, "nu_max": 0.05},
+        "noise": {"snr_db": [10.0]},
+        "run": {"seed": seed, "emit_frequency_domain": True},
+    }
+
+
+def test_verify_report_does_not_depend_on_blas_threads(set_blas_threads, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(reference_export_config(1)))
+    reports = []
+    for blas in (1, 2):
+        set_blas_threads(blas)
+        out = tmp_path / f"blas{blas}"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+        assert blas_count() == blas
+    assert reports[0] == reports[1]

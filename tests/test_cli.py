@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import otfsim
+import otfsim._lapack
 from otfsim import kronops
 from otfsim.channel import CP_TOL, LtvChannel, channel_from_json
 from otfsim.cli import (
@@ -94,6 +95,10 @@ class TestConfigParsing:
         b = parse_config(dict(BASE), mode="capacity", threads=8)
         assert a.hash == b.hash
         assert b.threads == 8
+
+    def test_threads_default_to_the_sweeps_choice(self):
+        assert parse_config(dict(BASE), mode="capacity").threads is None
+        assert parse_config(dict(BASE, run={"threads": 2}), mode="capacity").threads == 2
 
     def test_overrides_change_hash(self):
         a = parse_config(dict(BASE), mode="capacity")
@@ -536,6 +541,28 @@ class TestSparseCsv:
         matrix[37, 3] = matrix[52, 0] = 1.0
         assert _write_sparse_csv(path, matrix, THRESHOLD) == matrix.size
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(otfsim._lapack.usable_cpus() < 2,
+                    reason="the sparse-CSV writer runs a process pool only on 2 or more CPUs")
+def test_effective_channel_under_a_profiler(tmp_path):
+    # A profiler runs the CLI as __main__. The pool's row formatter used to
+    # pickle as __main__._csv_rows: exit 1 with a PicklingError at this size,
+    # a hang on larger configs.
+    path = write_config(tmp_path, {
+        "frame": {"M": 64, "N": 8, "M_cp": 4},
+        "channel": {"kind": "doppler-paths", "L": 4, "P": 3, "nu_max": 0.05},
+        "noise": {"snr_db": [10]}, "run": {"seed": 3, "emit_frequency_domain": True}})
+    env = dict(os.environ, PYTHONPATH=str(Path(otfsim.__file__).parents[1]))
+    for name, profiler in (("plain", []),
+                           ("profiled", ["-m", "cProfile", "-o", str(tmp_path / "stats")])):
+        argv = [sys.executable, *profiler, "-m", "otfsim.cli", "effective-channel",
+                "--config", path, "--out", str(tmp_path / name)]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+    for name in ("effective_dd.csv", "effective_freq.csv", "meta.json"):
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "profiled" / name).read_bytes())
 
 
 class TestCapacitySizeCap:
