@@ -20,10 +20,9 @@ where MI is measured, so it does not enter).
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -257,28 +256,6 @@ def _sweep_workers(plan: _SweepPlan, trials: int) -> int:
     return max(1, min(_lapack.usable_cpus(), trials))
 
 
-def _run_trials(one_trial: Callable[[int], List[BlockMiResult]], trials: int,
-                workers: int) -> List[List[BlockMiResult]]:
-    """``one_trial(k)`` for k in range(trials), in trial order. More than one
-    worker runs them on a thread pool with BLAS on one thread for the whole
-    pool, so that the workers and BLAS threads do not compete for the CPUs.
-    The first failure cancels the trials not yet started; once the running
-    ones end, the lowest failing trial's error is raised, the one a serial
-    run raises. No worker outlives the call."""
-    if workers < 2:
-        return [one_trial(trial) for trial in range(trials)]
-    with _lapack.one_blas_thread():
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            futures = [pool.submit(one_trial, trial) for trial in range(trials)]
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-    # Trials start in order, so every trial before a failed one has run:
-    # the first future that did not succeed failed rather than being cancelled.
-    return [future.result() for future in futures]
-
-
 @dataclass(frozen=True)
 class CapacityResult:
     """Monte Carlo capacity estimate with both computation routes kept.
@@ -341,6 +318,8 @@ def capacity_sweep(
         raise ConfigError("noise variance grid must be non-empty")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if threads is not None and threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     frame = mcfg.frame
     plan = _SweepPlan(tx_window, mcfg)
     # Both parts before the first draw, so a part over the cap stops the run
@@ -351,7 +330,8 @@ def capacity_sweep(
         return _trial_block_mis(channel_table(model, mcfg, seed, trial), plan, noise_vars)
 
     workers = threads if threads is not None else _sweep_workers(plan, trials)
-    outcomes = _run_trials(one_trial, trials, workers)
+    with _lapack.map_in_order(one_trial, range(trials), workers) as outcomes:
+        outcomes = list(outcomes)
 
     results = []
     for point in zip(*outcomes):

@@ -16,15 +16,13 @@ double precision cannot resolve, 4 dense-size cap exceeded.
 from __future__ import annotations
 
 import argparse
-import collections
-import contextlib
 import csv
 import hashlib
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -373,10 +371,11 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]])
 _CSV_CHUNK_ENTRIES = 1 << 15
 
 
-def _csv_rows(first: int, rows: np.ndarray, threshold: float) -> Tuple[str, int]:
-    """The sparse-CSV lines of ``rows``, numbered from ``first``, and their
-    entry count. Each row is one ``%`` template; ``"%.17g" % x`` formats as
-    :func:`_fmt` does."""
+def _csv_rows(chunk: Tuple[int, np.ndarray, float]) -> Tuple[str, int]:
+    """The sparse-CSV lines of a ``(first, rows, threshold)`` chunk, numbered
+    from ``first``, and their entry count. Each row is one ``%`` template;
+    ``"%.17g" % x`` formats as :func:`_fmt` does."""
+    first, rows, threshold = chunk
     parts = []
     count = 0
     for i, row in enumerate(rows, first):
@@ -389,39 +388,6 @@ def _csv_rows(first: int, rows: np.ndarray, threshold: float) -> Tuple[str, int]
         parts.append((f"{i},%d,%.17g,%.17g\n" * len(cols)) % tuple(cells))
         count += len(cols)
     return "".join(parts), count
-
-
-@contextlib.contextmanager
-def _formatted_chunks(chunks: Sequence[tuple]) -> Iterator[Iterator[Tuple[str, int]]]:
-    """Iterate over ``_csv_rows(*chunk)`` for each chunk, in order. In-process
-    for one chunk or one usable CPU; otherwise on a process pool with one
-    worker per usable CPU and at most two chunks per worker in flight. No
-    worker outlives the ``with`` block, also when it raises."""
-    workers = min(_lapack.usable_cpus(), len(chunks))
-    if workers < 2:
-        yield (_csv_rows(*chunk) for chunk in chunks)
-        return
-    # Imported here, so that importing the CLI does not load multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
-
-    def in_order(pool):
-        pending = collections.deque()
-        for chunk in chunks:
-            pending.append(pool.submit(_csv_rows, *chunk))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-    # The platform's default start method: fork on Linux up to Python 3.13.
-    # Spawned workers would each import numpy and the package again, which
-    # took 1.1 s more wall time and 2 s more CPU time per effective-channel
-    # run at M=64, N=16 on 2 vCPUs. Workers only format; they call no BLAS.
-    pool = ProcessPoolExecutor(workers)
-    try:
-        yield in_order(pool)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _write_sparse_csv(path: Path, matrix: np.ndarray, threshold: float) -> int:
@@ -439,7 +405,8 @@ def _write_sparse_csv(path: Path, matrix: np.ndarray, threshold: float) -> int:
     chunks = [(first, matrix[first:first + step], threshold)
               for first in range(0, len(matrix), step)]
     count = 0
-    with path.open("w") as fh, _formatted_chunks(chunks) as texts:
+    with path.open("w") as fh, _lapack.map_in_order(
+            _csv_rows, chunks, _lapack.usable_cpus(), processes=True) as texts:
         fh.write("row,col,re,im\n")
         for text, n in texts:
             fh.write(text)

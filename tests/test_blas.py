@@ -1,14 +1,18 @@
 """numpy's bundled OpenBLAS called directly: the zgemm Gram, the one-thread
-pin around every log-det, and the sweep's workers.
+pin around every log-det, the worker pool and the sweep's workers.
 
 The Gram's bits must equal numpy's ``K @ K.conj().T`` on both paths, and
 every MI the package computes must have the same bits whatever the BLAS
 thread count and the worker count.
 """
 
+import functools
 import json
+import multiprocessing
+import os
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,7 +230,7 @@ class TestSweepBitsAndWorkers:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(otfsim.capacity, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(otfsim._lapack, "_pool", no_pool)
         seen = []
         counts_inside(monkeypatch, np.linalg, "cholesky", seen)
         path = tmp_path / "config.json"
@@ -263,22 +267,19 @@ SMALL = MimoConfig(frame=OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_le
 
 
 class TestFailingTrial:
-    """A failing trial cancels the trials not yet started, raises what a
-    serial run raises, restores the BLAS thread count and leaves no worker."""
+    """A failing trial stops the sweep after at most two trials per worker
+    and raises what a serial run raises. That the pool then leaves no worker
+    and restores the BLAS thread count is :class:`TestMapInOrder`'s."""
 
     # Failing trial 1 while trial 0 still runs: the other worker used to run
     # every queued trial before trial 0 ended and the error was seen.
     @pytest.mark.parametrize("failing, held", [({0}, ()), ({1}, {0})], ids=["first", "second"])
-    def test_queued_trials_are_cancelled(self, set_blas_threads, monkeypatch, failing, held):
-        set_blas_threads(2)
+    def test_queued_trials_are_cancelled(self, monkeypatch, failing, held):
         calls = patch_channel_table(monkeypatch, failing, held)
-        threads_before = threading.active_count()
         with pytest.raises(StructureError, match=f"trial {min(failing)} failed"):
             capacity_sweep([1.0], ChannelModel.identity(), WindowSpec.rectangular(), SMALL,
                            trials=40, seed=0, threads=2)
         assert len(calls) <= 4, calls
-        assert blas_count() == 2
-        assert threading.active_count() == threads_before
 
     def test_lowest_failing_trial_is_raised(self, monkeypatch):
         # Trial 1 fails first; trial 0 fails later and is the one raised.
@@ -287,6 +288,120 @@ class TestFailingTrial:
             capacity_sweep([1.0], ChannelModel.identity(), WindowSpec.rectangular(), SMALL,
                            trials=40, seed=0, threads=2)
         assert calls[:2] == [0, 1] and len(calls) <= 4
+
+
+def run_item(record_dir, failing, held, item):
+    """Record ``item`` as started in ``record_dir``, take 0.5 s if it is in
+    ``held`` and 50 ms otherwise, then raise ValueError if it is in
+    ``failing`` and else return its square. Module-level, so that a process
+    pool can pickle it."""
+    Path(record_dir, str(item)).touch()
+    time.sleep(0.5 if item in held else 0.05)
+    if item in failing:
+        raise ValueError(f"item {item} failed")
+    return item * item
+
+
+def caller(item):
+    return os.getpid(), threading.get_ident()
+
+
+class TestMapInOrder:
+    """``_lapack.map_in_order``, on threads and on processes: results in item
+    order, at most two items per worker in flight, no item submitted after a
+    failure, the lowest failing item's error, BLAS on one thread while the
+    pool lives, and no worker left after the ``with`` block."""
+
+    @pytest.fixture(params=[False, True], ids=["threads", "processes"])
+    def processes(self, request):
+        return request.param
+
+    @staticmethod
+    def run(tmp_path, processes, items, failing=(), held=(), pause=0.0):
+        """Every result of ``run_item`` over ``items`` on two workers, in
+        order, read ``pause`` seconds apart; the pool must leave no thread,
+        process or BLAS pin behind, also when it raises."""
+        threads, blas = threading.active_count(), CONTROL and blas_count()
+        function = functools.partial(run_item, str(tmp_path), frozenset(failing),
+                                     frozenset(held))
+        try:
+            with otfsim._lapack.map_in_order(function, items, 2, processes) as outcomes:
+                results = []
+                for result in outcomes:
+                    results.append(result)
+                    time.sleep(pause)
+                return results
+        finally:
+            assert threading.active_count() == threads
+            assert multiprocessing.active_children() == []
+            assert (CONTROL and blas_count()) == blas
+
+    @staticmethod
+    def started(tmp_path):
+        return sorted(int(path.name) for path in tmp_path.iterdir())
+
+    def test_results_in_item_order(self, tmp_path, processes):
+        assert self.run(tmp_path, processes, range(12), held={0}) == [i * i for i in range(12)]
+        assert self.started(tmp_path) == list(range(12))
+
+    def test_two_items_per_worker_in_flight(self, tmp_path, processes):
+        function = functools.partial(run_item, str(tmp_path), frozenset(), frozenset({0}))
+        with otfsim._lapack.map_in_order(function, range(12), 2, processes) as outcomes:
+            # Items 1 to 3 end while item 0 runs; item 4 waits until item 0 is read.
+            assert next(outcomes) == 0
+            assert self.started(tmp_path) == [0, 1, 2, 3]
+            assert list(outcomes) == [i * i for i in range(1, 12)]
+
+    def test_fewer_than_two_workers_or_items_run_in_the_caller(self, monkeypatch, processes):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(otfsim._lapack, "_pool", no_pool)
+        for workers, items in ((1, range(5)), (0, range(3)), (4, range(1)), (4, range(0))):
+            with otfsim._lapack.map_in_order(caller, items, workers, processes) as outcomes:
+                assert list(outcomes) == [caller(None)] * len(items)
+
+    # Item 2 fails while item 0 still runs. Reading item 1 would submit
+    # item 4, and the pause after that read gives a worker time to start it.
+    def test_no_item_submitted_after_a_failure(self, tmp_path, processes):
+        with pytest.raises(ValueError, match="item 2 failed"):
+            self.run(tmp_path, processes, range(40), failing={2}, held={0}, pause=0.2)
+        started = self.started(tmp_path)
+        assert started[:3] == [0, 1, 2] and len(started) <= 4, started
+
+    def test_lowest_failing_item_is_raised(self, tmp_path, processes):
+        # Item 1 fails first; item 0 fails later and is the one raised.
+        with pytest.raises(ValueError, match="item 0 failed"):
+            self.run(tmp_path, processes, range(40), failing={0, 1}, held={0})
+        started = self.started(tmp_path)
+        assert started[:2] == [0, 1] and len(started) <= 4, started
+
+    def test_a_raising_consumer_leaves_no_worker_and_starts_no_queued_item(
+            self, tmp_path, processes):
+        threads = threading.active_count()
+        function = functools.partial(run_item, str(tmp_path), frozenset(), frozenset(range(1, 40)))
+        with pytest.raises(KeyError):
+            with otfsim._lapack.map_in_order(function, range(40), 2, processes) as outcomes:
+                next(outcomes)
+                raise KeyError("the consumer failed")
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == []
+        # When item 0 is read, the two workers hold items 1 and 2 and item 3
+        # is queued. A thread pool cancels it. A process pool may already have
+        # handed it to its workers' call queue, where it can no longer be
+        # cancelled; it never starts an item that was not submitted.
+        started = self.started(tmp_path)
+        assert started[:3] == [0, 1, 2] and len(started) <= (4 if processes else 3), started
+
+    def test_blas_on_one_thread_while_the_pool_lives(self, set_blas_threads, processes):
+        set_blas_threads(2)
+        with otfsim._lapack.map_in_order(caller, range(4), 2, processes) as outcomes:
+            assert blas_count() == 1
+            assert caller(None) not in list(outcomes)
+        assert blas_count() == 2
+        with otfsim._lapack.map_in_order(caller, range(4), 1, processes) as outcomes:
+            assert blas_count() == 2
+            assert set(outcomes) == {caller(None)}
 
 
 def reference_export_config(seed, m=64, n=16, cp=8):

@@ -275,6 +275,17 @@ class TestErgodicCapacity:
             ergodic_capacity(ChannelModel.identity(), WindowSpec.rectangular(),
                              1.0, mcfg, trials=0)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_validated(self, threads):
+        frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=0)
+        mcfg = MimoConfig(frame=frame, num_tx=1, num_rx=1)
+        model, window = ChannelModel.identity(), WindowSpec.rectangular()
+        message = f"threads must be >= 1, got {threads}"
+        with pytest.raises(ConfigError, match=message):
+            ergodic_capacity(model, window, 1.0, mcfg, trials=2, threads=threads)
+        with pytest.raises(ConfigError, match=message):
+            capacity_sweep([1.0], model, window, mcfg, trials=2, threads=threads)
+
 
 class TestCapacitySweep:
     def test_single_point_equals_ergodic_capacity(self):

@@ -526,7 +526,7 @@ class TestSparseCsv:
         assert count == expected_count
         assert path.read_bytes() == expected
 
-    def test_non_finite_row_writes_no_file_and_leaves_no_process(self, tmp_path):
+    def test_non_finite_row_writes_no_file(self, tmp_path):
         path = tmp_path / "m.csv"
         matrix = np.ones((70, _CSV_CHUNK_ENTRIES // 16), dtype=complex)  # five chunks
         matrix[37, 3] = complex(1.0, np.nan)
@@ -534,13 +534,40 @@ class TestSparseCsv:
         with pytest.raises(NonFiniteError, match="m.csv row 37 "):
             _write_sparse_csv(path, matrix, THRESHOLD)
         assert not path.exists()
-        assert multiprocessing.active_children() == []
-        with pytest.raises(TypeError):  # raised in a worker, read in the parent
-            _write_sparse_csv(path, np.ones((70, _CSV_CHUNK_ENTRIES // 16)), None)
-        assert multiprocessing.active_children() == []
         matrix[37, 3] = matrix[52, 0] = 1.0
         assert _write_sparse_csv(path, matrix, THRESHOLD) == matrix.size
-        assert multiprocessing.active_children() == []
+
+    # Python 3.14 makes forkserver the default start method on Linux. Under
+    # it, or spawn, each worker would import numpy and the package again.
+    @pytest.mark.skipif(sys.platform != "linux"
+                        or "fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the writer's pool asks for fork only on Linux, where it exists")
+    @pytest.mark.parametrize("default", ["forkserver", "spawn"])
+    def test_pool_starts_by_fork_whatever_the_default(self, tmp_path, monkeypatch, default):
+        if default not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {default} start method on this platform")
+        from concurrent.futures import ProcessPoolExecutor
+
+        methods = []
+
+        class Recorded(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                methods.append(self._mp_context.get_start_method())
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorded)
+        monkeypatch.setattr(otfsim._lapack, "usable_cpus", lambda: 2)
+        matrix = np.arange(70 * (_CSV_CHUNK_ENTRIES // 16)).reshape(70, -1) + 0.5j
+        before = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method(default, force=True)
+        try:
+            count = _write_sparse_csv(tmp_path / "m.csv", matrix, THRESHOLD)
+        finally:
+            multiprocessing.set_start_method(before, force=True)
+        assert methods == ["fork"]
+        expected, expected_count = _per_line_csv(matrix, THRESHOLD)
+        assert count == expected_count
+        assert (tmp_path / "m.csv").read_bytes() == expected
 
 
 @pytest.mark.skipif(otfsim._lapack.usable_cpus() < 2,
