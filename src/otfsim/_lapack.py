@@ -12,11 +12,13 @@ LAPACK sees the same matrix in the same memory layout. Likewise numpy forms
 and gives the same values.
 
 A threaded Cholesky factor's last bits depend on the thread count, so
-:func:`one_blas_thread` runs a block with the library on one thread. The
-library, its symbols and its thread control are looked up on first use,
-never at import. Where one is missing (another numpy build, another
-platform) its function returns None: callers then use numpy, and the pin
-does nothing.
+:func:`one_blas_thread` runs a block with the library on one thread, and
+:func:`cholesky` always factors inside it. The library, its symbols and its
+thread control are looked up on first use, never at import. Where one is
+missing (another numpy build, another platform) its handle returns None:
+:func:`gram` and :func:`cholesky` then fall back to numpy themselves, and
+the pin does nothing. Each decides here, once, whether an array suits the
+library, so no other array ever reaches a ctypes call.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-
-from .errors import DimensionError
 
 # numpy's wheels bundle scipy-openblas with 64-bit LAPACK integers under
 # this file name (numpy.libs on Linux and Windows, numpy/.dylibs on macOS)
@@ -92,44 +92,50 @@ def thread_control() -> Optional[tuple]:
     return None if get is None or set_ is None else (get, set_)
 
 
-def factor_lower(matrix: np.ndarray) -> bool:
-    """Overwrite the lower triangle of the Hermitian ``matrix`` with its
-    Cholesky factor by ``zpotrf('L')``; False when the matrix is not
-    positive definite. ``matrix`` must be a writeable, Fortran-ordered,
-    square complex128 array, and :func:`zpotrf` must not be None."""
-    if (matrix.dtype != np.complex128 or matrix.ndim != 2
-            or matrix.shape[0] != matrix.shape[1] or not matrix.flags.f_contiguous
-            or not matrix.flags.writeable):
-        raise DimensionError("zpotrf needs a writeable Fortran-ordered square complex128 "
-                             f"matrix, got {matrix.dtype} {matrix.shape}")
-    size = ctypes.c_int64(matrix.shape[0])
-    info = ctypes.c_int64(0)
-    zpotrf()(b"L", ctypes.byref(size), matrix.ctypes.data, ctypes.byref(size),
-             ctypes.byref(info))
-    return info.value == 0
-
-
 _ONE = np.array(1.0 + 0.0j)
 _ZERO = np.array(0.0j)
 
 
 def gram(matrix: np.ndarray) -> np.ndarray:
-    """``matrix @ matrix.conj().T`` by one ``zgemm`` call with ``ConjTrans``
-    on ``matrix`` itself. For a C-contiguous complex128 matrix with more than
-    one row and more than one column it has the bits of numpy's product, but
-    that where ``matrix`` holds exact zeros an exact-zero entry may carry the
-    other sign; numpy takes another BLAS path when either side is 1.
-    ``matrix`` must be such a matrix, and :func:`zgemm` must not be None."""
+    """``matrix @ matrix.conj().swapaxes(-1, -2)`` of a complex128 (..., rows,
+    cols) array. A C-contiguous 2-D matrix with both sides above 1 takes one
+    ``zgemm`` call with ``ConjTrans`` on ``matrix`` itself, when :func:`zgemm`
+    is found, and skips the conjugate copy: it has the bits of numpy's
+    product, but that where ``matrix`` holds exact zeros an exact-zero entry
+    may carry the other sign. numpy takes another BLAS path when either side
+    is 1, so such a matrix, stacks, other layouts and a missing symbol stay
+    on numpy."""
     if (matrix.dtype != np.complex128 or matrix.ndim != 2 or min(matrix.shape) < 2
-            or not matrix.flags.c_contiguous):
-        raise DimensionError("the zgemm Gram needs a C-contiguous complex128 matrix with "
-                             f"both sides above 1, got {matrix.dtype} {matrix.shape}")
+            or not matrix.flags.c_contiguous or zgemm() is None):
+        return matrix @ matrix.conj().swapaxes(-1, -2)
     rows, cols = matrix.shape
     out = np.empty((rows, rows), np.complex128)
     zgemm()(_ROW_MAJOR, _NO_TRANS, _CONJ_TRANS, rows, rows, cols, _ONE.ctypes.data,
             matrix.ctypes.data, cols, matrix.ctypes.data, cols, _ZERO.ctypes.data,
             out.ctypes.data, rows)
     return out
+
+
+def cholesky(matrix: np.ndarray) -> Optional[np.ndarray]:
+    """The lower Cholesky factor of each Hermitian matrix in a (..., n, n)
+    stack, or None when one is not positive definite, always with BLAS on one
+    thread. A writeable Fortran-ordered square complex128 matrix is factored
+    in place by ``zpotrf('L')`` when :func:`zpotrf` is found, with the bits
+    of ``np.linalg.cholesky``, and returned: only its lower triangle is the
+    factor. Anything else goes to ``np.linalg.cholesky``."""
+    with one_blas_thread():
+        if (matrix.dtype != np.complex128 or matrix.ndim != 2
+                or matrix.shape[0] != matrix.shape[1] or not matrix.flags.f_contiguous
+                or not matrix.flags.writeable or zpotrf() is None):
+            try:
+                return np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                return None
+        size = ctypes.c_int64(matrix.shape[0])
+        info = ctypes.c_int64(0)
+        zpotrf()(b"L", ctypes.byref(size), matrix.ctypes.data, ctypes.byref(size),
+                 ctypes.byref(info))
+    return matrix if info.value == 0 else None
 
 
 _pin_lock = threading.Lock()

@@ -51,21 +51,10 @@ _PARALLEL_TRIAL_BYTES = 128 << 20
 
 
 def _gram(k_matrix: np.ndarray) -> np.ndarray:
-    """K K^H of each matrix in a (..., rows, cols) stack. A non-finite K, or a
-    Gram that overflows, shows on the Gram's diagonal (sums of |K_ij|^2), so
-    only that diagonal is checked.
-
-    A C-contiguous K with both sides above 1 goes to numpy's own ``zgemm``
-    with ``ConjTrans`` when that is found, without K's conjugate copy. It has
-    the bits of numpy's product, but that an exact-zero entry may carry the
-    other sign, which no log-det reads. Stacks, other shapes and layouts stay
-    on numpy."""
-    k_matrix = np.asarray(k_matrix, dtype=np.complex128)
-    if (k_matrix.ndim == 2 and min(k_matrix.shape) > 1 and k_matrix.flags.c_contiguous
-            and _lapack.zgemm() is not None):
-        gram = _lapack.gram(k_matrix)
-    else:
-        gram = k_matrix @ k_matrix.conj().swapaxes(-1, -2)
+    """K K^H of each matrix in a (..., rows, cols) stack, by :func:`_lapack.gram`.
+    A non-finite K, or a Gram that overflows, shows on the Gram's diagonal
+    (sums of |K_ij|^2), so only that diagonal is checked."""
+    gram = _lapack.gram(np.asarray(k_matrix, dtype=np.complex128))
     require_finite(np.diagonal(gram, axis1=-2, axis2=-1), "K K^H")
     return gram
 
@@ -77,29 +66,18 @@ def _log_det_bits(gram: np.ndarray, noise_var: float) -> np.ndarray:
     shift of a rank-deficient gram below rounding so the Cholesky fails,
     raises NonFiniteError.
 
-    A single matrix is shifted into a Fortran-ordered buffer, the layout
-    ``np.linalg.cholesky`` copies its input into, and factored there in place
-    by numpy's own ``zpotrf`` when that is found, with the same bits. A
-    Fortran-ordered ``gram`` makes that divide read contiguous memory. Every
-    factor runs with BLAS on one thread, so its bits do not depend on the
-    BLAS thread count."""
+    A single matrix is shifted into a Fortran-ordered buffer, the layout a
+    Cholesky factors in, so :func:`_lapack.cholesky` can factor it in place;
+    a Fortran-ordered ``gram`` makes that divide read contiguous memory."""
     if noise_var <= 0:
         raise ConfigError(f"noise variance must be > 0 for MI, got {noise_var}")
-    in_place = gram.ndim == 2 and _lapack.zpotrf() is not None
-    shifted = np.divide(gram, noise_var,
-                        out=np.empty(gram.shape, np.complex128, order="F" if in_place else "C"))
+    shifted = np.divide(gram, noise_var, out=np.empty(gram.shape, np.complex128,
+                                                      order="F" if gram.ndim == 2 else "C"))
     diagonal = np.arange(gram.shape[-1])
     shifted[..., diagonal, diagonal] += 1.0
     require_finite(np.diagonal(shifted, axis1=-2, axis2=-1),
                    f"I + K K^H / sigma2 at sigma2={noise_var:g}")
-    with _lapack.one_blas_thread():
-        if in_place:
-            factor = shifted if _lapack.factor_lower(shifted) else None
-        else:
-            try:
-                factor = np.linalg.cholesky(shifted)
-            except np.linalg.LinAlgError:
-                factor = None
+    factor = _lapack.cholesky(shifted)
     if factor is None:
         raise NonFiniteError(f"Cholesky of I + K K^H / sigma2 at sigma2={noise_var:g}: "
                              "Matrix is not positive definite; sigma2 is too small for the "

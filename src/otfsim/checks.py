@@ -22,13 +22,14 @@ from .capacity import ADDITIVITY_TOL, BLOCK_TOL, _SweepPlan, _trial_block_mis
 from .channel import (CP_TOL, ChannelModel, assemble_h_matrix, reduce_to_block_channel,
                       synthesize, trial_rng)
 from .errors import NonFiniteError, StructureError
-from .kronops import dft_matrix, kron, vec
+from .kronops import dft_matrix, kron, require_dense, vec
 from .mimo import (
     MimoConfig,
     channel_table,
     mimo_block_channel,
     mimo_chain,
     mimo_effective_matrix,
+    require_effective_fits,
     stack_grids,
 )
 from .transceiver import (
@@ -74,9 +75,11 @@ ROUTE_TRIALS = 3
 class VerifyContext:
     """Everything a check needs: frame/antenna geometry, the configured
     channel model and windows, the first noise level, and the seed, plus the
-    run's one plan of K's channel-independent parts. Building the plan checks
-    K and its Gram against the dense cap, before any channel is drawn; the
-    MI checks build its parts on first use."""
+    run's one plan of K's channel-independent parts. Building the context
+    checks every dense size a run reaches against the cap, before any
+    channel is drawn: K and its Gram (the plan), the effective matrix and
+    the frame-size channel matrix H. The MI checks build the plan's parts on
+    first use."""
 
     mcfg: MimoConfig
     channel_model: ChannelModel
@@ -88,6 +91,8 @@ class VerifyContext:
 
     def __post_init__(self):
         self.plan = _SweepPlan(self.tx_window, self.mcfg)
+        require_effective_fits(self.mcfg)
+        require_dense(self.frame.frame_len, self.frame.frame_len, "dense channel matrix")
 
     @property
     def frame(self) -> OtfsFrameConfig:
@@ -205,30 +210,26 @@ def _specialization_blocks(ctx: VerifyContext, key: int):
 
 
 def check_specializations(ctx: VerifyContext) -> List[tuple]:
+    """Each specialization against ``effective_matrix_general`` on the same
+    channel, one pair at a time, so that each pair is freed before the next
+    is built."""
     rng = trial_rng(ctx.seed, 5)
     frame = ctx.frame
     h_matrix, blocks = _specialization_blocks(ctx, 21)
-    results = []
-
     tx_sep = WindowSpec.separable(_rand_complex(rng, frame.num_symbols),
                                   _rand_complex(rng, frame.num_subcarriers))
     rx_sep = WindowSpec.separable(_rand_complex(rng, frame.num_symbols),
                                   _rand_complex(rng, frame.num_subcarriers), role="receive")
-    general = effective_matrix_general(h_matrix, tx_sep, rx_sep, frame)
-    special = effective_matrix_separable(blocks, tx_sep, rx_sep, frame)
-    results.append((float(np.max(np.abs(general - special))), 1e-10))
-
-    rect_tx = WindowSpec.rectangular()
-    rect_rx = WindowSpec.rectangular("receive")
-    general = effective_matrix_general(h_matrix, rect_tx, rect_rx, frame)
-    special = effective_matrix_rectangular(blocks, frame)
-    results.append((float(np.max(np.abs(general - special))), 1e-10))
-
-    general = effective_matrix_general(h_matrix, ctx.tx_window, ctx.rx_window, frame)
-    special = effective_matrix_frequency_domain(
-        to_frequency_domain(blocks), ctx.tx_window, ctx.rx_window, frame)
-    results.append((float(np.max(np.abs(general - special))), 1e-10))
-    return results
+    cases = (
+        (tx_sep, rx_sep, lambda: effective_matrix_separable(blocks, tx_sep, rx_sep, frame)),
+        (WindowSpec.rectangular(), WindowSpec.rectangular("receive"),
+         lambda: effective_matrix_rectangular(blocks, frame)),
+        (ctx.tx_window, ctx.rx_window, lambda: effective_matrix_frequency_domain(
+            to_frequency_domain(blocks), ctx.tx_window, ctx.rx_window, frame)),
+    )
+    return [(float(np.max(np.abs(effective_matrix_general(h_matrix, tx, rx, frame)
+                                 - special()))), 1e-10)
+            for tx, rx, special in cases]
 
 
 def check_mi_additivity(ctx: VerifyContext) -> List[tuple]:

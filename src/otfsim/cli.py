@@ -31,9 +31,9 @@ from .capacity import CapacityResult, capacity_sweep
 from .channel import ChannelModel, NoiseSpec, awgn, channel_to_json, trial_rng
 from .checks import VerifyContext, run_invariant_checks
 from .errors import ConfigError, DimensionError, OtfsimError
-from .kronops import BlockDiagonalFactor, require_dense, require_finite, require_within, vec
+from .kronops import BlockDiagonalFactor, require_finite, require_within, vec
 from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_chain,
-                   mimo_effective_matrix, stack_grids)
+                   mimo_effective_matrix, require_effective_fits, stack_grids)
 from .transceiver import (
     OtfsFrameConfig,
     WindowSpec,
@@ -468,17 +468,11 @@ def _noise_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(1)[0])
 
 
-def _require_effective_fits(mcfg: MimoConfig) -> None:
-    """The cap check that ``mimo_effective_matrix`` makes, before any channel is drawn."""
-    cols = mcfg.tx_vector_len
-    require_dense(max(mcfg.rx_vector_len, cols), cols, "effective matrix's operator chain")
-
-
 def run_simulate(cfg: ExperimentConfig, out_dir: Path, data_path: Optional[str]) -> int:
     mcfg = cfg.mcfg
     frame = cfg.frame
     sigma2 = cfg.sigma2_list[0]
-    _require_effective_fits(mcfg)
+    require_effective_fits(mcfg)
     channels = channel_table(cfg.channel_model, mcfg, cfg.seed, 0)
     if data_path is not None:
         entries = _read_json(data_path, "symbol file")
@@ -566,7 +560,7 @@ def run_effective_channel(cfg: ExperimentConfig, out_dir: Path) -> int:
     threshold = 1e-12  # entries at or below this magnitude stay out of the CSVs
     mcfg = cfg.mcfg
     frame = cfg.frame
-    _require_effective_fits(mcfg)
+    require_effective_fits(mcfg)
     channels = channel_table(cfg.channel_model, mcfg, cfg.seed, 0)
     effective = mimo_effective_matrix(channels, cfg.tx_window, cfg.rx_window, mcfg)
     count = _write_sparse_csv(out_dir / "effective_dd.csv", effective, threshold)

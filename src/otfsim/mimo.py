@@ -286,6 +286,14 @@ def mimo_effective_operator(
     ] + mimo_modulation_stages(tx_window, mcfg))
 
 
+def require_effective_fits(mcfg: MimoConfig) -> None:
+    """The cap check of :func:`mimo_effective_matrix`, for callers to make
+    before any channel is drawn: materializing its chain applies the stages
+    to the C x C identity, so it holds max(R, C) x C entries."""
+    cols = mcfg.tx_vector_len
+    require_dense(max(mcfg.rx_vector_len, cols), cols, "effective matrix's operator chain")
+
+
 def mimo_effective_matrix(
     channels: Sequence[Sequence[LtvChannel]],
     tx_window: WindowSpec,

@@ -1,11 +1,13 @@
 """numpy's bundled OpenBLAS called directly: the zgemm Gram, the one-thread
-pin around every log-det, the worker pool and the sweep's workers.
+pin around every log-det, the worker pool, the sweep's workers, and the
+fallback to numpy where the library is missing.
 
 The Gram's bits must equal numpy's ``K @ K.conj().T`` on both paths, and
 every MI the package computes must have the same bits whatever the BLAS
 thread count and the worker count.
 """
 
+import contextlib
 import functools
 import json
 import multiprocessing
@@ -22,7 +24,7 @@ import otfsim.capacity
 from otfsim.capacity import _gram, capacity_sweep
 from otfsim.channel import ChannelModel
 from otfsim.cli import main
-from otfsim.errors import DimensionError, StructureError
+from otfsim.errors import StructureError
 from otfsim.mimo import MimoConfig
 from otfsim.transceiver import OtfsFrameConfig, WindowSpec
 
@@ -111,20 +113,34 @@ class TestZgemmGram:
         assert same_bits(_gram(k), k @ k.conj().T)
 
     def test_stacks_and_other_layouts_stay_on_numpy(self, monkeypatch):
-        def no_zgemm(matrix):
-            raise AssertionError("the zgemm Gram was called")
-
-        monkeypatch.setattr(otfsim._lapack, "gram", no_zgemm)
+        monkeypatch.setattr(otfsim._lapack, "zgemm", no_handle)
         rng = np.random.default_rng(3)
         k = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
         for other in (k[None], k[:, :1], k[:1], np.asfortranarray(k), k[::2]):
             assert same_bits(_gram(other), other @ other.conj().swapaxes(-1, -2))
 
-    def test_rejects_what_it_does_not_cover(self):
-        with pytest.raises(DimensionError):
-            otfsim._lapack.gram(np.ones((4, 1), complex))
-        with pytest.raises(DimensionError):
-            otfsim._lapack.gram(np.asfortranarray(np.ones((4, 3), complex)))
+
+def no_handle():
+    raise AssertionError("a bundled routine was asked for")
+
+
+def test_inputs_the_library_does_not_cover_never_reach_it(monkeypatch):
+    """Arrays that the bundled zgemm or zpotrf does not take go to numpy
+    before either handle is asked for, and get numpy's bits."""
+    monkeypatch.setattr(otfsim._lapack, "zgemm", no_handle)
+    monkeypatch.setattr(otfsim._lapack, "zpotrf", no_handle)
+    rng = np.random.default_rng(4)
+    k = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    for other in (np.stack([k, 2 * k]), k[:, :1], k[:1], np.asfortranarray(k), k[::2]):
+        assert same_bits(otfsim._lapack.gram(other), other @ other.conj().swapaxes(-1, -2))
+    positive = np.eye(6) + k @ k.conj().T
+    read_only = np.asfortranarray(positive)
+    read_only.flags.writeable = False
+    for other in (positive, read_only, np.asfortranarray(np.stack([positive, 2 * positive]))):
+        with otfsim._lapack.one_blas_thread():
+            expected = np.linalg.cholesky(other)
+        assert same_bits(otfsim._lapack.cholesky(other), expected)
+    assert otfsim._lapack.cholesky(-positive) is None
 
 
 class TestOneBlasThread:
@@ -177,6 +193,18 @@ def counts_inside(monkeypatch, owner, name, seen):
     monkeypatch.setattr(owner, name, recorded)
 
 
+def counts_inside_handle(monkeypatch, name, seen):
+    """Record the BLAS thread count each call of the bundled routine that
+    ``_lapack.name()`` hands out runs under."""
+    routine = getattr(otfsim._lapack, name)()
+
+    def recorded(*args):
+        seen.append(blas_count())
+        return routine(*args)
+
+    monkeypatch.setattr(otfsim._lapack, name, lambda: recorded)
+
+
 class TestSweepBitsAndWorkers:
     def test_paper_sweep_bits_do_not_depend_on_blas_or_worker_threads(self, set_blas_threads):
         runs = []
@@ -210,8 +238,8 @@ class TestSweepBitsAndWorkers:
             pytest.skip("numpy's bundled zgemm or zpotrf is not found on this platform")
         set_blas_threads(2)
         grams, factors = [], []
-        counts_inside(monkeypatch, otfsim._lapack, "gram", grams)
-        counts_inside(monkeypatch, otfsim._lapack, "factor_lower", factors)
+        counts_inside_handle(monkeypatch, "zgemm", grams)
+        counts_inside_handle(monkeypatch, "zpotrf", factors)
         capacity_sweep([1.0], PAPER_MODEL, WindowSpec.rectangular(), PAPER, trials=2, seed=1,
                        threads=1)
         assert (grams, factors) == ([2, 2], [1, 1])
@@ -434,3 +462,48 @@ def test_verify_report_does_not_depend_on_blas_threads(set_blas_threads, tmp_pat
         reports.append((out / "report.json").read_bytes())
         assert blas_count() == blas
     assert reports[0] == reports[1]
+
+
+@contextlib.contextmanager
+def without_library():
+    """Hide numpy's bundled OpenBLAS from the package, as on a numpy build
+    that does not bundle it: every handle is None, so every ``_lapack`` path
+    falls back to numpy and the pin does nothing."""
+    handles = (otfsim._lapack.zpotrf, otfsim._lapack.zgemm, otfsim._lapack.thread_control)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(otfsim._lapack, "_library", lambda: None)
+            for handle in handles:
+                handle.cache_clear()
+            assert all(handle() is None for handle in handles)
+            yield
+    finally:
+        for handle in handles:
+            handle.cache_clear()
+
+
+def test_without_the_library_every_path_falls_back_with_the_same_bits(set_blas_threads,
+                                                                      tmp_path):
+    # Without the pin, a factor's bits follow the BLAS thread count, so the
+    # fallback matches the pinned default path with BLAS on one thread.
+    set_blas_threads(1)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "frame": {"M": 16, "N": 8, "M_cp": 4}, "mimo": {"n_t": 2, "n_r": 2},
+        "channel": {"kind": "doppler-paths", "L": 4, "P": 3, "nu_max": 0.02},
+        "noise": {"snr_db": [0, 10, 20]}, "run": {"seed": 11}}))
+
+    def outputs(name):
+        sweep = capacity_sweep(PAPER_NOISE, PAPER_MODEL, WindowSpec.rectangular(), PAPER,
+                               trials=4, seed=11)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        return ([(r.per_trial_otfs_bits, r.per_trial_ofdm_bits) for r in sweep],
+                (tmp_path / name / "report.json").read_bytes())
+
+    default = outputs("default")
+    with without_library():
+        fallback = outputs("fallback")
+    assert otfsim._lapack.zpotrf() is not None
+    assert fallback[1] == default[1]
+    for (otfs, ofdm), (fallback_otfs, fallback_ofdm) in zip(default[0], fallback[0], strict=True):
+        assert same_bits(fallback_otfs, otfs) and same_bits(fallback_ofdm, ofdm)

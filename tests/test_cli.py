@@ -650,6 +650,39 @@ def test_effective_matrix_check_counts_the_identity(tmp_path, monkeypatch, capsy
     assert "32x32 entries (cap 256)" in capsys.readouterr().err
 
 
+# Each geometry passes the plan's check on K and its Gram, but not the check
+# on another dense array that every verify run builds: the SISO frame's
+# 56 x 56 channel matrix H, or the 16 x 32 effective matrix of two transmit
+# antennas and one receive antenna, materialized from the 32 x 32 identity.
+# Both caps stay above the 18 x 24 Kronecker products of the first check, so
+# only these two sizes can stop the run before its first channel.
+VERIFY_PRECHECKS = {
+    "siso-channel-matrix": (dict(BASE, frame={"M": 4, "N": 8, "M_cp": 3}), 2000,
+                            "dense channel matrix would have 56x56 entries (cap 2000)"),
+    "wide-transmit-effective-matrix": (
+        dict(WIDE_TRANSMIT, frame={"M": 4, "N": 4, "M_cp": 1}, mimo={"n_t": 2, "n_r": 1}), 800,
+        "effective matrix's operator chain would have 32x32 entries (cap 800)"),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_PRECHECKS)
+def test_verify_checks_every_dense_size_before_any_draw(tmp_path, monkeypatch, capsys, case):
+    doc, cap, message = VERIFY_PRECHECKS[case]
+    draws = []
+
+    def no_draw(self):
+        draws.append(self)
+        raise AssertionError("a channel was drawn before the size check")
+
+    monkeypatch.setattr(LtvChannel, "__post_init__", no_draw)
+    monkeypatch.setattr(kronops, "DENSE_ENTRY_CAP", cap)
+    path = write_config(tmp_path, doc)
+    assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 4
+    assert draws == []
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # One bad value for each rule of the config's shape; each exits 2 as a
 # schema violation in every subcommand.
 SCHEMA_VIOLATIONS = {
