@@ -59,7 +59,6 @@ from .mimo import (
     mimo_block_channel,
     mimo_chain,
     mimo_effective_matrix,
-    mimo_effective_operator,
     mimo_isfft,
     mimo_modulation_stages,
     mimo_window,
@@ -70,7 +69,6 @@ from .mimo import (
 from .transceiver import (
     CpMatrices,
     OtfsFrameConfig,
-    SisoChainResult,
     TwoDConvResult,
     WindowSpec,
     apply_window,

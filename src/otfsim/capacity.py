@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import _lapack
-from .channel import ChannelModel
+from .channel import ChannelModel, require_cp_covers
 from .errors import ConfigError, DimensionError, NonFiniteError
 from .kronops import (BlockDiagonalFactor, OperatorChain, idft_matrix, off_block_max,
                       require_dense, require_finite, require_within)
@@ -290,7 +290,8 @@ def capacity_sweep(
     per trial the channels, K, every K_n and every Gram are built once, and
     each noise level costs one log-det per route. The OTFS route divides the
     block MI by the frame length, the OFDM route the mean per-symbol MI by the
-    symbol length.
+    symbol length. A CP shorter than the channel memory raises
+    :class:`ConfigError` before anything is built or drawn.
     """
     if not noise_vars:
         raise ConfigError("noise variance grid must be non-empty")
@@ -299,6 +300,7 @@ def capacity_sweep(
     if threads is not None and threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     frame = mcfg.frame
+    require_cp_covers(model, frame)
     plan = _SweepPlan(tx_window, mcfg)
     # Both parts before the first draw, so a part over the cap stops the run
     # before any channel is drawn, and before trials share the plan across threads.

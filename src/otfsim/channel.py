@@ -148,25 +148,26 @@ def trial_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
+def require_cp_covers(model: ChannelModel, frame: OtfsFrameConfig) -> None:
+    """Raise :class:`ConfigError` unless the CP absorbs the channel memory,
+    M_cp >= L - 1: the per-symbol decoupling every downstream result relies on."""
+    length = model.channel_length
+    if length - 1 > frame.cp_len:
+        raise ConfigError(
+            f"channel length L={length} needs M_cp >= {length - 1} but M_cp={frame.cp_len}; "
+            "lengthen the CP or shorten the channel")
+
+
 def synthesize(
     model: ChannelModel,
     cfg: OtfsFrameConfig,
     rng: Optional[np.random.Generator] = None,
-    enforce_cp: bool = True,
 ) -> LtvChannel:
-    """Realize a channel over one frame.
-
-    Rejects channels whose memory exceeds the CP (that would break the
-    per-symbol decoupling every downstream result relies on) unless
-    ``enforce_cp`` is disabled for diagnostic use.
-    """
+    """Realize a channel over one frame, whatever its length;
+    :func:`require_cp_covers` is the rule that the CP absorbs it."""
     length = model.channel_length
-    if enforce_cp and length - 1 > cfg.cp_len:
-        raise ConfigError(
-            f"channel length {length} needs cp_len >= {length - 1}, "
-            f"got {cfg.cp_len}: the CP cannot absorb the channel memory"
-        )
     span = cfg.frame_len
+    require_dense(span, length, "channel tap table")
     taps = np.zeros((span, length), dtype=np.complex128)
     if model.kind == "identity":
         taps[:, 0] = 1.0

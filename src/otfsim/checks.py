@@ -105,7 +105,7 @@ def _rand_complex(rng, *shape) -> np.ndarray:
 
 def _siso_channel(ctx: VerifyContext, key: int):
     rng = trial_rng(ctx.seed, 50, key)
-    return synthesize(ctx.channel_model, ctx.frame, rng=rng, enforce_cp=False)
+    return synthesize(ctx.channel_model, ctx.frame, rng=rng)
 
 
 def _flat_channel_table(ctx: VerifyContext, base: int):
@@ -165,8 +165,7 @@ def check_perfect_reconstruction(ctx: VerifyContext) -> List[tuple]:
     grid = _rand_complex(rng, frame.num_subcarriers, frame.num_symbols)
     ident = synthesize(ChannelModel.identity(), frame)
     rect = WindowSpec.rectangular()
-    out = siso_chain(grid, ident, rect, WindowSpec.rectangular("receive"), frame)
-    dev = float(np.max(np.abs(out.estimate_grid - grid)))
+    dev = float(np.max(np.abs(siso_chain(grid, ident, rect, rect, frame) - grid)))
     return [(dev, 1e-10)]
 
 
@@ -182,7 +181,7 @@ def check_chain_vs_matrix(ctx: VerifyContext) -> List[tuple]:
         chain = siso_chain(grids[0], channels[0][0], ctx.tx_window, ctx.rx_window, frame)
         eff = effective_matrix_general(
             assemble_h_matrix(channels[0][0]), ctx.tx_window, ctx.rx_window, frame)
-        return [(float(np.max(np.abs(chain.estimate - eff @ vec(grids[0])))), 1e-10)]
+        return [(float(np.max(np.abs(vec(chain) - eff @ vec(grids[0])))), 1e-10)]
     chain = mimo_chain(stacked, channels, ctx.tx_window, ctx.rx_window, mcfg)
     eff = mimo_effective_matrix(channels, ctx.tx_window, ctx.rx_window, mcfg)
     return [(float(np.max(np.abs(chain.estimate - eff @ vec(stacked)))), 1e-10)]
@@ -195,7 +194,7 @@ def check_block_diagonality(ctx: VerifyContext) -> List[tuple]:
     length = ctx.channel_model.channel_length
     probe = ChannelModel.static_multipath(
         np.full(length, 1.0 / np.sqrt(length)), np.arange(length))
-    channel = synthesize(probe, ctx.frame, enforce_cp=False)
+    channel = synthesize(probe, ctx.frame)
     # A CP shorter than the memory raises StructureError with the deviation.
     reduce_to_block_channel(assemble_h_matrix(channel), ctx.frame)
     return [(0.0, CP_TOL)]
@@ -219,10 +218,10 @@ def check_specializations(ctx: VerifyContext) -> List[tuple]:
     tx_sep = WindowSpec.separable(_rand_complex(rng, frame.num_symbols),
                                   _rand_complex(rng, frame.num_subcarriers))
     rx_sep = WindowSpec.separable(_rand_complex(rng, frame.num_symbols),
-                                  _rand_complex(rng, frame.num_subcarriers), role="receive")
+                                  _rand_complex(rng, frame.num_subcarriers))
     cases = (
         (tx_sep, rx_sep, lambda: effective_matrix_separable(blocks, tx_sep, rx_sep, frame)),
-        (WindowSpec.rectangular(), WindowSpec.rectangular("receive"),
+        (WindowSpec.rectangular(), WindowSpec.rectangular(),
          lambda: effective_matrix_rectangular(blocks, frame)),
         (ctx.tx_window, ctx.rx_window, lambda: effective_matrix_frequency_domain(
             to_frequency_domain(blocks), ctx.tx_window, ctx.rx_window, frame)),
@@ -241,8 +240,7 @@ def check_mi_additivity(ctx: VerifyContext) -> List[tuple]:
 def check_capacity_routes(ctx: VerifyContext) -> List[tuple]:
     worst = 0.0
     for trial in range(ROUTE_TRIALS):
-        channels = channel_table(ctx.channel_model, ctx.mcfg, ctx.seed, 40 + trial,
-                                 enforce_cp=False)
+        channels = channel_table(ctx.channel_model, ctx.mcfg, ctx.seed, 40 + trial)
         result = _trial_block_mis(channels, ctx.plan, [ctx.noise_var])[0]
         otfs_rate = result.total_bits / ctx.frame.frame_len
         ofdm_rate = float(np.mean(result.per_symbol_bits)) / ctx.frame.symbol_len

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import _lapack
 from .capacity import CapacityResult, capacity_sweep
-from .channel import ChannelModel, NoiseSpec, awgn, channel_to_json, trial_rng
+from .channel import (ChannelModel, NoiseSpec, awgn, channel_to_json, require_cp_covers,
+                      trial_rng)
 from .checks import VerifyContext, run_invariant_checks
 from .errors import ConfigError, DimensionError, OtfsimError
 from .kronops import BlockDiagonalFactor, require_finite, require_within, vec
@@ -127,7 +128,7 @@ def _complex_list(values, what: str) -> np.ndarray:
 def _window_from_doc(doc, key: str, frame: OtfsFrameConfig) -> WindowSpec:
     """The window under config key ``key`` (``tx`` or ``rx``). Every array
     present is checked, whichever kind reads it."""
-    path, role = f"window.{key}", "transmit" if key == "tx" else "receive"
+    path = f"window.{key}"
     keys = ("kind", "time", "freq", "taps")
     doc = _object(doc, path, keys, ("kind",))
     kind = _choice(doc["kind"], f"{path}.kind", _WINDOW_KINDS)
@@ -136,7 +137,7 @@ def _window_from_doc(doc, key: str, frame: OtfsFrameConfig) -> WindowSpec:
             _array(doc[name], f"{path}.{name}")
     _object(doc, path, keys, _WINDOW_KINDS[kind])  # the keys this kind needs
     if kind == "rectangular":
-        return WindowSpec.rectangular(role)
+        return WindowSpec.rectangular()
     if kind == "separable":
         time = _complex_list(doc["time"], f"{path}.time")
         freq = _complex_list(doc["freq"], f"{path}.freq")
@@ -145,11 +146,11 @@ def _window_from_doc(doc, key: str, frame: OtfsFrameConfig) -> WindowSpec:
         if freq.size != frame.num_subcarriers:
             raise ConfigError(
                 f"{path}.freq has {freq.size} entries, need M={frame.num_subcarriers}")
-        return WindowSpec.separable(time, freq, role)
+        return WindowSpec.separable(time, freq)
     taps = _complex_list(doc["taps"], f"{path}.taps")
     if taps.size != frame.grid_size:
         raise ConfigError(f"{path}.taps has {taps.size} entries, need M*N={frame.grid_size}")
-    return WindowSpec.general(taps, role)
+    return WindowSpec.general(taps)
 
 
 def _channel_from_doc(doc, frame: OtfsFrameConfig) -> ChannelModel:
@@ -304,10 +305,8 @@ def parse_config(
         raise ConfigError(
             f"config run.mode is {run['mode']!r} but the {mode!r} subcommand was invoked; "
             f"remove run.mode or use the matching subcommand")
-    if mode != "verify" and model.channel_length - 1 > frame.cp_len:
-        raise ConfigError(
-            f"channel length L={model.channel_length} needs M_cp >= {model.channel_length - 1} "
-            f"but M_cp={frame.cp_len}; lengthen the CP or shorten the channel")
+    if mode != "verify":
+        require_cp_covers(model, frame)
     if mode == "capacity" and any(s <= 0 for s in sigma2_list):
         raise ConfigError("capacity mode needs strictly positive noise variances")
 

@@ -74,16 +74,16 @@ def split_stacked_vector(v: np.ndarray, mcfg: MimoConfig, antennas: int) -> List
     return [tensor[:, t, :].T.copy() for t in range(antennas)]
 
 
-def mimo_isfft(stacked_grid: np.ndarray, mcfg: MimoConfig) -> np.ndarray:
+def mimo_isfft(stacked: np.ndarray, mcfg: MimoConfig) -> np.ndarray:
     """Stacked inverse 2-D transform: per-antenna DFT along delay, shared
     inverse DFT along the Doppler axis, then column stacking."""
     m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
-    stacked_grid = np.asarray(stacked_grid, dtype=np.complex128)
-    if stacked_grid.shape != (m * mcfg.num_tx, n):
+    stacked = np.asarray(stacked, dtype=np.complex128)
+    if stacked.shape != (m * mcfg.num_tx, n):
         raise DimensionError(
-            f"stacked grid must be {m * mcfg.num_tx}x{n}, got {stacked_grid.shape}"
+            f"stacked grid must be {m * mcfg.num_tx}x{n}, got {stacked.shape}"
         )
-    per_antenna = stacked_grid.reshape(mcfg.num_tx, m, n)
+    per_antenna = stacked.reshape(mcfg.num_tx, m, n)
     out = np.fft.fft(per_antenna, axis=1, norm="ortho").reshape(m * mcfg.num_tx, n)
     return vec(np.fft.ifft(out, axis=1, norm="ortho"))
 
@@ -110,12 +110,11 @@ def channel_table(
     mcfg: MimoConfig,
     seed: int,
     *key: int,
-    enforce_cp: bool = True,
 ) -> List[List[LtvChannel]]:
     """Rx-major table of antenna-pair channels: entry [r][t] is the t -> r
     channel drawn from ``trial_rng(seed, *key, r, t)``."""
     return [
-        [synthesize(model, mcfg.frame, rng=trial_rng(seed, *key, r, t), enforce_cp=enforce_cp)
+        [synthesize(model, mcfg.frame, rng=trial_rng(seed, *key, r, t))
          for t in range(mcfg.num_tx)]
         for r in range(mcfg.num_rx)
     ]
@@ -182,7 +181,6 @@ def mimo_block_channel(
 class MimoChainResult:
     """Intermediate signals of one stage-by-stage MIMO transmission."""
 
-    stacked_grid: np.ndarray      # (M*n_t) x N input
     tf_signal: np.ndarray         # stacked time-frequency vector
     tx_windowed: np.ndarray
     modulated: List[np.ndarray]   # per-tx-antenna time-domain frames with CP
@@ -193,7 +191,7 @@ class MimoChainResult:
 
 
 def mimo_chain(
-    stacked_grid: np.ndarray,
+    stacked: np.ndarray,
     channels: Sequence[Sequence[LtvChannel]],
     tx_window: WindowSpec,
     rx_window: WindowSpec,
@@ -209,7 +207,7 @@ def mimo_chain(
     table = _validated_channels(channels, mcfg)
     frame = mcfg.frame
     m, n, cp = frame.num_subcarriers, frame.num_symbols, frame.cp_len
-    tf_signal = mimo_isfft(np.asarray(stacked_grid, dtype=np.complex128), mcfg)
+    tf_signal = mimo_isfft(stacked, mcfg)
     tx_windowed = mimo_window(tf_signal, tx_window, mcfg, mcfg.num_tx)
 
     time_blocks = np.fft.ifft(tx_windowed.reshape(n * mcfg.num_tx, m), axis=1, norm="ortho")
@@ -243,7 +241,6 @@ def mimo_chain(
     ])
     estimate = final.apply(rx_windowed)
     return MimoChainResult(
-        stacked_grid=np.asarray(stacked_grid, dtype=np.complex128),
         tf_signal=tf_signal,
         tx_windowed=tx_windowed,
         modulated=modulated,
@@ -268,24 +265,6 @@ def mimo_modulation_stages(tx_window: WindowSpec, mcfg: MimoConfig) -> List[Kron
     ]
 
 
-def mimo_effective_operator(
-    channels: Sequence[Sequence[LtvChannel]],
-    tx_window: WindowSpec,
-    rx_window: WindowSpec,
-    mcfg: MimoConfig,
-) -> OperatorChain:
-    """Noiseless stacked end-to-end map as factorized stages: the receive
-    transforms and window, then the per-symbol block channel, in front of
-    :func:`mimo_modulation_stages`."""
-    m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
-    return OperatorChain([
-        KronOperator([DftFactor(n), IdentityFactor(mcfg.num_rx), InverseDftFactor(m)]),
-        KronOperator([DiagonalFactor(mimo_window_diagonal(rx_window, mcfg, mcfg.num_rx))]),
-        KronOperator([IdentityFactor(n * mcfg.num_rx), DftFactor(m)]),
-        KronOperator([BlockDiagonalFactor(mimo_block_channel(channels, mcfg))]),
-    ] + mimo_modulation_stages(tx_window, mcfg))
-
-
 def require_effective_fits(mcfg: MimoConfig) -> None:
     """The cap check of :func:`mimo_effective_matrix`, for callers to make
     before any channel is drawn: materializing its chain applies the stages
@@ -301,5 +280,13 @@ def mimo_effective_matrix(
     mcfg: MimoConfig,
 ) -> np.ndarray:
     """Dense (M*N*n_r) x (M*N*n_t) matrix whose action on the stacked data
-    vector equals the noiseless chain."""
-    return mimo_effective_operator(channels, tx_window, rx_window, mcfg).materialize()
+    vector equals the noiseless chain: the receive transforms and window,
+    then the per-symbol block channel, in front of
+    :func:`mimo_modulation_stages`, materialized as one operator chain."""
+    m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
+    return OperatorChain([
+        KronOperator([DftFactor(n), IdentityFactor(mcfg.num_rx), InverseDftFactor(m)]),
+        KronOperator([DiagonalFactor(mimo_window_diagonal(rx_window, mcfg, mcfg.num_rx))]),
+        KronOperator([IdentityFactor(n * mcfg.num_rx), DftFactor(m)]),
+        KronOperator([BlockDiagonalFactor(mimo_block_channel(channels, mcfg))]),
+    ] + mimo_modulation_stages(tx_window, mcfg)).materialize()

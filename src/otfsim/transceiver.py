@@ -21,7 +21,7 @@ agree with it under their preconditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -91,7 +91,6 @@ class WindowSpec:
     """
 
     kind: str
-    role: str = "transmit"
     time_taper: Optional[np.ndarray] = None
     freq_taper: Optional[np.ndarray] = None
     taps: Optional[np.ndarray] = None
@@ -99,8 +98,6 @@ class WindowSpec:
     def __post_init__(self):
         if self.kind not in ("rectangular", "separable", "general"):
             raise DimensionError(f"unknown window kind: {self.kind!r}")
-        if self.role not in ("transmit", "receive"):
-            raise DimensionError(f"unknown window role: {self.role!r}")
         if self.kind == "separable":
             if self.time_taper is None or self.freq_taper is None:
                 raise DimensionError("separable window needs time_taper and freq_taper")
@@ -112,16 +109,16 @@ class WindowSpec:
             object.__setattr__(self, "taps", np.asarray(self.taps, dtype=np.complex128).reshape(-1))
 
     @classmethod
-    def rectangular(cls, role: str = "transmit") -> "WindowSpec":
-        return cls(kind="rectangular", role=role)
+    def rectangular(cls) -> "WindowSpec":
+        return cls(kind="rectangular")
 
     @classmethod
-    def separable(cls, time_taper, freq_taper, role: str = "transmit") -> "WindowSpec":
-        return cls(kind="separable", role=role, time_taper=time_taper, freq_taper=freq_taper)
+    def separable(cls, time_taper, freq_taper) -> "WindowSpec":
+        return cls(kind="separable", time_taper=time_taper, freq_taper=freq_taper)
 
     @classmethod
-    def general(cls, taps, role: str = "transmit") -> "WindowSpec":
-        return cls(kind="general", role=role, taps=taps)
+    def general(cls, taps) -> "WindowSpec":
+        return cls(kind="general", taps=taps)
 
     def diagonal(self, cfg: OtfsFrameConfig) -> np.ndarray:
         """Length-M*N diagonal of the window matrix, element l*M + k."""
@@ -131,14 +128,12 @@ class WindowSpec:
         if self.kind == "separable":
             if self.time_taper.size != n or self.freq_taper.size != m:
                 raise DimensionError(
-                    f"{self.role} window tapers have lengths "
+                    "window tapers have lengths "
                     f"{self.time_taper.size}/{self.freq_taper.size}, need {n}/{m}"
                 )
             return np.kron(self.time_taper, self.freq_taper)
         if self.taps.size != m * n:
-            raise DimensionError(
-                f"{self.role} window has {self.taps.size} taps, need {m * n}"
-            )
+            raise DimensionError(f"window has {self.taps.size} taps, need {m * n}")
         return self.taps
 
 
@@ -217,38 +212,17 @@ def ofdm_demodulate(received: np.ndarray, cfg: OtfsFrameConfig) -> np.ndarray:
     return np.fft.fft(body, axis=0, norm="ortho").reshape(-1, order="F")
 
 
-@dataclass
-class SisoChainResult:
-    """All intermediate signals of one stage-by-stage SISO transmission."""
-
-    data_grid: np.ndarray       # M x N input
-    tf_signal: np.ndarray       # after inverse 2-D transform, length MN
-    tx_windowed: np.ndarray     # after transmit window
-    modulated: np.ndarray       # time-domain frame with CP, length N*(M+cp)
-    received: np.ndarray        # channel output plus noise
-    demodulated: np.ndarray     # after CP removal and per-symbol DFT
-    rx_windowed: np.ndarray     # after receive window
-    estimate_grid: np.ndarray   # M x N output of the receive 2-D transform
-    noise: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def estimate(self) -> np.ndarray:
-        return vec(self.estimate_grid)
-
-
 def siso_chain(
     data_grid: np.ndarray,
     channel,
     tx_window: WindowSpec,
     rx_window: WindowSpec,
     cfg: OtfsFrameConfig,
-    noise: Optional[np.ndarray] = None,
-) -> SisoChainResult:
-    """Run the full transmit/channel/receive chain stage by stage.
+) -> np.ndarray:
+    """Run the full transmit/channel/receive chain stage by stage and return
+    the M x N estimate grid.
 
-    ``channel`` is an :class:`~otfsim.channel.LtvChannel` spanning the
-    frame; ``noise`` is an optional length-frame_len vector added at the
-    channel output.
+    ``channel`` is an :class:`~otfsim.channel.LtvChannel` spanning the frame.
     """
     data_grid = np.asarray(data_grid, dtype=np.complex128)
     if data_grid.shape != (cfg.num_subcarriers, cfg.num_symbols):
@@ -256,29 +230,10 @@ def siso_chain(
             f"data grid shape {data_grid.shape} does not match "
             f"{cfg.num_subcarriers}x{cfg.num_symbols}"
         )
-    tf_signal = vec(isfft(data_grid))
-    tx_windowed = apply_window(tf_signal, tx_window, cfg)
-    modulated = ofdm_modulate(tx_windowed, cfg)
-    received = channel.apply(modulated)
-    if noise is not None:
-        noise = np.asarray(noise, dtype=np.complex128)
-        if noise.shape != (cfg.frame_len,):
-            raise DimensionError(f"noise must have length {cfg.frame_len}")
-        received = received + noise
-    demodulated = ofdm_demodulate(received, cfg)
-    rx_windowed = apply_window(demodulated, rx_window, cfg)
-    estimate_grid = sfft(unvec(rx_windowed, cfg.num_subcarriers, cfg.num_symbols))
-    return SisoChainResult(
-        data_grid=data_grid,
-        tf_signal=tf_signal,
-        tx_windowed=tx_windowed,
-        modulated=modulated,
-        received=received,
-        demodulated=demodulated,
-        rx_windowed=rx_windowed,
-        estimate_grid=estimate_grid,
-        noise=noise,
-    )
+    tx_windowed = apply_window(vec(isfft(data_grid)), tx_window, cfg)
+    received = channel.apply(ofdm_modulate(tx_windowed, cfg))
+    rx_windowed = apply_window(ofdm_demodulate(received, cfg), rx_window, cfg)
+    return sfft(unvec(rx_windowed, cfg.num_subcarriers, cfg.num_symbols))
 
 
 def effective_operator_general(

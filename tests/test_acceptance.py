@@ -57,8 +57,8 @@ def test_criterion_01_perfect_reconstruction():
     data = rand_complex(rng, 16, 8)
     channel = synthesize(ChannelModel.identity(), cfg)
     out = siso_chain(data, channel, WindowSpec.rectangular(),
-                     WindowSpec.rectangular("receive"), cfg)
-    dev = float(np.max(np.abs(out.estimate_grid - data)))
+                     WindowSpec.rectangular(), cfg)
+    dev = float(np.max(np.abs(out - data)))
     elapsed = time.perf_counter() - start
     report("01 perfect-reconstruction", dev <= 1e-10 and elapsed < 1.0,
            f"max |estimate - data| = {dev:.3e} (tol 1e-10), {elapsed:.2f}s (< 1s)")
@@ -72,11 +72,11 @@ def test_criterion_02_boxed_equation_fidelity():
         rng = np.random.default_rng(2000 + trial)
         channel = random_ltv(rng, cfg, length=4)
         tx = WindowSpec.general(rand_complex(rng, cfg.grid_size))
-        rx = WindowSpec.general(rand_complex(rng, cfg.grid_size), role="receive")
+        rx = WindowSpec.general(rand_complex(rng, cfg.grid_size))
         data = rand_complex(rng, 8, 4)
         chain = siso_chain(data, channel, tx, rx, cfg)
         eff = effective_matrix_general(assemble_h_matrix(channel), tx, rx, cfg)
-        worst = max(worst, float(np.max(np.abs(chain.estimate - eff @ vec(data)))))
+        worst = max(worst, float(np.max(np.abs(vec(chain) - eff @ vec(data)))))
     elapsed = time.perf_counter() - start
     report("02 boxed-equation-fidelity", worst <= 1e-10 and elapsed < 30.0,
            f"worst chain/matrix gap over 100 channels = {worst:.3e} (tol 1e-10), "
@@ -93,19 +93,19 @@ def test_criterion_03_specialization_equivalence():
         blocks = reduce_to_block_channel(h, cfg)
 
         tx = WindowSpec.separable(rand_complex(rng, 4), rand_complex(rng, 8))
-        rx = WindowSpec.separable(rand_complex(rng, 4), rand_complex(rng, 8), role="receive")
+        rx = WindowSpec.separable(rand_complex(rng, 4), rand_complex(rng, 8))
         gap = np.max(np.abs(effective_matrix_general(h, tx, rx, cfg)
                             - effective_matrix_separable(blocks, tx, rx, cfg)))
         worst["separable"] = max(worst["separable"], float(gap))
 
         gap = np.max(np.abs(
             effective_matrix_general(h, WindowSpec.rectangular(),
-                                     WindowSpec.rectangular("receive"), cfg)
+                                     WindowSpec.rectangular(), cfg)
             - effective_matrix_rectangular(blocks, cfg)))
         worst["rectangular"] = max(worst["rectangular"], float(gap))
 
         txg = WindowSpec.general(rand_complex(rng, cfg.grid_size))
-        rxg = WindowSpec.general(rand_complex(rng, cfg.grid_size), role="receive")
+        rxg = WindowSpec.general(rand_complex(rng, cfg.grid_size))
         gap = np.max(np.abs(
             effective_matrix_general(h, txg, rxg, cfg)
             - effective_matrix_frequency_domain(to_frequency_domain(blocks), txg, rxg, cfg)))
@@ -224,11 +224,11 @@ def test_criterion_09_siso_mimo_reduction():
         rng = np.random.default_rng(9000 + trial)
         channel = synthesize(model, frame, rng=trial_rng(9, trial))
         tx = WindowSpec.general(rand_complex(rng, frame.grid_size))
-        rx = WindowSpec.general(rand_complex(rng, frame.grid_size), role="receive")
+        rx = WindowSpec.general(rand_complex(rng, frame.grid_size))
         data = rand_complex(rng, 8, 4)
         siso = siso_chain(data, channel, tx, rx, frame)
         mimo = mimo_chain(stack_grids([data], mcfg), [[channel]], tx, rx, mcfg)
-        worst = max(worst, float(np.max(np.abs(siso.estimate - mimo.estimate))))
+        worst = max(worst, float(np.max(np.abs(vec(siso) - mimo.estimate))))
         eff_gap = np.max(np.abs(
             mimo_effective_matrix([[channel]], tx, rx, mcfg)
             - effective_matrix_general(assemble_h_matrix(channel), tx, rx, frame)))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import otfsim._lapack
 import otfsim.capacity
 import otfsim.kronops
+import otfsim.mimo
 from otfsim.capacity import (
     capacity_sweep,
     ergodic_capacity,
@@ -197,7 +198,7 @@ class TestBlockMi:
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=1)
         mcfg = MimoConfig(frame=frame, num_tx=1, num_rx=1)
         model = ChannelModel.static_multipath([1.0, 0.3, 0.2], [0, 1, 2])
-        channels = [[synthesize(model, frame, enforce_cp=False)]]
+        channels = [[synthesize(model, frame)]]
         with pytest.raises(StructureError):
             otfs_block_mi(channels, WindowSpec.rectangular(), 1.0, mcfg)
 
@@ -322,6 +323,22 @@ class TestCapacitySweep:
         with pytest.raises(ConfigError):
             capacity_sweep([], ChannelModel.identity(), WindowSpec.rectangular(),
                            mcfg, trials=1)
+
+    def test_cp_too_short_rejected(self, monkeypatch):
+        # The CP rule runs before the plan is built or any channel is drawn.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built or drew before the CP rule")
+
+        monkeypatch.setattr(otfsim.mimo, "synthesize", unreachable)
+        monkeypatch.setattr(otfsim.capacity, "_SweepPlan", unreachable)
+        mcfg = MimoConfig(OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=1), 2, 2)
+        model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.05)
+        message = (r"^channel length L=4 needs M_cp >= 3 but M_cp=1; "
+                   r"lengthen the CP or shorten the channel$")
+        with pytest.raises(ConfigError, match=message):
+            capacity_sweep([1.0, 0.1], model, WindowSpec.rectangular(), mcfg, trials=2)
+        with pytest.raises(ConfigError, match=message):
+            ergodic_capacity(model, WindowSpec.rectangular(), 1.0, mcfg, trials=2)
 
 
 def assert_sweep_matches_block_mi(noise_vars, model, window, mcfg, trials, seed):

@@ -91,10 +91,13 @@ class TestSynthesize:
         b = synthesize(model, CFG, rng=trial_rng(9, 4))
         assert np.array_equal(a.taps, b.taps)
 
-    def test_cp_too_short_rejected(self):
-        model = ChannelModel.doppler_paths(num_taps=4, num_paths=2, max_doppler=0.1)
-        with pytest.raises(ConfigError):
-            synthesize(model, CFG, rng=trial_rng(1, 0))
+    def test_tap_table_checked_against_the_cap(self, monkeypatch):
+        model = ChannelModel.static_multipath([1.0, 0.5, 0.25], [0, 1, 2])
+        monkeypatch.setattr(kronops, "DENSE_ENTRY_CAP", CFG.frame_len * 3 - 1)
+        with pytest.raises(SizeCapError, match="channel tap table"):
+            synthesize(model, CFG)
+        monkeypatch.setattr(kronops, "DENSE_ENTRY_CAP", CFG.frame_len * 3)
+        assert synthesize(model, CFG).taps.shape == (CFG.frame_len, 3)
 
     def test_random_kind_requires_rng(self):
         model = ChannelModel.doppler_paths(num_taps=2, num_paths=1, max_doppler=0.1)
@@ -213,7 +216,7 @@ class TestReduceToBlockChannel:
     def test_short_cp_raises_structure_error(self):
         cfg = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=1)
         model = ChannelModel.static_multipath([1.0, 0.3, 0.2], [0, 1, 2])
-        ch = synthesize(model, cfg, enforce_cp=False)
+        ch = synthesize(model, cfg)
         with pytest.raises(StructureError) as err:
             reduce_to_block_channel(assemble_h_matrix(ch), cfg)
         assert err.value.deviation > 0.1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otfsim.channel import ChannelModel, LtvChannel, synthesize, trial_rng
-from otfsim.errors import ConfigError, DimensionError, StructureError
+from otfsim.errors import DimensionError, StructureError
 from otfsim.kronops import dft_matrix, kron, vec
 from otfsim.mimo import (
     MimoConfig,
@@ -37,14 +37,14 @@ def rand_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_window(rng, kind, role, cfg):
+def random_window(rng, kind, cfg):
     """Window of the given kind with random complex taps."""
     if kind == "rectangular":
-        return WindowSpec.rectangular(role)
+        return WindowSpec.rectangular()
     if kind == "separable":
         return WindowSpec.separable(rand_complex(rng, cfg.num_symbols),
-                                    rand_complex(rng, cfg.num_subcarriers), role=role)
-    return WindowSpec.general(rand_complex(rng, cfg.grid_size), role=role)
+                                    rand_complex(rng, cfg.num_subcarriers))
+    return WindowSpec.general(rand_complex(rng, cfg.grid_size))
 
 
 WINDOW_KINDS = st.sampled_from(["rectangular", "separable", "general"])
@@ -71,12 +71,10 @@ class TestChannelTable:
                 want = synthesize(model, FRAME, rng=trial_rng(11, *key, r, t))
                 assert np.array_equal(ch.taps, want.taps)
 
-    def test_enforce_cp_false_returns_channel_longer_than_cp(self):
+    def test_returns_channels_longer_than_the_cp(self):
         mcfg = MimoConfig(frame=FRAME, num_tx=2, num_rx=2)
         model = ChannelModel.doppler_paths(num_taps=4, num_paths=2, max_doppler=0.05)
-        with pytest.raises(ConfigError):
-            channel_table(model, mcfg, 1, 0)
-        table = channel_table(model, mcfg, 1, 0, enforce_cp=False)
+        table = channel_table(model, mcfg, 1, 0)
         assert [[ch.length for ch in row] for row in table] == [[4, 4], [4, 4]]
 
 
@@ -169,10 +167,10 @@ class TestMimoChain:
         grid = rand_complex(rng, 4, 3)
         channels = random_channels(10, mcfg)
         tx = WindowSpec.general(rand_complex(rng, 12))
-        rx = WindowSpec.general(rand_complex(rng, 12), role="receive")
+        rx = WindowSpec.general(rand_complex(rng, 12))
         mimo_out = mimo_chain(grid, channels, tx, rx, mcfg)
         siso_out = siso_chain(grid, channels[0][0], tx, rx, FRAME)
-        assert np.max(np.abs(mimo_out.estimate - siso_out.estimate)) <= 1e-12
+        assert np.max(np.abs(mimo_out.estimate - vec(siso_out))) <= 1e-12
 
     def test_parallel_identity_channels_reconstruct(self):
         mcfg = MimoConfig(frame=FRAME, num_tx=2, num_rx=2)
@@ -183,7 +181,7 @@ class TestMimoChain:
         grids = [rand_complex(rng, 4, 3) for _ in range(2)]
         stacked = stack_grids(grids, mcfg)
         out = mimo_chain(stacked, channels, WindowSpec.rectangular(),
-                         WindowSpec.rectangular("receive"), mcfg)
+                         WindowSpec.rectangular(), mcfg)
         assert np.max(np.abs(out.estimate - vec(stacked))) <= 1e-10
 
     @pytest.mark.parametrize("trial", range(10))
@@ -192,7 +190,7 @@ class TestMimoChain:
         rng = np.random.default_rng(800 + trial)
         channels = random_channels(900 + trial, mcfg)
         tx = WindowSpec.general(rand_complex(rng, 12))
-        rx = WindowSpec.general(rand_complex(rng, 12), role="receive")
+        rx = WindowSpec.general(rand_complex(rng, 12))
         grids = [rand_complex(rng, 4, 3) for _ in range(2)]
         stacked = stack_grids(grids, mcfg)
         out = mimo_chain(stacked, channels, tx, rx, mcfg)
@@ -215,8 +213,8 @@ class TestMimoChain:
         model = ChannelModel.doppler_paths(num_taps=taps, num_paths=paths, max_doppler=0.05)
         channels = channel_table(model, mcfg, seed)
         rng = np.random.default_rng(seed)
-        tx = random_window(rng, tx_kind, "transmit", frame)
-        rx = random_window(rng, rx_kind, "receive", frame)
+        tx = random_window(rng, tx_kind, frame)
+        rx = random_window(rng, rx_kind, frame)
         stacked = stack_grids([rand_complex(rng, m, n) for _ in range(n_t)], mcfg)
         out = mimo_chain(stacked, channels, tx, rx, mcfg)
         eff = mimo_effective_matrix(channels, tx, rx, mcfg)
@@ -230,7 +228,7 @@ class TestMimoChain:
         stacked = stack_grids(grids, mcfg)
         noise = [rand_complex(rng, FRAME.frame_len) for _ in range(2)]
         tx = WindowSpec.rectangular()
-        rx = WindowSpec.rectangular("receive")
+        rx = WindowSpec.rectangular()
         noisy = mimo_chain(stacked, channels, tx, rx, mcfg, noise=noise)
         clean = mimo_chain(stacked, channels, tx, rx, mcfg)
         noise_only = mimo_chain(np.zeros_like(stacked), channels, tx, rx, mcfg, noise=noise)
@@ -241,7 +239,7 @@ class TestMimoChain:
         ident = synthesize(ChannelModel.identity(), FRAME)
         with pytest.raises(DimensionError):
             mimo_chain(np.zeros((8, 3)), [[ident, ident]], WindowSpec.rectangular(),
-                       WindowSpec.rectangular("receive"), mcfg)
+                       WindowSpec.rectangular(), mcfg)
 
     def test_mismatched_channel_lengths(self):
         mcfg = MimoConfig(frame=FRAME, num_tx=2, num_rx=1)
@@ -249,7 +247,7 @@ class TestMimoChain:
         two_tap = synthesize(ChannelModel.static_multipath([1.0, 0.1], [0, 1]), FRAME)
         with pytest.raises(DimensionError):
             mimo_chain(np.zeros((8, 3)), [[ident, two_tap]], WindowSpec.rectangular(),
-                       WindowSpec.rectangular("receive"), mcfg)
+                       WindowSpec.rectangular(), mcfg)
 
 
 class TestMimoEffectiveMatrix:
@@ -259,7 +257,7 @@ class TestMimoEffectiveMatrix:
         zero = zero_channel(FRAME)
         channels = [[ident, zero], [zero, ident]]
         eff = mimo_effective_matrix(channels, WindowSpec.rectangular(),
-                                    WindowSpec.rectangular("receive"), mcfg)
+                                    WindowSpec.rectangular(), mcfg)
         assert np.max(np.abs(eff - np.eye(24))) <= 1e-12
 
     def test_single_antenna_equals_siso_builder(self):
@@ -267,7 +265,7 @@ class TestMimoEffectiveMatrix:
         rng = np.random.default_rng(14)
         channels = random_channels(15, mcfg)
         tx = WindowSpec.general(rand_complex(rng, 12))
-        rx = WindowSpec.general(rand_complex(rng, 12), role="receive")
+        rx = WindowSpec.general(rand_complex(rng, 12))
         mimo_eff = mimo_effective_matrix(channels, tx, rx, mcfg)
         siso_eff = effective_matrix_general(
             assemble_h_matrix(channels[0][0]), tx, rx, FRAME)
@@ -277,7 +275,7 @@ class TestMimoEffectiveMatrix:
         mcfg = MimoConfig(frame=FRAME, num_tx=3, num_rx=2)
         channels = random_channels(16, mcfg)
         eff = mimo_effective_matrix(channels, WindowSpec.rectangular(),
-                                    WindowSpec.rectangular("receive"), mcfg)
+                                    WindowSpec.rectangular(), mcfg)
         assert eff.shape == (FRAME.grid_size * 2, FRAME.grid_size * 3)
 
     def test_oracle_equality_over_random_inputs(self):
@@ -285,7 +283,7 @@ class TestMimoEffectiveMatrix:
         rng = np.random.default_rng(17)
         channels = random_channels(18, mcfg)
         tx = WindowSpec.separable(rand_complex(rng, 3), rand_complex(rng, 4))
-        rx = WindowSpec.separable(rand_complex(rng, 3), rand_complex(rng, 4), role="receive")
+        rx = WindowSpec.separable(rand_complex(rng, 3), rand_complex(rng, 4))
         eff = mimo_effective_matrix(channels, tx, rx, mcfg)
         for _ in range(20):
             grids = [rand_complex(rng, 4, 3) for _ in range(2)]
@@ -305,12 +303,12 @@ class TestAntennaStructure:
         rng = np.random.default_rng(20)
         grids = [rand_complex(rng, 4, 3) for _ in range(2)]
         tx = WindowSpec.general(rand_complex(rng, 12))
-        rx = WindowSpec.general(rand_complex(rng, 12), role="receive")
+        rx = WindowSpec.general(rand_complex(rng, 12))
         out = mimo_chain(stack_grids(grids, mcfg), channels, tx, rx, mcfg)
         estimates = split_stacked_vector(out.estimate, mcfg, 2)
         for grid, diag, est in zip(grids, (diag0, diag1), estimates):
             solo = siso_chain(grid, diag, tx, rx, FRAME)
-            assert np.max(np.abs(est - solo.estimate_grid)) <= 1e-10
+            assert np.max(np.abs(est - solo)) <= 1e-10
 
     def test_permuting_antennas_permutes_outputs(self):
         mcfg = MimoConfig(frame=FRAME, num_tx=2, num_rx=2)
@@ -318,7 +316,7 @@ class TestAntennaStructure:
         rng = np.random.default_rng(22)
         grids = [rand_complex(rng, 4, 3) for _ in range(2)]
         tx = WindowSpec.rectangular()
-        rx = WindowSpec.rectangular("receive")
+        rx = WindowSpec.rectangular()
         base = mimo_chain(stack_grids(grids, mcfg), channels, tx, rx, mcfg)
         swapped_channels = [[channels[1][1], channels[1][0]],
                             [channels[0][1], channels[0][0]]]
@@ -371,7 +369,7 @@ class TestTapTableBuilder:
         frame = OtfsFrameConfig(num_subcarriers=m, num_symbols=n, cp_len=cp)
         mcfg = MimoConfig(frame=frame, num_tx=n_t, num_rx=n_r)
         model = ChannelModel.doppler_paths(num_taps=taps, num_paths=paths, max_doppler=0.05)
-        channels = channel_table(model, mcfg, seed, enforce_cp=False)
+        channels = channel_table(model, mcfg, seed)
         dense_err = raised_structure_error(dense_block_channel, channels, mcfg)
         if cp >= taps - 1 or n == 1:
             assert dense_err is None
@@ -392,7 +390,7 @@ class TestTapTableBuilder:
 
         def channel(leak):
             model = ChannelModel.static_multipath([1.0, leak], [0, 3])
-            return synthesize(model, frame, enforce_cp=False)
+            return synthesize(model, frame)
 
         channels = [[channel(0.0), channel(0.3)], [channel(0.7), channel(0.0)]]
         with pytest.raises(StructureError, match="CP is shorter") as info:
@@ -405,12 +403,12 @@ class TestTapTableBuilder:
         model = ChannelModel.doppler_paths(num_taps=6, num_paths=6, max_doppler=0.05)
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=3, cp_len=2)
         mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=1)
-        channels = channel_table(model, mcfg, 31, enforce_cp=False)
+        channels = channel_table(model, mcfg, 31)
         with pytest.raises(StructureError, match="CP is shorter"):
             mimo_block_channel(channels, mcfg)
         with pytest.raises(StructureError, match="CP is shorter"):
             dense_block_channel(channels, mcfg)
         single = MimoConfig(frame=OtfsFrameConfig(num_subcarriers=4, num_symbols=1, cp_len=3))
-        channels = channel_table(model, single, 32, enforce_cp=False)
+        channels = channel_table(model, single, 32)
         assert np.array_equal(mimo_block_channel(channels, single),
                               dense_block_channel(channels, single))

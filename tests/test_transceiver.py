@@ -43,14 +43,14 @@ def rand_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_window(rng, kind, role, cfg):
+def random_window(rng, kind, cfg):
     """Window of the given kind with random complex taps."""
     if kind == "rectangular":
-        return WindowSpec.rectangular(role)
+        return WindowSpec.rectangular()
     if kind == "separable":
         return WindowSpec.separable(rand_complex(rng, cfg.num_symbols),
-                                    rand_complex(rng, cfg.num_subcarriers), role=role)
-    return WindowSpec.general(rand_complex(rng, cfg.grid_size), role=role)
+                                    rand_complex(rng, cfg.num_subcarriers))
+    return WindowSpec.general(rand_complex(rng, cfg.grid_size))
 
 
 WINDOW_KINDS = st.sampled_from(["rectangular", "separable", "general"])
@@ -196,9 +196,9 @@ class TestWindows:
         rng = np.random.default_rng(29)
         taps = np.exp(1j * rng.uniform(0, 2 * np.pi, 12))
         tx = WindowSpec.general(taps)
-        rx = WindowSpec.general(1.0 / taps, role="receive")
+        rx = WindowSpec.general(1.0 / taps)
         assert window_distortion(tx, rx, self.cfg) <= 1e-12
-        assert window_distortion(tx, WindowSpec.rectangular("receive"), self.cfg) > 1e-3
+        assert window_distortion(tx, WindowSpec.rectangular(), self.cfg) > 1e-3
 
 
 class TestCpMatrices:
@@ -269,7 +269,7 @@ class TestEffectiveMatrixGeneral:
         cfg = OtfsFrameConfig(num_subcarriers=4, num_symbols=3, cp_len=2)
         ident = assemble_h_matrix(synthesize(ChannelModel.identity(), cfg))
         eff = effective_matrix_general(
-            ident, WindowSpec.rectangular(), WindowSpec.rectangular("receive"), cfg)
+            ident, WindowSpec.rectangular(), WindowSpec.rectangular(), cfg)
         assert np.max(np.abs(eff - np.eye(12))) <= 1e-12
 
     def test_tx_window_only_dense_composition(self):
@@ -278,7 +278,7 @@ class TestEffectiveMatrixGeneral:
         taps = rand_complex(rng, 8)
         ident = assemble_h_matrix(synthesize(ChannelModel.identity(), cfg))
         eff = effective_matrix_general(
-            ident, WindowSpec.general(taps), WindowSpec.rectangular("receive"), cfg)
+            ident, WindowSpec.general(taps), WindowSpec.rectangular(), cfg)
         fn, fm = dft_matrix(2), dft_matrix(4)
         expected = kron(fn, fm.conj().T) @ np.diag(taps) @ kron(fn.conj().T, fm)
         assert np.max(np.abs(eff - expected)) <= 1e-10
@@ -289,18 +289,18 @@ class TestEffectiveMatrixGeneral:
         cfg = OtfsFrameConfig(num_subcarriers=8, num_symbols=4, cp_len=3)
         channel = random_ltv_channel(rng, cfg, length=4)
         tx = WindowSpec.general(rand_complex(rng, cfg.grid_size))
-        rx = WindowSpec.general(rand_complex(rng, cfg.grid_size), role="receive")
+        rx = WindowSpec.general(rand_complex(rng, cfg.grid_size))
         data = rand_complex(rng, 8, 4)
         chain = siso_chain(data, channel, tx, rx, cfg)
         eff = effective_matrix_general(assemble_h_matrix(channel), tx, rx, cfg)
-        assert np.max(np.abs(chain.estimate - eff @ vec(data))) <= 1e-10
+        assert np.max(np.abs(vec(chain) - eff @ vec(data))) <= 1e-10
 
     def test_operator_apply_matches_matrix(self):
         rng = np.random.default_rng(34)
         cfg = OtfsFrameConfig(num_subcarriers=8, num_symbols=4, cp_len=3)
         channel = random_ltv_channel(rng, cfg, length=3)
         tx = WindowSpec.general(rand_complex(rng, cfg.grid_size))
-        rx = WindowSpec.general(rand_complex(rng, cfg.grid_size), role="receive")
+        rx = WindowSpec.general(rand_complex(rng, cfg.grid_size))
         op = effective_operator_general(assemble_h_matrix(channel), tx, rx, cfg)
         dense = effective_matrix_general(assemble_h_matrix(channel), tx, rx, cfg)
         v = rand_complex(rng, cfg.grid_size)
@@ -310,7 +310,7 @@ class TestEffectiveMatrixGeneral:
         cfg = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=1)
         with pytest.raises(DimensionError):
             effective_matrix_general(
-                np.eye(9), WindowSpec.rectangular(), WindowSpec.rectangular("receive"), cfg)
+                np.eye(9), WindowSpec.rectangular(), WindowSpec.rectangular(), cfg)
 
 
 def _reduced_blocks(rng, cfg, length):
@@ -329,7 +329,7 @@ class TestSpecializations:
         ones_t, ones_f = np.ones(4), np.ones(6)
         sep = effective_matrix_separable(
             blocks, WindowSpec.separable(ones_t, ones_f),
-            WindowSpec.separable(ones_t, ones_f, role="receive"), self.cfg)
+            WindowSpec.separable(ones_t, ones_f), self.cfg)
         rect = effective_matrix_rectangular(blocks, self.cfg)
         assert np.max(np.abs(sep - rect)) <= 1e-10
 
@@ -338,7 +338,7 @@ class TestSpecializations:
         rng = np.random.default_rng(400 + trial)
         h, blocks = _reduced_blocks(rng, self.cfg, 4)
         tx = WindowSpec.separable(rand_complex(rng, 4), rand_complex(rng, 6))
-        rx = WindowSpec.separable(rand_complex(rng, 4), rand_complex(rng, 6), role="receive")
+        rx = WindowSpec.separable(rand_complex(rng, 4), rand_complex(rng, 6))
         general = effective_matrix_general(h, tx, rx, self.cfg)
         special = effective_matrix_separable(blocks, tx, rx, self.cfg)
         assert np.max(np.abs(general - special)) <= 1e-10
@@ -347,7 +347,7 @@ class TestSpecializations:
         rng = np.random.default_rng(41)
         h, blocks = _reduced_blocks(rng, self.cfg, 3)
         tx = WindowSpec.separable(rand_complex(rng, 4), np.ones(6))
-        rx = WindowSpec.separable(rand_complex(rng, 4), np.ones(6), role="receive")
+        rx = WindowSpec.separable(rand_complex(rng, 4), np.ones(6))
         general = effective_matrix_general(h, tx, rx, self.cfg)
         special = effective_matrix_separable(blocks, tx, rx, self.cfg)
         assert np.max(np.abs(general - special)) <= 1e-10
@@ -373,7 +373,7 @@ class TestSpecializations:
         rng = np.random.default_rng(500 + trial)
         h, blocks = _reduced_blocks(rng, self.cfg, 4)
         general = effective_matrix_general(
-            h, WindowSpec.rectangular(), WindowSpec.rectangular("receive"), self.cfg)
+            h, WindowSpec.rectangular(), WindowSpec.rectangular(), self.cfg)
         special = effective_matrix_rectangular(blocks, self.cfg)
         assert np.max(np.abs(general - special)) <= 1e-10
 
@@ -388,7 +388,7 @@ class TestSpecializations:
     def test_frequency_domain_identity(self):
         cfg = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=1)
         eff = effective_matrix_frequency_domain(
-            [np.eye(4)] * 2, WindowSpec.rectangular(), WindowSpec.rectangular("receive"), cfg)
+            [np.eye(4)] * 2, WindowSpec.rectangular(), WindowSpec.rectangular(), cfg)
         assert np.max(np.abs(eff - np.eye(8))) <= 1e-12
 
     @pytest.mark.parametrize("trial", range(10))
@@ -396,7 +396,7 @@ class TestSpecializations:
         rng = np.random.default_rng(600 + trial)
         h, blocks = _reduced_blocks(rng, self.cfg, 4)
         tx = WindowSpec.general(rand_complex(rng, self.cfg.grid_size))
-        rx = WindowSpec.general(rand_complex(rng, self.cfg.grid_size), role="receive")
+        rx = WindowSpec.general(rand_complex(rng, self.cfg.grid_size))
         general = effective_matrix_general(h, tx, rx, self.cfg)
         special = effective_matrix_frequency_domain(
             to_frequency_domain(blocks), tx, rx, self.cfg)
@@ -417,17 +417,17 @@ class TestSpecializations:
         blocks = reduce_to_block_channel(h, cfg)
         rng = np.random.default_rng(seed)
 
-        tx = random_window(rng, "separable", "transmit", cfg)
-        rx = random_window(rng, "separable", "receive", cfg)
+        tx = random_window(rng, "separable", cfg)
+        rx = random_window(rng, "separable", cfg)
         special = effective_matrix_separable(blocks, tx, rx, cfg)
         assert np.max(np.abs(effective_matrix_general(h, tx, rx, cfg) - special)) <= 1e-10
 
-        tx, rx = WindowSpec.rectangular(), WindowSpec.rectangular("receive")
+        tx, rx = WindowSpec.rectangular(), WindowSpec.rectangular()
         special = effective_matrix_rectangular(blocks, cfg)
         assert np.max(np.abs(effective_matrix_general(h, tx, rx, cfg) - special)) <= 1e-10
 
-        tx = random_window(rng, tx_kind, "transmit", cfg)
-        rx = random_window(rng, rx_kind, "receive", cfg)
+        tx = random_window(rng, tx_kind, cfg)
+        rx = random_window(rng, rx_kind, cfg)
         special = effective_matrix_frequency_domain(to_frequency_domain(blocks), tx, rx, cfg)
         assert np.max(np.abs(effective_matrix_general(h, tx, rx, cfg) - special)) <= 1e-10
 
@@ -518,19 +518,19 @@ class TestPerfectReconstruction:
         data = rand_complex(rng, 16, 8)
         channel = synthesize(ChannelModel.identity(), cfg)
         out = siso_chain(data, channel, WindowSpec.rectangular(),
-                         WindowSpec.rectangular("receive"), cfg)
-        assert np.max(np.abs(out.estimate_grid - data)) <= 1e-10
+                         WindowSpec.rectangular(), cfg)
+        assert np.max(np.abs(out - data)) <= 1e-10
 
     def test_unitary_window_pair(self):
         cfg = OtfsFrameConfig(num_subcarriers=8, num_symbols=4, cp_len=2)
         rng = np.random.default_rng(61)
         taps = np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.grid_size))
         tx = WindowSpec.general(taps)
-        rx = WindowSpec.general(1.0 / taps, role="receive")
+        rx = WindowSpec.general(1.0 / taps)
         data = rand_complex(rng, 8, 4)
         channel = synthesize(ChannelModel.identity(), cfg)
         out = siso_chain(data, channel, tx, rx, cfg)
-        assert np.max(np.abs(out.estimate_grid - data)) <= 1e-10
+        assert np.max(np.abs(out - data)) <= 1e-10
 
     @pytest.mark.parametrize("m,n", [(1, 3), (3, 1), (1, 1)])
     def test_degenerate_grid_sizes(self, m, n):
@@ -539,8 +539,8 @@ class TestPerfectReconstruction:
         data = rand_complex(rng, m, n)
         channel = synthesize(ChannelModel.identity(), cfg)
         out = siso_chain(data, channel, WindowSpec.rectangular(),
-                         WindowSpec.rectangular("receive"), cfg)
-        assert np.max(np.abs(out.estimate_grid - data)) <= 1e-12
+                         WindowSpec.rectangular(), cfg)
+        assert np.max(np.abs(out - data)) <= 1e-12
 
 
 class TestBasisFunctions:
