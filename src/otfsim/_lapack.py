@@ -1,6 +1,6 @@
 """numpy's own OpenBLAS through ctypes: ``zpotrf`` in place, the ``zgemm``
 Gram and the library's thread count; and :func:`map_in_order`, the one
-worker pool, which its callers size from :func:`usable_cpus`.
+worker pool. No other module asks about the platform.
 
 ``np.linalg.cholesky`` copies its input into Fortran order, hands that
 buffer to the ``zpotrf`` of the OpenBLAS that numpy bundles, and copies the
@@ -13,16 +13,18 @@ and gives the same values.
 
 A threaded Cholesky factor's last bits depend on the thread count, so
 :func:`one_blas_thread` runs a block with the library on one thread, and
-:func:`cholesky` always factors inside it. The library, its symbols and its
-thread control are looked up on first use, never at import. Where one is
-missing (another numpy build, another platform) its handle returns None:
-:func:`gram` and :func:`cholesky` then fall back to numpy themselves, and
-the pin does nothing. Each decides here, once, whether an array suits the
-library, so no other array ever reaches a ctypes call.
+:func:`cholesky` always factors inside it. The library is found whole or
+not at all, on first use, never at import: :func:`_bundled` is its routines
+or None. Without it (another numpy build, another platform) :func:`gram`
+and :func:`cholesky` fall back to numpy themselves, the pin does nothing
+and :func:`map_in_order` starts no threads of its own choosing. Each
+decides here, once, whether an array suits the library, so no other array
+ever reaches a ctypes call.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -40,56 +42,45 @@ import numpy as np
 _LIBRARY = "libscipy_openblas64_*"
 # CBLAS enum values.
 _ROW_MAJOR, _NO_TRANS, _CONJ_TRANS = 101, 111, 113
+_ENUM, _SIZE, _POINTER = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+_SIZE_POINTER = ctypes.POINTER(_SIZE)
+# The routines the package calls, by field of the handle: each one's symbol,
+# argument types and result type. The thread count is the process-wide one:
+# the exported ``openblas_set_num_threads_local`` is not used, since it
+# changed the count that other threads read back.
+_ROUTINES = {
+    "zpotrf": ("scipy_zpotrf_64_",
+               [ctypes.c_char_p, _SIZE_POINTER, _POINTER, _SIZE_POINTER, _SIZE_POINTER], None),
+    "zgemm": ("scipy_cblas_zgemm64_", [_ENUM, _ENUM, _ENUM, _SIZE, _SIZE, _SIZE, _POINTER,
+                                       _POINTER, _SIZE, _POINTER, _SIZE, _POINTER, _POINTER,
+                                       _SIZE], None),
+    "get_threads": ("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
+    "set_threads": ("scipy_openblas_set_num_threads64_", [ctypes.c_int], None),
+    "config": ("scipy_openblas_get_config64_", [], ctypes.c_char_p),  # the build string
+}
+_Bundled = collections.namedtuple("_Bundled", _ROUTINES)
 
 
 @functools.cache
-def _library() -> Optional[ctypes.CDLL]:
-    """numpy's bundled OpenBLAS, or None when it is not found."""
+def _bundled() -> Optional[_Bundled]:
+    """numpy's bundled OpenBLAS as one handle of its routines, or None when
+    the library or any one of them is not found."""
     package = Path(np.__file__).resolve().parent
-    for library in sorted([*(package.parent / "numpy.libs").glob(_LIBRARY),
-                           *(package / ".dylibs").glob(_LIBRARY)]):
+    for path in sorted([*(package.parent / "numpy.libs").glob(_LIBRARY),
+                        *(package / ".dylibs").glob(_LIBRARY)]):
         try:
-            return ctypes.CDLL(str(library))
+            library = ctypes.CDLL(str(path))
         except OSError:
             continue
+        routines = []
+        for symbol, argtypes, restype in _ROUTINES.values():
+            routine = getattr(library, symbol, None)
+            if routine is None:
+                return None
+            routine.argtypes, routine.restype = argtypes, restype
+            routines.append(routine)
+        return _Bundled(*routines)
     return None
-
-
-def _function(symbol: str, argtypes: list, restype=None):
-    """The bundled library's ``symbol`` as a ctypes function, or None."""
-    function = getattr(_library(), symbol, None)
-    if function is not None:
-        function.argtypes = argtypes
-        function.restype = restype
-    return function
-
-
-@functools.cache
-def zpotrf():
-    """numpy's bundled ``zpotrf`` as a ctypes function, or None when the
-    library or the symbol is not found."""
-    int_pointer = ctypes.POINTER(ctypes.c_int64)
-    return _function("scipy_zpotrf_64_", [ctypes.c_char_p, int_pointer, ctypes.c_void_p,
-                                          int_pointer, int_pointer])
-
-
-@functools.cache
-def zgemm():
-    """numpy's bundled ``cblas_zgemm`` as a ctypes function, or None."""
-    enum, size, pointer = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
-    return _function("scipy_cblas_zgemm64_", [enum, enum, enum, size, size, size, pointer,
-                                              pointer, size, pointer, size, pointer, pointer,
-                                              size])
-
-
-@functools.cache
-def thread_control() -> Optional[tuple]:
-    """The bundled library's process-wide thread-count getter and setter, or
-    None. (Its exported ``openblas_set_num_threads_local`` is not used: it
-    changed the count that other threads read back.)"""
-    get = _function("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
-    set_ = _function("scipy_openblas_set_num_threads64_", [ctypes.c_int])
-    return None if get is None or set_ is None else (get, set_)
 
 
 _ONE = np.array(1.0 + 0.0j)
@@ -99,20 +90,20 @@ _ZERO = np.array(0.0j)
 def gram(matrix: np.ndarray) -> np.ndarray:
     """``matrix @ matrix.conj().swapaxes(-1, -2)`` of a complex128 (..., rows,
     cols) array. A C-contiguous 2-D matrix with both sides above 1 takes one
-    ``zgemm`` call with ``ConjTrans`` on ``matrix`` itself, when :func:`zgemm`
+    ``zgemm`` call with ``ConjTrans`` on ``matrix`` itself, when the library
     is found, and skips the conjugate copy: it has the bits of numpy's
     product, but that where ``matrix`` holds exact zeros an exact-zero entry
     may carry the other sign. numpy takes another BLAS path when either side
-    is 1, so such a matrix, stacks, other layouts and a missing symbol stay
+    is 1, so such a matrix, stacks, other layouts and a missing library stay
     on numpy."""
     if (matrix.dtype != np.complex128 or matrix.ndim != 2 or min(matrix.shape) < 2
-            or not matrix.flags.c_contiguous or zgemm() is None):
+            or not matrix.flags.c_contiguous or (bundled := _bundled()) is None):
         return matrix @ matrix.conj().swapaxes(-1, -2)
     rows, cols = matrix.shape
     out = np.empty((rows, rows), np.complex128)
-    zgemm()(_ROW_MAJOR, _NO_TRANS, _CONJ_TRANS, rows, rows, cols, _ONE.ctypes.data,
-            matrix.ctypes.data, cols, matrix.ctypes.data, cols, _ZERO.ctypes.data,
-            out.ctypes.data, rows)
+    bundled.zgemm(_ROW_MAJOR, _NO_TRANS, _CONJ_TRANS, rows, rows, cols, _ONE.ctypes.data,
+                  matrix.ctypes.data, cols, matrix.ctypes.data, cols, _ZERO.ctypes.data,
+                  out.ctypes.data, rows)
     return out
 
 
@@ -120,21 +111,21 @@ def cholesky(matrix: np.ndarray) -> Optional[np.ndarray]:
     """The lower Cholesky factor of each Hermitian matrix in a (..., n, n)
     stack, or None when one is not positive definite, always with BLAS on one
     thread. A writeable Fortran-ordered square complex128 matrix is factored
-    in place by ``zpotrf('L')`` when :func:`zpotrf` is found, with the bits
+    in place by ``zpotrf('L')`` when the library is found, with the bits
     of ``np.linalg.cholesky``, and returned: only its lower triangle is the
     factor. Anything else goes to ``np.linalg.cholesky``."""
     with one_blas_thread():
         if (matrix.dtype != np.complex128 or matrix.ndim != 2
                 or matrix.shape[0] != matrix.shape[1] or not matrix.flags.f_contiguous
-                or not matrix.flags.writeable or zpotrf() is None):
+                or not matrix.flags.writeable or (bundled := _bundled()) is None):
             try:
                 return np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
                 return None
         size = ctypes.c_int64(matrix.shape[0])
         info = ctypes.c_int64(0)
-        zpotrf()(b"L", ctypes.byref(size), matrix.ctypes.data, ctypes.byref(size),
-                 ctypes.byref(info))
+        bundled.zpotrf(b"L", ctypes.byref(size), matrix.ctypes.data, ctypes.byref(size),
+                       ctypes.byref(info))
     return matrix if info.value == 0 else None
 
 
@@ -148,18 +139,17 @@ def one_blas_thread() -> Iterator[None]:
     """Run the block with the bundled library on one thread. The pin is
     process-wide and counts its users, so blocks may nest and overlap across
     threads: the first user in saves the count and sets 1, the last one out
-    restores it, also when the block raises. Without :func:`thread_control`
-    the block runs unpinned."""
+    restores it, also when the block raises. Without the library the block
+    runs unpinned."""
     global _pin_users, _pin_saved
-    control = thread_control()
-    if control is None:
+    bundled = _bundled()
+    if bundled is None:
         yield
         return
-    get, set_ = control
     with _pin_lock:
         if _pin_users == 0:
-            _pin_saved = get()
-            set_(1)
+            _pin_saved = bundled.get_threads()
+            bundled.set_threads(1)
         _pin_users += 1
     try:
         yield
@@ -167,7 +157,7 @@ def one_blas_thread() -> Iterator[None]:
         with _pin_lock:
             _pin_users -= 1
             if _pin_users == 0:
-                set_(_pin_saved)
+                bundled.set_threads(_pin_saved)
 
 
 def usable_cpus() -> int:
@@ -192,10 +182,13 @@ def _pool(workers: int, processes: bool):
 
 
 @contextlib.contextmanager
-def map_in_order(function: Callable, items: Sequence, workers: int,
+def map_in_order(function: Callable, items: Sequence, workers: Optional[int] = None,
                  processes: bool = False) -> Iterator[Iterator]:
     """Iterate over ``function(item)`` for each of ``items``, in item order.
 
+    None ``workers`` means one per usable CPU; but threads share the
+    process's BLAS, so without the library, whose pin keeps BLAS threads out
+    of their way, they are not started: the items run in the caller's thread.
     Fewer than 2 workers or items run in the caller's thread. Otherwise
     ``workers`` threads, or with ``processes`` worker processes, run them
     with at most two items per worker in flight, and with BLAS on one thread
@@ -204,6 +197,8 @@ def map_in_order(function: Callable, items: Sequence, workers: int,
     submitted, and reading on raises the lowest failing item's error, as a
     serial run does. No worker outlives the ``with`` block, also when it
     raises; a thread pool's queued items then never start."""
+    if workers is None:
+        workers = usable_cpus() if processes or _bundled() is not None else 1
     workers = min(workers, len(items))
     if workers < 2:
         yield map(function, items)

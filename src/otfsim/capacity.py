@@ -225,15 +225,6 @@ def otfs_block_mi(
     return _trial_block_mis(channels, _SweepPlan(tx_window, mcfg), [noise_var])[0]
 
 
-def _sweep_workers(plan: _SweepPlan, trials: int) -> int:
-    """The default number of trials run at once: one per usable CPU, at most
-    one per trial, when a trial fits under ``_PARALLEL_TRIAL_BYTES``; else,
-    or when BLAS cannot be pinned to one thread, one."""
-    if _lapack.thread_control() is None or plan.trial_bytes > _PARALLEL_TRIAL_BYTES:
-        return 1
-    return max(1, min(_lapack.usable_cpus(), trials))
-
-
 @dataclass(frozen=True)
 class CapacityResult:
     """Monte Carlo capacity estimate with both computation routes kept.
@@ -284,8 +275,9 @@ def capacity_sweep(
     Trial k draws its channels from the stream keyed by (seed, k), so the
     thread count never changes results, and all noise levels share them, so
     the curve is monotone in the noise variance. ``threads`` trials run at
-    once; None picks the count from the usable CPUs, the trial count and the
-    trial size (see :func:`_sweep_workers`). The channel-independent
+    once; None runs one at a time when a trial holds more than
+    ``_PARALLEL_TRIAL_BYTES``, and else leaves the count to
+    :func:`_lapack.map_in_order`. The channel-independent
     parts of K and of every K_n are built once, before any channel is drawn;
     per trial the channels, K, every K_n and every Gram are built once, and
     each noise level costs one log-det per route. The OTFS route divides the
@@ -309,7 +301,7 @@ def capacity_sweep(
     def one_trial(trial: int) -> List[BlockMiResult]:
         return _trial_block_mis(channel_table(model, mcfg, seed, trial), plan, noise_vars)
 
-    workers = threads if threads is not None else _sweep_workers(plan, trials)
+    workers = 1 if threads is None and plan.trial_bytes > _PARALLEL_TRIAL_BYTES else threads
     with _lapack.map_in_order(one_trial, range(trials), workers) as outcomes:
         outcomes = list(outcomes)
 

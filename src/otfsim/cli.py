@@ -404,8 +404,7 @@ def _write_sparse_csv(path: Path, matrix: np.ndarray, threshold: float) -> int:
     chunks = [(first, matrix[first:first + step], threshold)
               for first in range(0, len(matrix), step)]
     count = 0
-    with path.open("w") as fh, _lapack.map_in_order(
-            _csv_rows, chunks, _lapack.usable_cpus(), processes=True) as texts:
+    with path.open("w") as fh, _lapack.map_in_order(_csv_rows, chunks, processes=True) as texts:
         fh.write("row,col,re,im\n")
         for text, n in texts:
             fh.write(text)

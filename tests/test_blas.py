@@ -34,12 +34,12 @@ PAPER_MODEL = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.
 PAPER_NOISE = [10.0 ** (-snr / 10.0) for snr in (0, 5, 10, 15, 20)]
 
 
-# The real thread control, also for tests that hide it from the package.
-CONTROL = otfsim._lapack.thread_control()
+# The real handle, also for tests that hide it from the package.
+CONTROL = otfsim._lapack._bundled()
 
 
 def blas_count():
-    return CONTROL[0]()
+    return CONTROL.get_threads()
 
 
 @pytest.fixture
@@ -47,17 +47,16 @@ def set_blas_threads():
     """Set the bundled OpenBLAS's thread count at run time; the count from
     before the test is restored afterwards."""
     if CONTROL is None:
-        pytest.skip("the bundled OpenBLAS's thread control is not found on this platform")
-    get, set_ = CONTROL
-    before = get()
+        pytest.skip("numpy's bundled OpenBLAS is not found on this platform")
+    before = blas_count()
 
     def set_threads(count):
-        set_(count)
-        if get() != count:
+        CONTROL.set_threads(count)
+        if blas_count() != count:
             pytest.skip(f"OpenBLAS does not run {count} threads here")
 
     yield set_threads
-    set_(before)
+    CONTROL.set_threads(before)
 
 
 def same_bits(a, b):
@@ -66,14 +65,17 @@ def same_bits(a, b):
 
 
 @pytest.fixture(params=["zgemm", "numpy"])
-def gram_path(request, monkeypatch):
-    """Run a test on numpy's bundled zgemm, and again with that handle
-    forced to numpy's product."""
-    if request.param == "numpy":
-        monkeypatch.setattr(otfsim._lapack, "zgemm", lambda: None)
-    elif otfsim._lapack.zgemm() is None:
-        pytest.skip("numpy's bundled zgemm is not found on this platform")
-    return request.param
+def gram_path(request):
+    """Run a test on numpy's bundled zgemm, and again with the library
+    hidden, so that every Gram is numpy's product. The hidden library pins
+    nothing, so BLAS then runs on one thread, as the pin would set it."""
+    if request.param == "zgemm":
+        if CONTROL is None:
+            pytest.skip("numpy's bundled OpenBLAS is not found on this platform")
+        yield request.param
+        return
+    with otfsim._lapack.one_blas_thread(), without_library():
+        yield request.param
 
 
 GRID = ([(rows, cols) for rows in range(1, 41) for cols in range(1, 41)]
@@ -113,22 +115,30 @@ class TestZgemmGram:
         assert same_bits(_gram(k), k @ k.conj().T)
 
     def test_stacks_and_other_layouts_stay_on_numpy(self, monkeypatch):
-        monkeypatch.setattr(otfsim._lapack, "zgemm", no_handle)
+        with_routines(monkeypatch, zgemm=forbidden)
         rng = np.random.default_rng(3)
         k = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
         for other in (k[None], k[:, :1], k[:1], np.asfortranarray(k), k[::2]):
             assert same_bits(_gram(other), other @ other.conj().swapaxes(-1, -2))
 
 
-def no_handle():
-    raise AssertionError("a bundled routine was asked for")
+def forbidden(*args):
+    raise AssertionError("a bundled routine was called")
+
+
+def with_routines(monkeypatch, **routines):
+    """Swap the named routines of the package's handle to numpy's bundled
+    OpenBLAS for the given functions."""
+    if CONTROL is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found on this platform")
+    handle = otfsim._lapack._bundled()._replace(**routines)
+    monkeypatch.setattr(otfsim._lapack, "_bundled", lambda: handle)
 
 
 def test_inputs_the_library_does_not_cover_never_reach_it(monkeypatch):
     """Arrays that the bundled zgemm or zpotrf does not take go to numpy
-    before either handle is asked for, and get numpy's bits."""
-    monkeypatch.setattr(otfsim._lapack, "zgemm", no_handle)
-    monkeypatch.setattr(otfsim._lapack, "zpotrf", no_handle)
+    without either routine being called, and get numpy's bits."""
+    with_routines(monkeypatch, zgemm=forbidden, zpotrf=forbidden)
     rng = np.random.default_rng(4)
     k = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
     for other in (np.stack([k, 2 * k]), k[:, :1], k[:1], np.asfortranarray(k), k[::2]):
@@ -175,10 +185,9 @@ class TestOneBlasThread:
         holder.join()
         assert blas_count() == 2
 
-    def test_without_thread_control_the_pin_does_nothing(self, set_blas_threads, monkeypatch):
+    def test_without_thread_control_the_pin_does_nothing(self, set_blas_threads):
         set_blas_threads(2)
-        monkeypatch.setattr(otfsim._lapack, "thread_control", lambda: None)
-        with otfsim._lapack.one_blas_thread():
+        with without_library(), otfsim._lapack.one_blas_thread():
             assert blas_count() == 2
 
 
@@ -195,14 +204,27 @@ def counts_inside(monkeypatch, owner, name, seen):
 
 def counts_inside_handle(monkeypatch, name, seen):
     """Record the BLAS thread count each call of the bundled routine that
-    ``_lapack.name()`` hands out runs under."""
-    routine = getattr(otfsim._lapack, name)()
+    the package's handle holds as ``name`` runs under."""
+    routine = getattr(otfsim._lapack._bundled(), name)
 
     def recorded(*args):
         seen.append(blas_count())
         return routine(*args)
 
-    monkeypatch.setattr(otfsim._lapack, name, lambda: recorded)
+    with_routines(monkeypatch, **{name: recorded})
+
+
+def recorded_pools(monkeypatch):
+    """The worker count of each pool that ``_lapack`` starts from now on."""
+    pools = []
+    pool = otfsim._lapack._pool
+
+    def recorded(workers, processes):
+        pools.append(workers)
+        return pool(workers, processes)
+
+    monkeypatch.setattr(otfsim._lapack, "_pool", recorded)
+    return pools
 
 
 class TestSweepBitsAndWorkers:
@@ -223,19 +245,25 @@ class TestSweepBitsAndWorkers:
         monkeypatch.setattr(otfsim._lapack, "usable_cpus", lambda: 4)
         plan = otfsim.capacity._SweepPlan(WindowSpec.rectangular(), PAPER)
         assert plan.trial_bytes == 16 * 256 * (256 + 2 * 256)
-        workers = otfsim.capacity._sweep_workers
-        if otfsim._lapack.thread_control() is not None:
-            assert [workers(plan, trials) for trials in (1, 3, 100)] == [1, 3, 4]
+        pools = recorded_pools(monkeypatch)
+
+        def workers(trials):
+            """The trials the sweep runs at once; one when it starts no pool."""
+            pools.clear()
+            capacity_sweep([1.0], ChannelModel.identity(), WindowSpec.rectangular(), PAPER,
+                           trials=trials)
+            return pools[0] if pools else 1
+
+        if CONTROL is not None:
+            assert [workers(trials) for trials in (1, 3, 10)] == [1, 3, 4]
         monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", plan.trial_bytes - 1)
-        assert workers(plan, 100) == 1
-        monkeypatch.setattr(otfsim._lapack, "thread_control", lambda: None)
+        assert workers(10) == 1
         monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", plan.trial_bytes)
-        assert workers(plan, 100) == 1
+        with without_library():
+            assert workers(10) == 1
 
     def test_workers_pin_the_whole_trial_and_one_worker_only_the_log_dets(
             self, set_blas_threads, monkeypatch):
-        if otfsim._lapack.zgemm() is None or otfsim._lapack.zpotrf() is None:
-            pytest.skip("numpy's bundled zgemm or zpotrf is not found on this platform")
         set_blas_threads(2)
         grams, factors = [], []
         counts_inside_handle(monkeypatch, "zgemm", grams)
@@ -253,7 +281,7 @@ class TestSweepBitsAndWorkers:
     def test_without_thread_control_one_worker_and_no_pin(self, set_blas_threads, monkeypatch,
                                                           tmp_path):
         set_blas_threads(2)
-        monkeypatch.setattr(otfsim._lapack, "thread_control", lambda: None)
+        monkeypatch.setattr(otfsim._lapack, "_bundled", lambda: None)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
@@ -389,6 +417,28 @@ class TestMapInOrder:
             with otfsim._lapack.map_in_order(caller, items, workers, processes) as outcomes:
                 assert list(outcomes) == [caller(None)] * len(items)
 
+    def test_missing_workers_mean_one_per_usable_cpu(self, monkeypatch, processes):
+        # Threads share the process's BLAS, so without the library's pin
+        # they are not started.
+        if CONTROL is None:
+            pytest.skip("numpy's bundled OpenBLAS is not found on this platform")
+        monkeypatch.setattr(otfsim._lapack, "usable_cpus", lambda: 3)
+        pools = recorded_pools(monkeypatch)
+        for library in (True, False):
+            pools.clear()
+            with contextlib.ExitStack() as stack:
+                if not library:
+                    stack.enter_context(without_library())
+                with otfsim._lapack.map_in_order(caller, range(6),
+                                                 processes=processes) as outcomes:
+                    callers = list(outcomes)
+            if library or processes:
+                assert pools == [3]
+                assert caller(None) not in callers
+            else:
+                assert pools == []
+                assert callers == [caller(None)] * 6
+
     # Item 2 fails while item 0 still runs. Reading item 1 would submit
     # item 4, and the pause after that read gives a worker time to start it.
     def test_no_item_submitted_after_a_failure(self, tmp_path, processes):
@@ -467,19 +517,11 @@ def test_verify_report_does_not_depend_on_blas_threads(set_blas_threads, tmp_pat
 @contextlib.contextmanager
 def without_library():
     """Hide numpy's bundled OpenBLAS from the package, as on a numpy build
-    that does not bundle it: every handle is None, so every ``_lapack`` path
+    that does not bundle it: the handle is None, so every ``_lapack`` path
     falls back to numpy and the pin does nothing."""
-    handles = (otfsim._lapack.zpotrf, otfsim._lapack.zgemm, otfsim._lapack.thread_control)
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(otfsim._lapack, "_library", lambda: None)
-            for handle in handles:
-                handle.cache_clear()
-            assert all(handle() is None for handle in handles)
-            yield
-    finally:
-        for handle in handles:
-            handle.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(otfsim._lapack, "_bundled", lambda: None)
+        yield
 
 
 def test_without_the_library_every_path_falls_back_with_the_same_bits(set_blas_threads,
@@ -487,23 +529,37 @@ def test_without_the_library_every_path_falls_back_with_the_same_bits(set_blas_t
     # Without the pin, a factor's bits follow the BLAS thread count, so the
     # fallback matches the pinned default path with BLAS on one thread.
     set_blas_threads(1)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({
+    paper = {
         "frame": {"M": 16, "N": 8, "M_cp": 4}, "mimo": {"n_t": 2, "n_r": 2},
         "channel": {"kind": "doppler-paths", "L": 4, "P": 3, "nu_max": 0.02},
-        "noise": {"snr_db": [0, 10, 20]}, "run": {"seed": 11}}))
+        "noise": {"snr_db": [0, 10, 20]}, "run": {"seed": 11}}
+    rng = np.random.default_rng(4)
+    general = {
+        "frame": {"M": 8, "N": 4, "M_cp": 2}, "mimo": {"n_t": 2, "n_r": 1},
+        "window": {"tx": {"kind": "general",
+                          "taps": (1.0 + 0.3 * rng.standard_normal((32, 2))).tolist()},
+                   "rx": {"kind": "rectangular"}},
+        "channel": {"kind": "doppler-paths", "L": 3, "P": 2, "nu_max": 0.05},
+        "noise": {"snr_db": [10]}, "run": {"seed": 4}}
+    for name, config in (("paper", paper), ("general", general)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
 
-    def outputs(name):
+    def outputs(run):
         sweep = capacity_sweep(PAPER_NOISE, PAPER_MODEL, WindowSpec.rectangular(), PAPER,
                                trials=4, seed=11)
-        assert main(["verify", "--config", str(path), "--out", str(tmp_path / name)]) == 0
-        return ([(r.per_trial_otfs_bits, r.per_trial_ofdm_bits) for r in sweep],
-                (tmp_path / name / "report.json").read_bytes())
+        reports = []
+        for name in ("paper", "general"):
+            out = tmp_path / f"{run}-{name}"
+            assert main(["verify", "--config", str(tmp_path / f"{name}.json"),
+                         "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        return [(r.per_trial_otfs_bits, r.per_trial_ofdm_bits) for r in sweep], reports
 
     default = outputs("default")
     with without_library():
         fallback = outputs("fallback")
-    assert otfsim._lapack.zpotrf() is not None
+    assert otfsim._lapack._bundled() is CONTROL
     assert fallback[1] == default[1]
+    assert all(json.loads(report)["all_passed"] is True for report in default[1])
     for (otfs, ofdm), (fallback_otfs, fallback_ofdm) in zip(default[0], fallback[0], strict=True):
         assert same_bits(fallback_otfs, otfs) and same_bits(fallback_ofdm, ofdm)

@@ -5,6 +5,7 @@ on small matrices, and circulant-channel capacity against the closed form
 in terms of the channel's frequency-response values.
 """
 
+import contextlib
 import json
 from collections import Counter
 
@@ -474,15 +475,27 @@ class TestSizeCap:
         assert main(["capacity", "--config", str(path), "--out", str(tmp_path)]) == 4
 
 
+@contextlib.contextmanager
+def numpy_only():
+    """Hide numpy's bundled OpenBLAS from the package, so that every log-det
+    falls back to ``np.linalg.cholesky``. The hidden library pins nothing, so
+    BLAS runs on one thread inside, as the pin would set it."""
+    with otfsim._lapack.one_blas_thread(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(otfsim._lapack, "_bundled", lambda: None)
+        yield
+
+
 @pytest.fixture(params=["zpotrf", "fallback"])
-def log_det_path(request, monkeypatch):
+def log_det_path(request):
     """Run a test on numpy's bundled zpotrf called in place, and again with
-    that handle forced to the ``np.linalg.cholesky`` fallback."""
-    if request.param == "fallback":
-        monkeypatch.setattr(otfsim._lapack, "zpotrf", lambda: None)
-    elif otfsim._lapack.zpotrf() is None:
-        pytest.skip("numpy's bundled zpotrf is not found on this platform")
-    return request.param
+    the library hidden."""
+    if request.param == "zpotrf":
+        if otfsim._lapack._bundled() is None:
+            pytest.skip("numpy's bundled OpenBLAS is not found on this platform")
+        yield request.param
+        return
+    with numpy_only():
+        yield request.param
 
 
 def shifted_gram(gram, noise_var):
@@ -532,8 +545,7 @@ class TestInPlaceLogDet:
         window = random_window(np.random.default_rng(m), window_kind, frame)
         noise_vars = [10.0, 1.0, 0.01]
         fast = capacity_sweep(noise_vars, model, window, mcfg, trials=3, seed=n)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(otfsim._lapack, "zpotrf", lambda: None)
+        with numpy_only():
             fallback = capacity_sweep(noise_vars, model, window, mcfg, trials=3, seed=n)
         for a, b in zip(fast, fallback, strict=True):
             assert np.array_equal(a.per_trial_otfs_bits, b.per_trial_otfs_bits)

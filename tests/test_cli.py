@@ -213,6 +213,21 @@ class TestCapacityMode:
             assert main([mode, "--config", path, "--out", str(tmp_path), *extra]) == 2, extra
             assert "schema violation" in capsys.readouterr().err, (mode, extra)
 
+    # 4000 dB underflows to sigma2 = 0.0.
+    @pytest.mark.parametrize("noise", [{"sigma2": [0.0, 1.0]}, {"snr_db": [4000]}])
+    def test_zero_noise_variance_exits_two_before_any_draw(self, tmp_path, monkeypatch, capsys,
+                                                           noise):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr("otfsim.capacity.channel_table", no_draw)
+        path = write_config(tmp_path, dict(BASE, noise=noise))
+        out = tmp_path / "out"
+        assert main(["capacity", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: capacity mode needs strictly "
+                                           "positive noise variances\n")
+        assert not (out / "results.csv").exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["capacity", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2

@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,19 @@ def test_failing_verify_writes_its_full_report(tmp_path, name):
     assert report["all_passed"] is False
     assert [c["name"] for c in report["checks"]] == [c["name"] for c in passing["checks"]]
     assert len(report["checks"]) == 15
+
+
+def test_failing_verify_prints_no_numpy_warnings(tmp_path):
+    # The checks report a non-finite result as a failed entry, so numpy's
+    # overflow and invalid-value warnings would only bury the report.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"frame": FRAME,
+                                "channel": {"kind": "static-multipath",
+                                            "gains": [1e308, 1e308], "delays": [0, 1]}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 MAGNITUDES = st.sampled_from([0.0, 1.0, 1e150, 1e300])

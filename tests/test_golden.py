@@ -50,12 +50,11 @@ SISO = {
 WORKLOADS = {"capacity": MIMO, "verify": SISO, "simulate": MIMO, "effective-channel": SISO}
 
 _KEY_CODE = """
-import ctypes, numpy
+import numpy
 from otfsim import _lapack
-config = getattr(_lapack._library(), "scipy_openblas_get_config64_", None)
-if config is not None:
-    config.restype = ctypes.c_char_p
-    print(f"numpy {numpy.__version__} {config().decode()}")
+bundled = _lapack._bundled()
+if bundled is not None:
+    print(f"numpy {numpy.__version__} {bundled.config().decode()}")
 """
 
 
