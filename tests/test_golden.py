@@ -1,4 +1,5 @@
-"""Output bytes pinned: tiny runs of every subcommand, digested.
+"""Output bytes pinned: tiny runs of every subcommand and mid-size runs of
+verify and effective-channel, digested.
 
 Each workload runs the installed CLI as a subprocess under
 ``OPENBLAS_CORETYPE=Haswell``, so every host with AVX2 and FMA runs the
@@ -47,7 +48,31 @@ SISO = {
     "noise": {"snr_db": [10]},
     "run": {"emit_frequency_domain": True},
 }
-WORKLOADS = {"capacity": MIMO, "verify": SISO, "simulate": MIMO, "effective-channel": SISO}
+# The tiny configs write each CSV in one chunk. At M=32, N=16 the 512 x 512
+# matrices span several chunks, so the writer's process pool and the
+# full-size matrix products run too.
+SISO_MID = {
+    "frame": {"M": 32, "N": 16, "M_cp": 4},
+    "window": {
+        "tx": {"kind": "general",
+               "taps": [[1 + 0.3 * math.cos(k), 0.3 * math.sin(2 * k)] for k in range(512)]},
+        "rx": {"kind": "separable",
+               "time": [[1 + 0.2 * math.cos(3 * k), 0.1 * math.sin(k)] for k in range(16)],
+               "freq": [[1 + 0.2 * math.sin(5 * k), 0.1 * math.cos(k)] for k in range(32)]},
+    },
+    "channel": {"kind": "doppler-paths", "L": 3, "P": 2, "nu_max": 0.05},
+    "noise": {"snr_db": [10]},
+    "run": {"emit_frequency_domain": True},
+}
+# Workload name: (subcommand, config).
+WORKLOADS = {
+    "capacity": ("capacity", MIMO),
+    "verify": ("verify", SISO),
+    "simulate": ("simulate", MIMO),
+    "effective-channel": ("effective-channel", SISO),
+    "verify-mid": ("verify", SISO_MID),
+    "effective-channel-mid": ("effective-channel", SISO_MID),
+}
 
 _KEY_CODE = """
 import numpy
@@ -70,10 +95,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(mode: str, seed: int, work: Path) -> dict:
+def digests(name: str, seed: int, work: Path) -> dict:
     """Run one workload in ``work`` and digest what it writes."""
+    mode, document = WORKLOADS[name]
     config, out = work / "config.json", work / "out"
-    config.write_text(json.dumps(WORKLOADS[mode]))
+    config.write_text(json.dumps(document))
     run = subprocess.run([sys.executable, "-m", "otfsim.cli", mode, "--config", str(config),
                           "--out", str(out), "--seed", str(seed)],
                          env=ENV, capture_output=True, timeout=120)
@@ -102,9 +128,9 @@ def recorded():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("mode", WORKLOADS)
-def test_output_bytes_match_the_recorded_digests(recorded, mode, seed, tmp_path):
-    assert digests(mode, seed, tmp_path) == recorded[f"{mode} seed {seed}"]
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_output_bytes_match_the_recorded_digests(recorded, name, seed, tmp_path):
+    assert digests(name, seed, tmp_path) == recorded[f"{name} seed {seed}"]
 
 
 if __name__ == "__main__":
@@ -116,10 +142,10 @@ if __name__ == "__main__":
     golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         golden[key] = {}
-        for mode in WORKLOADS:
+        for name in WORKLOADS:
             for seed in SEEDS:
-                work = Path(tmp) / f"{mode}-{seed}"
+                work = Path(tmp) / f"{name}-{seed}"
                 work.mkdir()
-                golden[key][f"{mode} seed {seed}"] = digests(mode, seed, work)
+                golden[key][f"{name} seed {seed}"] = digests(name, seed, work)
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"recorded {len(golden[key])} workloads under {key}")
