@@ -201,20 +201,24 @@ def check_block_diagonality(ctx: VerifyContext) -> List[tuple]:
 
 
 def _specialization_blocks(ctx: VerifyContext, key: int):
-    """The dense H that ``effective_matrix_general`` takes and the per-symbol
-    blocks from the tap-table builder, so the specialization checks also
-    cross-check the two."""
+    """The channel drawn under ``key`` and its per-symbol blocks from the
+    tap-table builder. The general builder takes the channel's dense H, so
+    the specialization checks also cross-check the two builders."""
     channel = _siso_channel(ctx, key)
-    return assemble_h_matrix(channel), mimo_block_channel([[channel]], MimoConfig(ctx.frame))
+    return channel, mimo_block_channel([[channel]], MimoConfig(ctx.frame))
 
 
 def check_specializations(ctx: VerifyContext) -> List[tuple]:
     """Each specialization against ``effective_matrix_general`` on the same
-    channel, one pair at a time, so that each pair is freed before the next
-    is built."""
+    channel, drawn once, one pair at a time. The dense H is assembled for
+    each general build and freed with it; each specialization is built
+    beside its one general matrix, and their difference is taken in place.
+    The peak is thus one general build, about 4.5 C x C arrays: H, which its
+    chain holds throughout, and at a CP stage that stage's input, the
+    transposed copy numpy's tensordot makes of it, and its output."""
     rng = trial_rng(ctx.seed, 5)
     frame = ctx.frame
-    h_matrix, blocks = _specialization_blocks(ctx, 21)
+    channel, blocks = _specialization_blocks(ctx, 21)
     tx_sep = WindowSpec.separable(_rand_complex(rng, frame.num_symbols),
                                   _rand_complex(rng, frame.num_subcarriers))
     rx_sep = WindowSpec.separable(_rand_complex(rng, frame.num_symbols),
@@ -226,9 +230,13 @@ def check_specializations(ctx: VerifyContext) -> List[tuple]:
         (ctx.tx_window, ctx.rx_window, lambda: effective_matrix_frequency_domain(
             to_frequency_domain(blocks), ctx.tx_window, ctx.rx_window, frame)),
     )
-    return [(float(np.max(np.abs(effective_matrix_general(h_matrix, tx, rx, frame)
-                                 - special()))), 1e-10)
-            for tx, rx, special in cases]
+
+    def deviation(tx, rx, special) -> float:
+        difference = effective_matrix_general(assemble_h_matrix(channel), tx, rx, frame)
+        difference -= special()
+        return float(np.max(np.abs(difference)))
+
+    return [(deviation(*case), 1e-10) for case in cases]
 
 
 def check_mi_additivity(ctx: VerifyContext) -> List[tuple]:

@@ -565,18 +565,21 @@ def run_effective_channel(cfg: ExperimentConfig, out_dir: Path) -> int:
     meta = {"config_hash": cfg.hash, "shape": [mcfg.rx_vector_len, mcfg.tx_vector_len],
             "entries_above_threshold": count, "threshold": threshold}
 
-    if mcfg.num_tx == 1 and mcfg.num_rx == 1:
-        if cfg.tx_window.kind == "rectangular" and cfg.rx_window.kind == "rectangular":
-            conv = dd_channel_as_2d_convolution(effective, frame)
-            meta["two_d_circulant"] = bool(conv.is_circulant)
-            meta["two_d_circulant_deviation"] = conv.max_deviation
-        if cfg.emit_frequency_domain:
-            blocks = mimo_block_channel(channels, mcfg)
-            freq = BlockDiagonalFactor(to_frequency_domain(blocks)).materialize()
-            freq = (np.diag(cfg.rx_window.diagonal(frame)) @ freq
-                    @ np.diag(cfg.tx_window.diagonal(frame)))
-            _write_sparse_csv(out_dir / "effective_freq.csv", freq, threshold)
-            meta["frequency_domain_file"] = "effective_freq.csv"
+    siso = mcfg.num_tx == 1 and mcfg.num_rx == 1
+    if siso and cfg.tx_window.kind == "rectangular" and cfg.rx_window.kind == "rectangular":
+        conv = dd_channel_as_2d_convolution(effective, frame)
+        meta["two_d_circulant"] = bool(conv.is_circulant)
+        meta["two_d_circulant_deviation"] = conv.max_deviation
+    del effective  # read by nothing below, so freed before freq is built
+    if siso and cfg.emit_frequency_domain:
+        blocks = mimo_block_channel(channels, mcfg)
+        freq = BlockDiagonalFactor(to_frequency_domain(blocks)).materialize()
+        # Two statements, so each product's operand is freed before the next
+        # product; the products and their order fix the CSV's last bits.
+        freq = np.diag(cfg.rx_window.diagonal(frame)) @ freq
+        freq = freq @ np.diag(cfg.tx_window.diagonal(frame))
+        _write_sparse_csv(out_dir / "effective_freq.csv", freq, threshold)
+        meta["frequency_domain_file"] = "effective_freq.csv"
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_dir / 'effective_dd.csv'} ({count} entries above {threshold:g})")
     return 0

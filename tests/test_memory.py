@@ -1,0 +1,81 @@
+"""Peak memory of the dense reference paths.
+
+``verify`` and ``effective-channel`` build dense C x C matrices. Each test
+traces one function's allocations with ``tracemalloc`` (numpy reports its
+array buffers to it) and bounds the peak in units of one C x C complex128
+array, so a change that keeps a dense array alive past its last reader
+fails. The measured peaks sit about 0.3 units under each bound; keeping the
+frame-length H for the whole of ``check_specializations`` or the
+delay-Doppler matrix through the frequency-domain export crosses it.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from otfsim.checks import VerifyContext, check_chain_vs_matrix, check_specializations
+from otfsim.cli import parse_config, run_effective_channel
+
+# SISO, general transmit window, separable receive window: the dense
+# reference paths of verify and effective-channel. C = M*N = 512, so one
+# unit is 4 MiB, and the frame-length H is (576/512)^2 = 1.27 units.
+M, N = 32, 16
+
+
+def _taper(rng, size):
+    return (1.0 + 0.3 * rng.standard_normal((size, 2))).tolist()
+
+
+@pytest.fixture(scope="module")
+def cfg():
+    rng = np.random.default_rng(6)
+    doc = {
+        "frame": {"M": M, "N": N, "M_cp": 4},
+        "window": {
+            "tx": {"kind": "general", "taps": _taper(rng, M * N)},
+            "rx": {"kind": "separable", "time": _taper(rng, N), "freq": _taper(rng, M)},
+        },
+        "channel": {"kind": "doppler-paths", "L": 4, "P": 3, "nu_max": 0.05},
+        "noise": {"snr_db": [10]},
+        "run": {"seed": 3, "emit_frequency_domain": True},
+    }
+    return parse_config(doc, mode="effective-channel")
+
+
+@pytest.fixture(scope="module")
+def ctx(cfg):
+    return VerifyContext(mcfg=cfg.mcfg, channel_model=cfg.channel_model,
+                         tx_window=cfg.tx_window, rx_window=cfg.rx_window,
+                         noise_var=1.0, seed=cfg.seed)
+
+
+def peak_arrays(function) -> float:
+    """The most memory ``function()`` held at once above what was live
+    before the call, in C x C complex128 arrays."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        function()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / (16 * (M * N) ** 2)
+
+
+def test_specializations_hold_one_general_build_at_a_time(ctx):
+    # The general build is the peak: H, and at a CP stage that stage's
+    # input, tensordot's transposed copy of it and its output. H lives only
+    # inside that build, and a specialization is built beside one general
+    # matrix only.
+    assert peak_arrays(lambda: check_specializations(ctx)) < 4.9
+
+
+def test_chain_vs_matrix_holds_one_general_build(ctx):
+    assert peak_arrays(lambda: check_chain_vs_matrix(ctx)) < 4.9
+
+
+def test_frequency_domain_export_frees_the_delay_doppler_matrix(cfg, tmp_path):
+    # The delay-Doppler matrix is freed before the frequency-domain one is
+    # built, and each np.diag product frees its operand before the next.
+    assert peak_arrays(lambda: run_effective_channel(cfg, tmp_path)) < 3.6
