@@ -46,6 +46,7 @@ from .kronops import (
     InverseDftFactor,
     KronOperator,
     OperatorChain,
+    SelectionFactor,
     dft_matrix,
     idft_matrix,
     kron,

@@ -213,9 +213,10 @@ def check_specializations(ctx: VerifyContext) -> List[tuple]:
     channel, drawn once, one pair at a time. The dense H is assembled for
     each general build and freed with it; each specialization is built
     beside its one general matrix, and their difference is taken in place.
-    The peak is thus one general build, about 4.5 C x C arrays: H, which its
-    chain holds throughout, and at a CP stage that stage's input, the
-    transposed copy numpy's tensordot makes of it, and its output."""
+    A general build peaks at its H stage, about 3.6 C x C arrays: H and
+    that stage's input and output, for its CP stages are gathers and copy
+    nothing. The check's peak, about 4.1, is the separable build beside
+    one general matrix."""
     rng = trial_rng(ctx.seed, 5)
     frame = ctx.frame
     channel, blocks = _specialization_blocks(ctx, 21)

@@ -3,8 +3,10 @@
 Normalized DFT matrices, Kronecker products, column-stacking
 vectorization, and matrix-free application of Kronecker-structured
 operators (DFT factors go through the FFT, so a factor of size n costs
-O(total * log n) instead of a dense product; block-diagonal factors go
-through one batched product over their blocks). The package's three
+O(total * log n) instead of a dense product, and write into the previous
+factor's output when that output is the operator's own; 0/1 selection
+factors are gathers; block-diagonal factors go through one batched
+product over their blocks). The package's three
 guards live here too: every dense allocation, every finiteness check and
 every raising tolerance verdict goes through ``require_dense``,
 ``require_finite`` and ``require_within``.
@@ -17,7 +19,7 @@ All arrays are complex128.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -142,6 +144,30 @@ class BlockDiagonalFactor:
         return np.moveaxis(out.reshape((self.rows,) + moved.shape[1:]), 0, axis)
 
 
+class SelectionFactor:
+    """0/1 selection matrix whose row i picks entry ``index[i]`` of a
+    length-``cols`` input, applied as a gather: each output entry is the
+    selected input entry, exactly, with no product formed."""
+
+    def __init__(self, index, cols: int):
+        index = np.asarray(index, dtype=np.intp).reshape(-1)
+        if index.size < 1 or cols < 1:
+            raise DimensionError(f"selection needs rows and columns, got {index.size}x{cols}")
+        if index.min() < 0 or index.max() >= cols:
+            raise DimensionError(f"selection index out of range for {cols} columns")
+        self.index = index
+        self.rows, self.cols = index.size, cols
+
+    def materialize(self) -> np.ndarray:
+        require_dense(self.rows, self.cols, "dense selection matrix")
+        dense = np.zeros((self.rows, self.cols), dtype=np.complex128)
+        dense[np.arange(self.rows), self.index] = 1.0
+        return dense
+
+    def apply(self, tensor: np.ndarray, axis: int) -> np.ndarray:
+        return np.take(tensor, self.index, axis=axis)
+
+
 class IdentityFactor:
     """Identity of size n; application is a no-op."""
 
@@ -168,8 +194,8 @@ class DftFactor:
     def materialize(self) -> np.ndarray:
         return dft_matrix(self.rows)
 
-    def apply(self, tensor: np.ndarray, axis: int) -> np.ndarray:
-        return np.fft.fft(tensor, axis=axis, norm="ortho")
+    def apply(self, tensor: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.fft.fft(tensor, axis=axis, norm="ortho", out=out)
 
 
 class InverseDftFactor:
@@ -183,8 +209,8 @@ class InverseDftFactor:
     def materialize(self) -> np.ndarray:
         return idft_matrix(self.rows)
 
-    def apply(self, tensor: np.ndarray, axis: int) -> np.ndarray:
-        return np.fft.ifft(tensor, axis=axis, norm="ortho")
+    def apply(self, tensor: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.fft.ifft(tensor, axis=axis, norm="ortho", out=out)
 
 
 class DiagonalFactor:
@@ -205,8 +231,8 @@ class DiagonalFactor:
         return tensor * self.diagonal.reshape(shape)
 
 
-Factor = Union[DenseFactor, BlockDiagonalFactor, IdentityFactor, DftFactor, InverseDftFactor,
-               DiagonalFactor]
+Factor = Union[DenseFactor, BlockDiagonalFactor, SelectionFactor, IdentityFactor, DftFactor,
+               InverseDftFactor, DiagonalFactor]
 
 
 class KronOperator:
@@ -216,7 +242,10 @@ class KronOperator:
     applies it to vectors (or to matrices, column by column) without
     materializing the product: the input is reshaped into a tensor whose
     axes follow the factor order (first factor slowest) and each factor
-    acts along its own axis.
+    acts along its own axis. A DFT factor whose input is an array this
+    application made (not the caller's ``x`` or a view of it) transforms
+    that array in place, so a two-factor DFT stage holds one array besides
+    its input, not two.
     """
 
     def __init__(self, factors: Sequence[Factor]):
@@ -241,7 +270,11 @@ class KronOperator:
         batch = x.shape[1]
         tensor = x.reshape([f.cols for f in self.factors] + [batch])
         for axis, factor in enumerate(self.factors):
-            tensor = factor.apply(tensor, axis)
+            owned = not np.may_share_memory(tensor, x)
+            if owned and isinstance(factor, (DftFactor, InverseDftFactor)):
+                tensor = factor.apply(tensor, axis, out=tensor)
+            else:
+                tensor = factor.apply(tensor, axis)
         out = tensor.reshape(self.shape[0], batch)
         return out[:, 0] if single else out
 

@@ -36,6 +36,7 @@ from .kronops import (
     InverseDftFactor,
     KronOperator,
     OperatorChain,
+    SelectionFactor,
     dft_matrix,
     require_dense,
     unvec,
@@ -249,15 +250,16 @@ def effective_operator_general(
             f"channel matrix must be {cfg.frame_len}x{cfg.frame_len}, "
             f"got {channel_matrix.shape}"
         )
-    m, n = cfg.num_subcarriers, cfg.num_symbols
-    cp = cp_matrices(cfg)
+    m, n, cp = cfg.num_subcarriers, cfg.num_symbols, cfg.cp_len
+    # CP removal and insertion as gathers: the rows of cp_matrices' remove
+    # and add, each row's one 1 at these indices.
     return OperatorChain([
         KronOperator([DftFactor(n), InverseDftFactor(m)]),
         KronOperator([DiagonalFactor(rx_window.diagonal(cfg))]),
         KronOperator([IdentityFactor(n), DftFactor(m)]),
-        KronOperator([IdentityFactor(n), DenseFactor(cp.remove)]),
+        KronOperator([IdentityFactor(n), SelectionFactor(np.arange(cp, m + cp), cfg.symbol_len)]),
         KronOperator([DenseFactor(channel_matrix)]),
-        KronOperator([IdentityFactor(n), DenseFactor(cp.add)]),
+        KronOperator([IdentityFactor(n), SelectionFactor(np.arange(-cp, m) % m, m)]),
         KronOperator([IdentityFactor(n), InverseDftFactor(m)]),
         KronOperator([DiagonalFactor(tx_window.diagonal(cfg))]),
         KronOperator([InverseDftFactor(n), DftFactor(m)]),

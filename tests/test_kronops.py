@@ -24,6 +24,7 @@ from otfsim.kronops import (
     InverseDftFactor,
     KronOperator,
     OperatorChain,
+    SelectionFactor,
     dft_matrix,
     idft_matrix,
     kron,
@@ -220,6 +221,31 @@ class TestKronOperator:
             op.materialize()
 
 
+class TestSelectionFactor:
+    def test_materialize_has_one_one_per_row(self):
+        dense = SelectionFactor([2, 0, 2], 4).materialize()
+        expected = np.zeros((3, 4), dtype=complex)
+        expected[[0, 1, 2], [2, 0, 2]] = 1.0
+        assert np.array_equal(dense, expected)
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_apply_is_the_dense_product_exactly(self, position):
+        # A gather picks each entry; the 0/1 product only adds exact zeros.
+        rng = np.random.default_rng(40 + position)
+        factors = [DftFactor(3), DenseFactor(rand_complex(rng, 2, 3))]
+        factors.insert(position, SelectionFactor([4, 0, 1, 2, 3, 4], 5))
+        op = KronOperator(factors)
+        x = rand_complex(rng, op.shape[1], 2)
+        dense = KronOperator(factors[:position] + [DenseFactor(factors[position].materialize())]
+                             + factors[position + 1:])
+        assert op.apply(x).tobytes() == dense.apply(x).tobytes()
+
+    @pytest.mark.parametrize("index, cols", [([], 3), ([0], 0), ([3], 3), ([-1], 3)])
+    def test_rejects_empty_or_out_of_range(self, index, cols):
+        with pytest.raises(DimensionError):
+            SelectionFactor(index, cols)
+
+
 class TestOperatorChain:
     def test_matches_dense_product(self):
         rng = np.random.default_rng(16)
@@ -301,6 +327,7 @@ DENSE_SITES = {
     "kron": lambda: kron(np.eye(2), np.eye(1)),
     "dft_matrix": lambda: dft_matrix(2),
     "BlockDiagonalFactor.materialize": lambda: BlockDiagonalFactor(np.ones((2, 1, 1))).materialize(),
+    "SelectionFactor.materialize": lambda: SelectionFactor([0, 1], 2).materialize(),
     "KronOperator.materialize": lambda: KronOperator([IdentityFactor(2)]).materialize(),
     "OperatorChain.materialize":
         lambda: OperatorChain([KronOperator([IdentityFactor(2)])]).materialize(),

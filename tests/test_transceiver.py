@@ -9,12 +9,24 @@ relation.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from otfsim.channel import ChannelModel, assemble_h_matrix, reduce_to_block_channel, synthesize, trial_rng
 from otfsim.errors import DimensionError
-from otfsim.kronops import dft_matrix, kron, unvec, vec
+from otfsim.kronops import (
+    DenseFactor,
+    DftFactor,
+    DiagonalFactor,
+    IdentityFactor,
+    InverseDftFactor,
+    KronOperator,
+    SelectionFactor,
+    dft_matrix,
+    kron,
+    unvec,
+    vec,
+)
 from otfsim.transceiver import (
     OtfsFrameConfig,
     WindowSpec,
@@ -311,6 +323,88 @@ class TestEffectiveMatrixGeneral:
         with pytest.raises(DimensionError):
             effective_matrix_general(
                 np.eye(9), WindowSpec.rectangular(), WindowSpec.rectangular(), cfg)
+
+
+def apply_factorwise(stage, x):
+    """``stage.apply`` for a C-column input with every factor writing a new
+    array: no transform in place."""
+    tensor = x.reshape([f.cols for f in stage.factors] + [x.shape[1]])
+    for axis, factor in enumerate(stage.factors):
+        tensor = factor.apply(tensor, axis)
+    return tensor.reshape(stage.shape[0], x.shape[1])
+
+
+def dense_cp_matrix(channel_matrix, tx, rx, cfg):
+    """The general build with CP removal and insertion as the dense
+    ``cp_matrices`` factors and every DFT out of place: the reference for
+    the gathers and the in-place transforms of ``effective_matrix_general``."""
+    m, n = cfg.num_subcarriers, cfg.num_symbols
+    cp = cp_matrices(cfg)
+    stages = [
+        KronOperator([DftFactor(n), InverseDftFactor(m)]),
+        KronOperator([DiagonalFactor(rx.diagonal(cfg))]),
+        KronOperator([IdentityFactor(n), DftFactor(m)]),
+        KronOperator([IdentityFactor(n), DenseFactor(cp.remove)]),
+        KronOperator([DenseFactor(channel_matrix)]),
+        KronOperator([IdentityFactor(n), DenseFactor(cp.add)]),
+        KronOperator([IdentityFactor(n), InverseDftFactor(m)]),
+        KronOperator([DiagonalFactor(tx.diagonal(cfg))]),
+        KronOperator([InverseDftFactor(n), DftFactor(m)]),
+    ]
+    matrix = np.eye(cfg.grid_size, dtype=np.complex128)
+    for stage in reversed(stages):
+        matrix = apply_factorwise(stage, matrix)
+    return matrix
+
+
+@st.composite
+def small_geometries(draw):
+    m = draw(st.integers(1, 12))
+    return OtfsFrameConfig(num_subcarriers=m, num_symbols=draw(st.integers(1, 6)),
+                           cp_len=draw(st.integers(0, m - 1)))
+
+
+class TestCopyFreeStages:
+    """The gathers and the in-place transforms change no bit of the general
+    build and never write into the caller's input."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=small_geometries(), tx_kind=WINDOW_KINDS, rx_kind=WINDOW_KINDS,
+           seed=st.integers(0, 2**32 - 1))
+    def test_general_build_equals_the_dense_cp_chain_bit_for_bit(self, cfg, tx_kind, rx_kind,
+                                                                 seed):
+        rng = np.random.default_rng(seed)
+        h = rand_complex(rng, cfg.frame_len, cfg.frame_len)
+        tx, rx = random_window(rng, tx_kind, cfg), random_window(rng, rx_kind, cfg)
+        built = effective_matrix_general(h, tx, rx, cfg)
+        assert built.tobytes() == dense_cp_matrix(h, tx, rx, cfg).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=small_geometries(), tx_kind=WINDOW_KINDS, rx_kind=WINDOW_KINDS,
+           seed=st.integers(0, 2**32 - 1), batch=st.integers(0, 3))
+    def test_apply_leaves_the_input_unchanged(self, cfg, tx_kind, rx_kind, seed, batch):
+        # batch 0 is a 1-D input.
+        rng = np.random.default_rng(seed)
+        m, n = cfg.num_subcarriers, cfg.num_symbols
+        h = rand_complex(rng, cfg.frame_len, cfg.frame_len)
+        chain = effective_operator_general(
+            h, random_window(rng, tx_kind, cfg), random_window(rng, rx_kind, cfg), cfg)
+        identity_first = [
+            KronOperator([IdentityFactor(n), InverseDftFactor(m)]),
+            KronOperator([IdentityFactor(n), IdentityFactor(1), DftFactor(m)]),
+            KronOperator([SelectionFactor(np.arange(n)[::-1], n), DftFactor(m)]),
+        ]
+        for operator in [chain] + chain.stages + identity_first:
+            shape = (operator.shape[1],) + ((batch,) if batch else ())
+            x = rand_complex(rng, *shape)
+            kept = x.copy()
+            out = operator.apply(x)
+            assert x.tobytes() == kept.tobytes()
+            if isinstance(operator, KronOperator):
+                expected = apply_factorwise(operator, x.reshape(operator.shape[1], -1))
+                assert out.tobytes() == expected.reshape(out.shape).tobytes()
 
 
 def _reduced_blocks(rng, cfg, length):
