@@ -1,5 +1,5 @@
 """Output bytes pinned: tiny runs of every subcommand and mid-size runs of
-verify and effective-channel, digested.
+capacity, verify and effective-channel, digested.
 
 Each workload runs the installed CLI as a subprocess under
 ``OPENBLAS_CORETYPE=Haswell``, so every host with AVX2 and FMA runs the
@@ -64,6 +64,20 @@ SISO_MID = {
     "noise": {"snr_db": [10]},
     "run": {"emit_frequency_domain": True},
 }
+# A 3x2 sweep whose whole-block K is 512 x 768: three transmit antennas,
+# so K's row slabs hold three one-antenna transforms side by side.
+MIMO_MID = {
+    "frame": {"M": 32, "N": 8, "M_cp": 4},
+    "mimo": {"n_t": 3, "n_r": 2},
+    "window": {
+        "tx": {"kind": "general",
+               "taps": [[1 + 0.3 * math.sin(2 * k), 0.2 * math.cos(k)] for k in range(256)]},
+        "rx": {"kind": "rectangular"},
+    },
+    "channel": {"kind": "doppler-paths", "L": 4, "P": 3, "nu_max": 0.05},
+    "noise": {"snr_db": [0, 10, 20]},
+    "run": {"trials": 3, "emit_trials": True, "export_channels": True},
+}
 # Workload name: (subcommand, config).
 WORKLOADS = {
     "capacity": ("capacity", MIMO),
@@ -72,6 +86,7 @@ WORKLOADS = {
     "effective-channel": ("effective-channel", SISO),
     "verify-mid": ("verify", SISO_MID),
     "effective-channel-mid": ("effective-channel", SISO_MID),
+    "capacity-mid": ("capacity", MIMO_MID),
 }
 
 _KEY_CODE = """
