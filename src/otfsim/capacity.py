@@ -13,6 +13,12 @@ each trial forms its channels, K, every K_n and every Gram once for all SNRs,
 and the parts of K and of every K_n that do not depend on the channel are
 built at most once per run, each only by the route that reads it.
 
+The transmit side of K is the same window and 2-D transform on every
+antenna, so the plan keeps only the one-antenna (M*N) x (M*N) transform B_1
+and forms K one OFDM symbol's rows at a time, from a row slab of the
+stacked transform rebuilt out of B_1. At its peak a trial holds B_1, K and
+its Gram, or the Gram and its shifted copy.
+
 MI follows the paper's convention: identity input covariance, and only
 the transmit window appears in K (the receive window sits after the point
 where MI is measured, so it does not enter).
@@ -29,8 +35,8 @@ import numpy as np
 from . import _lapack
 from .channel import ChannelModel, require_cp_covers
 from .errors import ConfigError, DimensionError, NonFiniteError
-from .kronops import (BlockDiagonalFactor, OperatorChain, idft_matrix, off_block_max,
-                      require_dense, require_finite, require_within)
+from .kronops import (OperatorChain, idft_matrix, off_block_max, require_dense, require_finite,
+                      require_within)
 from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_modulation_stages,
                    mimo_window_diagonal)
 from .transceiver import WindowSpec
@@ -99,15 +105,19 @@ class _SweepPlan:
     (M*N*n_r), fit under the dense cap, so an oversized run stops before any
     channel is drawn. Each part is built on first use and then kept:
 
-    - ``transform`` is B, the C x C product of :func:`mimo_modulation_stages`,
-      so K = diag(blocks) B is the last step ``OperatorChain.materialize``
-      takes with the block-channel stage in front, with the same bits;
+    - ``transform`` is B_1, the (M*N) x (M*N) product of
+      :func:`mimo_modulation_stages` for one antenna. Every antenna has the
+      same window and transforms, so the C x C B of the stacked layout is
+      B_1 on each antenna's rows and columns and zero elsewhere, and B is
+      never held: :meth:`full_k` rebuilds one symbol's M*n_t rows of it at
+      a time;
     - ``modulator`` is the (N, M*n_t, M*n_t) stack kron(I_{n_t}, F_M^H) W_n,
       so K_n = block_n modulator_n.
 
-    B feeds only the block route and the modulator only the per-symbol route,
-    so the two stay independent. ``trial_bytes`` is what one trial holds at
-    its peak besides these parts.
+    B_1 feeds only the block route and the modulator only the per-symbol
+    route, so the two stay independent. ``trial_bytes`` is what one trial
+    holds at its peak besides these parts: K and the Gram, or the Gram and
+    its shifted copy.
     """
 
     def __init__(self, tx_window: WindowSpec, mcfg: MimoConfig):
@@ -120,7 +130,8 @@ class _SweepPlan:
 
     @cached_property
     def transform(self) -> np.ndarray:
-        transform = OperatorChain(mimo_modulation_stages(self.tx_window, self.mcfg)).materialize()
+        stages = mimo_modulation_stages(self.tx_window, MimoConfig(self.mcfg.frame))
+        transform = OperatorChain(stages).materialize()
         transform.flags.writeable = False
         return transform
 
@@ -145,8 +156,30 @@ class _SweepPlan:
         return blocks
 
     def full_k(self, block_channel: np.ndarray) -> np.ndarray:
-        """The whole-block K, shape (M*N*n_r) x (M*N*n_t)."""
-        return BlockDiagonalFactor(self._blocks(block_channel)).apply(self.transform, 0)
+        """The whole-block K, shape (M*N*n_r) x (M*N*n_t): K = diag(blocks) B.
+
+        Symbol s's rows of K are block_s times symbol s's M*n_t rows of B,
+        a slab in which antenna t's rows hold B_1's symbol-s rows in antenna
+        t's columns. One slab buffer is refilled for each symbol; its zeros
+        are never written. Each product is the zgemm call that the batched
+        ``blocks @ B.reshape(N, M*n_t, C)`` makes, with the same operands up
+        to the signs of zeros in B, so K has the same bits as
+        ``OperatorChain.materialize`` with the block-channel stage in front."""
+        blocks = self._blocks(block_channel)
+        mcfg = self.mcfg
+        m, n, n_t = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols, mcfg.num_tx
+        rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
+        require_dense(m * n_t, cols, "row slab of B")
+        one_antenna = self.transform.reshape(n, m, n, m)
+        # slab[t, i, s', t', j]: row (t, i) and column (s', t', j) of the slab.
+        slab = np.zeros((n_t, m, n, n_t, m), dtype=np.complex128)
+        antennas = np.arange(n_t)
+        k_matrix = np.empty((rows, cols), dtype=np.complex128)
+        k_rows = k_matrix.reshape(n, rows // n, cols)
+        for symbol in range(n):
+            slab[antennas, :, :, antennas] = one_antenna[symbol]
+            np.matmul(blocks[symbol], slab.reshape(m * n_t, cols), out=k_rows[symbol])
+        return k_matrix
 
     def per_symbol_k(self, block_channel: np.ndarray) -> np.ndarray:
         """K_n for each OFDM symbol, an (N, M*n_r, M*n_t) array."""

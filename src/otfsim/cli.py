@@ -522,6 +522,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, data_path: Optional[str])
         print(f"max |estimate - data| = {_fmt(error)}")
     print(f"max |estimate - (H_eff @ data + noise_hat)| = {_fmt(residual)}")
     print(f"wrote {out_dir / 'transcript.json'}")
+    # A non-finite estimate makes the residual NaN: a numerical failure, not a structural one.
+    require_finite(chain.estimate, "chain estimate")
     require_within(residual, 1e-9, "chain/effective-matrix residual {deviation:.3e} exceeds "
                    "{tolerance:.0e}")
     return 0
@@ -618,11 +620,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.mode == "capacity":
             return run_capacity(cfg, out_dir)
-        if args.mode == "simulate":
-            return run_simulate(cfg, out_dir, args.data)
         if args.mode == "verify":
             return run_verify(cfg, out_dir)
-        return run_effective_channel(cfg, out_dir)
+        # Both check their results for non-finite values and report the first
+        # as one error line, which numpy's warnings would only bury.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.mode == "simulate":
+                return run_simulate(cfg, out_dir, args.data)
+            return run_effective_channel(cfg, out_dir)
     except OtfsimError as err:
         if err.exit_code is None:  # a bug, not a failure the CLI reports
             raise

@@ -458,21 +458,25 @@ class TestSizeCap:
         with pytest.raises(SizeCapError, match="16x16"):
             otfs_block_mi(channels, window, 0.5, mcfg)
 
-    def test_transform_over_the_cap_stops_capacity_before_any_draw(self, tmp_path, monkeypatch):
-        # n_t=2, n_r=1, M=4, N=2: K has 8 x 16 = 128 entries and K K^H 64, so
-        # the plan's cap check passes, but B has 16 x 16 = 256 > 200.
+    def test_modulator_over_the_cap_stops_capacity_before_any_draw(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        # B_1 has (M*N)^2 <= R*max(R, C) entries, so it never binds before the
+        # plan's check; the per-symbol modulator can. n_t=4, n_r=1, M=4, N=1:
+        # K has 4 x 16 = 64 entries and K K^H 16, so the plan's cap check
+        # passes, but the modulator has 16 x 16 = 256 > 200.
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
-            "frame": {"M": 4, "N": 2, "M_cp": 2}, "mimo": {"n_t": 2, "n_r": 1},
+            "frame": {"M": 4, "N": 1, "M_cp": 2}, "mimo": {"n_t": 4, "n_r": 1},
             "channel": {"kind": "doppler-paths", "L": 3, "P": 2, "nu_max": 0.05},
             "noise": {"sigma2": [0.5]}, "run": {"trials": 2, "seed": 7}}))
 
         def no_draw(*args, **kwargs):
-            raise AssertionError("a channel was drawn before B's cap check")
+            raise AssertionError("a channel was drawn before the modulator's cap check")
 
         monkeypatch.setattr(otfsim.capacity, "channel_table", no_draw)
         monkeypatch.setattr(otfsim.kronops, "DENSE_ENTRY_CAP", 200)
         assert main(["capacity", "--config", str(path), "--out", str(tmp_path)]) == 4
+        assert "per-symbol modulator would have 16x16 entries" in capsys.readouterr().err
 
 
 @contextlib.contextmanager
@@ -562,17 +566,18 @@ def random_window(rng, kind, frame):
 
 
 class TestSweepPlan:
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 4),
-           antennas=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+    # K is built from B_1 one symbol's row slab at a time; it must be the
+    # whole-B chain's K bit for bit at every antenna count.
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), n_t=st.integers(1, 3), n_r=st.integers(1, 3),
            window_kind=st.sampled_from(["rectangular", "separable", "general"]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_plan_k_is_the_operator_chain_k(self, data, n, antennas, window_kind, seed):
+    def test_plan_k_is_the_operator_chain_k(self, data, n, n_t, n_r, window_kind, seed):
         m = data.draw(st.integers(1, 8), label="M")
         taps = data.draw(st.integers(1, m), label="L")
         cp = data.draw(st.integers(taps - 1, m - 1), label="cp")
         frame = OtfsFrameConfig(num_subcarriers=m, num_symbols=n, cp_len=cp)
-        mcfg = MimoConfig(frame=frame, num_tx=antennas[0], num_rx=antennas[1])
+        mcfg = MimoConfig(frame=frame, num_tx=n_t, num_rx=n_r)
         model = ChannelModel.doppler_paths(num_taps=taps, num_paths=1, max_doppler=0.05)
         window = random_window(np.random.default_rng(seed), window_kind, frame)
         plan = otfsim.capacity._SweepPlan(window, mcfg)

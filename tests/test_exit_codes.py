@@ -9,6 +9,9 @@ its full report, as strict JSON, before it exits 3.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -32,7 +35,7 @@ EXIT_THREE_CONFIGS = {
                     "run": {"emit_frequency_domain": True}},
                    {"capacity": "K K^H contains non-finite entries",
                     "verify": "non-finite",
-                    "simulate": "residual nan",
+                    "simulate": "chain estimate contains non-finite entries",
                     "effective-channel": "effective_dd.csv row 0"}),
     # K K^H / sigma2 overflows.
     "tiny-sigma2": ({"frame": FRAME,
@@ -46,7 +49,7 @@ EXIT_THREE_CONFIGS = {
                               "channel": {"kind": "static-multipath", "gains": [1e200, 1],
                                           "delays": [0, 1]}},
                              {"capacity": "K K^H", "verify": "K K^H",
-                              "simulate": "residual nan",
+                              "simulate": "chain estimate contains non-finite entries",
                               "effective-channel": "effective_dd.csv row 0"}),
     # 1x2 at 300 dB: I + K K^H / sigma2 is rank deficient up to rounding.
     "high-snr-rank-deficient": ({"frame": FRAME, "mimo": {"n_t": 1, "n_r": 2},
@@ -104,6 +107,23 @@ def test_failing_verify_prints_no_numpy_warnings(tmp_path):
         warnings.simplefilter("always")
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("mode, line", [
+    ("simulate", "numerical failure: chain estimate contains non-finite entries"),
+    ("effective-channel", "numerical failure: effective_dd.csv row 0 contains non-finite entries"),
+], ids=["simulate", "effective-channel"])
+def test_overflowing_run_prints_one_error_line(tmp_path, mode, line):
+    # A process, so that numpy's warnings would reach stderr as a user sees
+    # them, past pytest's warning capture.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(EXIT_THREE_CONFIGS["huge-gains"][0]))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-m", "otfsim.cli", mode, "--config", str(path),
+                          "--out", str(tmp_path / "out")], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 3
+    assert run.stderr.splitlines() == [line]
 
 
 MAGNITUDES = st.sampled_from([0.0, 1.0, 1e150, 1e300])

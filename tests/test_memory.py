@@ -1,14 +1,15 @@
-"""Peak memory of the dense reference paths.
+"""Peak memory of the dense reference paths and of one capacity trial.
 
 ``verify``, ``simulate`` and ``effective-channel`` build dense C x C
-matrices. Each test
+matrices, and a capacity trial an R x C K and its R x R Gram. Each test
 traces one function's allocations with ``tracemalloc`` (numpy reports its
-array buffers to it) and bounds the peak in units of one C x C complex128
-array, so a change that keeps a dense array alive past its last reader
-fails. The measured peaks sit about 0.3 units under each bound; keeping the
-frame-length H for the whole of ``check_specializations``, the
-delay-Doppler matrix through the frequency-domain export, or a copy of a
-stage's input at a CP or DFT stage crosses it.
+array buffers to it) and bounds the peak in units of one C x C (or R x C)
+complex128 array, so a change that keeps a dense array alive past its last
+reader fails. The measured peaks sit about 0.3 units under each bound;
+keeping the frame-length H for the whole of ``check_specializations``, the
+delay-Doppler matrix through the frequency-domain export, a copy of a
+stage's input at a CP or DFT stage, or the whole C x C transmit transform
+of a MIMO sweep crosses it.
 """
 
 import tracemalloc
@@ -16,9 +17,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from otfsim.capacity import capacity_sweep
+from otfsim.channel import ChannelModel
 from otfsim.checks import VerifyContext, check_chain_vs_matrix, check_specializations
 from otfsim.cli import parse_config, run_effective_channel
-from otfsim.mimo import channel_table, mimo_effective_matrix
+from otfsim.mimo import MimoConfig, channel_table, mimo_effective_matrix
+from otfsim.transceiver import OtfsFrameConfig, WindowSpec
 
 # SISO, general transmit window, separable receive window: the dense
 # reference paths of verify and effective-channel. C = M*N = 512, so one
@@ -53,9 +57,10 @@ def ctx(cfg):
                          noise_var=1.0, seed=cfg.seed)
 
 
-def peak_arrays(function) -> float:
+def peak_arrays(function, rows: int = M * N, cols: int = M * N) -> float:
     """The most memory ``function()`` held at once above what was live
-    before the call, in C x C complex128 arrays."""
+    before the call, in ``rows`` x ``cols`` complex128 arrays (C x C by
+    default)."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -63,7 +68,7 @@ def peak_arrays(function) -> float:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - before) / (16 * (M * N) ** 2)
+    return (peak - before) / (16 * rows * cols)
 
 
 def test_specializations_hold_one_general_build_at_a_time(ctx):
@@ -93,3 +98,19 @@ def test_frequency_domain_export_frees_the_delay_doppler_matrix(cfg, tmp_path):
     # The delay-Doppler matrix is freed before the frequency-domain one is
     # built, and each np.diag product frees its operand before the next.
     assert peak_arrays(lambda: run_effective_channel(cfg, tmp_path)) < 3.6
+
+
+@pytest.mark.parametrize("n_t, n_r, bound", [(2, 2, 2.95), (3, 2, 2.45)], ids=["2x2", "3x2"])
+def test_capacity_trial_holds_no_whole_transmit_transform(n_t, n_r, bound):
+    # One trial at M=32, N=8 peaks at about 2.65 units of R x C at 2x2 and
+    # 2.16 at 3x2: the Gram and its shifted copy beside the plan's parts,
+    # of which the one-antenna transform B_1 has (M*N)^2 entries. Holding
+    # the whole C x C transform of the stacked layout, n_t^2 times B_1,
+    # took them to 3.40 and 3.50.
+    frame = OtfsFrameConfig(num_subcarriers=32, num_symbols=8, cp_len=4)
+    mcfg = MimoConfig(frame, num_tx=n_t, num_rx=n_r)
+    model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.05)
+    peak = peak_arrays(lambda: capacity_sweep([1.0, 0.1], model, WindowSpec.rectangular(), mcfg,
+                                              trials=1, threads=1),
+                       mcfg.rx_vector_len, mcfg.tx_vector_len)
+    assert peak < bound
