@@ -116,8 +116,7 @@ class _SweepPlan:
 
     B_1 feeds only the block route and the modulator only the per-symbol
     route, so the two stay independent. ``trial_bytes`` is what one trial
-    holds at its peak besides these parts: K and the Gram, or the Gram and
-    its shifted copy.
+    holds at its peak besides these parts.
     """
 
     def __init__(self, tx_window: WindowSpec, mcfg: MimoConfig):

@@ -609,9 +609,9 @@ class TestSweepPlan:
 
 
 class TestOnePlanPerRun:
-    """B (the product of ``mimo_modulation_stages``) and the per-symbol
-    modulator (built from ``idft_matrix``) are each built only by the route
-    that reads them, and at most once per run."""
+    """B_1 (the one-antenna product of ``mimo_modulation_stages``) and the
+    per-symbol modulator (built from ``idft_matrix``) are each built only by
+    the route that reads them, and at most once per run."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
