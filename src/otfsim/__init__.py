@@ -11,15 +11,12 @@ from .capacity import (
     CapacityResult,
     capacity_sweep,
     ergodic_capacity,
-    full_k_matrix,
     mutual_information,
     otfs_block_mi,
-    per_symbol_k_matrices,
 )
 from .channel import (
     ChannelModel,
     LtvChannel,
-    NoiseSpec,
     assemble_h_matrix,
     awgn,
     channel_from_json,
@@ -64,7 +61,6 @@ from .mimo import (
     mimo_modulation_stages,
     mimo_window,
     mimo_window_diagonal,
-    split_stacked_vector,
     stack_grids,
 )
 from .transceiver import (
@@ -89,7 +85,6 @@ from .transceiver import (
     siso_chain,
     to_frequency_domain,
     transmit_basis,
-    window_distortion,
 )
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import contextvars
 import ctypes
 import functools
 import os
@@ -195,8 +196,10 @@ def map_in_order(function: Callable, items: Sequence, workers: Optional[int] = N
     while the pool lives, so that BLAS threads do not compete with the
     workers for the CPUs. Once any item has failed, no further item is
     submitted, and reading on raises the lowest failing item's error, as a
-    serial run does. No worker outlives the ``with`` block, also when it
-    raises; a thread pool's queued items then never start."""
+    serial run does. A thread runs each item in a copy of the caller's
+    context, so it sees the caller's numpy error state. No worker outlives
+    the ``with`` block, also when it raises; a thread pool's queued items
+    then never start."""
     if workers is None:
         workers = usable_cpus() if processes or _bundled() is not None else 1
     workers = min(workers, len(items))
@@ -211,7 +214,8 @@ def map_in_order(function: Callable, items: Sequence, workers: Optional[int] = N
                 yield pending.pop(0).result()
             if any(future.done() and future.exception() is not None for future in pending):
                 break
-            pending.append(pool.submit(function, item))
+            pending.append(pool.submit(function, item) if processes
+                           else pool.submit(contextvars.copy_context().run, function, item))
         while pending:
             yield pending.pop(0).result()
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _lapack
 from .channel import ChannelModel, require_cp_covers
-from .errors import ConfigError, DimensionError, NonFiniteError
+from .errors import ConfigError, NonFiniteError
 from .kronops import (OperatorChain, idft_matrix, off_block_max, require_dense, require_finite,
                       require_within)
 from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_modulation_stages,
@@ -103,7 +103,9 @@ class _SweepPlan:
     The constructor is the cap check: it raises :class:`SizeCapError` unless
     the whole-block K, (M*N*n_r) x (M*N*n_t), and its Gram, (M*N*n_r) x
     (M*N*n_r), fit under the dense cap, so an oversized run stops before any
-    channel is drawn. Each part is built on first use and then kept:
+    channel is drawn. Each part is built on first use and then kept, so
+    that verify, which builds its plan before its dense checks, holds
+    neither part while those run:
 
     - ``transform`` is B_1, the (M*N) x (M*N) product of
       :func:`mimo_modulation_stages` for one antenna. Every antenna has the
@@ -115,8 +117,10 @@ class _SweepPlan:
       so K_n = block_n modulator_n.
 
     B_1 feeds only the block route and the modulator only the per-symbol
-    route, so the two stay independent. ``trial_bytes`` is what one trial
-    holds at its peak besides these parts.
+    route, so the two stay independent. Both K builders take the
+    (N, M*n_r, M*n_t) complex128 stack of :func:`mimo_block_channel` as it
+    is. ``trial_bytes`` is what one trial holds at its peak besides these
+    parts.
     """
 
     def __init__(self, tx_window: WindowSpec, mcfg: MimoConfig):
@@ -145,15 +149,6 @@ class _SweepPlan:
         modulator.flags.writeable = False
         return modulator
 
-    def _blocks(self, block_channel: np.ndarray) -> np.ndarray:
-        """``block_channel`` as the (N, M*n_r, M*n_t) stack that both routes read."""
-        mcfg, m = self.mcfg, self.mcfg.frame.num_subcarriers
-        shape = (mcfg.frame.num_symbols, m * mcfg.num_rx, m * mcfg.num_tx)
-        blocks = np.asarray(block_channel, dtype=np.complex128)
-        if blocks.shape != shape:
-            raise DimensionError(f"block channel of shape {blocks.shape}, need {shape}")
-        return blocks
-
     def full_k(self, block_channel: np.ndarray) -> np.ndarray:
         """The whole-block K, shape (M*N*n_r) x (M*N*n_t): K = diag(blocks) B.
 
@@ -164,7 +159,6 @@ class _SweepPlan:
         ``blocks @ B.reshape(N, M*n_t, C)`` makes, with the same operands up
         to the signs of zeros in B, so K has the same bits as
         ``OperatorChain.materialize`` with the block-channel stage in front."""
-        blocks = self._blocks(block_channel)
         mcfg = self.mcfg
         m, n, n_t = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols, mcfg.num_tx
         rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
@@ -177,30 +171,12 @@ class _SweepPlan:
         k_rows = k_matrix.reshape(n, rows // n, cols)
         for symbol in range(n):
             slab[antennas, :, :, antennas] = one_antenna[symbol]
-            np.matmul(blocks[symbol], slab.reshape(m * n_t, cols), out=k_rows[symbol])
+            np.matmul(block_channel[symbol], slab.reshape(m * n_t, cols), out=k_rows[symbol])
         return k_matrix
 
     def per_symbol_k(self, block_channel: np.ndarray) -> np.ndarray:
         """K_n for each OFDM symbol, an (N, M*n_r, M*n_t) array."""
-        return self._blocks(block_channel) @ self.modulator
-
-
-def per_symbol_k_matrices(
-    block_channel: np.ndarray,
-    tx_window: WindowSpec,
-    mcfg: MimoConfig,
-) -> np.ndarray:
-    """K_n for each OFDM symbol, an (N, M*n_r, M*n_t) array."""
-    return _SweepPlan(tx_window, mcfg).per_symbol_k(block_channel)
-
-
-def full_k_matrix(
-    block_channel: np.ndarray,
-    tx_window: WindowSpec,
-    mcfg: MimoConfig,
-) -> np.ndarray:
-    """The whole-block K, shape (M*N*n_r) x (M*N*n_t)."""
-    return _SweepPlan(tx_window, mcfg).full_k(block_channel)
+        return block_channel @ self.modulator
 
 
 @dataclass(frozen=True)

@@ -130,18 +130,6 @@ class ChannelModel:
         return self.num_taps
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Per-complex-sample noise power and the seed that makes draws repeatable."""
-
-    variance: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ConfigError(f"noise variance must be >= 0, got {self.variance}")
-
-
 def trial_rng(seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator: independent stream per (seed, key) pair,
     insensitive to draw order across workers."""
@@ -238,13 +226,14 @@ def reduce_to_block_channel(
     return reduced.reshape(n, m, n, m)[np.arange(n), :, np.arange(n), :]
 
 
-def awgn(length: int, spec: NoiseSpec) -> np.ndarray:
+def awgn(length: int, variance: float, rng: np.random.Generator) -> np.ndarray:
     """Circularly symmetric complex Gaussian noise, i.i.d. with per-sample
-    variance ``spec.variance``; identical draws for identical (length, spec)."""
-    if spec.variance == 0.0:
+    variance ``variance``, drawn from ``rng``; zero variance draws nothing."""
+    if variance < 0:
+        raise ConfigError(f"noise variance must be >= 0, got {variance}")
+    if variance == 0.0:
         return np.zeros(length, dtype=np.complex128)
-    rng = np.random.default_rng(spec.seed)
-    scale = np.sqrt(spec.variance / 2.0)
+    scale = np.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
 
 

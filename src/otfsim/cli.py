@@ -28,8 +28,7 @@ import numpy as np
 
 from . import _lapack
 from .capacity import CapacityResult, capacity_sweep
-from .channel import (ChannelModel, NoiseSpec, awgn, channel_to_json, require_cp_covers,
-                      trial_rng)
+from .channel import ChannelModel, awgn, channel_to_json, require_cp_covers, trial_rng
 from .checks import VerifyContext, run_invariant_checks
 from .errors import ConfigError, DimensionError, OtfsimError
 from .kronops import BlockDiagonalFactor, require_finite, require_within, vec
@@ -489,7 +488,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, data_path: Optional[str])
         for t in range(mcfg.num_tx)
     ]
     stacked = stack_grids(grids, mcfg)
-    noise = [awgn(frame.frame_len, NoiseSpec(sigma2, seed=_noise_seed(cfg.seed, 91, r)))
+    noise = [awgn(frame.frame_len, sigma2, np.random.default_rng(_noise_seed(cfg.seed, 91, r)))
              for r in range(mcfg.num_rx)]
 
     chain = mimo_chain(stacked, channels, cfg.tx_window, cfg.rx_window, mcfg, noise=noise)
@@ -618,13 +617,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                            seed=args.seed, threads=getattr(args, "threads", None))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.mode == "capacity":
-            return run_capacity(cfg, out_dir)
-        if args.mode == "verify":
-            return run_verify(cfg, out_dir)
-        # Both check their results for non-finite values and report the first
-        # as one error line, which numpy's warnings would only bury.
+        # Every subcommand checks its results for non-finite values and
+        # reports the first as one error line, which numpy's warnings would
+        # only bury.
         with np.errstate(over="ignore", invalid="ignore"):
+            if args.mode == "capacity":
+                return run_capacity(cfg, out_dir)
+            if args.mode == "verify":
+                return run_verify(cfg, out_dir)
             if args.mode == "simulate":
                 return run_simulate(cfg, out_dir, args.data)
             return run_effective_channel(cfg, out_dir)

@@ -64,16 +64,6 @@ def stack_grids(grids: Sequence[np.ndarray], mcfg: MimoConfig) -> np.ndarray:
     return np.concatenate(grids, axis=0)
 
 
-def split_stacked_vector(v: np.ndarray, mcfg: MimoConfig, antennas: int) -> List[np.ndarray]:
-    """Inverse of stacking+vec for a given antenna count: per-antenna M x N grids."""
-    m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (m * n * antennas,):
-        raise DimensionError(f"expected length {m * n * antennas}, got shape {v.shape}")
-    tensor = v.reshape(n, antennas, m)
-    return [tensor[:, t, :].T.copy() for t in range(antennas)]
-
-
 def mimo_isfft(stacked: np.ndarray, mcfg: MimoConfig) -> np.ndarray:
     """Stacked inverse 2-D transform: per-antenna DFT along delay, shared
     inverse DFT along the Doppler axis, then column stacking."""

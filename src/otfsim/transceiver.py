@@ -138,11 +138,6 @@ class WindowSpec:
         return self.taps
 
 
-def window_distortion(tx: WindowSpec, rx: WindowSpec, cfg: OtfsFrameConfig) -> float:
-    """Max |rx*tx - 1| over the grid; zero means distortion-free reconstruction."""
-    return float(np.max(np.abs(rx.diagonal(cfg) * tx.diagonal(cfg) - 1.0)))
-
-
 @dataclass(frozen=True)
 class CpMatrices:
     """CP insertion matrix (prepends the last cp_len samples of an OFDM

@@ -366,7 +366,8 @@ class TestMapInOrder:
     """``_lapack.map_in_order``, on threads and on processes: results in item
     order, at most two items per worker in flight, no item submitted after a
     failure, the lowest failing item's error, BLAS on one thread while the
-    pool lives, and no worker left after the ``with`` block."""
+    pool lives, no worker left after the ``with`` block, and on threads the
+    caller's numpy error state."""
 
     @pytest.fixture(params=[False, True], ids=["threads", "processes"])
     def processes(self, request):
@@ -480,6 +481,20 @@ class TestMapInOrder:
         with otfsim._lapack.map_in_order(caller, range(4), 1, processes) as outcomes:
             assert blas_count() == 2
             assert set(outcomes) == {caller(None)}
+
+    def test_threads_run_items_in_the_callers_numpy_error_state(self):
+        # numpy's error state is a context variable, and a new thread starts
+        # in an empty context, so with numpy's default state.
+        def error_state(item):
+            return threading.get_ident(), np.geterr()
+
+        with np.errstate(over="ignore", invalid="raise"):
+            expected = np.geterr()
+            with otfsim._lapack.map_in_order(error_state, range(4), 2) as outcomes:
+                results = list(outcomes)
+        assert expected != np.geterr()
+        assert threading.get_ident() not in {ident for ident, _ in results}
+        assert [state for _, state in results] == [expected] * 4
 
 
 def reference_export_config(seed, m=64, n=16, cp=8):

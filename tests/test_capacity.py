@@ -21,14 +21,12 @@ import otfsim.mimo
 from otfsim.capacity import (
     capacity_sweep,
     ergodic_capacity,
-    full_k_matrix,
     mutual_information,
     otfs_block_mi,
-    per_symbol_k_matrices,
 )
 from otfsim.channel import ChannelModel, synthesize
 from otfsim.cli import main
-from otfsim.errors import ConfigError, DimensionError, NonFiniteError, SizeCapError, StructureError
+from otfsim.errors import ConfigError, NonFiniteError, SizeCapError, StructureError
 from otfsim.kronops import BlockDiagonalFactor, KronOperator, OperatorChain, dft_matrix, kron
 from otfsim.mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_modulation_stages,
                          mimo_window_diagonal)
@@ -133,7 +131,7 @@ class TestBlockMi:
         channels = channel_table(model, mcfg, 1100 + trial, 0)
         result = otfs_block_mi(channels, WindowSpec.rectangular(), 0.8, mcfg)
         blocks = mimo_block_channel(channels, mcfg)
-        k_full = full_k_matrix(blocks, WindowSpec.rectangular(), mcfg)
+        k_full = otfsim.capacity._SweepPlan(WindowSpec.rectangular(), mcfg).full_k(blocks)
         assert abs(result.total_bits - naive_mi(k_full, 0.8)) <= 1e-8
 
     def test_full_k_matches_dense_kronecker_composition(self):
@@ -144,7 +142,7 @@ class TestBlockMi:
         blocks = mimo_block_channel(channels, mcfg)
         rng = np.random.default_rng(8)
         window = WindowSpec.general(rand_complex(rng, 4))
-        k_full = full_k_matrix(blocks, window, mcfg)
+        k_full = otfsim.capacity._SweepPlan(window, mcfg).full_k(blocks)
         # Dense oracle assembled from np.kron pieces only.
         big = np.zeros((8, 8), dtype=complex)
         for n, blk in enumerate(blocks):
@@ -165,7 +163,7 @@ class TestBlockMi:
         blocks = mimo_block_channel(channels, mcfg)
         rng = np.random.default_rng(10)
         window = WindowSpec.general(rand_complex(rng, 32))
-        k_full = full_k_matrix(blocks, window, mcfg)
+        k_full = otfsim.capacity._SweepPlan(window, mcfg).full_k(blocks)
         gram = k_full @ k_full.conj().T
         rows = 8 * 2
         for i in range(4):
@@ -184,7 +182,8 @@ class TestBlockMi:
         model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.02)
         channels = channel_table(model, mcfg, 5, 0)
         result = otfs_block_mi(channels, window, 0.1, mcfg)
-        k_full = full_k_matrix(mimo_block_channel(channels, mcfg), window, mcfg)
+        blocks = mimo_block_channel(channels, mcfg)
+        k_full = otfsim.capacity._SweepPlan(window, mcfg).full_k(blocks)
         assert result.total_bits == mutual_information(k_full, 0.1)
         # The deviations as measured on a separate K K^H with its diagonal
         # blocks zeroed in a copy.
@@ -414,7 +413,8 @@ class TestOnePassSweep:
         assert_sweep_matches_block_mi(noise_vars, model, window, mcfg, trials=2, seed=seed)
         # The stacked per-symbol route equals one mutual_information per K_n, bit for bit.
         channels = channel_table(model, mcfg, seed, 0)
-        k_ns = per_symbol_k_matrices(mimo_block_channel(channels, mcfg), window, mcfg)
+        blocks = mimo_block_channel(channels, mcfg)
+        k_ns = otfsim.capacity._SweepPlan(window, mcfg).per_symbol_k(blocks)
         for sigma2 in noise_vars:
             assert otfs_block_mi(channels, window, sigma2, mcfg).per_symbol_bits == [
                 mutual_information(k_n, sigma2) for k_n in k_ns]
@@ -431,7 +431,7 @@ class TestReceiveWindowIrrelevance:
         blocks = mimo_block_channel(channels, mcfg)
         rng = np.random.default_rng(14)
         tx = WindowSpec.general(rand_complex(rng, 8))
-        k_list = per_symbol_k_matrices(blocks, tx, mcfg)
+        k_list = otfsim.capacity._SweepPlan(tx, mcfg).per_symbol_k(blocks)
         # Rebuild each K_n by hand: block @ F_M^H scaled by the tx diagonal.
         per_symbol = tx.diagonal(frame).reshape(2, 4)
         for n, k_n in enumerate(k_list):
@@ -588,24 +588,7 @@ class TestSweepPlan:
             expected = OperatorChain([KronOperator([BlockDiagonalFactor(blocks)])]
                                      + mimo_modulation_stages(window, mcfg)).materialize()
             assert np.array_equal(plan.full_k(blocks), expected)
-            assert np.array_equal(full_k_matrix(blocks, window, mcfg), expected)
             assert np.array_equal(plan.per_symbol_k(blocks), blocks @ modulator)
-
-    def test_block_channel_of_the_wrong_width_is_a_dimension_error(self):
-        mcfg = MimoConfig(frame=OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=1))
-        with pytest.raises(DimensionError, match=r"shape \(1, 2, 4\), need \(2, 4, 4\)"):
-            full_k_matrix(np.ones((1, 2, 4)), WindowSpec.rectangular(), mcfg)
-
-    # An M=4, N=2 SISO frame needs a (2, 4, 4) stack. Without the shape check
-    # the first stack gave an 8 x 8 K, the second broadcast to two K_n, and the
-    # third ended in numpy's matmul ValueError.
-    @pytest.mark.parametrize("builder, shape", [
-        (full_k_matrix, (1, 8, 8)), (per_symbol_k_matrices, (1, 4, 4)),
-        (per_symbol_k_matrices, (1, 8, 8))], ids=["full-k-8x8", "k-n-4x4", "k-n-8x8"])
-    def test_both_routes_check_the_whole_block_channel_shape(self, builder, shape):
-        mcfg = MimoConfig(frame=OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=1))
-        with pytest.raises(DimensionError, match=r"need \(2, 4, 4\)"):
-            builder(np.ones(shape), WindowSpec.rectangular(), mcfg)
 
 
 class TestOnePlanPerRun:
@@ -645,7 +628,9 @@ class TestOnePlanPerRun:
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
         blocks = mimo_block_channel(channel_table(model, mcfg, 3, 0), mcfg)
         window = WindowSpec.rectangular()
-        per_symbol_k_matrices(blocks, window, mcfg)
+        plan = otfsim.capacity._SweepPlan(window, mcfg)
+        assert counts == {"plan": 1}
+        plan.per_symbol_k(blocks)
         assert counts == {"plan": 1, "modulator": 1}
-        full_k_matrix(blocks, window, mcfg)
+        otfsim.capacity._SweepPlan(window, mcfg).full_k(blocks)
         assert counts == {"plan": 2, "modulator": 1, "transform": 1}

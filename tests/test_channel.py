@@ -7,7 +7,6 @@ from otfsim import kronops
 from otfsim.channel import (
     ChannelModel,
     LtvChannel,
-    NoiseSpec,
     assemble_h_matrix,
     awgn,
     channel_from_json,
@@ -224,21 +223,21 @@ class TestReduceToBlockChannel:
 
 class TestAwgn:
     def test_zero_variance(self):
-        assert np.array_equal(awgn(16, NoiseSpec(0.0, seed=1)), np.zeros(16))
+        assert np.array_equal(awgn(16, 0.0, np.random.default_rng(1)), np.zeros(16))
 
     def test_empirical_variance(self):
-        noise = awgn(1_000_000, NoiseSpec(2.0, seed=99))
+        noise = awgn(1_000_000, 2.0, np.random.default_rng(99))
         assert abs(np.mean(np.abs(noise) ** 2) - 2.0) / 2.0 < 0.01
         # Circular symmetry: equal power in real and imaginary parts.
         assert abs(np.var(noise.real) - np.var(noise.imag)) < 0.02
 
     def test_deterministic_per_seed(self):
-        spec = NoiseSpec(1.5, seed=7)
-        assert np.array_equal(awgn(64, spec), awgn(64, spec))
+        assert np.array_equal(awgn(64, 1.5, np.random.default_rng(7)),
+                              awgn(64, 1.5, np.random.default_rng(7)))
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ConfigError):
-            NoiseSpec(-1.0)
+            awgn(4, -1.0, np.random.default_rng(0))
 
 
 class TestChannelJson:

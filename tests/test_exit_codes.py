@@ -61,7 +61,7 @@ EXIT_THREE_CONFIGS = {
 CASES = [(name, mode) for name, (_, modes) in EXIT_THREE_CONFIGS.items() for mode in modes]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name, mode", CASES)
 def test_numerical_failure_exits_three(tmp_path, capsys, name, mode):
     doc, phrases = EXIT_THREE_CONFIGS[name]
@@ -83,7 +83,7 @@ def _verify_report(tmp_path: Path, doc: dict):
     return code, _strict_json(tmp_path / "out" / "report.json")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", [name for name, (_, modes) in EXIT_THREE_CONFIGS.items()
                                   if "verify" in modes])
 def test_failing_verify_writes_its_full_report(tmp_path, name):
@@ -109,17 +109,31 @@ def test_failing_verify_prints_no_numpy_warnings(tmp_path):
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
-@pytest.mark.parametrize("mode, line", [
-    ("simulate", "numerical failure: chain estimate contains non-finite entries"),
-    ("effective-channel", "numerical failure: effective_dd.csv row 0 contains non-finite entries"),
-], ids=["simulate", "effective-channel"])
-def test_overflowing_run_prints_one_error_line(tmp_path, mode, line):
+NAN_K = "numerical failure: K K^H contains non-finite entries"
+TINY_SIGMA2 = ("numerical failure: I + K K^H / sigma2 at sigma2=1e-310 contains "
+               "non-finite entries")
+THREADED = ["--trials", "2", "--threads", "2"]
+
+
+# The threaded capacity runs put their trials on worker threads, which must
+# run in the caller's numpy error state.
+@pytest.mark.parametrize("name, args, line", [
+    ("huge-gains", ["simulate"], "numerical failure: chain estimate contains non-finite entries"),
+    ("huge-gains", ["effective-channel"],
+     "numerical failure: effective_dd.csv row 0 contains non-finite entries"),
+    ("nan-effective-matrix", ["capacity"], NAN_K),
+    ("nan-effective-matrix", ["capacity", *THREADED], NAN_K),
+    ("tiny-sigma2", ["capacity"], TINY_SIGMA2),
+    ("tiny-sigma2", ["capacity", *THREADED], TINY_SIGMA2),
+], ids=["simulate", "effective-channel", "capacity-nan-k", "capacity-nan-k-threads",
+        "capacity-tiny-sigma2", "capacity-tiny-sigma2-threads"])
+def test_overflowing_run_prints_one_error_line(tmp_path, name, args, line):
     # A process, so that numpy's warnings would reach stderr as a user sees
     # them, past pytest's warning capture.
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(EXIT_THREE_CONFIGS["huge-gains"][0]))
+    path.write_text(json.dumps(EXIT_THREE_CONFIGS[name][0]))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    run = subprocess.run([sys.executable, "-m", "otfsim.cli", mode, "--config", str(path),
+    run = subprocess.run([sys.executable, "-m", "otfsim.cli", *args, "--config", str(path),
                           "--out", str(tmp_path / "out")], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 3

@@ -47,7 +47,6 @@ from otfsim.transceiver import (
     siso_chain,
     to_frequency_domain,
     transmit_basis,
-    window_distortion,
 )
 
 
@@ -203,14 +202,6 @@ class TestWindows:
             apply_window(np.ones(5), WindowSpec.rectangular(), self.cfg)
         with pytest.raises(DimensionError):
             WindowSpec.general(np.ones(5)).diagonal(self.cfg)
-
-    def test_distortion_report(self):
-        rng = np.random.default_rng(29)
-        taps = np.exp(1j * rng.uniform(0, 2 * np.pi, 12))
-        tx = WindowSpec.general(taps)
-        rx = WindowSpec.general(1.0 / taps)
-        assert window_distortion(tx, rx, self.cfg) <= 1e-12
-        assert window_distortion(tx, WindowSpec.rectangular(), self.cfg) > 1e-3
 
 
 class TestCpMatrices:
