@@ -6,6 +6,9 @@ estimates per-realization mutual information and Monte Carlo ergodic
 capacity for both the OTFS block route and the per-OFDM-symbol route.
 """
 
+# First, so that _lapack sets OpenBLAS's idle-thread timeout before any
+# other module loads numpy.
+from . import _lapack  # noqa: F401
 from .capacity import (
     BlockMiResult,
     CapacityResult,

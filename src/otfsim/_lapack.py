@@ -20,6 +20,18 @@ and :func:`cholesky` fall back to numpy themselves, the pin does nothing
 and :func:`map_in_order` starts no threads of its own choosing. Each
 decides here, once, whether an array suits the library, so no other array
 ever reaches a ctypes call.
+
+After each threaded call, and once when it loads, OpenBLAS keeps its idle
+worker threads spinning for ``2**OPENBLAS_THREAD_TIMEOUT`` clock cycles
+before they sleep: by default 2**28, about 0.13 s of one CPU at 2 GHz, which
+no product of this package gains from. So, if numpy is not loaded yet, this
+module sets ``OPENBLAS_THREAD_TIMEOUT=22`` (2**22 cycles, about 2 ms) before
+it imports numpy, since the library reads it once, when numpy loads it. A
+timeout already in the environment is left as it is, and once numpy is
+loaded nothing is set. The timeout changes when idle threads sleep, not how
+a product is split among them, so no output bit depends on it. The package
+imports this module first, so the default holds for the CLI and for any
+program that imports the package before numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +47,10 @@ import threading
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
+
+import numpy as np  # noqa: E402  (after the timeout above)
 
 # numpy's wheels bundle scipy-openblas with 64-bit LAPACK integers under
 # this file name (numpy.libs on Linux and Windows, numpy/.dylibs on macOS)

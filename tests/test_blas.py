@@ -1,6 +1,7 @@
 """numpy's bundled OpenBLAS called directly: the zgemm Gram, the one-thread
-pin around every log-det, the worker pool, the sweep's workers, and the
-fallback to numpy where the library is missing.
+pin around every log-det, the worker pool, the sweep's workers, the
+idle-thread timeout, and the fallback to numpy where the library is
+missing.
 
 The Gram's bits must equal numpy's ``K @ K.conj().T`` on both paths, and
 every MI the package computes must have the same bits whatever the BLAS
@@ -12,6 +13,8 @@ import functools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -495,6 +498,52 @@ class TestMapInOrder:
         assert expected != np.geterr()
         assert threading.get_ident() not in {ident for ident, _ in results}
         assert [state for _, state in results] == [expected] * 4
+
+
+def fresh_interpreter(code, **env):
+    """stdout of ``code`` run by a new Python with the package on its path,
+    ``OPENBLAS_THREAD_TIMEOUT`` unset and every other variable as in
+    ``env`` or inherited."""
+    environ = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_THREAD_TIMEOUT"}
+    environ.update(env, PYTHONPATH=str(Path(otfsim._lapack.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True,
+                         text=True, timeout=60, check=True)
+    return run.stdout
+
+
+class TestIdleThreadTimeout:
+    """The package sets OpenBLAS's idle-thread timeout before numpy loads the
+    library, so idle BLAS threads sleep within about 2 ms of a threaded call
+    instead of spinning for about 0.13 s; it never overrides a timeout set
+    before it."""
+
+    @pytest.mark.parametrize("code, env, expected", [
+        ("import otfsim", {}, "22"),
+        ("import otfsim", {"OPENBLAS_THREAD_TIMEOUT": "28"}, "28"),
+        ("import numpy, otfsim", {}, "None"),
+    ], ids=["default", "user-set", "numpy-first"])
+    def test_default_never_overrides_anyone(self, code, env, expected):
+        code += "; import os; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+        assert fresh_interpreter(code, **env).strip() == expected
+
+    def test_idle_worker_does_not_spin(self):
+        if CONTROL is None or otfsim._lapack.usable_cpus() < 2:
+            pytest.skip("needs numpy's bundled OpenBLAS and two usable CPUs")
+        code = (
+            "import otfsim  # before numpy, as in the CLI\n"
+            "import time\n"
+            "import numpy as np\n"
+            "from otfsim import _lapack\n"
+            "matrix = np.random.default_rng(0).standard_normal((512, 512)) + 0j\n"
+            "_lapack.gram(matrix)\n"
+            "start = time.process_time()\n"
+            "time.sleep(0.3)\n"
+            "print(_lapack._bundled().get_threads(), time.process_time() - start)\n")
+        threads, idle_cpu_s = fresh_interpreter(code, OPENBLAS_NUM_THREADS="2").split()
+        if threads != "2":
+            pytest.skip("OpenBLAS does not run 2 threads here")
+        assert float(idle_cpu_s) < 0.03
 
 
 def reference_export_config(seed, m=64, n=16, cp=8):
