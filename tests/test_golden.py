@@ -1,5 +1,4 @@
-"""Output bytes pinned: tiny runs of every subcommand and mid-size runs of
-capacity, verify and effective-channel, digested.
+"""Output bytes pinned: tiny and mid-size runs of every subcommand, digested.
 
 Each workload runs the installed CLI as a subprocess under
 ``OPENBLAS_CORETYPE=Haswell``, so every host with AVX2 and FMA runs the
@@ -64,8 +63,9 @@ SISO_MID = {
     "noise": {"snr_db": [10]},
     "run": {"emit_frequency_domain": True},
 }
-# A 3x2 sweep whose whole-block K is 512 x 768: three transmit antennas,
-# so K's row slabs hold three one-antenna transforms side by side.
+# A 3x2 config whose whole-block K is 512 x 768: three transmit antennas,
+# so K's row slabs hold three one-antenna transforms side by side. The
+# capacity sweep and simulate's effective matrix both build that K.
 MIMO_MID = {
     "frame": {"M": 32, "N": 8, "M_cp": 4},
     "mimo": {"n_t": 3, "n_r": 2},
@@ -87,6 +87,7 @@ WORKLOADS = {
     "verify-mid": ("verify", SISO_MID),
     "effective-channel-mid": ("effective-channel", SISO_MID),
     "capacity-mid": ("capacity", MIMO_MID),
+    "simulate-mid": ("simulate", MIMO_MID),
 }
 
 _KEY_CODE = """
