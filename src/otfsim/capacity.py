@@ -11,13 +11,9 @@ terms exactly. Both routes are computed here independently and their
 agreement is part of the contract. Only the log-dets depend on sigma2, so
 each trial forms its channels, K, every K_n and every Gram once for all SNRs,
 and the parts of K and of every K_n that do not depend on the channel are
-built at most once per run, each only by the route that reads it.
-
-The transmit side of K is the same window and 2-D transform on every
-antenna, so the plan keeps only the one-antenna (M*N) x (M*N) transform B_1
-and forms K one OFDM symbol's rows at a time, from a row slab of the
-stacked transform rebuilt out of B_1. At its peak a trial holds B_1, K and
-its Gram, or the Gram and its shifted copy.
+built at most once per run, each only by the route that reads it. K comes
+from :func:`mimo.whole_block_k`, the one builder of K. At its peak a trial
+holds the plan's parts, K and its Gram, or the Gram and its shifted copy.
 
 MI follows the paper's convention: identity input covariance, and only
 the transmit window appears in K (the receive window sits after the point
@@ -35,10 +31,9 @@ import numpy as np
 from . import _lapack
 from .channel import ChannelModel, require_cp_covers
 from .errors import ConfigError, NonFiniteError
-from .kronops import (OperatorChain, idft_matrix, off_block_max, require_dense, require_finite,
-                      require_within)
-from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_modulation_stages,
-                   mimo_window_diagonal)
+from .kronops import idft_matrix, off_block_max, require_dense, require_finite, require_within
+from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_window_diagonal,
+                   one_antenna_transform, whole_block_k)
 from .transceiver import WindowSpec
 
 # Bounds on K K^H's off-diagonal blocks and on the gap between the two MI routes.
@@ -107,20 +102,14 @@ class _SweepPlan:
     that verify, which builds its plan before its dense checks, holds
     neither part while those run:
 
-    - ``transform`` is B_1, the (M*N) x (M*N) product of
-      :func:`mimo_modulation_stages` for one antenna. Every antenna has the
-      same window and transforms, so the C x C B of the stacked layout is
-      B_1 on each antenna's rows and columns and zero elsewhere, and B is
-      never held: :meth:`full_k` rebuilds one symbol's M*n_t rows of it at
-      a time;
+    - ``transform`` is B_1 of :func:`one_antenna_transform`, from which
+      :func:`whole_block_k` builds K;
     - ``modulator`` is the (N, M*n_t, M*n_t) stack kron(I_{n_t}, F_M^H) W_n,
       so K_n = block_n modulator_n.
 
     B_1 feeds only the block route and the modulator only the per-symbol
-    route, so the two stay independent. Both K builders take the
-    (N, M*n_r, M*n_t) complex128 stack of :func:`mimo_block_channel` as it
-    is. ``trial_bytes`` is what one trial holds at its peak besides these
-    parts.
+    route, so the two stay independent. ``trial_bytes`` is what one trial
+    holds at its peak besides these parts.
     """
 
     def __init__(self, tx_window: WindowSpec, mcfg: MimoConfig):
@@ -133,10 +122,7 @@ class _SweepPlan:
 
     @cached_property
     def transform(self) -> np.ndarray:
-        stages = mimo_modulation_stages(self.tx_window, MimoConfig(self.mcfg.frame))
-        transform = OperatorChain(stages).materialize()
-        transform.flags.writeable = False
-        return transform
+        return one_antenna_transform(self.tx_window, self.mcfg.frame)
 
     @cached_property
     def modulator(self) -> np.ndarray:
@@ -148,31 +134,6 @@ class _SweepPlan:
         modulator = np.kron(np.eye(mcfg.num_tx), idft_matrix(m)) * window
         modulator.flags.writeable = False
         return modulator
-
-    def full_k(self, block_channel: np.ndarray) -> np.ndarray:
-        """The whole-block K, shape (M*N*n_r) x (M*N*n_t): K = diag(blocks) B.
-
-        Symbol s's rows of K are block_s times symbol s's M*n_t rows of B,
-        a slab in which antenna t's rows hold B_1's symbol-s rows in antenna
-        t's columns. One slab buffer is refilled for each symbol; its zeros
-        are never written. Each product is the zgemm call that the batched
-        ``blocks @ B.reshape(N, M*n_t, C)`` makes, with the same operands up
-        to the signs of zeros in B, so K has the same bits as
-        ``OperatorChain.materialize`` with the block-channel stage in front."""
-        mcfg = self.mcfg
-        m, n, n_t = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols, mcfg.num_tx
-        rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
-        require_dense(m * n_t, cols, "row slab of B")
-        one_antenna = self.transform.reshape(n, m, n, m)
-        # slab[t, i, s', t', j]: row (t, i) and column (s', t', j) of the slab.
-        slab = np.zeros((n_t, m, n, n_t, m), dtype=np.complex128)
-        antennas = np.arange(n_t)
-        k_matrix = np.empty((rows, cols), dtype=np.complex128)
-        k_rows = k_matrix.reshape(n, rows // n, cols)
-        for symbol in range(n):
-            slab[antennas, :, :, antennas] = one_antenna[symbol]
-            np.matmul(block_channel[symbol], slab.reshape(m * n_t, cols), out=k_rows[symbol])
-        return k_matrix
 
     def per_symbol_k(self, block_channel: np.ndarray) -> np.ndarray:
         """K_n for each OFDM symbol, an (N, M*n_r, M*n_t) array."""
@@ -195,7 +156,7 @@ def _trial_block_mis(channels, plan: _SweepPlan,
     """One :class:`BlockMiResult` per noise variance for one channel draw."""
     mcfg = plan.mcfg
     block_channel = mimo_block_channel(channels, mcfg)
-    gram = _gram(plan.full_k(block_channel))
+    gram = _gram(whole_block_k(block_channel, plan.transform, mcfg))
     worst = off_block_max(gram, mcfg.frame.num_subcarriers * mcfg.num_rx)
     require_within(worst, BLOCK_TOL,
                    "K K^H has off-diagonal block magnitude {deviation:.3e} > {tolerance:.1e}")

@@ -515,14 +515,18 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, data_path: Optional[str])
             "noise_through_receiver": _complex_pairs(noise_only.estimate),
         },
     }
+    # Checked before the file is created, so a failed run writes no invalid JSON.
+    # A non-finite estimate makes the residual NaN: a numerical failure.
+    require_finite(chain.estimate, "chain estimate")
+    for name, pairs in transcript["stages"].items():
+        require_finite(np.asarray(pairs), f"{name} stage")
+    require_finite(residual, "chain/effective-matrix residual")
     (out_dir / "transcript.json").write_text(json.dumps(transcript, sort_keys=True) + "\n")
     if mcfg.num_tx == mcfg.num_rx:  # otherwise estimate and data differ in length
         error = float(np.max(np.abs(chain.estimate - vec(stacked))))
         print(f"max |estimate - data| = {_fmt(error)}")
     print(f"max |estimate - (H_eff @ data + noise_hat)| = {_fmt(residual)}")
     print(f"wrote {out_dir / 'transcript.json'}")
-    # A non-finite estimate makes the residual NaN: a numerical failure, not a structural one.
-    require_finite(chain.estimate, "chain estimate")
     require_within(residual, 1e-9, "chain/effective-matrix residual {deviation:.3e} exceeds "
                    "{tolerance:.0e}")
     return 0

@@ -18,7 +18,6 @@ import numpy as np
 from .channel import ChannelModel, LtvChannel, require_block_diagonal, synthesize, trial_rng
 from .errors import DimensionError
 from .kronops import (
-    BlockDiagonalFactor,
     DftFactor,
     DiagonalFactor,
     IdentityFactor,
@@ -255,10 +254,47 @@ def mimo_modulation_stages(tx_window: WindowSpec, mcfg: MimoConfig) -> List[Kron
     ]
 
 
+def one_antenna_transform(tx_window: WindowSpec, frame: OtfsFrameConfig) -> np.ndarray:
+    """B_1, the read-only (M*N)^2 product of :func:`mimo_modulation_stages` for one antenna."""
+    transform = OperatorChain(mimo_modulation_stages(tx_window, MimoConfig(frame))).materialize()
+    transform.flags.writeable = False
+    return transform
+
+
+def whole_block_k(block_channel: np.ndarray, transform: np.ndarray, mcfg: MimoConfig) -> np.ndarray:
+    """The one builder of the whole-block K = diag(blocks) B, R x C, from the
+    stack of :func:`mimo_block_channel` and B_1 of :func:`one_antenna_transform`.
+
+    B, the C x C product of :func:`mimo_modulation_stages`, is B_1 on each
+    antenna's rows and columns and zero elsewhere, and is never held. Symbol
+    s's rows of K are block_s times symbol s's M*n_t rows of B: a slab, made
+    after K and refilled for each symbol, whose antenna-t rows hold B_1's
+    symbol-s rows in antenna t's columns; with one antenna, B_1's own rows.
+    Each product is a zgemm call of the batched
+    ``blocks @ B.reshape(N, M*n_t, C)``, with the same operands up to the
+    signs of zeros in B, so K has the bits of ``OperatorChain.materialize``
+    with the block-channel stage in front."""
+    m, n, n_t = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols, mcfg.num_tx
+    rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
+    require_dense(m * n_t, cols, "row slab of B")
+    k_matrix = np.empty((rows, cols), dtype=np.complex128)
+    k_rows = k_matrix.reshape(n, rows // n, cols)
+    if n_t == 1:
+        np.matmul(block_channel, transform.reshape(n, m, cols), out=k_rows)
+        return k_matrix
+    # slab[t, i, s', t', j]: row (t, i) and column (s', t', j) of the slab.
+    slab = np.zeros((n_t, m, n, n_t, m), dtype=np.complex128)
+    antennas = np.arange(n_t)
+    for symbol in range(n):
+        slab[antennas, :, :, antennas] = transform.reshape(n, m, n, m)[symbol]
+        np.matmul(block_channel[symbol], slab.reshape(m * n_t, cols), out=k_rows[symbol])
+    return k_matrix
+
+
 def require_effective_fits(mcfg: MimoConfig) -> None:
-    """The cap check of :func:`mimo_effective_matrix`, for callers to make
-    before any channel is drawn: materializing its chain applies the stages
-    to the C x C identity, so it holds max(R, C) x C entries."""
+    """The cap check of :func:`mimo_effective_matrix`, for callers to make before
+    any channel is drawn: max(R, C) x C entries bound each array it holds, R x C
+    ones, B_1 and K's (M*n_t) x C row slab, which is taller than K if n_t > N*n_r."""
     cols = mcfg.tx_vector_len
     require_dense(max(mcfg.rx_vector_len, cols), cols, "effective matrix's operator chain")
 
@@ -270,13 +306,12 @@ def mimo_effective_matrix(
     mcfg: MimoConfig,
 ) -> np.ndarray:
     """Dense (M*N*n_r) x (M*N*n_t) matrix whose action on the stacked data
-    vector equals the noiseless chain: the receive transforms and window,
-    then the per-symbol block channel, in front of
-    :func:`mimo_modulation_stages`, materialized as one operator chain."""
+    vector equals the noiseless chain: the receive stages applied to the K of
+    :func:`whole_block_k`, which the chain frees after its first stage."""
     m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
     return OperatorChain([
         KronOperator([DftFactor(n), IdentityFactor(mcfg.num_rx), InverseDftFactor(m)]),
         KronOperator([DiagonalFactor(mimo_window_diagonal(rx_window, mcfg, mcfg.num_rx))]),
         KronOperator([IdentityFactor(n * mcfg.num_rx), DftFactor(m)]),
-        KronOperator([BlockDiagonalFactor(mimo_block_channel(channels, mcfg))]),
-    ] + mimo_modulation_stages(tx_window, mcfg)).materialize()
+    ]).apply(whole_block_k(mimo_block_channel(channels, mcfg),
+                           one_antenna_transform(tx_window, mcfg.frame), mcfg))

@@ -375,8 +375,9 @@ def dd_channel_as_2d_convolution(
     The kernel is the effective matrix's response to a unit impulse at
     delay 0, Doppler 0 (its first column). The matrix is then rebuilt
     entrywise from the kernel under the 2-D circular convolution model and
-    compared; a non-circulant effective matrix (general fast fading) gives
-    ``is_circulant=False`` with the measured deviation rather than raising.
+    compared, one Doppler shift's M columns at a time; a non-circulant matrix
+    (general fast fading) gives ``is_circulant=False`` with the measured
+    deviation rather than raising.
     """
     m, n = cfg.num_subcarriers, cfg.num_symbols
     effective = np.asarray(effective, dtype=np.complex128)
@@ -384,12 +385,11 @@ def dd_channel_as_2d_convolution(
         raise DimensionError(f"effective matrix must be {m * n}x{m * n}, got {effective.shape}")
     kernel = unvec(effective[:, 0], m, n)
     idx = np.arange(m * n)
-    delay = idx % m
-    doppler = idx // m
-    d_delay = (delay[:, None] - delay[None, :]) % m
-    d_doppler = (doppler[:, None] - doppler[None, :]) % n
-    rebuilt = kernel[d_delay, d_doppler]
-    dev = float(np.max(np.abs(effective - rebuilt)))
+    # Entry (i, shift*M + j) is kernel[(i mod M - j) mod M, (i div M - shift) mod N].
+    d_delay = (idx[:, None] % m - np.arange(m)) % m
+    dev = float(np.max([np.max(np.abs(effective[:, shift * m:(shift + 1) * m]
+                                      - kernel[d_delay, ((idx // m - shift) % n)[:, None]]))
+                        for shift in range(n)]))
     return TwoDConvResult(kernel=kernel, is_circulant=dev <= 1e-9, max_deviation=dev)
 
 

@@ -29,12 +29,17 @@ from otfsim.cli import main
 from otfsim.errors import ConfigError, NonFiniteError, SizeCapError, StructureError
 from otfsim.kronops import BlockDiagonalFactor, KronOperator, OperatorChain, dft_matrix, kron
 from otfsim.mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_modulation_stages,
-                         mimo_window_diagonal)
+                         mimo_window_diagonal, one_antenna_transform, whole_block_k)
 from otfsim.transceiver import OtfsFrameConfig, WindowSpec
 
 
 def rand_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def full_k(blocks, window, mcfg):
+    """The whole-block K of ``blocks`` behind ``window``, from a fresh B_1."""
+    return whole_block_k(blocks, one_antenna_transform(window, mcfg.frame), mcfg)
 
 
 def naive_mi(k_matrix, noise_var):
@@ -131,7 +136,7 @@ class TestBlockMi:
         channels = channel_table(model, mcfg, 1100 + trial, 0)
         result = otfs_block_mi(channels, WindowSpec.rectangular(), 0.8, mcfg)
         blocks = mimo_block_channel(channels, mcfg)
-        k_full = otfsim.capacity._SweepPlan(WindowSpec.rectangular(), mcfg).full_k(blocks)
+        k_full = full_k(blocks, WindowSpec.rectangular(), mcfg)
         assert abs(result.total_bits - naive_mi(k_full, 0.8)) <= 1e-8
 
     def test_full_k_matches_dense_kronecker_composition(self):
@@ -142,7 +147,7 @@ class TestBlockMi:
         blocks = mimo_block_channel(channels, mcfg)
         rng = np.random.default_rng(8)
         window = WindowSpec.general(rand_complex(rng, 4))
-        k_full = otfsim.capacity._SweepPlan(window, mcfg).full_k(blocks)
+        k_full = full_k(blocks, window, mcfg)
         # Dense oracle assembled from np.kron pieces only.
         big = np.zeros((8, 8), dtype=complex)
         for n, blk in enumerate(blocks):
@@ -163,7 +168,7 @@ class TestBlockMi:
         blocks = mimo_block_channel(channels, mcfg)
         rng = np.random.default_rng(10)
         window = WindowSpec.general(rand_complex(rng, 32))
-        k_full = otfsim.capacity._SweepPlan(window, mcfg).full_k(blocks)
+        k_full = full_k(blocks, window, mcfg)
         gram = k_full @ k_full.conj().T
         rows = 8 * 2
         for i in range(4):
@@ -183,7 +188,7 @@ class TestBlockMi:
         channels = channel_table(model, mcfg, 5, 0)
         result = otfs_block_mi(channels, window, 0.1, mcfg)
         blocks = mimo_block_channel(channels, mcfg)
-        k_full = otfsim.capacity._SweepPlan(window, mcfg).full_k(blocks)
+        k_full = full_k(blocks, window, mcfg)
         assert result.total_bits == mutual_information(k_full, 0.1)
         # The deviations as measured on a separate K K^H with its diagonal
         # blocks zeroed in a copy.
@@ -369,9 +374,9 @@ class TestOnePassSweep:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
 
-        for name in ("channel_table", "mimo_block_channel", "_gram"):
+        for name in ("channel_table", "mimo_block_channel", "whole_block_k", "_gram"):
             count(otfsim.capacity, name)
-        for name in ("__init__", "full_k", "per_symbol_k"):
+        for name in ("__init__", "per_symbol_k"):
             count(otfsim.capacity._SweepPlan, name)
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
         mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=2)
@@ -383,7 +388,7 @@ class TestOnePassSweep:
         # One plan per sweep; in each trial one K, one stack of every K_n, and
         # one Gram of each.
         assert counts == {"__init__": 1, "channel_table": trials, "mimo_block_channel": trials,
-                          "full_k": trials, "per_symbol_k": trials, "_gram": trials * 2}
+                          "whole_block_k": trials, "per_symbol_k": trials, "_gram": trials * 2}
 
     def test_every_point_equals_one_point_block_mi(self):
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
@@ -587,14 +592,17 @@ class TestSweepPlan:
             blocks = mimo_block_channel(channel_table(model, mcfg, seed, trial), mcfg)
             expected = OperatorChain([KronOperator([BlockDiagonalFactor(blocks)])]
                                      + mimo_modulation_stages(window, mcfg)).materialize()
-            assert np.array_equal(plan.full_k(blocks), expected)
+            assert np.array_equal(whole_block_k(blocks, plan.transform, mcfg), expected)
             assert np.array_equal(plan.per_symbol_k(blocks), blocks @ modulator)
 
 
 class TestOnePlanPerRun:
-    """B_1 (the one-antenna product of ``mimo_modulation_stages``) and the
-    per-symbol modulator (built from ``idft_matrix``) are each built only by
-    the route that reads them, and at most once per run."""
+    """The plan's B_1 (from ``one_antenna_transform``, the builder that K's
+    callers share) and its per-symbol modulator (built from ``idft_matrix``)
+    are each built only by the route that reads them, and at most once per
+    run. verify's chain check builds its own B_1 through the same builder
+    and frees it with its K, so the plan's parts stay unbuilt while
+    verify's dense checks run."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -609,7 +617,8 @@ class TestOnePlanPerRun:
             monkeypatch.setattr(owner, name, counted)
 
         count(otfsim.capacity._SweepPlan, "__init__", "plan")
-        count(otfsim.capacity, "mimo_modulation_stages", "transform")
+        count(otfsim.capacity, "one_antenna_transform", "transform")
+        count(otfsim.mimo, "one_antenna_transform", "effective-matrix transform")
         count(otfsim.capacity, "idft_matrix", "modulator")
         return counts
 
@@ -620,7 +629,8 @@ class TestOnePlanPerRun:
             "channel": {"kind": "doppler-paths", "L": 3, "P": 2, "nu_max": 0.05},
             "noise": {"sigma2": [0.5]}, "run": {"seed": 7}}))
         assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
-        assert counts == {"plan": 1, "transform": 1, "modulator": 1}
+        assert counts == {"plan": 1, "transform": 1, "modulator": 1,
+                          "effective-matrix transform": 1}
 
     def test_each_one_route_builder_builds_only_its_part(self, counts):
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
@@ -632,5 +642,5 @@ class TestOnePlanPerRun:
         assert counts == {"plan": 1}
         plan.per_symbol_k(blocks)
         assert counts == {"plan": 1, "modulator": 1}
-        otfsim.capacity._SweepPlan(window, mcfg).full_k(blocks)
+        whole_block_k(blocks, otfsim.capacity._SweepPlan(window, mcfg).transform, mcfg)
         assert counts == {"plan": 2, "modulator": 1, "transform": 1}

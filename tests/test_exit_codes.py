@@ -71,6 +71,18 @@ def test_numerical_failure_exits_three(tmp_path, capsys, name, mode):
     assert phrases[mode] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", [name for name, (_, modes) in EXIT_THREE_CONFIGS.items()
+                                  if "simulate" in modes])
+def test_failing_simulate_writes_no_transcript(tmp_path, name):
+    # The finiteness checks run before the transcript is created, as
+    # effective-channel's run before its CSV is, so a failed run leaves no
+    # file with the NaN tokens that strict JSON rejects.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(EXIT_THREE_CONFIGS[name][0]))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out" / "transcript.json").exists()
+
+
 def _strict_json(path: Path):
     return json.loads(path.read_text(), parse_constant=_reject_constant)
 

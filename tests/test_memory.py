@@ -8,8 +8,9 @@ complex128 array, so a change that keeps a dense array alive past its last
 reader fails. The measured peaks sit about 0.3 units under each bound;
 keeping the frame-length H for the whole of ``check_specializations``, the
 delay-Doppler matrix through the frequency-domain export, a copy of a
-stage's input at a CP or DFT stage, or the whole C x C transmit transform
-of a MIMO sweep crosses it.
+stage's input at a CP or DFT stage, the whole C x C transmit transform
+of a MIMO sweep or effective matrix, or a whole C x C rebuild in the 2-D
+circulant check crosses it.
 """
 
 import tracemalloc
@@ -22,7 +23,7 @@ from otfsim.channel import ChannelModel
 from otfsim.checks import VerifyContext, check_chain_vs_matrix, check_specializations
 from otfsim.cli import parse_config, run_effective_channel
 from otfsim.mimo import MimoConfig, channel_table, mimo_effective_matrix
-from otfsim.transceiver import OtfsFrameConfig, WindowSpec
+from otfsim.transceiver import OtfsFrameConfig, WindowSpec, dd_channel_as_2d_convolution
 
 # SISO, general transmit window, separable receive window: the dense
 # reference paths of verify and effective-channel. C = M*N = 512, so one
@@ -86,12 +87,40 @@ def test_chain_vs_matrix_holds_one_general_build(ctx):
 
 
 def test_effective_matrix_holds_no_copy_of_a_stage_input(cfg):
-    # simulate's and effective-channel's build, about 2.1 units: the chain's
-    # C x C identity, a stage's input and its output. A two-factor DFT
-    # stage writes its second transform into its first one's output.
+    # simulate's and effective-channel's build, about 2.2 units: K beside B_1
+    # and K's row slab, then a receive stage's input and its output. A
+    # two-factor DFT stage writes its second transform into its first one's
+    # output.
     channels = channel_table(cfg.channel_model, cfg.mcfg, cfg.seed, 0)
     assert peak_arrays(lambda: mimo_effective_matrix(
         channels, cfg.tx_window, cfg.rx_window, cfg.mcfg)) < 2.4
+
+
+def test_mimo_effective_matrix_frees_k_after_the_first_receive_stage():
+    # The receive stages applied to the 3x2 whole-block K, about 2.0 units of
+    # R x C at M=32, N=8: K and the first stage's output; B_1 and K's row
+    # slab live only while K is built. Materializing one chain of every stage
+    # from the C x C identity, with the whole C x C transmit transform, took
+    # 3.15.
+    frame = OtfsFrameConfig(num_subcarriers=32, num_symbols=8, cp_len=4)
+    mcfg = MimoConfig(frame, num_tx=3, num_rx=2)
+    model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.05)
+    channels = channel_table(model, mcfg, 3, 0)
+    rng = np.random.default_rng(7)
+    window = WindowSpec.general(rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    peak = peak_arrays(lambda: mimo_effective_matrix(channels, window, window, mcfg),
+                       mcfg.rx_vector_len, mcfg.tx_vector_len)
+    assert peak < 2.4
+
+
+def test_two_d_circulant_check_holds_no_whole_rebuild(cfg):
+    # One Doppler shift's M columns at a time, about 0.2 units: index, rebuilt
+    # and difference arrays of C x M entries. The whole C x C rebuild held
+    # two int64 index arrays, the rebuilt matrix and the difference, 3.5.
+    channels = channel_table(cfg.channel_model, cfg.mcfg, cfg.seed, 0)
+    rect = WindowSpec.rectangular()
+    effective = mimo_effective_matrix(channels, rect, rect, cfg.mcfg)
+    assert peak_arrays(lambda: dd_channel_as_2d_convolution(effective, cfg.frame)) < 0.5
 
 
 def test_frequency_domain_export_frees_the_delay_doppler_matrix(cfg, tmp_path):

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from otfsim.channel import ChannelModel, LtvChannel, synthesize, trial_rng
 from otfsim.errors import DimensionError, StructureError
-from otfsim.kronops import dft_matrix, kron, vec
+from otfsim.kronops import (BlockDiagonalFactor, DftFactor, DiagonalFactor, IdentityFactor,
+                            InverseDftFactor, KronOperator, OperatorChain, dft_matrix, kron, vec)
 from otfsim.mimo import (
     MimoConfig,
     channel_table,
@@ -15,7 +16,9 @@ from otfsim.mimo import (
     mimo_chain,
     mimo_effective_matrix,
     mimo_isfft,
+    mimo_modulation_stages,
     mimo_window,
+    mimo_window_diagonal,
     stack_grids,
 )
 from otfsim.transceiver import (
@@ -281,6 +284,33 @@ class TestMimoEffectiveMatrix:
             stacked = stack_grids(grids, mcfg)
             out = mimo_chain(stacked, channels, tx, rx, mcfg)
             assert np.max(np.abs(out.estimate - eff @ vec(stacked))) <= 1e-10
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), n=st.integers(1, 4), n_t=st.integers(1, 3), n_r=st.integers(1, 3),
+           tx_kind=WINDOW_KINDS, rx_kind=WINDOW_KINDS, seed=st.integers(0, 2 ** 32 - 1))
+    def test_receive_stages_on_k_equal_the_whole_chain_bit_for_bit(
+            self, data, n, n_t, n_r, tx_kind, rx_kind, seed):
+        # The reference materializes one chain of every stage, the
+        # block-diagonal channel among them, from the C x C identity.
+        m = data.draw(st.integers(1, 8), label="M")
+        taps = data.draw(st.integers(1, m), label="L")
+        cp = data.draw(st.integers(taps - 1, m - 1), label="cp")
+        frame = OtfsFrameConfig(num_subcarriers=m, num_symbols=n, cp_len=cp)
+        mcfg = MimoConfig(frame=frame, num_tx=n_t, num_rx=n_r)
+        model = ChannelModel.doppler_paths(num_taps=taps, num_paths=1, max_doppler=0.05)
+        channels = channel_table(model, mcfg, seed)
+        rng = np.random.default_rng(seed)
+        tx = random_window(rng, tx_kind, frame)
+        rx = random_window(rng, rx_kind, frame)
+        expected = OperatorChain([
+            KronOperator([DftFactor(n), IdentityFactor(n_r), InverseDftFactor(m)]),
+            KronOperator([DiagonalFactor(mimo_window_diagonal(rx, mcfg, n_r))]),
+            KronOperator([IdentityFactor(n * n_r), DftFactor(m)]),
+            KronOperator([BlockDiagonalFactor(mimo_block_channel(channels, mcfg))]),
+        ] + mimo_modulation_stages(tx, mcfg)).materialize()
+        assert mimo_effective_matrix(channels, tx, rx, mcfg).tobytes() == expected.tobytes()
 
 
 class TestAntennaStructure:

@@ -596,6 +596,28 @@ class TestTwoDConvolution:
         assert result.max_deviation > 1e-9
 
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(cfg=small_geometries(), seed=st.integers(0, 2**32 - 1), circulant=st.booleans())
+    def test_column_blocks_give_the_whole_matrix_verdict(self, cfg, seed, circulant):
+        # The whole C x C rebuild from two index arrays, the formula the
+        # column-block scan replaced: the same kernel and deviation, bit for
+        # bit, on random matrices and on their circulant rebuilds.
+        m, n = cfg.num_subcarriers, cfg.num_symbols
+        eff = rand_complex(np.random.default_rng(seed), m * n, m * n)
+        idx = np.arange(m * n)
+        d_delay = (idx[:, None] % m - idx[None, :] % m) % m
+        d_doppler = (idx[:, None] // m - idx[None, :] // m) % n
+        if circulant:
+            eff = unvec(eff[:, 0], m, n)[d_delay, d_doppler]
+        kernel = unvec(eff[:, 0], m, n)
+        deviation = float(np.max(np.abs(eff - kernel[d_delay, d_doppler])))
+        result = dd_channel_as_2d_convolution(eff, cfg)
+        assert result.kernel.tobytes() == kernel.tobytes()
+        assert result.max_deviation == deviation
+        assert result.is_circulant == (deviation <= 1e-9)
+        assert result.is_circulant or not circulant
+
+
 class TestPerfectReconstruction:
     def test_identity_channel_rectangular(self):
         cfg = OtfsFrameConfig(num_subcarriers=16, num_symbols=8, cp_len=4)
