@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ BLOCK_TOL = 1e-12
 ADDITIVITY_TOL = 1e-8
 
 # A sweep whose trials each hold at most this many dense bytes at once
-# (``_SweepPlan.trial_bytes``) runs them side by side by default, one per
+# (``TrialPlan.trial_bytes``) runs them side by side by default, one per
 # usable CPU, with BLAS on one thread; a larger trial runs alone, with BLAS
 # threads inside its K and Gram. Measured on 2 vCPUs with numpy's bundled
 # OpenBLAS on 2 threads, 2x2 frames, 3 runs each, 2 workers against 1: a
@@ -91,16 +91,16 @@ def mutual_information(k_matrix: np.ndarray, noise_var: float) -> float:
     return float(_log_det_bits(_gram(k_matrix), noise_var))
 
 
-class _SweepPlan:
+class TrialPlan:
     """The channel-independent parts of K and of every K_n for one transmit
     window and geometry, shared by every trial of a run.
 
     The constructor is the cap check: it raises :class:`SizeCapError` unless
     the whole-block K, (M*N*n_r) x (M*N*n_t), and its Gram, (M*N*n_r) x
     (M*N*n_r), fit under the dense cap, so an oversized run stops before any
-    channel is drawn. Each part is built on first use and then kept, so
-    that verify, which builds its plan before its dense checks, holds
-    neither part while those run:
+    channel is drawn. Each part is built on first use, at the latest when
+    :meth:`block_mis` starts, and then kept, so that verify, which builds
+    its plan before its dense checks, holds neither part while those run:
 
     - ``transform`` is B_1 of :func:`one_antenna_transform`, from which
       :func:`whole_block_k` builds K;
@@ -139,6 +139,21 @@ class _SweepPlan:
         """K_n for each OFDM symbol, an (N, M*n_r, M*n_t) array."""
         return block_channel @ self.modulator
 
+    def block_mis(self, draw: Callable[[int], list], keys: Sequence[int], noise_vars: Sequence,
+                  threads: Optional[int] = None) -> List[List[BlockMiResult]]:
+        """The one runner of trials: for each of ``keys`` in order, one
+        :class:`BlockMiResult` per noise variance of the channel table
+        ``draw(key)``. ``threads`` draws run at once; None runs one at a time
+        when a trial holds more than ``_PARALLEL_TRIAL_BYTES``, and else
+        leaves the count to :func:`_lapack.map_in_order`."""
+        # Both parts before the first draw, so a part over the cap stops the run
+        # before any channel is drawn, and before trials share the plan across threads.
+        self.transform, self.modulator
+        workers = 1 if threads is None and self.trial_bytes > _PARALLEL_TRIAL_BYTES else threads
+        with _lapack.map_in_order(lambda key: _trial_block_mis(draw(key), self, noise_vars),
+                                  keys, workers) as outcomes:
+            return list(outcomes)
+
 
 @dataclass(frozen=True)
 class BlockMiResult:
@@ -151,7 +166,7 @@ class BlockMiResult:
     additivity_gap: float
 
 
-def _trial_block_mis(channels, plan: _SweepPlan,
+def _trial_block_mis(channels, plan: TrialPlan,
                      noise_vars: Sequence[float]) -> List[BlockMiResult]:
     """One :class:`BlockMiResult` per noise variance for one channel draw."""
     mcfg = plan.mcfg
@@ -188,10 +203,10 @@ def otfs_block_mi(
     :class:`StructureError`. On top of that, the result verifies that
     K K^H really is block diagonal and that the block MI equals the
     per-symbol sum; violations raise :class:`StructureError` since they
-    indicate a broken decoupling. This is the one-noise-variance case of
-    the per-trial pass that :func:`capacity_sweep` runs over its grid.
+    indicate a broken decoupling. This is one draw of
+    :meth:`TrialPlan.block_mis` at one noise variance.
     """
-    return _trial_block_mis(channels, _SweepPlan(tx_window, mcfg), [noise_var])[0]
+    return TrialPlan(tx_window, mcfg).block_mis(lambda key: channels, [0], [noise_var])[0][0]
 
 
 @dataclass(frozen=True)
@@ -243,16 +258,13 @@ def capacity_sweep(
 
     Trial k draws its channels from the stream keyed by (seed, k), so the
     thread count never changes results, and all noise levels share them, so
-    the curve is monotone in the noise variance. ``threads`` trials run at
-    once; None runs one at a time when a trial holds more than
-    ``_PARALLEL_TRIAL_BYTES``, and else leaves the count to
-    :func:`_lapack.map_in_order`. The channel-independent
-    parts of K and of every K_n are built once, before any channel is drawn;
-    per trial the channels, K, every K_n and every Gram are built once, and
-    each noise level costs one log-det per route. The OTFS route divides the
-    block MI by the frame length, the OFDM route the mean per-symbol MI by the
-    symbol length. A CP shorter than the channel memory raises
-    :class:`ConfigError` before anything is built or drawn.
+    the curve is monotone in the noise variance. The trials run through
+    :meth:`TrialPlan.block_mis`, which picks how many run at once when
+    ``threads`` is None; per trial the channels, K, every K_n and every Gram
+    are built once, and each noise level costs one log-det per route. The
+    OTFS route divides the block MI by the frame length, the OFDM route the
+    mean per-symbol MI by the symbol length. A CP shorter than the channel
+    memory raises :class:`ConfigError` before anything is built or drawn.
     """
     if not noise_vars:
         raise ConfigError("noise variance grid must be non-empty")
@@ -262,17 +274,8 @@ def capacity_sweep(
         raise ConfigError(f"threads must be >= 1, got {threads}")
     frame = mcfg.frame
     require_cp_covers(model, frame)
-    plan = _SweepPlan(tx_window, mcfg)
-    # Both parts before the first draw, so a part over the cap stops the run
-    # before any channel is drawn, and before trials share the plan across threads.
-    plan.transform, plan.modulator
-
-    def one_trial(trial: int) -> List[BlockMiResult]:
-        return _trial_block_mis(channel_table(model, mcfg, seed, trial), plan, noise_vars)
-
-    workers = 1 if threads is None and plan.trial_bytes > _PARALLEL_TRIAL_BYTES else threads
-    with _lapack.map_in_order(one_trial, range(trials), workers) as outcomes:
-        outcomes = list(outcomes)
+    outcomes = TrialPlan(tx_window, mcfg).block_mis(
+        lambda trial: channel_table(model, mcfg, seed, trial), range(trials), noise_vars, threads)
 
     results = []
     for point in zip(*outcomes):

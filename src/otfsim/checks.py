@@ -18,7 +18,7 @@ from typing import List
 
 import numpy as np
 
-from .capacity import ADDITIVITY_TOL, BLOCK_TOL, _SweepPlan, _trial_block_mis
+from .capacity import ADDITIVITY_TOL, BLOCK_TOL, TrialPlan
 from .channel import (CP_TOL, ChannelModel, assemble_h_matrix, reduce_to_block_channel,
                       synthesize, trial_rng)
 from .errors import NonFiniteError, StructureError
@@ -87,10 +87,10 @@ class VerifyContext:
     rx_window: WindowSpec
     noise_var: float
     seed: int
-    plan: _SweepPlan = field(init=False, repr=False)
+    plan: TrialPlan = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.plan = _SweepPlan(self.tx_window, self.mcfg)
+        self.plan = TrialPlan(self.tx_window, self.mcfg)
         require_effective_fits(self.mcfg)
         require_dense(self.frame.frame_len, self.frame.frame_len, "dense channel matrix")
 
@@ -241,16 +241,18 @@ def check_specializations(ctx: VerifyContext) -> List[tuple]:
 
 
 def check_mi_additivity(ctx: VerifyContext) -> List[tuple]:
-    channels = _flat_channel_table(ctx, 30)
-    result = _trial_block_mis(channels, ctx.plan, [ctx.noise_var])[0]
+    [[result]] = ctx.plan.block_mis(lambda key: _flat_channel_table(ctx, key), [30],
+                                    [ctx.noise_var], threads=1)
     return [(result.off_block_deviation, BLOCK_TOL), (result.additivity_gap, ADDITIVITY_TOL)]
 
 
 def check_capacity_routes(ctx: VerifyContext) -> List[tuple]:
+    # One draw at a time: side by side, the draws would set verify's peak memory.
+    outcomes = ctx.plan.block_mis(
+        lambda key: channel_table(ctx.channel_model, ctx.mcfg, ctx.seed, key),
+        range(40, 40 + ROUTE_TRIALS), [ctx.noise_var], threads=1)
     worst = 0.0
-    for trial in range(ROUTE_TRIALS):
-        channels = channel_table(ctx.channel_model, ctx.mcfg, ctx.seed, 40 + trial)
-        result = _trial_block_mis(channels, ctx.plan, [ctx.noise_var])[0]
+    for [result] in outcomes:
         otfs_rate = result.total_bits / ctx.frame.frame_len
         ofdm_rate = float(np.mean(result.per_symbol_bits)) / ctx.frame.symbol_len
         worst = max(worst, abs(otfs_rate - ofdm_rate))

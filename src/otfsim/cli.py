@@ -10,7 +10,8 @@ byte-identical files.
 Exit codes: 0 success, otherwise the ``exit_code`` that the package error
 ending the run carries (see :mod:`otfsim.errors`): 2 config error,
 3 invariant/structural failure, a non-finite number or a log-det that
-double precision cannot resolve, 4 dense-size cap exceeded.
+double precision cannot resolve, 4 dense-size cap exceeded; a run that
+runs out of memory also exits 4.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import _lapack
 from .capacity import CapacityResult, capacity_sweep
 from .channel import ChannelModel, awgn, channel_to_json, require_cp_covers, trial_rng
 from .checks import VerifyContext, run_invariant_checks
-from .errors import ConfigError, DimensionError, OtfsimError
+from .errors import ConfigError, DimensionError, OtfsimError, SizeCapError
 from .kronops import BlockDiagonalFactor, require_finite, require_within, vec
 from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_chain,
                    mimo_effective_matrix, require_effective_fits, stack_grids)
@@ -637,6 +638,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise
         print(f"{err.label}: {err}", file=sys.stderr)
         return err.exit_code
+    except MemoryError as err:  # a config under the dense cap can still outgrow the process
+        print(f"out of memory: {err}", file=sys.stderr)
+        return SizeCapError.exit_code
 
 
 if __name__ == "__main__":

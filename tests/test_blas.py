@@ -28,7 +28,7 @@ from otfsim.capacity import _gram, capacity_sweep
 from otfsim.channel import ChannelModel
 from otfsim.cli import main
 from otfsim.errors import StructureError
-from otfsim.mimo import MimoConfig
+from otfsim.mimo import MimoConfig, channel_table
 from otfsim.transceiver import OtfsFrameConfig, WindowSpec
 
 PAPER = MimoConfig(frame=OtfsFrameConfig(num_subcarriers=16, num_symbols=8, cp_len=4),
@@ -246,19 +246,20 @@ class TestSweepBitsAndWorkers:
 
     def test_default_workers_follow_cpus_trials_and_trial_size(self, monkeypatch):
         monkeypatch.setattr(otfsim._lapack, "usable_cpus", lambda: 4)
-        plan = otfsim.capacity._SweepPlan(WindowSpec.rectangular(), PAPER)
+        plan = otfsim.capacity.TrialPlan(WindowSpec.rectangular(), PAPER)
         assert plan.trial_bytes == 16 * 256 * (256 + 2 * 256)
+        table = channel_table(ChannelModel.identity(), PAPER, 0, 0)
         pools = recorded_pools(monkeypatch)
 
-        def workers(trials):
-            """The trials the sweep runs at once; one when it starts no pool."""
+        def workers(draws, threads=None):
+            """The draws the runner maps at once; one when it starts no pool."""
             pools.clear()
-            capacity_sweep([1.0], ChannelModel.identity(), WindowSpec.rectangular(), PAPER,
-                           trials=trials)
+            plan.block_mis(lambda key: table, range(draws), [1.0], threads)
             return pools[0] if pools else 1
 
         if CONTROL is not None:
-            assert [workers(trials) for trials in (1, 3, 10)] == [1, 3, 4]
+            assert [workers(draws) for draws in (1, 3, 10)] == [1, 3, 4]
+            assert workers(10, threads=2) == 2
         monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", plan.trial_bytes - 1)
         assert workers(10) == 1
         monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", plan.trial_bytes)

@@ -19,12 +19,14 @@ import otfsim.capacity
 import otfsim.kronops
 import otfsim.mimo
 from otfsim.capacity import (
+    ADDITIVITY_TOL,
     capacity_sweep,
     ergodic_capacity,
     mutual_information,
     otfs_block_mi,
 )
 from otfsim.channel import ChannelModel, synthesize
+from otfsim.checks import VerifyContext, run_invariant_checks
 from otfsim.cli import main
 from otfsim.errors import ConfigError, NonFiniteError, SizeCapError, StructureError
 from otfsim.kronops import BlockDiagonalFactor, KronOperator, OperatorChain, dft_matrix, kron
@@ -335,7 +337,7 @@ class TestCapacitySweep:
             raise AssertionError("built or drew before the CP rule")
 
         monkeypatch.setattr(otfsim.mimo, "synthesize", unreachable)
-        monkeypatch.setattr(otfsim.capacity, "_SweepPlan", unreachable)
+        monkeypatch.setattr(otfsim.capacity, "TrialPlan", unreachable)
         mcfg = MimoConfig(OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=1), 2, 2)
         model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.05)
         message = (r"^channel length L=4 needs M_cp >= 3 but M_cp=1; "
@@ -376,8 +378,8 @@ class TestOnePassSweep:
 
         for name in ("channel_table", "mimo_block_channel", "whole_block_k", "_gram"):
             count(otfsim.capacity, name)
-        for name in ("__init__", "per_symbol_k"):
-            count(otfsim.capacity._SweepPlan, name)
+        for name in ("__init__", "block_mis", "per_symbol_k"):
+            count(otfsim.capacity.TrialPlan, name)
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
         mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=2)
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
@@ -385,10 +387,11 @@ class TestOnePassSweep:
         sweep = capacity_sweep([0.1, 0.5, 2.0], model, WindowSpec.rectangular(), mcfg,
                                trials=trials, seed=8)
         assert len(sweep) == 3
-        # One plan per sweep; in each trial one K, one stack of every K_n, and
-        # one Gram of each.
-        assert counts == {"__init__": 1, "channel_table": trials, "mimo_block_channel": trials,
-                          "whole_block_k": trials, "per_symbol_k": trials, "_gram": trials * 2}
+        # One plan and one runner call per sweep; in each trial one K, one
+        # stack of every K_n, and one Gram of each.
+        assert counts == {"__init__": 1, "block_mis": 1, "channel_table": trials,
+                          "mimo_block_channel": trials, "whole_block_k": trials,
+                          "per_symbol_k": trials, "_gram": trials * 2}
 
     def test_every_point_equals_one_point_block_mi(self):
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
@@ -419,7 +422,7 @@ class TestOnePassSweep:
         # The stacked per-symbol route equals one mutual_information per K_n, bit for bit.
         channels = channel_table(model, mcfg, seed, 0)
         blocks = mimo_block_channel(channels, mcfg)
-        k_ns = otfsim.capacity._SweepPlan(window, mcfg).per_symbol_k(blocks)
+        k_ns = otfsim.capacity.TrialPlan(window, mcfg).per_symbol_k(blocks)
         for sigma2 in noise_vars:
             assert otfs_block_mi(channels, window, sigma2, mcfg).per_symbol_bits == [
                 mutual_information(k_n, sigma2) for k_n in k_ns]
@@ -436,7 +439,7 @@ class TestReceiveWindowIrrelevance:
         blocks = mimo_block_channel(channels, mcfg)
         rng = np.random.default_rng(14)
         tx = WindowSpec.general(rand_complex(rng, 8))
-        k_list = otfsim.capacity._SweepPlan(tx, mcfg).per_symbol_k(blocks)
+        k_list = otfsim.capacity.TrialPlan(tx, mcfg).per_symbol_k(blocks)
         # Rebuild each K_n by hand: block @ F_M^H scaled by the tx diagonal.
         per_symbol = tx.diagonal(frame).reshape(2, 4)
         for n, k_n in enumerate(k_list):
@@ -585,7 +588,7 @@ class TestSweepPlan:
         mcfg = MimoConfig(frame=frame, num_tx=n_t, num_rx=n_r)
         model = ChannelModel.doppler_paths(num_taps=taps, num_paths=1, max_doppler=0.05)
         window = random_window(np.random.default_rng(seed), window_kind, frame)
-        plan = otfsim.capacity._SweepPlan(window, mcfg)
+        plan = otfsim.capacity.TrialPlan(window, mcfg)
         window_stack = mimo_window_diagonal(window, mcfg, mcfg.num_tx).reshape(n, 1, -1)
         modulator = np.kron(np.eye(mcfg.num_tx), dft_matrix(m).conj().T) * window_stack
         for trial in range(2):
@@ -602,7 +605,8 @@ class TestOnePlanPerRun:
     are each built only by the route that reads them, and at most once per
     run. verify's chain check builds its own B_1 through the same builder
     and frees it with its K, so the plan's parts stay unbuilt while
-    verify's dense checks run."""
+    verify's dense checks run; its MI checks build them through the runner,
+    ``TrialPlan.block_mis``."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -616,21 +620,33 @@ class TestOnePlanPerRun:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
 
-        count(otfsim.capacity._SweepPlan, "__init__", "plan")
+        count(otfsim.capacity.TrialPlan, "__init__", "plan")
+        count(otfsim.capacity.TrialPlan, "block_mis", "runner")
         count(otfsim.capacity, "one_antenna_transform", "transform")
         count(otfsim.mimo, "one_antenna_transform", "effective-matrix transform")
         count(otfsim.capacity, "idft_matrix", "modulator")
         return counts
 
-    def test_verify_builds_one_plan_and_one_transform(self, counts, tmp_path):
+    def test_verify_builds_one_plan_and_one_transform(self, counts, tmp_path, monkeypatch):
+        runner = otfsim.capacity.TrialPlan.block_mis
+        seen_by_runner = []
+
+        def recorded(*args, **kwargs):
+            seen_by_runner.append(dict(counts))
+            return runner(*args, **kwargs)
+
+        monkeypatch.setattr(otfsim.capacity.TrialPlan, "block_mis", recorded)
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "frame": {"M": 4, "N": 2, "M_cp": 2}, "mimo": {"n_t": 2, "n_r": 2},
             "channel": {"kind": "doppler-paths", "L": 3, "P": 2, "nu_max": 0.05},
             "noise": {"sigma2": [0.5]}, "run": {"seed": 7}}))
         assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
-        assert counts == {"plan": 1, "transform": 1, "modulator": 1,
+        # One runner call per MI check; the plan's parts are first built by
+        # the first of them, after every dense check.
+        assert counts == {"plan": 1, "runner": 2, "transform": 1, "modulator": 1,
                           "effective-matrix transform": 1}
+        assert seen_by_runner[0] == {"plan": 1, "effective-matrix transform": 1}
 
     def test_each_one_route_builder_builds_only_its_part(self, counts):
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
@@ -638,9 +654,53 @@ class TestOnePlanPerRun:
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
         blocks = mimo_block_channel(channel_table(model, mcfg, 3, 0), mcfg)
         window = WindowSpec.rectangular()
-        plan = otfsim.capacity._SweepPlan(window, mcfg)
+        plan = otfsim.capacity.TrialPlan(window, mcfg)
         assert counts == {"plan": 1}
         plan.per_symbol_k(blocks)
         assert counts == {"plan": 1, "modulator": 1}
-        whole_block_k(blocks, otfsim.capacity._SweepPlan(window, mcfg).transform, mcfg)
+        whole_block_k(blocks, otfsim.capacity.TrialPlan(window, mcfg).transform, mcfg)
         assert counts == {"plan": 2, "modulator": 1, "transform": 1}
+
+
+class TestPaperResultOnRandomGeometries:
+    """With a CP that covers the channel memory, every ``verify`` entry
+    passes and the sweep's two routes agree per trial, at every antenna
+    count, window kind and channel kind: the paper's result, off the
+    hand-picked sizes, through the sweep's and verify's calls of
+    ``TrialPlan.block_mis``."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 4), n_t=st.integers(1, 3), n_r=st.integers(1, 3),
+           tx_kind=st.sampled_from(["rectangular", "separable", "general"]),
+           rx_kind=st.sampled_from(["rectangular", "separable", "general"]),
+           channel_kind=st.sampled_from(["identity", "static-multipath", "doppler-paths",
+                                         "block-invariant-doppler"]),
+           snr_db=st.floats(-10.0, 40.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_check_passes_and_routes_agree(self, data, n, n_t, n_r, tx_kind, rx_kind,
+                                                 channel_kind, snr_db, seed):
+        m = data.draw(st.integers(1, 8), label="M")
+        cp = data.draw(st.integers(0, m - 1), label="cp")
+        taps = data.draw(st.integers(1, cp + 1), label="L")
+        rng = np.random.default_rng(seed)
+        if channel_kind == "identity":
+            model = ChannelModel.identity()
+        elif channel_kind == "static-multipath":
+            # Distinct delays whose largest is L-1, so the memory is L exactly.
+            delays = [*rng.permutation(taps - 1)[:rng.integers(0, taps)], taps - 1]
+            model = ChannelModel.static_multipath(rand_complex(rng, len(delays)), delays)
+        else:
+            model = ChannelModel.doppler_paths(
+                num_taps=taps, num_paths=data.draw(st.integers(1, taps), label="P"),
+                max_doppler=data.draw(st.floats(0.0, 0.45), label="nu_max"),
+                block_invariant=channel_kind == "block-invariant-doppler")
+        frame = OtfsFrameConfig(num_subcarriers=m, num_symbols=n, cp_len=cp)
+        mcfg = MimoConfig(frame=frame, num_tx=n_t, num_rx=n_r)
+        tx = random_window(rng, tx_kind, frame)
+        noise_var = 10.0 ** (-snr_db / 10.0)
+        ctx = VerifyContext(mcfg=mcfg, channel_model=model, tx_window=tx,
+                            rx_window=random_window(rng, rx_kind, frame),
+                            noise_var=noise_var, seed=seed)
+        assert [c.name for c in run_invariant_checks(ctx) if not c.passed] == []
+        [result] = capacity_sweep([noise_var], model, tx, mcfg, trials=2, seed=seed)
+        gap = np.abs(result.per_trial_otfs_bits - result.per_trial_ofdm_bits) / frame.frame_len
+        assert np.max(gap) <= ADDITIVITY_TOL

@@ -2,7 +2,8 @@
 
 A run exits 0 only when everything it wrote is finite; a NaN or an
 overflow anywhere on the way, or a log-det that double precision cannot
-resolve, exits 3, never 0 and never a traceback. ``verify`` still writes
+resolve, exits 3, never 0 and never a traceback. A run that runs out of
+memory exits 4 with one error line. ``verify`` still writes
 its full report, as strict JSON, before it exits 3.
 """
 
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import otfsim.capacity
 from otfsim.cli import main
 
 FRAME = {"M": 4, "N": 2, "M_cp": 2}
@@ -150,6 +152,22 @@ def test_overflowing_run_prints_one_error_line(tmp_path, name, args, line):
                          text=True, timeout=120)
     assert run.returncode == 3
     assert run.stderr.splitlines() == [line]
+
+
+@pytest.mark.parametrize("args", [[], THREADED], ids=["serial", "threads"])
+def test_out_of_memory_exits_four_with_one_line(tmp_path, capsys, monkeypatch, args):
+    # A config under the dense cap can still need more memory than the
+    # process may have. K's builder stands in for the allocation that fails,
+    # in the caller's thread and on a worker thread.
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 4.00 GiB for an array")
+
+    monkeypatch.setattr(otfsim.capacity, "whole_block_k", out_of_memory)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"frame": FRAME, "mimo": {"n_t": 2, "n_r": 2}}))
+    assert main(["capacity", *args, "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "out of memory: Unable to allocate 4.00 GiB for an array"]
 
 
 MAGNITUDES = st.sampled_from([0.0, 1.0, 1e150, 1e300])

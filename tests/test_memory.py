@@ -9,8 +9,8 @@ reader fails. The measured peaks sit about 0.3 units under each bound;
 keeping the frame-length H for the whole of ``check_specializations``, the
 delay-Doppler matrix through the frequency-domain export, a copy of a
 stage's input at a CP or DFT stage, the whole C x C transmit transform
-of a MIMO sweep or effective matrix, or a whole C x C rebuild in the 2-D
-circulant check crosses it.
+of a MIMO sweep or effective matrix, a whole C x C rebuild in the 2-D
+circulant check, or verify's capacity-route draws side by side crosses it.
 """
 
 import tracemalloc
@@ -20,7 +20,8 @@ import pytest
 
 from otfsim.capacity import capacity_sweep
 from otfsim.channel import ChannelModel
-from otfsim.checks import VerifyContext, check_chain_vs_matrix, check_specializations
+from otfsim.checks import (VerifyContext, check_capacity_routes, check_chain_vs_matrix,
+                           check_specializations)
 from otfsim.cli import parse_config, run_effective_channel
 from otfsim.mimo import MimoConfig, channel_table, mimo_effective_matrix
 from otfsim.transceiver import OtfsFrameConfig, WindowSpec, dd_channel_as_2d_convolution
@@ -84,6 +85,17 @@ def test_specializations_hold_one_general_build_at_a_time(ctx):
 
 def test_chain_vs_matrix_holds_one_general_build(ctx):
     assert peak_arrays(lambda: check_chain_vs_matrix(ctx)) < 3.9
+
+
+def test_route_check_holds_one_draw_at_a_time(cfg):
+    # A fresh context, so that the plan's parts are built inside the trace.
+    # About 3.2 units: B_1 and the modulator beside one draw's K and Gram.
+    # Mapping the three draws under the sweep's default worker rule, two at
+    # once on two CPUs, took 5.3.
+    fresh = VerifyContext(mcfg=cfg.mcfg, channel_model=cfg.channel_model,
+                          tx_window=cfg.tx_window, rx_window=cfg.rx_window,
+                          noise_var=1.0, seed=cfg.seed)
+    assert peak_arrays(lambda: check_capacity_routes(fresh)) < 3.6
 
 
 def test_effective_matrix_holds_no_copy_of_a_stage_input(cfg):
