@@ -1,6 +1,7 @@
 """numpy's own OpenBLAS through ctypes: ``zpotrf`` in place, the ``zgemm``
-Gram and the library's thread count; and :func:`map_in_order`, the one
-worker pool. No other module asks about the platform.
+Gram and the library's thread count; :func:`map_in_order`, the one worker
+pool; and the pin of glibc's malloc thresholds. No other module asks about
+the platform.
 
 ``np.linalg.cholesky`` copies its input into Fortran order, hands that
 buffer to the ``zpotrf`` of the OpenBLAS that numpy bundles, and copies the
@@ -32,6 +33,21 @@ loaded nothing is set. The timeout changes when idle threads sleep, not how
 a product is split among them, so no output bit depends on it. The package
 imports this module first, so the default holds for the CLI and for any
 program that imports the package before numpy.
+
+glibc's malloc serves a block of at least its mmap threshold from a fresh
+mapping, which ``free`` unmaps, and returns the heap's top to the system
+once more than its trim threshold is free there. Both start at 128 KiB and
+by default rise when a mapped block is freed: after a large array is freed,
+later arrays of a few MiB come from the heap, and their pages stay resident
+after they are freed, so peak RSS followed the order of allocations rather
+than which arrays were alive. So at import this module pins both
+thresholds with ``mallopt`` at :data:`_MALLOC_THRESHOLD`, 4 MiB, the size
+from which numpy asks for huge pages: a fixed threshold does not move. A
+threshold the user set, by its ``MALLOC_*_`` variable or its
+``glibc.malloc.*`` key in ``GLIBC_TUNABLES``, is left as it is, and where
+the C library has no ``mallopt`` (macOS's, for one) nothing is set. The
+pin is process-wide and changes where an array's memory comes from, not a
+value in it.
 """
 
 from __future__ import annotations
@@ -50,7 +66,35 @@ from typing import Callable, Iterator, Optional, Sequence
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
 
-import numpy as np  # noqa: E402  (after the timeout above)
+# glibc's mallopt parameters and the value both are pinned at, numpy's
+# huge-page size (``1 << 22`` in its allocator).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_THRESHOLD = 4 << 20
+# Each parameter's environment variable and GLIBC_TUNABLES key.
+_MALLOC_SETTINGS = {
+    _M_MMAP_THRESHOLD: ("MALLOC_MMAP_THRESHOLD_", "glibc.malloc.mmap_threshold"),
+    _M_TRIM_THRESHOLD: ("MALLOC_TRIM_THRESHOLD_", "glibc.malloc.trim_threshold"),
+}
+
+
+def _pin_malloc_thresholds(environ, libc) -> None:
+    """Set each of malloc's mmap and trim thresholds that ``environ`` does
+    not set to :data:`_MALLOC_THRESHOLD`, by ``libc.mallopt``; nothing when
+    ``libc`` has no ``mallopt``."""
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    tunables = {item.partition("=")[0] for item in environ.get("GLIBC_TUNABLES", "").split(":")}
+    for parameter, (variable, key) in _MALLOC_SETTINGS.items():
+        if variable not in environ and key not in tunables:
+            mallopt(parameter, _MALLOC_THRESHOLD)
+
+
+if os.name == "posix":  # the process's own symbols, the C library's among them
+    _pin_malloc_thresholds(os.environ, ctypes.CDLL(None))
+
+import numpy as np  # noqa: E402  (after the timeout and the pin above)
 
 # numpy's wheels bundle scipy-openblas with 64-bit LAPACK integers under
 # this file name (numpy.libs on Linux and Windows, numpy/.dylibs on macOS)

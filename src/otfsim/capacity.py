@@ -13,7 +13,9 @@ each trial forms its channels, K, every K_n and every Gram once for all SNRs,
 and the parts of K and of every K_n that do not depend on the channel are
 built at most once per run, each only by the route that reads it. K comes
 from :func:`mimo.whole_block_k`, the one builder of K. At its peak a trial
-holds the plan's parts, K and its Gram, or the Gram and its shifted copy.
+holds the plan's parts, K and its Gram; at a noise level before the last
+it holds the Gram and its shifted copy, and the last level shifts the
+trial's own copy of the Gram in place.
 
 MI follows the paper's convention: identity input covariance, and only
 the transmit window appears in K (the receive window sits after the point
@@ -44,10 +46,11 @@ ADDITIVITY_TOL = 1e-8
 # (``TrialPlan.trial_bytes``) runs them side by side by default, one per
 # usable CPU, with BLAS on one thread; a larger trial runs alone, with BLAS
 # threads inside its K and Gram. Measured on 2 vCPUs with numpy's bundled
-# OpenBLAS on 2 threads, 2x2 frames, 3 runs each, 2 workers against 1: a
-# 48 MiB trial (R=1024, 6 trials) took 1.10-1.22 s against 1.30-1.67 s for
-# +50 MiB peak RSS; a 192 MiB trial (R=2048, 2 trials) 2.37-2.62 s against
-# 2.65-2.83 s for +142 MiB, 55% more memory for little time.
+# OpenBLAS on 2 threads and malloc's thresholds pinned, 2x2 frames, 3 runs
+# each, 2 workers against 1: a 48 MiB trial (R=1024, 6 trials) took
+# 1.13-1.26 s against 1.22-1.58 s for +37 MiB peak RSS; a 192 MiB trial
+# (R=2048, 2 trials) 2.04-2.36 s against 2.55-2.77 s for +134 MiB, 67% more
+# memory for little time.
 _PARALLEL_TRIAL_BYTES = 128 << 20
 
 
@@ -60,7 +63,8 @@ def _gram(k_matrix: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _log_det_bits(gram: np.ndarray, noise_var: float) -> np.ndarray:
+def _log_det_bits(gram: np.ndarray, noise_var: float,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """log2 det(I + gram / sigma2) in bits of each matrix in a (..., R, R) stack,
     via Cholesky so large blocks stay in the log domain instead of overflowing.
     A sigma2 so small that gram / sigma2 overflows, or that leaves the unit
@@ -69,11 +73,14 @@ def _log_det_bits(gram: np.ndarray, noise_var: float) -> np.ndarray:
 
     A single matrix is shifted into a Fortran-ordered buffer, the layout a
     Cholesky factors in, so :func:`_lapack.cholesky` can factor it in place;
-    a Fortran-ordered ``gram`` makes that divide read contiguous memory."""
+    a Fortran-ordered ``gram`` makes that divide read contiguous memory.
+    The buffer is ``out`` when given, which may be ``gram`` itself: the
+    values are the same, and ``gram`` is then overwritten."""
     if noise_var <= 0:
         raise ConfigError(f"noise variance must be > 0 for MI, got {noise_var}")
-    shifted = np.divide(gram, noise_var, out=np.empty(gram.shape, np.complex128,
-                                                      order="F" if gram.ndim == 2 else "C"))
+    if out is None:
+        out = np.empty(gram.shape, np.complex128, order="F" if gram.ndim == 2 else "C")
+    shifted = np.divide(gram, noise_var, out=out)
     diagonal = np.arange(gram.shape[-1])
     shifted[..., diagonal, diagonal] += 1.0
     require_finite(np.diagonal(shifted, axis1=-2, axis2=-1),
@@ -175,12 +182,14 @@ def _trial_block_mis(channels, plan: TrialPlan,
     worst = off_block_max(gram, mcfg.frame.num_subcarriers * mcfg.num_rx)
     require_within(worst, BLOCK_TOL,
                    "K K^H has off-diagonal block magnitude {deviation:.3e} > {tolerance:.1e}")
-    # Fortran order once per trial, so that each noise level's shift reads it contiguously.
+    # Fortran order once per trial, so that each noise level's shift reads it
+    # contiguously; this copy is the trial's own, so the last level shifts it in place.
     gram = np.asfortranarray(gram)
     symbol_grams = _gram(plan.per_symbol_k(block_channel))
     results = []
-    for noise_var in noise_vars:
-        total = float(_log_det_bits(gram, noise_var))
+    for level, noise_var in enumerate(noise_vars, 1):
+        total = float(_log_det_bits(gram, noise_var,
+                                    out=gram if level == len(noise_vars) else None))
         per_symbol = _log_det_bits(symbol_grams, noise_var).tolist()
         gap = abs(total - sum(per_symbol))
         require_within(gap, ADDITIVITY_TOL, "block MI differs from per-symbol sum by "

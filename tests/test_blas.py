@@ -1,7 +1,7 @@
 """numpy's bundled OpenBLAS called directly: the zgemm Gram, the one-thread
 pin around every log-det, the worker pool, the sweep's workers, the
-idle-thread timeout, and the fallback to numpy where the library is
-missing.
+idle-thread timeout, the pin of malloc's thresholds, and the fallback to
+numpy where the library is missing.
 
 The Gram's bits must equal numpy's ``K @ K.conj().T`` on both paths, and
 every MI the package computes must have the same bits whatever the BLAS
@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -545,6 +546,42 @@ class TestIdleThreadTimeout:
         if threads != "2":
             pytest.skip("OpenBLAS does not run 2 threads here")
         assert float(idle_cpu_s) < 0.03
+
+
+def fake_libc(calls):
+    """A C library whose ``mallopt`` records its calls in ``calls``."""
+
+    def mallopt(parameter, value):
+        calls.append((parameter, value))
+        return 1
+
+    return types.SimpleNamespace(mallopt=mallopt)
+
+
+MMAP, TRIM = otfsim._lapack._M_MMAP_THRESHOLD, otfsim._lapack._M_TRIM_THRESHOLD
+
+
+class TestMallocThresholds:
+    """At import the package pins glibc's mmap and trim thresholds at 4 MiB,
+    each unless the user set it, and does nothing without ``mallopt``."""
+
+    @pytest.mark.parametrize("environ, pinned", [
+        ({}, [MMAP, TRIM]),
+        ({"MALLOC_MMAP_THRESHOLD_": "131072"}, [TRIM]),
+        ({"MALLOC_TRIM_THRESHOLD_": "131072"}, [MMAP]),
+        ({"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "0"}, []),
+        ({"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"}, [TRIM]),
+        ({"GLIBC_TUNABLES": "glibc.malloc.check=0:glibc.malloc.trim_threshold=0"}, [MMAP]),
+        ({"GLIBC_TUNABLES": "glibc.malloc.arena_max=1"}, [MMAP, TRIM]),
+    ], ids=["unset", "mmap-variable", "trim-variable", "both-variables", "mmap-tunable",
+            "trim-tunable", "other-tunable"])
+    def test_pins_each_threshold_the_user_did_not_set(self, environ, pinned):
+        calls = []
+        otfsim._lapack._pin_malloc_thresholds(environ, fake_libc(calls))
+        assert calls == [(parameter, 4 << 20) for parameter in pinned]
+
+    def test_nothing_happens_without_mallopt(self):
+        otfsim._lapack._pin_malloc_thresholds({}, object())
 
 
 def reference_export_config(seed, m=64, n=16, cp=8):

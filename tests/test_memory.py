@@ -11,9 +11,18 @@ delay-Doppler matrix through the frequency-domain export, a copy of a
 stage's input at a CP or DFT stage, the whole C x C transmit transform
 of a MIMO sweep or effective matrix, a whole C x C rebuild in the 2-D
 circulant check, or verify's capacity-route draws side by side crosses it.
+
+An allocator can keep the pages of freed arrays resident, which
+``tracemalloc`` does not see, so one test also bounds a run's growth in
+max RSS, in a fresh interpreter, by its traced peak.
 """
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,3 +164,54 @@ def test_capacity_trial_holds_no_whole_transmit_transform(n_t, n_r, bound):
                                               trials=1, threads=1),
                        mcfg.rx_vector_len, mcfg.tx_vector_len)
     assert peak < bound
+
+
+# The benchmark's large-frame capacity run (M=64, N=16, 2x2, R = C = 2048:
+# K and the Gram are 64 MiB each; two trials, one at a time) in a fresh
+# interpreter with BLAS on one thread: how far its peak resident size rose
+# above the resident size after import, and its traced peak. The peak is the
+# process's own VmHWM: ``ru_maxrss`` also counts the parent's peak before exec.
+GROWTH_RUN = """
+import tracemalloc
+import otfsim.cli  # everything a run imports
+from otfsim.capacity import capacity_sweep
+from otfsim.channel import ChannelModel
+from otfsim.mimo import MimoConfig
+from otfsim.transceiver import OtfsFrameConfig, WindowSpec
+
+def status_bytes(field):
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith(field + ":"))
+    return int(line.split()[1]) * 1024
+
+mcfg = MimoConfig(OtfsFrameConfig(num_subcarriers=64, num_symbols=16, cp_len=4),
+                  num_tx=2, num_rx=2)
+model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.02)
+resident = status_bytes("VmRSS")
+tracemalloc.start()
+capacity_sweep([0.1], model, WindowSpec.rectangular(), mcfg, trials=2, seed=3)
+peak = tracemalloc.get_traced_memory()[1]
+print(status_bytes("VmHWM") - resident, peak)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="reads /proc and relies on glibc's malloc thresholds")
+def test_peak_rss_follows_the_traced_arrays():
+    # With malloc's thresholds pinned, every array of 4 MiB or more is its
+    # own mapping, unmapped when it is freed, and each trial shifts its Gram
+    # in place at its last noise level: the traced peak is 153 MiB, K and the
+    # Gram, and max RSS rose 9.5-13 MiB above it (the BLAS packing buffers
+    # and the interpreter) under the SkylakeX, Haswell and Sandybridge
+    # kernels. Under glibc's dynamic threshold the second trial's arrays
+    # came from the heap, whose freed pages stay resident: 24-27 MiB above
+    # it. A shifted copy beside the Gram traced 157 MiB.
+    environ = {key: value for key, value in os.environ.items()
+               if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+    environ.update(OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", GROWTH_RUN], env=environ, capture_output=True,
+                         text=True, timeout=120, check=True)
+    grown, traced = map(int, run.stdout.split())
+    assert traced < 155 << 20
+    assert grown - traced < 18 << 20
