@@ -169,8 +169,10 @@ def test_capacity_trial_holds_no_whole_transmit_transform(n_t, n_r, bound):
 # The benchmark's large-frame capacity run (M=64, N=16, 2x2, R = C = 2048:
 # K and the Gram are 64 MiB each; two trials, one at a time) in a fresh
 # interpreter with BLAS on one thread: how far its peak resident size rose
-# above the resident size after import, and its traced peak. The peak is the
-# process's own VmHWM: ``ru_maxrss`` also counts the parent's peak before exec.
+# above the resident size before it, and its traced peak. A paper-size trial
+# runs first, so that the code pages and the heap the large run also touches
+# are resident when the baseline is read. The peak is the process's own
+# VmHWM: ``ru_maxrss`` also counts the parent's peak before exec.
 GROWTH_RUN = """
 import tracemalloc
 import otfsim.cli  # everything a run imports
@@ -184,12 +186,16 @@ def status_bytes(field):
         line = next(line for line in fh if line.startswith(field + ":"))
     return int(line.split()[1]) * 1024
 
-mcfg = MimoConfig(OtfsFrameConfig(num_subcarriers=64, num_symbols=16, cp_len=4),
-                  num_tx=2, num_rx=2)
-model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.02)
+def sweep(m, n, trials):
+    mcfg = MimoConfig(OtfsFrameConfig(num_subcarriers=m, num_symbols=n, cp_len=4),
+                      num_tx=2, num_rx=2)
+    model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.02)
+    capacity_sweep([0.1], model, WindowSpec.rectangular(), mcfg, trials=trials, seed=3)
+
+sweep(16, 8, 1)
 resident = status_bytes("VmRSS")
 tracemalloc.start()
-capacity_sweep([0.1], model, WindowSpec.rectangular(), mcfg, trials=2, seed=3)
+sweep(64, 16, 2)
 peak = tracemalloc.get_traced_memory()[1]
 print(status_bytes("VmHWM") - resident, peak)
 """
@@ -201,10 +207,10 @@ def test_peak_rss_follows_the_traced_arrays():
     # With malloc's thresholds pinned, every array of 4 MiB or more is its
     # own mapping, unmapped when it is freed, and each trial shifts its Gram
     # in place at its last noise level: the traced peak is 153 MiB, K and the
-    # Gram, and max RSS rose 9.5-13 MiB above it (the BLAS packing buffers
-    # and the interpreter) under the SkylakeX, Haswell and Sandybridge
+    # Gram, and the peak resident size rose 3.6-7.3 MiB above it (the BLAS
+    # packing buffers, for one) under the SkylakeX, Haswell and Sandybridge
     # kernels. Under glibc's dynamic threshold the second trial's arrays
-    # came from the heap, whose freed pages stay resident: 24-27 MiB above
+    # came from the heap, whose freed pages stay resident: 18-22 MiB above
     # it. A shifted copy beside the Gram traced 157 MiB.
     environ = {key: value for key, value in os.environ.items()
                if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
@@ -214,4 +220,4 @@ def test_peak_rss_follows_the_traced_arrays():
                          text=True, timeout=120, check=True)
     grown, traced = map(int, run.stdout.split())
     assert traced < 155 << 20
-    assert grown - traced < 18 << 20
+    assert grown - traced < 12 << 20
