@@ -11,11 +11,13 @@ terms exactly. Both routes are computed here independently and their
 agreement is part of the contract. Only the log-dets depend on sigma2, so
 each trial forms its channels, K, every K_n and every Gram once for all SNRs,
 and the parts of K and of every K_n that do not depend on the channel are
-built at most once per run, each only by the route that reads it. K comes
-from :func:`mimo.whole_block_k`, the one builder of K. At its peak a trial
-holds the plan's parts, K and its Gram; at a noise level before the last
-it holds the Gram and its shifted copy, and the last level shifts the
-trial's own copy of the Gram in place.
+built once per run, by its plan, each read by one route only. K comes from
+:func:`mimo.whole_block_k`, the one builder of K. At its peak a trial holds
+the plan's parts, K and its Gram; at a noise level before the last it holds
+the Gram and its shifted copy, and the last level shifts the trial's own copy
+of the Gram in place. :func:`mimo.dense_arrays`, the memory model, lists
+these arrays: the plan checks a capacity run's against the cap before any
+channel is drawn, and the worker rule reads one trial's.
 
 MI follows the paper's convention: identity input covariance, and only
 the transmit window appears in K (the receive window sits after the point
@@ -25,7 +27,6 @@ where MI is measured, so it does not enter).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -34,16 +35,17 @@ from . import _lapack
 from .channel import ChannelModel, require_cp_covers
 from .errors import ConfigError, NonFiniteError
 from .kronops import idft_matrix, off_block_max, require_dense, require_finite, require_within
-from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_window_diagonal,
-                   one_antenna_transform, whole_block_k)
+from .mimo import (MimoConfig, capacity_trial_arrays, channel_table, dense_arrays,
+                   mimo_block_channel, mimo_window_diagonal, one_antenna_transform,
+                   whole_block_k)
 from .transceiver import WindowSpec
 
 # Bounds on K K^H's off-diagonal blocks and on the gap between the two MI routes.
 BLOCK_TOL = 1e-12
 ADDITIVITY_TOL = 1e-8
 
-# A sweep whose trials each hold at most this many dense bytes at once
-# (``TrialPlan.trial_bytes``) runs them side by side by default, one per
+# A sweep whose trials each hold at most this many dense bytes, the sum of
+# ``mimo.capacity_trial_arrays``, runs them side by side by default, one per
 # usable CPU, with BLAS on one thread; a larger trial runs alone, with BLAS
 # threads inside its K and Gram. Measured on 2 vCPUs with numpy's bundled
 # OpenBLAS on 2 threads and malloc's thresholds pinned, 2x2 frames, 3 runs
@@ -100,14 +102,13 @@ def mutual_information(k_matrix: np.ndarray, noise_var: float) -> float:
 
 class TrialPlan:
     """The channel-independent parts of K and of every K_n for one transmit
-    window and geometry, shared by every trial of a run.
+    window and geometry, shared by every trial of a run whose channels are
+    ``channel_length`` taps long.
 
-    The constructor is the cap check: it raises :class:`SizeCapError` unless
-    the whole-block K, (M*N*n_r) x (M*N*n_t), and its Gram, (M*N*n_r) x
-    (M*N*n_r), fit under the dense cap, so an oversized run stops before any
-    channel is drawn. Each part is built on first use, at the latest when
-    :meth:`block_mis` starts, and then kept, so that verify, which builds
-    its plan before its dense checks, holds neither part while those run:
+    The constructor first checks every array of a capacity run, as
+    :func:`mimo.dense_arrays` lists them, against the dense cap, so an
+    oversized run stops before any part is built or any channel is drawn.
+    It then builds both parts:
 
     - ``transform`` is B_1 of :func:`one_antenna_transform`, from which
       :func:`whole_block_k` builds K;
@@ -115,32 +116,20 @@ class TrialPlan:
       so K_n = block_n modulator_n.
 
     B_1 feeds only the block route and the modulator only the per-symbol
-    route, so the two stay independent. ``trial_bytes`` is what one trial
-    holds at its peak besides these parts.
+    route, so the two stay independent.
     """
 
-    def __init__(self, tx_window: WindowSpec, mcfg: MimoConfig):
-        rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
-        require_dense(rows, max(rows, cols), "whole-block K and its Gram")
-        self.tx_window = tx_window
+    def __init__(self, tx_window: WindowSpec, mcfg: MimoConfig, channel_length: int):
+        dense_arrays("capacity", mcfg, channel_length)
         self.mcfg = mcfg
-        # K and two R x R arrays: the Gram and its Fortran-ordered or shifted copy.
-        self.trial_bytes = np.dtype(np.complex128).itemsize * rows * (cols + 2 * rows)
-
-    @cached_property
-    def transform(self) -> np.ndarray:
-        return one_antenna_transform(self.tx_window, self.mcfg.frame)
-
-    @cached_property
-    def modulator(self) -> np.ndarray:
-        mcfg = self.mcfg
+        self.channel_length = channel_length
+        self.transform = one_antenna_transform(tx_window, mcfg.frame)
         m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
         width = m * mcfg.num_tx
         require_dense(n * width, width, "per-symbol modulator")
-        window = mimo_window_diagonal(self.tx_window, mcfg, mcfg.num_tx).reshape(n, 1, width)
-        modulator = np.kron(np.eye(mcfg.num_tx), idft_matrix(m)) * window
-        modulator.flags.writeable = False
-        return modulator
+        window = mimo_window_diagonal(tx_window, mcfg, mcfg.num_tx).reshape(n, 1, width)
+        self.modulator = np.kron(np.eye(mcfg.num_tx), idft_matrix(m)) * window
+        self.modulator.flags.writeable = False
 
     def per_symbol_k(self, block_channel: np.ndarray) -> np.ndarray:
         """K_n for each OFDM symbol, an (N, M*n_r, M*n_t) array."""
@@ -151,12 +140,12 @@ class TrialPlan:
         """The one runner of trials: for each of ``keys`` in order, one
         :class:`BlockMiResult` per noise variance of the channel table
         ``draw(key)``. ``threads`` draws run at once; None runs one at a time
-        when a trial holds more than ``_PARALLEL_TRIAL_BYTES``, and else
-        leaves the count to :func:`_lapack.map_in_order`."""
-        # Both parts before the first draw, so a part over the cap stops the run
-        # before any channel is drawn, and before trials share the plan across threads.
-        self.transform, self.modulator
-        workers = 1 if threads is None and self.trial_bytes > _PARALLEL_TRIAL_BYTES else threads
+        when the arrays of :func:`mimo.capacity_trial_arrays` take more than
+        ``_PARALLEL_TRIAL_BYTES``, and else leaves the count to
+        :func:`_lapack.map_in_order`."""
+        held = np.dtype(np.complex128).itemsize * sum(
+            rows * cols for _, rows, cols in capacity_trial_arrays(self.mcfg, self.channel_length))
+        workers = 1 if threads is None and held > _PARALLEL_TRIAL_BYTES else threads
         with _lapack.map_in_order(lambda key: _trial_block_mis(draw(key), self, noise_vars),
                                   keys, workers) as outcomes:
             return list(outcomes)
@@ -215,7 +204,10 @@ def otfs_block_mi(
     indicate a broken decoupling. This is one draw of
     :meth:`TrialPlan.block_mis` at one noise variance.
     """
-    return TrialPlan(tx_window, mcfg).block_mis(lambda key: channels, [0], [noise_var])[0][0]
+    # The trial's mimo_block_channel rejects a table that is empty or of mixed lengths.
+    length = max((ch.length for row in channels for ch in row), default=1)
+    plan = TrialPlan(tx_window, mcfg, length)
+    return plan.block_mis(lambda key: channels, [0], [noise_var])[0][0]
 
 
 @dataclass(frozen=True)
@@ -283,7 +275,7 @@ def capacity_sweep(
         raise ConfigError(f"threads must be >= 1, got {threads}")
     frame = mcfg.frame
     require_cp_covers(model, frame)
-    outcomes = TrialPlan(tx_window, mcfg).block_mis(
+    outcomes = TrialPlan(tx_window, mcfg, model.channel_length).block_mis(
         lambda trial: channel_table(model, mcfg, seed, trial), range(trials), noise_vars, threads)
 
     results = []

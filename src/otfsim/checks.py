@@ -13,7 +13,8 @@ still produces a full report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List
 
 import numpy as np
@@ -22,14 +23,14 @@ from .capacity import ADDITIVITY_TOL, BLOCK_TOL, TrialPlan
 from .channel import (CP_TOL, ChannelModel, assemble_h_matrix, reduce_to_block_channel,
                       synthesize, trial_rng)
 from .errors import NonFiniteError, StructureError
-from .kronops import dft_matrix, kron, require_dense, vec
+from .kronops import dft_matrix, kron, vec
 from .mimo import (
     MimoConfig,
     channel_table,
+    dense_arrays,
     mimo_block_channel,
     mimo_chain,
     mimo_effective_matrix,
-    require_effective_fits,
     stack_grids,
 )
 from .transceiver import (
@@ -76,10 +77,10 @@ class VerifyContext:
     """Everything a check needs: frame/antenna geometry, the configured
     channel model and windows, the first noise level, and the seed, plus the
     run's one plan of K's channel-independent parts. Building the context
-    checks every dense size a run reaches against the cap, before any
-    channel is drawn: K and its Gram (the plan), the effective matrix and
-    the frame-size channel matrix H. The MI checks build the plan's parts on
-    first use."""
+    checks every dense array of a verify run, as :func:`mimo.dense_arrays`
+    lists them, against the cap, before any channel is drawn. The plan is
+    made, with both its parts, at the first MI check, after the dense
+    checks, so that those run without the parts beside them."""
 
     mcfg: MimoConfig
     channel_model: ChannelModel
@@ -87,12 +88,13 @@ class VerifyContext:
     rx_window: WindowSpec
     noise_var: float
     seed: int
-    plan: TrialPlan = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.plan = TrialPlan(self.tx_window, self.mcfg)
-        require_effective_fits(self.mcfg)
-        require_dense(self.frame.frame_len, self.frame.frame_len, "dense channel matrix")
+        dense_arrays("verify", self.mcfg, self.channel_model.channel_length)
+
+    @cached_property
+    def plan(self) -> TrialPlan:
+        return TrialPlan(self.tx_window, self.mcfg, self.channel_model.channel_length)
 
     @property
     def frame(self) -> OtfsFrameConfig:

@@ -33,8 +33,8 @@ from .channel import ChannelModel, awgn, channel_to_json, require_cp_covers, tri
 from .checks import VerifyContext, run_invariant_checks
 from .errors import ConfigError, DimensionError, OtfsimError, SizeCapError
 from .kronops import BlockDiagonalFactor, require_finite, require_within, vec
-from .mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_chain,
-                   mimo_effective_matrix, require_effective_fits, stack_grids)
+from .mimo import (MimoConfig, channel_table, dense_arrays, mimo_block_channel, mimo_chain,
+                   mimo_effective_matrix, stack_grids)
 from .transceiver import (
     OtfsFrameConfig,
     WindowSpec,
@@ -470,7 +470,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, data_path: Optional[str])
     mcfg = cfg.mcfg
     frame = cfg.frame
     sigma2 = cfg.sigma2_list[0]
-    require_effective_fits(mcfg)
+    dense_arrays("simulate", mcfg, cfg.channel_model.channel_length)
     channels = channel_table(cfg.channel_model, mcfg, cfg.seed, 0)
     if data_path is not None:
         entries = _read_json(data_path, "symbol file")
@@ -564,7 +564,7 @@ def run_effective_channel(cfg: ExperimentConfig, out_dir: Path) -> int:
     threshold = 1e-12  # entries at or below this magnitude stay out of the CSVs
     mcfg = cfg.mcfg
     frame = cfg.frame
-    require_effective_fits(mcfg)
+    dense_arrays("effective-channel", mcfg, cfg.channel_model.channel_length)
     channels = channel_table(cfg.channel_model, mcfg, cfg.seed, 0)
     effective = mimo_effective_matrix(channels, cfg.tx_window, cfg.rx_window, mcfg)
     count = _write_sparse_csv(out_dir / "effective_dd.csv", effective, threshold)

@@ -11,7 +11,7 @@ and the same receive window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,76 @@ class MimoConfig:
     @property
     def rx_vector_len(self) -> int:
         return self.frame.grid_size * self.num_rx
+
+
+def _k_arrays(mcfg: MimoConfig, channel_length: int) -> List[Tuple[str, int, int]]:
+    """What K's build holds besides B_1: the tap tables as :func:`mimo_block_channel`
+    stacks them, one array as large as every antenna pair's table together, the
+    block channel, K's row slab (with more than one transmit antenna) and K."""
+    m, n_t = mcfg.frame.num_subcarriers, mcfg.num_tx
+    rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
+    return [
+        ("stacked tap tables", mcfg.num_rx * n_t * mcfg.frame.frame_len, channel_length),
+        ("per-symbol block channel stack", rows, m * n_t),
+        *([("row slab of B", m * n_t, cols)] if n_t > 1 else []),
+        ("whole-block K", rows, cols),
+    ]
+
+
+def capacity_trial_arrays(mcfg: MimoConfig, channel_length: int) -> List[Tuple[str, int, int]]:
+    """The dense arrays, as (name, rows, cols), that one capacity trial builds
+    from its draw of channels ``channel_length`` taps long: K's build, K's Gram
+    and one more R x R array (the Gram's Fortran-ordered copy, or its shifted
+    copy at a noise level before the last), then every K_n and their Grams.
+    Not all are alive at once, so their sum bounds what a trial holds beside
+    the plan's parts; the sweep's worker rule reads it."""
+    m, rows = mcfg.frame.num_subcarriers, mcfg.rx_vector_len
+    return [
+        *_k_arrays(mcfg, channel_length),
+        ("K K^H", rows, rows),
+        ("copy of K K^H", rows, rows),
+        ("per-symbol K_n stack", rows, m * mcfg.num_tx),
+        ("per-symbol Gram stack", rows, m * mcfg.num_rx),
+    ]
+
+
+def dense_arrays(mode: str, mcfg: MimoConfig, channel_length: int) -> List[Tuple[str, int, int]]:
+    """The memory model: the dense arrays that a run of the subcommand ``mode``
+    allocates, as (name, rows, cols), for channels ``channel_length`` taps long.
+    Every other array of the run is never larger than one listed: DFT, CP and
+    window matrices, vectors and grids, the stages of verify's SISO builds
+    beside H, and temporaries no larger than a listed array.
+
+    Each is checked against the cap in list order, so the first one over it
+    raises :class:`SizeCapError` naming it; each subcommand's entry point calls
+    this before it draws any channel. The cap bounds each array on its own,
+    and the builders keep their own checks.
+
+    - ``capacity``: the plan's B_1 and per-symbol modulator, then
+      :func:`capacity_trial_arrays`.
+    - ``simulate`` and ``effective-channel``: the build of
+      :func:`mimo_effective_matrix`, B_1 and K's, then the R x C result.
+    - ``verify``: the largest Kronecker product of ``check_kron_identities``,
+      the frame-length channel matrix H, :func:`mimo_effective_matrix`'s
+      arrays with more than one antenna, then a capacity run's.
+    """
+    frame = mcfg.frame
+    m, n_t = frame.num_subcarriers, mcfg.num_tx
+    transform = ("one-antenna transform B_1", frame.grid_size, frame.grid_size)
+    effective = [transform, *_k_arrays(mcfg, channel_length),
+                 ("effective matrix", mcfg.rx_vector_len, mcfg.tx_vector_len)]
+    capacity = [transform, ("per-symbol modulator", frame.num_symbols * m * n_t, m * n_t),
+                *capacity_trial_arrays(mcfg, channel_length)]
+    # check_kron_identities' largest product: kron(kron(a, b), d) of 3x4, 2x3
+    # and 3x2 operands.
+    verify = [("Kronecker identity product", 18, 24),
+              ("dense channel matrix", frame.frame_len, frame.frame_len),
+              *(effective if n_t * mcfg.num_rx > 1 else []), *capacity]
+    arrays = {"capacity": capacity, "simulate": effective, "effective-channel": effective,
+              "verify": verify}[mode]
+    for name, rows, cols in arrays:
+        require_dense(rows, cols, name)
+    return arrays
 
 
 def stack_grids(grids: Sequence[np.ndarray], mcfg: MimoConfig) -> np.ndarray:
@@ -276,12 +346,13 @@ def whole_block_k(block_channel: np.ndarray, transform: np.ndarray, mcfg: MimoCo
     with the block-channel stage in front."""
     m, n, n_t = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols, mcfg.num_tx
     rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
-    require_dense(m * n_t, cols, "row slab of B")
+    require_dense(rows, cols, "whole-block K")
     k_matrix = np.empty((rows, cols), dtype=np.complex128)
     k_rows = k_matrix.reshape(n, rows // n, cols)
     if n_t == 1:
         np.matmul(block_channel, transform.reshape(n, m, cols), out=k_rows)
         return k_matrix
+    require_dense(m * n_t, cols, "row slab of B")
     # slab[t, i, s', t', j]: row (t, i) and column (s', t', j) of the slab.
     slab = np.zeros((n_t, m, n, n_t, m), dtype=np.complex128)
     antennas = np.arange(n_t)
@@ -289,14 +360,6 @@ def whole_block_k(block_channel: np.ndarray, transform: np.ndarray, mcfg: MimoCo
         slab[antennas, :, :, antennas] = transform.reshape(n, m, n, m)[symbol]
         np.matmul(block_channel[symbol], slab.reshape(m * n_t, cols), out=k_rows[symbol])
     return k_matrix
-
-
-def require_effective_fits(mcfg: MimoConfig) -> None:
-    """The cap check of :func:`mimo_effective_matrix`, for callers to make before
-    any channel is drawn: max(R, C) x C entries bound each array it holds, R x C
-    ones, B_1 and K's (M*n_t) x C row slab, which is taller than K if n_t > N*n_r."""
-    cols = mcfg.tx_vector_len
-    require_dense(max(mcfg.rx_vector_len, cols), cols, "effective matrix's operator chain")
 
 
 def mimo_effective_matrix(

@@ -29,7 +29,7 @@ from otfsim.capacity import _gram, capacity_sweep
 from otfsim.channel import ChannelModel
 from otfsim.cli import main
 from otfsim.errors import StructureError
-from otfsim.mimo import MimoConfig, channel_table
+from otfsim.mimo import MimoConfig, capacity_trial_arrays, channel_table
 from otfsim.transceiver import OtfsFrameConfig, WindowSpec
 
 PAPER = MimoConfig(frame=OtfsFrameConfig(num_subcarriers=16, num_symbols=8, cp_len=4),
@@ -247,8 +247,11 @@ class TestSweepBitsAndWorkers:
 
     def test_default_workers_follow_cpus_trials_and_trial_size(self, monkeypatch):
         monkeypatch.setattr(otfsim._lapack, "usable_cpus", lambda: 4)
-        plan = otfsim.capacity.TrialPlan(WindowSpec.rectangular(), PAPER)
-        assert plan.trial_bytes == 16 * 256 * (256 + 2 * 256)
+        # The memory model's one trial: K and two R x R arrays, the Gram and
+        # its copy, and the smaller tap tables, block channel and K_n stacks.
+        trial = 16 * sum(rows * cols for _, rows, cols in capacity_trial_arrays(PAPER, 1))
+        assert 16 * 256 * (256 + 2 * 256) < trial < 16 * 256 * (256 + 3 * 256)
+        plan = otfsim.capacity.TrialPlan(WindowSpec.rectangular(), PAPER, 1)
         table = channel_table(ChannelModel.identity(), PAPER, 0, 0)
         pools = recorded_pools(monkeypatch)
 
@@ -261,11 +264,22 @@ class TestSweepBitsAndWorkers:
         if CONTROL is not None:
             assert [workers(draws) for draws in (1, 3, 10)] == [1, 3, 4]
             assert workers(10, threads=2) == 2
-        monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", plan.trial_bytes - 1)
+        monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", trial - 1)
         assert workers(10) == 1
-        monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", plan.trial_bytes)
+        monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", trial)
         with without_library():
             assert workers(10) == 1
+
+    def test_benchmark_sweeps_keep_their_default_workers(self):
+        # The paper sweep's trials run side by side, the large frame's (M=64,
+        # N=16, 2x2: K and two Grams of 64 MiB each) one at a time.
+        def trial(mcfg):
+            return 16 * sum(rows * cols
+                            for _, rows, cols in capacity_trial_arrays(mcfg, PAPER_MODEL.channel_length))
+
+        large = MimoConfig(frame=OtfsFrameConfig(num_subcarriers=64, num_symbols=16, cp_len=4),
+                           num_tx=2, num_rx=2)
+        assert trial(PAPER) <= otfsim.capacity._PARALLEL_TRIAL_BYTES < trial(large)
 
     def test_workers_pin_the_whole_trial_and_one_worker_only_the_log_dets(
             self, set_blas_threads, monkeypatch):

@@ -6,8 +6,11 @@ in terms of the channel's frequency-response values.
 """
 
 import contextlib
+import csv
 import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,10 +425,25 @@ class TestOnePassSweep:
         # The stacked per-symbol route equals one mutual_information per K_n, bit for bit.
         channels = channel_table(model, mcfg, seed, 0)
         blocks = mimo_block_channel(channels, mcfg)
-        k_ns = otfsim.capacity.TrialPlan(window, mcfg).per_symbol_k(blocks)
+        k_ns = otfsim.capacity.TrialPlan(window, mcfg, taps).per_symbol_k(blocks)
         for sigma2 in noise_vars:
             assert otfs_block_mi(channels, window, sigma2, mcfg).per_symbol_bits == [
                 mutual_information(k_n, sigma2) for k_n in k_ns]
+
+
+def window_doc(rng, kind, m, n):
+    """A config's window of ``kind`` with random [re, im] entries."""
+    def pairs(size):
+        return rng.standard_normal((size, 2)).tolist()
+
+    if kind == "separable":
+        return {"kind": kind, "time": pairs(n), "freq": pairs(m)}
+    if kind == "general":
+        return {"kind": kind, "taps": pairs(m * n)}
+    return {"kind": kind}
+
+
+WINDOW_KINDS = st.sampled_from(["rectangular", "separable", "general"])
 
 
 class TestReceiveWindowIrrelevance:
@@ -439,12 +457,42 @@ class TestReceiveWindowIrrelevance:
         blocks = mimo_block_channel(channels, mcfg)
         rng = np.random.default_rng(14)
         tx = WindowSpec.general(rand_complex(rng, 8))
-        k_list = otfsim.capacity.TrialPlan(tx, mcfg).per_symbol_k(blocks)
+        k_list = otfsim.capacity.TrialPlan(tx, mcfg, model.channel_length).per_symbol_k(blocks)
         # Rebuild each K_n by hand: block @ F_M^H scaled by the tx diagonal.
         per_symbol = tx.diagonal(frame).reshape(2, 4)
         for n, k_n in enumerate(k_list):
             expected = blocks[n] @ dft_matrix(4).conj().T @ np.diag(per_symbol[n])
             assert np.max(np.abs(k_n - expected)) <= 1e-12
+
+    # MI is measured before the receive window, so two capacity runs whose
+    # configs differ only in it give the same per-trial bits of both routes.
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 3), n_t=st.integers(1, 2), n_r=st.integers(1, 2),
+           tx_kind=WINDOW_KINDS, rx_kinds=st.tuples(WINDOW_KINDS, WINDOW_KINDS),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_capacity_bits_do_not_depend_on_it(self, data, n, n_t, n_r, tx_kind, rx_kinds, seed):
+        m = data.draw(st.integers(1, 4), label="M")
+        cp = data.draw(st.integers(0, m - 1), label="M_cp")
+        taps = data.draw(st.integers(1, cp + 1), label="L")
+        rng = np.random.default_rng(seed)
+        tx = window_doc(rng, tx_kind, m, n)
+        rows = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, rx_kind in enumerate(rx_kinds):
+                path = Path(tmp) / f"config{i}.json"
+                path.write_text(json.dumps({
+                    "frame": {"M": m, "N": n, "M_cp": cp}, "mimo": {"n_t": n_t, "n_r": n_r},
+                    "window": {"tx": tx, "rx": window_doc(rng, rx_kind, m, n)},
+                    "channel": {"kind": "doppler-paths", "L": taps, "P": 1, "nu_max": 0.05},
+                    "noise": {"snr_db": [0.0, 20.0]},
+                    "run": {"trials": 2, "seed": seed, "emit_trials": True}}))
+                out = Path(tmp) / f"out{i}"
+                assert main(["capacity", "--config", str(path), "--out", str(out)]) == 0
+                with (out / "results.csv").open() as fh:
+                    rows.append([{key: row[key] for key in ("record", "trial", "mi_otfs_bits",
+                                                            "mi_ofdm_sum_bits")}
+                                 for row in csv.DictReader(fh)])
+        assert rows[0] == rows[1]
 
 
 class TestSizeCap:
@@ -588,7 +636,7 @@ class TestSweepPlan:
         mcfg = MimoConfig(frame=frame, num_tx=n_t, num_rx=n_r)
         model = ChannelModel.doppler_paths(num_taps=taps, num_paths=1, max_doppler=0.05)
         window = random_window(np.random.default_rng(seed), window_kind, frame)
-        plan = otfsim.capacity.TrialPlan(window, mcfg)
+        plan = otfsim.capacity.TrialPlan(window, mcfg, taps)
         window_stack = mimo_window_diagonal(window, mcfg, mcfg.num_tx).reshape(n, 1, -1)
         modulator = np.kron(np.eye(mcfg.num_tx), dft_matrix(m).conj().T) * window_stack
         for trial in range(2):
@@ -602,11 +650,10 @@ class TestSweepPlan:
 class TestOnePlanPerRun:
     """The plan's B_1 (from ``one_antenna_transform``, the builder that K's
     callers share) and its per-symbol modulator (built from ``idft_matrix``)
-    are each built only by the route that reads them, and at most once per
-    run. verify's chain check builds its own B_1 through the same builder
-    and frees it with its K, so the plan's parts stay unbuilt while
-    verify's dense checks run; its MI checks build them through the runner,
-    ``TrialPlan.block_mis``."""
+    are built once per run, by the plan's constructor, and the trials only
+    read them. verify's chain check builds its own B_1 through the same
+    builder and frees it with its K; verify makes its plan at its first MI
+    check, after its dense checks, so those run without the plan's parts."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -628,38 +675,43 @@ class TestOnePlanPerRun:
         return counts
 
     def test_verify_builds_one_plan_and_one_transform(self, counts, tmp_path, monkeypatch):
-        runner = otfsim.capacity.TrialPlan.block_mis
-        seen_by_runner = []
+        seen = []
 
-        def recorded(*args, **kwargs):
-            seen_by_runner.append(dict(counts))
-            return runner(*args, **kwargs)
+        def recorded(owner, name, when):
+            original = getattr(owner, name)
 
-        monkeypatch.setattr(otfsim.capacity.TrialPlan, "block_mis", recorded)
+            def wrapper(*args, **kwargs):
+                seen.append((when, dict(counts)))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        recorded(otfsim.capacity.TrialPlan, "__init__", "plan")
+        recorded(otfsim.capacity.TrialPlan, "block_mis", "runner")
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "frame": {"M": 4, "N": 2, "M_cp": 2}, "mimo": {"n_t": 2, "n_r": 2},
             "channel": {"kind": "doppler-paths", "L": 3, "P": 2, "nu_max": 0.05},
             "noise": {"sigma2": [0.5]}, "run": {"seed": 7}}))
         assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
-        # One runner call per MI check; the plan's parts are first built by
-        # the first of them, after every dense check.
+        # One plan, made after every dense check, which builds both parts
+        # before the first of the runner calls, one per MI check.
         assert counts == {"plan": 1, "runner": 2, "transform": 1, "modulator": 1,
                           "effective-matrix transform": 1}
-        assert seen_by_runner[0] == {"plan": 1, "effective-matrix transform": 1}
+        assert seen[:2] == [
+            ("plan", {"effective-matrix transform": 1}),
+            ("runner", {"plan": 1, "transform": 1, "modulator": 1,
+                        "effective-matrix transform": 1})]
 
-    def test_each_one_route_builder_builds_only_its_part(self, counts):
+    def test_the_plan_builds_each_part_once(self, counts):
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
         mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=1)
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
         blocks = mimo_block_channel(channel_table(model, mcfg, 3, 0), mcfg)
-        window = WindowSpec.rectangular()
-        plan = otfsim.capacity.TrialPlan(window, mcfg)
-        assert counts == {"plan": 1}
+        plan = otfsim.capacity.TrialPlan(WindowSpec.rectangular(), mcfg, model.channel_length)
+        assert counts == {"plan": 1, "transform": 1, "modulator": 1}
         plan.per_symbol_k(blocks)
-        assert counts == {"plan": 1, "modulator": 1}
-        whole_block_k(blocks, otfsim.capacity.TrialPlan(window, mcfg).transform, mcfg)
-        assert counts == {"plan": 2, "modulator": 1, "transform": 1}
+        whole_block_k(blocks, plan.transform, mcfg)
+        assert counts == {"plan": 1, "transform": 1, "modulator": 1}
 
 
 class TestPaperResultOnRandomGeometries:

@@ -1,5 +1,6 @@
 """CLI behavior: config validation, the four modes, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,8 @@ from otfsim.cli import (
 )
 from otfsim.errors import ConfigError, NonFiniteError
 from otfsim.kronops import dft_matrix, kron
+from otfsim.mimo import MimoConfig, dense_arrays
+from otfsim.transceiver import OtfsFrameConfig
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -386,6 +390,27 @@ class TestVerifyMode:
         assert time.perf_counter() - start < 60.0
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(2, 3), n_t=st.integers(1, 2), n_r=st.integers(1, 2))
+def test_cp_one_sample_short(data, n, n_t, n_r):
+    # M_cp = L-2 with a tap at delay L-1: the tap reaches one sample into the
+    # previous symbol. verify reports the broken block structure; every other
+    # mode refuses the config before it builds anything.
+    m = data.draw(st.integers(2, 6), label="M")
+    taps = data.draw(st.integers(2, m), label="L")
+    doc = {"frame": {"M": m, "N": n, "M_cp": taps - 2}, "mimo": {"n_t": n_t, "n_r": n_r},
+           "channel": {"kind": "static-multipath", "gains": [1.0, 0.5], "delays": [0, taps - 1]}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), doc)
+        out = str(Path(tmp) / "out")
+        for mode in ("capacity", "simulate", "effective-channel"):
+            assert main([mode, "--config", path, "--out", out]) == 2
+        assert main(["verify", "--config", path, "--out", out]) == 3
+        report = json.loads((Path(tmp) / "out" / "report.json").read_text())
+    failed = {check["name"] for check in report["checks"] if not check["passed"]}
+    assert "block-diagonality" in failed
+
+
 class TestEffectiveChannelMode:
     def test_identity_rectangular_dumps_unit_diagonal(self, tmp_path):
         doc = {
@@ -646,37 +671,11 @@ def test_huge_dimension_exits_four_before_any_draw(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err.startswith("size cap exceeded: ")
 
 
-# Four transmit antennas and one receive antenna on an M=4, N=2 frame: the
-# effective matrix is 8 x 32 (256 entries), but materializing it applies its
-# stages to the 32 x 32 identity first.
-WIDE_TRANSMIT = dict(BASE, frame={"M": 4, "N": 2, "M_cp": 1}, mimo={"n_t": 4, "n_r": 1},
-                     channel={"kind": "doppler-paths", "L": 2, "P": 2})
-
-
-@pytest.mark.parametrize("mode", ["simulate", "effective-channel"])
-def test_effective_matrix_check_counts_the_identity(tmp_path, monkeypatch, capsys, mode):
-    def no_draw(self):
-        raise AssertionError("a channel was drawn before the size check")
-
-    monkeypatch.setattr(LtvChannel, "__post_init__", no_draw)
-    monkeypatch.setattr(kronops, "DENSE_ENTRY_CAP", 256)
-    path = write_config(tmp_path, WIDE_TRANSMIT)
-    assert main([mode, "--config", path, "--out", str(tmp_path)]) == 4
-    assert "32x32 entries (cap 256)" in capsys.readouterr().err
-
-
-# Each geometry passes the plan's check on K and its Gram, but not the check
-# on another dense array that every verify run builds: the SISO frame's
-# 56 x 56 channel matrix H, or the 16 x 32 effective matrix of two transmit
-# antennas and one receive antenna, materialized from the 32 x 32 identity.
-# Both caps stay above the 18 x 24 Kronecker products of the first check, so
-# only these two sizes can stop the run before its first channel.
+# A SISO frame whose 56 x 56 channel matrix H is the only one of verify's
+# dense arrays over the cap: the run stops before its first channel.
 VERIFY_PRECHECKS = {
     "siso-channel-matrix": (dict(BASE, frame={"M": 4, "N": 8, "M_cp": 3}), 2000,
                             "dense channel matrix would have 56x56 entries (cap 2000)"),
-    "wide-transmit-effective-matrix": (
-        dict(WIDE_TRANSMIT, frame={"M": 4, "N": 4, "M_cp": 1}, mimo={"n_t": 2, "n_r": 1}), 800,
-        "effective matrix's operator chain would have 32x32 entries (cap 800)"),
 }
 
 
@@ -696,6 +695,87 @@ def test_verify_checks_every_dense_size_before_any_draw(tmp_path, monkeypatch, c
     assert draws == []
     assert message in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def assert_cap_is_exact(doc, mode):
+    """The memory model's largest array for ``mode`` on ``doc`` binds: one entry
+    under its size, the run exits 4 before any channel is drawn, naming it; at
+    its size, the run exits 0, so no builder holds a larger array. Returns it."""
+    cfg = parse_config(doc, mode)
+    arrays = dense_arrays(mode, cfg.mcfg, cfg.channel_model.channel_length)
+    sizes = [rows * cols for _, rows, cols in arrays]
+    name, rows, cols = arrays[sizes.index(max(sizes))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), doc)
+        argv = [mode, "--config", path, "--out", str(Path(tmp) / "out")]
+        draws = []
+
+        def no_draw(self):
+            draws.append(self)
+            raise AssertionError("a channel was drawn before the size check")
+
+        stderr = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(stderr):
+            patch.setattr(LtvChannel, "__post_init__", no_draw)
+            patch.setattr(kronops, "DENSE_ENTRY_CAP", rows * cols - 1)
+            assert main(argv) == 4
+        assert draws == []
+        assert stderr.getvalue() == (f"size cap exceeded: {name} would have {rows}x{cols} "
+                                     f"entries (cap {rows * cols - 1})\n")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kronops, "DENSE_ENTRY_CAP", rows * cols)
+            assert main(argv) == 0
+    return name, rows, cols
+
+
+# Four transmit antennas and one receive antenna on an M=4, N=2 frame: the
+# effective matrix and K are 8 x 32, but K's row slab of B is 16 x 32. With
+# two transmit antennas on an M=4, N=4 frame, verify's largest array is the
+# 16 x 32 K of its chain check. One SISO symbol of M=4 with a 3-sample CP
+# and a 4-tap channel: the 7 x 4 tap table outgrows the 4 x 4 K.
+WIDE_TRANSMIT = dict(BASE, frame={"M": 4, "N": 2, "M_cp": 1}, mimo={"n_t": 4, "n_r": 1},
+                     channel={"kind": "doppler-paths", "L": 2, "P": 2})
+CAP_CASES = {
+    "wide-transmit-simulate": ("simulate", WIDE_TRANSMIT, ("row slab of B", 16, 32)),
+    "wide-transmit-effective-channel": ("effective-channel", WIDE_TRANSMIT,
+                                        ("row slab of B", 16, 32)),
+    "wide-transmit-verify": ("verify", dict(WIDE_TRANSMIT, frame={"M": 4, "N": 4, "M_cp": 1},
+                                            mimo={"n_t": 2, "n_r": 1}),
+                             ("whole-block K", 16, 32)),
+    "one-symbol-tap-table": ("simulate", dict(BASE, frame={"M": 4, "N": 1, "M_cp": 3},
+                                              channel={"kind": "doppler-paths", "L": 4, "P": 2}),
+                             ("stacked tap tables", 7, 4)),
+}
+
+
+@pytest.mark.parametrize("case", CAP_CASES)
+def test_cap_is_exact_at_fixed_geometries(case):
+    mode, doc, binding = CAP_CASES[case]
+    assert assert_cap_is_exact(doc, mode) == binding
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), mode=st.sampled_from(["capacity", "simulate", "verify",
+                                             "effective-channel"]),
+       n=st.integers(1, 3), n_t=st.integers(1, 3), n_r=st.integers(1, 3),
+       flags=st.fixed_dictionaries({"export_channels": st.booleans(),
+                                    "emit_frequency_domain": st.booleans()}))
+def test_cap_is_exact_on_random_geometries(data, mode, n, n_t, n_r, flags):
+    m = data.draw(st.integers(1, 6), label="M")
+    cp = data.draw(st.integers(0, m - 1), label="M_cp")
+    taps = data.draw(st.integers(1, cp + 1), label="L")
+    assert_cap_is_exact({"frame": {"M": m, "N": n, "M_cp": cp}, "mimo": {"n_t": n_t, "n_r": n_r},
+                         "channel": {"kind": "doppler-paths", "L": taps, "P": 1, "nu_max": 0.05},
+                         "noise": {"sigma2": [0.5]}, "run": flags}, mode)
+
+
+def test_model_admits_every_array_under_the_cap():
+    # simulate at M=128, N=32, 4x1: K and the effective matrix, 4096 x 16384
+    # (6.7e7 entries), are the largest arrays, under the 1e8 cap.
+    mcfg = MimoConfig(OtfsFrameConfig(num_subcarriers=128, num_symbols=32, cp_len=4), 4, 1)
+    arrays = dense_arrays("simulate", mcfg, 4)
+    assert max(rows * cols for _, rows, cols in arrays) == 4096 * 16384
 
 
 # One bad value for each rule of the config's shape; each exits 2 as a

@@ -27,12 +27,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otfsim.capacity import capacity_sweep
+from otfsim.capacity import TrialPlan, capacity_sweep
 from otfsim.channel import ChannelModel
 from otfsim.checks import (VerifyContext, check_capacity_routes, check_chain_vs_matrix,
                            check_specializations)
 from otfsim.cli import parse_config, run_effective_channel
-from otfsim.mimo import MimoConfig, channel_table, mimo_effective_matrix
+from otfsim.mimo import MimoConfig, capacity_trial_arrays, channel_table, mimo_effective_matrix
 from otfsim.transceiver import OtfsFrameConfig, WindowSpec, dd_channel_as_2d_convolution
 
 # SISO, general transmit window, separable receive window: the dense
@@ -166,6 +166,28 @@ def test_capacity_trial_holds_no_whole_transmit_transform(n_t, n_r, bound):
     assert peak < bound
 
 
+@pytest.mark.parametrize("n_t, n_r", [(1, 1), (2, 2), (3, 2), (2, 3)],
+                         ids=["siso", "2x2", "3x2", "2x3"])
+def test_capacity_trial_holds_at_most_the_models_trial_arrays(n_t, n_r):
+    # The memory model's arrays of one trial, which the sweep's worker rule
+    # sums, bound what a trial at M=32, N=8 holds beside the plan's parts:
+    # the trial peaked at 0.63-0.74 of their sum. A first draw runs before
+    # the trace, so that numpy's one-time set-up of its random streams
+    # (about 1 MiB) is not counted.
+    frame = OtfsFrameConfig(num_subcarriers=32, num_symbols=8, cp_len=4)
+    mcfg = MimoConfig(frame, num_tx=n_t, num_rx=n_r)
+    model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.05)
+    plan = TrialPlan(WindowSpec.rectangular(), mcfg, model.channel_length)
+
+    def trial(key):
+        return plan.block_mis(lambda key: channel_table(model, mcfg, 3, key), [key], [1.0, 0.1],
+                              threads=1)
+
+    trial(0)
+    entries = sum(rows * cols for _, rows, cols in capacity_trial_arrays(mcfg, 4))
+    assert peak_arrays(lambda: trial(1), 1, 1) <= entries
+
+
 # The benchmark's large-frame capacity run (M=64, N=16, 2x2, R = C = 2048:
 # K and the Gram are 64 MiB each; two trials, one at a time) in a fresh
 # interpreter with BLAS on one thread: how far its peak resident size rose
@@ -176,7 +198,7 @@ def test_capacity_trial_holds_no_whole_transmit_transform(n_t, n_r, bound):
 GROWTH_RUN = """
 import tracemalloc
 import otfsim.cli  # everything a run imports
-from otfsim.capacity import capacity_sweep
+from otfsim.capacity import TrialPlan, capacity_sweep
 from otfsim.channel import ChannelModel
 from otfsim.mimo import MimoConfig
 from otfsim.transceiver import OtfsFrameConfig, WindowSpec
