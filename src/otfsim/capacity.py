@@ -38,7 +38,7 @@ from .kronops import idft_matrix, off_block_max, require_dense, require_finite, 
 from .mimo import (MimoConfig, capacity_trial_arrays, channel_table, dense_arrays,
                    mimo_block_channel, mimo_window_diagonal, one_antenna_transform,
                    whole_block_k)
-from .transceiver import WindowSpec
+from .transceiver import OtfsFrameConfig, WindowSpec
 
 # Bounds on K K^H's off-diagonal blocks and on the gap between the two MI routes.
 BLOCK_TOL = 1e-12
@@ -230,6 +230,22 @@ class CapacityResult:
         if self.capacity_otfs < 0 or self.capacity_ofdm < 0:
             raise ValueError("capacity estimates must be non-negative")
 
+    @classmethod
+    def of_trials(cls, point: Sequence[BlockMiResult],
+                  frame: OtfsFrameConfig) -> "CapacityResult":
+        """The estimate at one noise level from each trial's result there. The
+        OTFS route divides the block MI by the frame length, the OFDM route the
+        mean per-symbol MI by the symbol length."""
+        trials = len(point)
+        otfs_bits = np.array([r.total_bits for r in point])
+        ofdm_bits = np.array([float(sum(r.per_symbol_bits)) for r in point])
+        otfs_rates = otfs_bits / frame.frame_len
+        ofdm_rates = ofdm_bits / (frame.num_symbols * frame.symbol_len)
+        ci = 1.96 * float(np.std(otfs_rates, ddof=1)) / np.sqrt(trials) if trials > 1 else 0.0
+        return cls(per_trial_otfs_bits=otfs_bits, per_trial_ofdm_bits=ofdm_bits,
+                   capacity_otfs=float(np.mean(otfs_rates)),
+                   capacity_ofdm=float(np.mean(ofdm_rates)), trials=trials, ci_halfwidth=ci)
+
 
 def ergodic_capacity(
     model: ChannelModel,
@@ -262,10 +278,10 @@ def capacity_sweep(
     the curve is monotone in the noise variance. The trials run through
     :meth:`TrialPlan.block_mis`, which picks how many run at once when
     ``threads`` is None; per trial the channels, K, every K_n and every Gram
-    are built once, and each noise level costs one log-det per route. The
-    OTFS route divides the block MI by the frame length, the OFDM route the
-    mean per-symbol MI by the symbol length. A CP shorter than the channel
-    memory raises :class:`ConfigError` before anything is built or drawn.
+    are built once, and each noise level costs one log-det per route;
+    :meth:`CapacityResult.of_trials` makes each level's estimate. A CP shorter
+    than the channel memory raises :class:`ConfigError` before anything is
+    built or drawn.
     """
     if not noise_vars:
         raise ConfigError("noise variance grid must be non-empty")
@@ -273,20 +289,7 @@ def capacity_sweep(
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if threads is not None and threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    frame = mcfg.frame
-    require_cp_covers(model, frame)
+    require_cp_covers(model, mcfg.frame)
     outcomes = TrialPlan(tx_window, mcfg, model.channel_length).block_mis(
         lambda trial: channel_table(model, mcfg, seed, trial), range(trials), noise_vars, threads)
-
-    results = []
-    for point in zip(*outcomes):
-        otfs_bits = np.array([r.total_bits for r in point])
-        ofdm_bits = np.array([float(sum(r.per_symbol_bits)) for r in point])
-        otfs_rates = otfs_bits / frame.frame_len
-        ofdm_rates = ofdm_bits / (frame.num_symbols * frame.symbol_len)
-        ci = 1.96 * float(np.std(otfs_rates, ddof=1)) / np.sqrt(trials) if trials > 1 else 0.0
-        results.append(CapacityResult(
-            per_trial_otfs_bits=otfs_bits, per_trial_ofdm_bits=ofdm_bits,
-            capacity_otfs=float(np.mean(otfs_rates)), capacity_ofdm=float(np.mean(ofdm_rates)),
-            trials=trials, ci_halfwidth=ci))
-    return results
+    return [CapacityResult.of_trials(point, mcfg.frame) for point in zip(*outcomes)]

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .kronops import off_block_max, require_dense, require_finite, require_within
+from .kronops import require_dense, require_finite, require_within
 from .transceiver import OtfsFrameConfig, cp_matrices
 
 # Largest off-block magnitude of a reduced channel; a long enough CP leaves 0.
@@ -208,22 +208,29 @@ def reduce_to_block_channel(
 ) -> np.ndarray:
     """(N, M, M) stack of the per-symbol blocks after CP removal and CP insertion.
 
-    The dense reference: computes the full reduced matrix and verifies it
-    is block diagonal; residual energy in off-diagonal blocks means the CP
-    was shorter than the channel memory and raises :class:`StructureError`.
+    The dense reference: H's symbol-i columns times the CP insertion
+    matrix, F x M for each symbol, are written into one (N, F, M) stack by
+    dense products. The rows of symbol j's body in symbol i's product are
+    block (j, i) of the reduced channel, which is never assembled: the stack
+    is scanned for off-diagonal blocks, and residual energy in one means the
+    CP was shorter than the channel memory and raises
+    :class:`StructureError`. The diagonal blocks are returned.
     """
     h_matrix = np.asarray(h_matrix, dtype=np.complex128)
     span = cfg.frame_len
     if h_matrix.shape != (span, span):
         raise DimensionError(f"channel matrix must be {span}x{span}, got {h_matrix.shape}")
     m, n, blen = cfg.num_subcarriers, cfg.num_symbols, cfg.symbol_len
-    cp = cp_matrices(cfg)
-    cols = np.concatenate(
-        [h_matrix[:, i * blen:(i + 1) * blen] @ cp.add for i in range(n)], axis=1)
-    reduced = np.concatenate(
-        [cols[i * blen + cfg.cp_len:(i + 1) * blen, :] for i in range(n)], axis=0)
-    require_block_diagonal(off_block_max(reduced, m))
-    return reduced.reshape(n, m, n, m)[np.arange(n), :, np.arange(n), :]
+    add = cp_matrices(cfg).add
+    stack = np.empty((n, span, m), dtype=np.complex128)
+    for i in range(n):
+        np.matmul(h_matrix[:, i * blen:(i + 1) * blen], add, out=stack[i])
+    # blocks[i, j]: the rows of symbol j's body in symbol i's columns.
+    blocks = stack.reshape(n, n, blen, m)[:, :, cfg.cp_len:]
+    worst = [np.max(np.abs(part)) for i in range(n)
+             for part in (blocks[i, :i], blocks[i, i + 1:]) if part.size]
+    require_block_diagonal(float(np.max(worst)) if worst else 0.0)
+    return blocks[np.arange(n), np.arange(n)]
 
 
 def awgn(length: int, variance: float, rng: np.random.Generator) -> np.ndarray:

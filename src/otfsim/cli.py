@@ -28,7 +28,7 @@ from typing import Collection, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _lapack
-from .capacity import CapacityResult, capacity_sweep
+from .capacity import CapacityResult, TrialPlan
 from .channel import ChannelModel, awgn, channel_to_json, require_cp_covers, trial_rng
 from .checks import VerifyContext, run_invariant_checks
 from .errors import ConfigError, DimensionError, OtfsimError, SizeCapError
@@ -417,9 +417,25 @@ def _complex_pairs(values: np.ndarray) -> list:
 
 
 def run_capacity(cfg: ExperimentConfig, out_dir: Path) -> int:
-    results = capacity_sweep(
-        cfg.sigma2_list, cfg.channel_model, cfg.tx_window, cfg.mcfg,
-        trials=cfg.trials, seed=cfg.seed, threads=cfg.threads)
+    """The trials of :func:`capacity.capacity_sweep`, through the same plan.
+    With ``export_channels`` each draw writes its trial's channels as it is
+    made, so no table is drawn twice or kept past its trial."""
+    chan_dir = out_dir / "channels"
+    if cfg.export_channels:
+        chan_dir.mkdir(exist_ok=True)
+
+    def draw(trial: int) -> list:
+        table = channel_table(cfg.channel_model, cfg.mcfg, cfg.seed, trial)
+        if cfg.export_channels:
+            for r, row in enumerate(table):
+                for t, ch in enumerate(row):
+                    (chan_dir / f"trial{trial:04d}_rx{r}_tx{t}.json").write_text(
+                        json.dumps(channel_to_json(ch), sort_keys=True))
+        return table
+
+    outcomes = TrialPlan(cfg.tx_window, cfg.mcfg, cfg.channel_model.channel_length).block_mis(
+        draw, range(cfg.trials), cfg.sigma2_list, cfg.threads)
+    results = [CapacityResult.of_trials(point, cfg.frame) for point in zip(*outcomes)]
     rows = _capacity_rows(cfg, results)
     _write_csv(out_dir / "results.csv", _CSV_HEADER, rows)
     summary = {
@@ -437,16 +453,6 @@ def run_capacity(cfg: ExperimentConfig, out_dir: Path) -> int:
         ],
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    if cfg.export_channels:
-        chan_dir = out_dir / "channels"
-        chan_dir.mkdir(exist_ok=True)
-        for trial in range(cfg.trials):
-            table = channel_table(cfg.channel_model, cfg.mcfg, cfg.seed, trial)
-            for r, row in enumerate(table):
-                for t, ch in enumerate(row):
-                    name = f"trial{trial:04d}_rx{r}_tx{t}.json"
-                    (chan_dir / name).write_text(
-                        json.dumps(channel_to_json(ch), sort_keys=True))
     for snr, res in zip(cfg.snr_db_list, results):
         print(f"snr_db={_fmt(snr)} capacity={_fmt(res.capacity_otfs)} "
               f"bits/sample (ci +/- {_fmt(res.ci_halfwidth)}, {res.trials} trials)")

@@ -6,10 +6,11 @@ operators (DFT factors go through the FFT, so a factor of size n costs
 O(total * log n) instead of a dense product, and write into the previous
 factor's output when that output is the operator's own; 0/1 selection
 factors are gathers; block-diagonal factors go through one batched
-product over their blocks). The package's three
-guards live here too: every dense allocation, every finiteness check and
-every raising tolerance verdict goes through ``require_dense``,
-``require_finite`` and ``require_within``.
+product over their blocks). A chain of FFT, window, gather and single
+dense stages is materialized one slab of identity columns at a time. The
+package's three guards live here too: every dense allocation, every
+finiteness check and every raising tolerance verdict goes through
+``require_dense``, ``require_finite`` and ``require_within``.
 
 Conventions: ``vec`` stacks columns (Fortran order), so for conformable
 A, X, B the identity ``kron(B.T, A) @ vec(X) == vec(A @ X @ B)`` holds.
@@ -19,7 +20,7 @@ All arrays are complex128.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +28,16 @@ from .errors import DimensionError, NonFiniteError, SizeCapError, StructureError
 
 # Refuse dense materialization above this many entries (~1.6 GB complex128).
 DENSE_ENTRY_CAP = 100_000_000
+
+# Identity columns per slab of OperatorChain.slabs: a multiple of the column
+# blocking of OpenBLAS's zgemm kernels (4 on its SkylakeX and Haswell ones),
+# so that a slab's columns fall into the column blocks they have in one
+# product over every column. verify on a SISO M=64, N=16 frame (C=1024,
+# F=1152), 2 vCPUs, 2 runs each: 64 columns peaked at 93.5-93.8 MiB with
+# 37-43k minor faults, 128 at 93.7-93.8 MiB with 85-91k, 256 at 94.5-96.1 MiB
+# with 112-137k and 512 at 110 MiB; whole products peaked at 107.8 MiB with
+# 50-64k.
+SLAB_COLUMNS = 64
 
 
 def require_dense(rows: int, cols: int, what: str) -> None:
@@ -283,6 +294,25 @@ class KronOperator:
         return reduce(np.kron, (f.materialize() for f in self.factors))
 
 
+# Factors that act on each column of their input on its own, by the same
+# operations whatever the other columns: FFTs, broadcast multiplies, gathers.
+_COLUMN_EXACT = (DftFactor, InverseDftFactor, DiagonalFactor, SelectionFactor, IdentityFactor)
+
+
+def _slabbable(stage: KronOperator) -> bool:
+    """Whether ``stage`` is applied slab by slab: every factor is column-exact,
+    or the stage is one dense matrix, one zgemm over the columns. That zgemm
+    gives each column the bits it has in the whole product on OpenBLAS's
+    SkylakeX kernels; under its Haswell kernels a narrower product can take
+    other bits at some shapes. A dense factor beside another one, or a
+    block-diagonal factor, is a batched product whose bits under the Haswell
+    kernels moved with the slab width (the specialization builders at M=64,
+    N=16, at one BLAS thread and at two), so its chain goes through whole."""
+    factors = stage.factors
+    return (all(isinstance(f, _COLUMN_EXACT) for f in factors)
+            or (len(factors) == 1 and isinstance(factors[0], DenseFactor)))
+
+
 class OperatorChain:
     """Product of operator stages, listed left to right in matrix order.
 
@@ -307,10 +337,34 @@ class OperatorChain:
             x = stage.apply(x)
         return x
 
-    def materialize(self) -> np.ndarray:
-        """The stages applied to the C x C identity; the widest array this holds
-        is max(C, every stage's rows) x C."""
+    def slabs(self) -> Iterator[Tuple[slice, np.ndarray]]:
+        """(columns, the chain applied to those columns of the C x C identity)
+        for consecutive slabs of ``SLAB_COLUMNS`` columns; the last slab takes
+        the remainder too, so no slab is narrower than ``SLAB_COLUMNS`` unless
+        C is. Each slab's identity columns are made for it, so no whole
+        identity or whole stage array is held."""
         cols = self.shape[1]
-        require_dense(max(cols, *(stage.shape[0] for stage in self.stages)), cols,
-                      "materialized operator chain")
-        return self.apply(np.eye(cols, dtype=np.complex128))
+        starts = range(0, max(cols - SLAB_COLUMNS, 0) + 1, SLAB_COLUMNS)
+        for start, stop in zip(starts, [*starts[1:], cols]):
+            eye = np.zeros((cols, stop - start), dtype=np.complex128)
+            eye[np.arange(start, stop), np.arange(stop - start)] = 1.0
+            yield slice(start, stop), self.apply(eye)
+
+    def materialize(self) -> np.ndarray:
+        """The stages applied to the C x C identity. When every stage can be
+        slabbed, the result is filled one slab of :meth:`slabs` at a time: this
+        holds the result and one slab's widest stage, max(C, every stage's
+        rows) rows by fewer than 2 ``SLAB_COLUMNS`` columns. Otherwise the
+        identity goes through whole, and the widest array held is max(C,
+        every stage's rows) x C."""
+        rows, cols = self.shape
+        widest = max(cols, *(stage.shape[0] for stage in self.stages))
+        if not all(_slabbable(stage) for stage in self.stages):
+            require_dense(widest, cols, "materialized operator chain")
+            return self.apply(np.eye(cols, dtype=np.complex128))
+        require_dense(rows, cols, "materialized operator chain")
+        require_dense(widest, min(cols, 2 * SLAB_COLUMNS - 1), "operator chain slab")
+        result = np.empty(self.shape, dtype=np.complex128)
+        for columns, slab in self.slabs():
+            result[:, columns] = slab
+        return result

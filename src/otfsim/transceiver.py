@@ -267,7 +267,10 @@ def effective_matrix_general(
     rx_window: WindowSpec,
     cfg: OtfsFrameConfig,
 ) -> np.ndarray:
-    """Dense M*N x M*N matrix mapping vec(data) to vec(estimate), noiseless."""
+    """Dense M*N x M*N matrix mapping vec(data) to vec(estimate), noiseless.
+    Its chain is FFT, window, gather and single dense stages, so it is filled
+    one column slab at a time (:meth:`OperatorChain.materialize`): beside H
+    and the result it holds one slab's stages."""
     return effective_operator_general(channel_matrix, tx_window, rx_window, cfg).materialize()
 
 

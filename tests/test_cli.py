@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import otfsim
 import otfsim._lapack
 from otfsim import kronops
-from otfsim.channel import CP_TOL, LtvChannel, channel_from_json
+from otfsim.channel import CP_TOL, LtvChannel, channel_from_json, synthesize
 from otfsim.cli import (
     _CSV_CHUNK_ENTRIES,
     _fmt,
@@ -203,6 +203,23 @@ class TestCapacityMode:
                 total += float(np.log2(np.real(np.linalg.det(gram) / 0.5 ** (m * 2))))
             assert abs(total - float(row["mi_ofdm_sum_bits"])) <= 1e-8
 
+    def test_exported_channels_are_the_sweeps_own_draws(self, tmp_path, monkeypatch):
+        # Five trials of a 2x2 frame are 20 antenna-pair draws; exporting them
+        # draws none again. Every channel table is drawn through otfsim.mimo.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr("otfsim.mimo.synthesize", counted)
+        doc = dict(BASE, mimo={"n_t": 2, "n_r": 2},
+                   run={"trials": 5, "seed": 7, "export_channels": True})
+        path = write_config(tmp_path, doc)
+        assert main(["capacity", "--config", path, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 20
+        assert len(list((tmp_path / "channels").glob("trial*_rx*_tx*.json"))) == 20
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"frame": {"M": 4}})
         assert main(["capacity", "--config", path, "--out", str(tmp_path)]) == 2
@@ -224,7 +241,7 @@ class TestCapacityMode:
         def no_draw(*args, **kwargs):
             raise AssertionError("a channel was drawn")
 
-        monkeypatch.setattr("otfsim.capacity.channel_table", no_draw)
+        monkeypatch.setattr("otfsim.mimo.synthesize", no_draw)
         path = write_config(tmp_path, dict(BASE, noise=noise))
         out = tmp_path / "out"
         assert main(["capacity", "--config", path, "--out", str(out)]) == 2

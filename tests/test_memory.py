@@ -6,11 +6,14 @@ traces one function's allocations with ``tracemalloc`` (numpy reports its
 array buffers to it) and bounds the peak in units of one C x C (or R x C)
 complex128 array, so a change that keeps a dense array alive past its last
 reader fails. The measured peaks sit about 0.3 units under each bound;
-keeping the frame-length H for the whole of ``check_specializations``, the
-delay-Doppler matrix through the frequency-domain export, a copy of a
-stage's input at a CP or DFT stage, the whole C x C transmit transform
-of a MIMO sweep or effective matrix, a whole C x C rebuild in the 2-D
-circulant check, or verify's capacity-route draws side by side crosses it.
+keeping the frame-length H for the whole of ``check_specializations``, a
+whole general matrix beside a specialization, the general build's whole
+identity or stage arrays instead of one column slab's, the reduced channel
+beside its column products, the delay-Doppler matrix through the
+frequency-domain export, a copy of a stage's input at a CP or DFT stage,
+the whole C x C transmit transform of a MIMO sweep or effective matrix, a
+whole C x C rebuild in the 2-D circulant check, or verify's capacity-route
+draws side by side crosses it.
 
 An allocator can keep the pages of freed arrays resident, which
 ``tracemalloc`` does not see, so one test also bounds a run's growth in
@@ -28,12 +31,13 @@ import numpy as np
 import pytest
 
 from otfsim.capacity import TrialPlan, capacity_sweep
-from otfsim.channel import ChannelModel
-from otfsim.checks import (VerifyContext, check_capacity_routes, check_chain_vs_matrix,
-                           check_specializations)
+from otfsim.channel import ChannelModel, assemble_h_matrix, synthesize, trial_rng
+from otfsim.checks import (VerifyContext, check_block_diagonality, check_capacity_routes,
+                           check_chain_vs_matrix, check_specializations)
 from otfsim.cli import parse_config, run_effective_channel
 from otfsim.mimo import MimoConfig, capacity_trial_arrays, channel_table, mimo_effective_matrix
-from otfsim.transceiver import OtfsFrameConfig, WindowSpec, dd_channel_as_2d_convolution
+from otfsim.transceiver import (OtfsFrameConfig, WindowSpec, dd_channel_as_2d_convolution,
+                                effective_matrix_general)
 
 # SISO, general transmit window, separable receive window: the dense
 # reference paths of verify and effective-channel. C = M*N = 512, so one
@@ -82,18 +86,35 @@ def peak_arrays(function, rows: int = M * N, cols: int = M * N) -> float:
     return (peak - before) / (16 * rows * cols)
 
 
-def test_specializations_hold_one_general_build_at_a_time(ctx):
-    # A general build peaks at its H stage, about 3.6 units: H, the stage's
-    # input and its output. The CP stages are gathers and a DFT factor after
-    # the first writes into its stage's own array, so no stage copies its
-    # input. H lives only inside that build, and each specialization is built
-    # beside one general matrix only: the peak, about 4.1, is the separable
-    # build (3.0) beside it.
-    assert peak_arrays(lambda: check_specializations(ctx)) < 4.4
+def test_general_build_holds_one_slab_beside_its_result(ctx):
+    # Beside H, which its caller holds, the general build holds its result and
+    # one slab's arrays, about 1.5 units at 64 of C = 512 columns: the slab's
+    # identity columns, the input and output of its H stage, and the slab
+    # before it. Applying the chain to the whole identity took 2.25.
+    h = assemble_h_matrix(synthesize(ctx.channel_model, ctx.frame, rng=trial_rng(ctx.seed, 0)))
+    assert peak_arrays(lambda: effective_matrix_general(
+        h, ctx.tx_window, ctx.rx_window, ctx.frame)) < 1.85
+
+
+def test_specializations_hold_no_whole_general_matrix(ctx):
+    # Each specialization is built whole first; the separable build, about
+    # 3.1 units, is the check's peak. The general operator is then compared
+    # with it one column slab at a time beside H, about 2.8. Holding a whole
+    # general matrix beside the separable build took 4.1.
+    assert peak_arrays(lambda: check_specializations(ctx)) < 3.4
 
 
 def test_chain_vs_matrix_holds_one_general_build(ctx):
-    assert peak_arrays(lambda: check_chain_vs_matrix(ctx)) < 3.9
+    # H, the general matrix and one slab's arrays, about 2.8 units; the whole
+    # identity through the chain took 3.5.
+    assert peak_arrays(lambda: check_chain_vs_matrix(ctx)) < 3.1
+
+
+def test_block_diagonality_holds_no_reduced_matrix(ctx):
+    # H and the (N, F, M) stack of its symbols' column products, about 2.5
+    # units. Concatenating the products and then the reduced C x C matrix
+    # took 3.5.
+    assert peak_arrays(lambda: check_block_diagonality(ctx)) < 2.8
 
 
 def test_route_check_holds_one_draw_at_a_time(cfg):

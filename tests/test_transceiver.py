@@ -9,10 +9,11 @@ relation.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from otfsim.channel import ChannelModel, assemble_h_matrix, reduce_to_block_channel, synthesize, trial_rng
+from otfsim import kronops
 from otfsim.errors import DimensionError
 from otfsim.kronops import (
     DenseFactor,
@@ -21,12 +22,14 @@ from otfsim.kronops import (
     IdentityFactor,
     InverseDftFactor,
     KronOperator,
+    OperatorChain,
     SelectionFactor,
     dft_matrix,
     kron,
     unvec,
     vec,
 )
+from otfsim.mimo import MimoConfig, mimo_modulation_stages
 from otfsim.transceiver import (
     OtfsFrameConfig,
     WindowSpec,
@@ -398,6 +401,84 @@ class TestCopyFreeStages:
                 assert out.tobytes() == expected.reshape(out.shape).tobytes()
 
 
+class TestSlabbedMaterialization:
+    """``OperatorChain.materialize`` fills a chain of FFT, window, gather and
+    lone dense stages one slab of identity columns at a time, with the bits
+    of the whole chain applied to the identity, signed zeros included."""
+
+    @staticmethod
+    def whole(chain):
+        return chain.apply(np.eye(chain.shape[1], dtype=np.complex128))
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(m=st.integers(1, 16), n=st.integers(1, 8), cp=st.integers(0, 15),
+           tx_kind=WINDOW_KINDS, rx_kind=WINDOW_KINDS, seed=st.integers(0, 2**32 - 1),
+           width=st.sampled_from([8, 16, 24, 40, 64]))
+    def test_general_build_equals_the_whole_chain_bit_for_bit(self, m, n, cp, tx_kind,
+                                                              rx_kind, seed, width):
+        # Widths that do and do not divide C. The slab's zgemm by H gives each
+        # column the bits of the whole product on the SkylakeX kernels; under
+        # the Haswell kernels a narrower product can take other bits at some
+        # shapes, so a draw where zgemm itself differs by batch is set aside:
+        # the FFT, window and gather stages and the slab bookkeeping must add
+        # no difference of their own.
+        cfg = OtfsFrameConfig(num_subcarriers=m, num_symbols=n, cp_len=cp % m)
+        rng = np.random.default_rng(seed)
+        h = rand_complex(rng, cfg.frame_len, cfg.frame_len)
+        tx, rx = random_window(rng, tx_kind, cfg), random_window(rng, rx_kind, cfg)
+        chain = effective_operator_general(h, tx, rx, cfg)
+        transform = OperatorChain(mimo_modulation_stages(tx, MimoConfig(cfg)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kronops, "SLAB_COLUMNS", width)
+            columns = [c for c, _ in chain.slabs()]
+            assert columns[0].start == 0 and columns[-1].stop == cfg.grid_size
+            assert all(a.stop == b.start for a, b in zip(columns, columns[1:]))
+            assert all(c.stop - c.start >= min(width, cfg.grid_size) for c in columns)
+            assert transform.materialize().tobytes() == self.whole(transform).tobytes()
+            dense = next(i for i, stage in enumerate(chain.stages)
+                         if isinstance(stage.factors[0], DenseFactor))
+            h_input = OperatorChain(chain.stages[dense + 1:]).apply(np.eye(cfg.grid_size))
+            h_output = chain.stages[dense].apply(h_input)
+            assume(all(chain.stages[dense].apply(h_input[:, c]).tobytes()
+                       == h_output[:, c].tobytes() for c in columns))
+            assert chain.materialize().tobytes() == self.whole(chain).tobytes()
+
+    @pytest.mark.parametrize("m, n, cp", [(32, 16, 4), (64, 16, 8)],
+                             ids=["golden-mid", "reference-export"])
+    def test_general_build_at_the_pinned_geometries(self, m, n, cp):
+        # The geometries of the golden mid-size digests and of the benchmark's
+        # reference-export workload, at the default slab width: no draw is
+        # set aside here, whatever the BLAS kernels and thread count.
+        cfg = OtfsFrameConfig(num_subcarriers=m, num_symbols=n, cp_len=cp)
+        rng = np.random.default_rng(m + n)
+        chain = effective_operator_general(
+            rand_complex(rng, cfg.frame_len, cfg.frame_len), random_window(rng, "general", cfg),
+            random_window(rng, "separable", cfg), cfg)
+        assert len(list(chain.slabs())) > 1
+        assert chain.materialize().tobytes() == self.whole(chain).tobytes()
+
+    def test_batched_products_go_through_whole(self, monkeypatch):
+        # A block-diagonal factor, or a dense factor beside another factor, is
+        # a batched product whose bits can depend on the batch width.
+        def no_slabs(chain):
+            raise AssertionError("slabbed")
+
+        monkeypatch.setattr(OperatorChain, "slabs", no_slabs)
+        monkeypatch.setattr(kronops, "SLAB_COLUMNS", 8)
+        cfg = OtfsFrameConfig(num_subcarriers=8, num_symbols=4, cp_len=2)
+        rng = np.random.default_rng(3)
+        blocks = rand_complex(rng, 4, 8, 8)
+        sep = [random_window(rng, "separable", cfg) for _ in range(2)]
+        effective_matrix_separable(blocks, *sep, cfg)
+        effective_matrix_rectangular(blocks, cfg)
+        effective_matrix_frequency_domain(blocks, *sep, cfg)
+        OperatorChain([KronOperator([IdentityFactor(4), DenseFactor(rand_complex(rng, 8, 8))]),
+                       KronOperator([DftFactor(32)])]).materialize()
+        with pytest.raises(AssertionError, match="slabbed"):
+            effective_matrix_general(rand_complex(rng, 40, 40), *sep, cfg)
+
+
 def _reduced_blocks(rng, cfg, length):
     channel = random_ltv_channel(rng, cfg, length)
     h = assemble_h_matrix(channel)
@@ -594,6 +675,32 @@ class TestTwoDConvolution:
         result = dd_channel_as_2d_convolution(eff, cfg)
         assert not result.is_circulant
         assert result.max_deviation > 1e-9
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(data=st.data(), m=st.integers(1, 8), n=st.integers(1, 4),
+           block_invariant=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_channel_constant_within_each_symbol_is_two_d_circulant(self, data, m, n,
+                                                                     block_invariant, seed):
+        # Static multipath, or Doppler frozen over each OFDM symbol, with a CP
+        # that covers the memory and rectangular windows: the general build's
+        # delay-Doppler matrix is a 2-D circular convolution. Doppler within
+        # each symbol breaks it (circulant in 34 of 300 random draws), so it
+        # is not drawn here.
+        cp = data.draw(st.integers(0, m - 1), label="cp")
+        taps = data.draw(st.integers(1, cp + 1), label="L")
+        rng = np.random.default_rng(seed)
+        if block_invariant:
+            model = ChannelModel.doppler_paths(
+                num_taps=taps, num_paths=data.draw(st.integers(1, taps), label="P"),
+                max_doppler=data.draw(st.floats(0.0, 0.45), label="nu_max"), block_invariant=True)
+        else:
+            delays = [*rng.permutation(taps - 1)[:rng.integers(0, taps)], taps - 1]
+            model = ChannelModel.static_multipath(rand_complex(rng, len(delays)), delays)
+        cfg = OtfsFrameConfig(num_subcarriers=m, num_symbols=n, cp_len=cp)
+        rect = WindowSpec.rectangular()
+        h = assemble_h_matrix(synthesize(model, cfg, rng=rng))
+        result = dd_channel_as_2d_convolution(effective_matrix_general(h, rect, rect, cfg), cfg)
+        assert result.is_circulant, result.max_deviation
 
 
     @settings(max_examples=40, deadline=None, derandomize=True)
