@@ -228,39 +228,32 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pool(workers: int, processes: bool):
-    """``workers`` threads or processes. Linux processes start by fork, not
-    the default from Python 3.14 on: a spawned worker imports numpy and the
-    package again, +1.1 s wall per effective-channel run at M=64, N=16, 2 vCPUs."""
+def _pool(workers: int):
+    """A pool of ``workers`` threads."""
     # Imported here, so that importing the package loads no pool module.
     from concurrent import futures
-    if not processes:
-        return futures.ThreadPoolExecutor(workers)
-    import multiprocessing
-    fork = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-    return futures.ProcessPoolExecutor(workers, mp_context=fork)
+    return futures.ThreadPoolExecutor(workers)
 
 
 @contextlib.contextmanager
-def map_in_order(function: Callable, items: Sequence, workers: Optional[int] = None,
-                 processes: bool = False) -> Iterator[Iterator]:
+def map_in_order(function: Callable, items: Sequence,
+                 workers: Optional[int] = None) -> Iterator[Iterator]:
     """Iterate over ``function(item)`` for each of ``items``, in item order.
 
     None ``workers`` means one per usable CPU; but threads share the
     process's BLAS, so without the library, whose pin keeps BLAS threads out
     of their way, they are not started: the items run in the caller's thread.
     Fewer than 2 workers or items run in the caller's thread. Otherwise
-    ``workers`` threads, or with ``processes`` worker processes, run them
-    with at most two items per worker in flight, and with BLAS on one thread
-    while the pool lives, so that BLAS threads do not compete with the
-    workers for the CPUs. Once any item has failed, no further item is
-    submitted, and reading on raises the lowest failing item's error, as a
-    serial run does. A thread runs each item in a copy of the caller's
-    context, so it sees the caller's numpy error state. No worker outlives
-    the ``with`` block, also when it raises; a thread pool's queued items
-    then never start."""
+    ``workers`` threads run them with at most two items per worker in
+    flight, and with BLAS on one thread while the pool lives, so that BLAS
+    threads do not compete with the workers for the CPUs. Once any item has
+    failed, no further item is submitted, and reading on raises the lowest
+    failing item's error, as a serial run does. A thread runs each item in a
+    copy of the caller's context, so it sees the caller's numpy error state.
+    No worker outlives the ``with`` block, also when it raises, and queued
+    items then never start."""
     if workers is None:
-        workers = usable_cpus() if processes or _bundled() is not None else 1
+        workers = usable_cpus() if _bundled() is not None else 1
     workers = min(workers, len(items))
     if workers < 2:
         yield map(function, items)
@@ -273,13 +266,12 @@ def map_in_order(function: Callable, items: Sequence, workers: Optional[int] = N
                 yield pending.pop(0).result()
             if any(future.done() and future.exception() is not None for future in pending):
                 break
-            pending.append(pool.submit(function, item) if processes
-                           else pool.submit(contextvars.copy_context().run, function, item))
+            pending.append(pool.submit(contextvars.copy_context().run, function, item))
         while pending:
             yield pending.pop(0).result()
 
     with one_blas_thread():
-        pool = _pool(workers, processes)
+        pool = _pool(workers)
         try:
             yield in_order(pool)
         finally:

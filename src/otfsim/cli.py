@@ -27,7 +27,6 @@ from typing import Collection, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _lapack
 from .capacity import CapacityResult, TrialPlan
 from .channel import ChannelModel, awgn, channel_to_json, require_cp_covers, trial_rng
 from .checks import VerifyContext, run_invariant_checks
@@ -365,50 +364,56 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]])
         writer.writerows(rows)
 
 
-# Matrix entries per task of the sparse-CSV writer: at most about 1.7 MB of
-# CSV text per task, so the chunks in flight stay small in the parent.
-_CSV_CHUNK_ENTRIES = 1 << 15
+# Matrix entries per chunk of the sparse-CSV writer: a chunk's lines and the
+# formatter's arrays take a few MiB.
+_CSV_CHUNK_ENTRIES = 1 << 14
 
 
-def _csv_rows(chunk: Tuple[int, np.ndarray, float]) -> Tuple[str, int]:
-    """The sparse-CSV lines of a ``(first, rows, threshold)`` chunk, numbered
-    from ``first``, and their entry count. Each row is one ``%`` template;
-    ``"%.17g" % x`` formats as :func:`_fmt` does."""
-    first, rows, threshold = chunk
-    parts = []
-    count = 0
-    for i, row in enumerate(rows, first):
-        cols = np.flatnonzero(np.abs(row) > threshold)
-        values = row[cols]
-        cells = [None] * (3 * len(cols))
-        cells[0::3] = cols.tolist()
-        cells[1::3] = values.real.tolist()
-        cells[2::3] = values.imag.tolist()
-        parts.append((f"{i},%d,%.17g,%.17g\n" * len(cols)) % tuple(cells))
-        count += len(cols)
-    return "".join(parts), count
+def _csv_lines(first: int, rows: np.ndarray, threshold: float) -> Tuple[bytes, int]:
+    """The sparse-CSV lines of ``rows``, numbered from ``first``, and their
+    count. Each line is one column of a NUL-padded (width, lines) array,
+    read out without its NULs; the floats are formatted as by :func:`_fmt`,
+    which also formats each one that the vectorized formatter leaves."""
+    from . import _decimal  # here, so that importing the CLI loads no formatter
+
+    r, c = np.nonzero(np.abs(rows) > threshold)
+    values = rows[r, c].astype(np.complex128, copy=False)
+    floats = _decimal.g17_columns(values.view(np.float64), _fmt)  # re, im, re, im, ...
+    fields = [_decimal.int_columns(r + first), _decimal.int_columns(c), floats[:, 0::2],
+              floats[:, 1::2]]
+    lines = np.empty((sum(len(f) for f in fields) + len(fields), len(r)), np.uint8)
+    start = 0
+    for field, separator in zip(fields, b",,,\n"):
+        lines[start:start + len(field)] = field
+        lines[start + len(field)] = separator
+        start += len(field) + 1
+    return lines.T.tobytes().translate(None, b"\0"), len(r)
 
 
 def _write_sparse_csv(path: Path, matrix: np.ndarray, threshold: float) -> int:
     """Write the entries of ``matrix`` above ``threshold`` in magnitude as
     (row, col, re, im) lines in row-major order, floats formatted as by
-    :func:`_fmt`; returns the entry count. Rows are formatted in chunks on
-    every usable CPU, with the same bytes for any CPU count. A non-finite
-    matrix raises :class:`NonFiniteError`, naming its first non-finite row,
-    before the file is created."""
+    :func:`_fmt`; returns the entry count. Rows are formatted a chunk at a
+    time, in the calling thread. A non-finite matrix raises
+    :class:`NonFiniteError`, naming its first non-finite row, before the
+    file is created, and a write that fails (out of memory, say) removes
+    the file."""
     finite_rows = np.isfinite(matrix).all(axis=1)
     if not finite_rows.all():
         first = int(np.argmin(finite_rows))
         require_finite(matrix[first], f"{path.name} row {first}")
     step = max(1, _CSV_CHUNK_ENTRIES // max(1, matrix.shape[1]))
-    chunks = [(first, matrix[first:first + step], threshold)
-              for first in range(0, len(matrix), step)]
     count = 0
-    with path.open("w") as fh, _lapack.map_in_order(_csv_rows, chunks, processes=True) as texts:
-        fh.write("row,col,re,im\n")
-        for text, n in texts:
-            fh.write(text)
-            count += n
+    try:
+        with path.open("wb") as fh:
+            fh.write(b"row,col,re,im\n")
+            for first in range(0, len(matrix), step):
+                text, n = _csv_lines(first, matrix[first:first + step], threshold)
+                fh.write(text)
+                count += n
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return count
 
 
@@ -650,8 +655,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    # The imported module's main, so that what the process pool pickles is
-    # found as otfsim.cli also when a profiler runs this file as __main__.
-    from otfsim.cli import main as imported_main
-
-    sys.exit(imported_main())
+    sys.exit(main())

@@ -11,7 +11,6 @@ thread count and the worker count.
 import contextlib
 import functools
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -223,9 +222,9 @@ def recorded_pools(monkeypatch):
     pools = []
     pool = otfsim._lapack._pool
 
-    def recorded(workers, processes):
+    def recorded(workers):
         pools.append(workers)
-        return pool(workers, processes)
+        return pool(workers)
 
     monkeypatch.setattr(otfsim._lapack, "_pool", recorded)
     return pools
@@ -368,8 +367,7 @@ class TestFailingTrial:
 def run_item(record_dir, failing, held, item):
     """Record ``item`` as started in ``record_dir``, take 0.5 s if it is in
     ``held`` and 50 ms otherwise, then raise ValueError if it is in
-    ``failing`` and else return its square. Module-level, so that a process
-    pool can pickle it."""
+    ``failing`` and else return its square."""
     Path(record_dir, str(item)).touch()
     time.sleep(0.5 if item in held else 0.05)
     if item in failing:
@@ -382,26 +380,29 @@ def caller(item):
 
 
 class TestMapInOrder:
-    """``_lapack.map_in_order``, on threads and on processes: results in item
-    order, at most two items per worker in flight, no item submitted after a
-    failure, the lowest failing item's error, BLAS on one thread while the
-    pool lives, no worker left after the ``with`` block, and on threads the
-    caller's numpy error state."""
+    """``_lapack.map_in_order``: results in item order, at most two items
+    per worker in flight, no item submitted after a failure, the lowest
+    failing item's error, BLAS on one thread while the pool lives, no worker
+    left after the ``with`` block, and the caller's numpy error state."""
 
-    @pytest.fixture(params=[False, True], ids=["threads", "processes"])
-    def processes(self, request):
-        return request.param
+    @pytest.fixture(params=["threads"])
+    def pool(self):
+        """The test's pool is one of threads, and none of them outlives the
+        test."""
+        threads = threading.active_count()
+        yield
+        assert threading.active_count() == threads
 
     @staticmethod
-    def run(tmp_path, processes, items, failing=(), held=(), pause=0.0):
+    def run(tmp_path, items, failing=(), held=(), pause=0.0):
         """Every result of ``run_item`` over ``items`` on two workers, in
-        order, read ``pause`` seconds apart; the pool must leave no thread,
-        process or BLAS pin behind, also when it raises."""
+        order, read ``pause`` seconds apart; the pool must leave no thread
+        or BLAS pin behind, also when it raises."""
         threads, blas = threading.active_count(), CONTROL and blas_count()
         function = functools.partial(run_item, str(tmp_path), frozenset(failing),
                                      frozenset(held))
         try:
-            with otfsim._lapack.map_in_order(function, items, 2, processes) as outcomes:
+            with otfsim._lapack.map_in_order(function, items, 2) as outcomes:
                 results = []
                 for result in outcomes:
                     results.append(result)
@@ -409,35 +410,34 @@ class TestMapInOrder:
                 return results
         finally:
             assert threading.active_count() == threads
-            assert multiprocessing.active_children() == []
             assert (CONTROL and blas_count()) == blas
 
     @staticmethod
     def started(tmp_path):
         return sorted(int(path.name) for path in tmp_path.iterdir())
 
-    def test_results_in_item_order(self, tmp_path, processes):
-        assert self.run(tmp_path, processes, range(12), held={0}) == [i * i for i in range(12)]
+    def test_results_in_item_order(self, tmp_path, pool):
+        assert self.run(tmp_path, range(12), held={0}) == [i * i for i in range(12)]
         assert self.started(tmp_path) == list(range(12))
 
-    def test_two_items_per_worker_in_flight(self, tmp_path, processes):
+    def test_two_items_per_worker_in_flight(self, tmp_path, pool):
         function = functools.partial(run_item, str(tmp_path), frozenset(), frozenset({0}))
-        with otfsim._lapack.map_in_order(function, range(12), 2, processes) as outcomes:
+        with otfsim._lapack.map_in_order(function, range(12), 2) as outcomes:
             # Items 1 to 3 end while item 0 runs; item 4 waits until item 0 is read.
             assert next(outcomes) == 0
             assert self.started(tmp_path) == [0, 1, 2, 3]
             assert list(outcomes) == [i * i for i in range(1, 12)]
 
-    def test_fewer_than_two_workers_or_items_run_in_the_caller(self, monkeypatch, processes):
+    def test_fewer_than_two_workers_or_items_run_in_the_caller(self, monkeypatch, pool):
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(otfsim._lapack, "_pool", no_pool)
         for workers, items in ((1, range(5)), (0, range(3)), (4, range(1)), (4, range(0))):
-            with otfsim._lapack.map_in_order(caller, items, workers, processes) as outcomes:
+            with otfsim._lapack.map_in_order(caller, items, workers) as outcomes:
                 assert list(outcomes) == [caller(None)] * len(items)
 
-    def test_missing_workers_mean_one_per_usable_cpu(self, monkeypatch, processes):
+    def test_missing_workers_mean_one_per_usable_cpu(self, monkeypatch, pool):
         # Threads share the process's BLAS, so without the library's pin
         # they are not started.
         if CONTROL is None:
@@ -449,10 +449,9 @@ class TestMapInOrder:
             with contextlib.ExitStack() as stack:
                 if not library:
                     stack.enter_context(without_library())
-                with otfsim._lapack.map_in_order(caller, range(6),
-                                                 processes=processes) as outcomes:
+                with otfsim._lapack.map_in_order(caller, range(6)) as outcomes:
                     callers = list(outcomes)
-            if library or processes:
+            if library:
                 assert pools == [3]
                 assert caller(None) not in callers
             else:
@@ -461,43 +460,37 @@ class TestMapInOrder:
 
     # Item 2 fails while item 0 still runs. Reading item 1 would submit
     # item 4, and the pause after that read gives a worker time to start it.
-    def test_no_item_submitted_after_a_failure(self, tmp_path, processes):
+    def test_no_item_submitted_after_a_failure(self, tmp_path, pool):
         with pytest.raises(ValueError, match="item 2 failed"):
-            self.run(tmp_path, processes, range(40), failing={2}, held={0}, pause=0.2)
+            self.run(tmp_path, range(40), failing={2}, held={0}, pause=0.2)
         started = self.started(tmp_path)
         assert started[:3] == [0, 1, 2] and len(started) <= 4, started
 
-    def test_lowest_failing_item_is_raised(self, tmp_path, processes):
+    def test_lowest_failing_item_is_raised(self, tmp_path, pool):
         # Item 1 fails first; item 0 fails later and is the one raised.
         with pytest.raises(ValueError, match="item 0 failed"):
-            self.run(tmp_path, processes, range(40), failing={0, 1}, held={0})
+            self.run(tmp_path, range(40), failing={0, 1}, held={0})
         started = self.started(tmp_path)
         assert started[:2] == [0, 1] and len(started) <= 4, started
 
-    def test_a_raising_consumer_leaves_no_worker_and_starts_no_queued_item(
-            self, tmp_path, processes):
-        threads = threading.active_count()
+    def test_a_raising_consumer_leaves_no_worker_and_starts_no_queued_item(self, tmp_path, pool):
         function = functools.partial(run_item, str(tmp_path), frozenset(), frozenset(range(1, 40)))
         with pytest.raises(KeyError):
-            with otfsim._lapack.map_in_order(function, range(40), 2, processes) as outcomes:
+            with otfsim._lapack.map_in_order(function, range(40), 2) as outcomes:
                 next(outcomes)
                 raise KeyError("the consumer failed")
-        assert threading.active_count() == threads
-        assert multiprocessing.active_children() == []
         # When item 0 is read, the two workers hold items 1 and 2 and item 3
-        # is queued. A thread pool cancels it. A process pool may already have
-        # handed it to its workers' call queue, where it can no longer be
-        # cancelled; it never starts an item that was not submitted.
+        # is queued, and the pool cancels it.
         started = self.started(tmp_path)
-        assert started[:3] == [0, 1, 2] and len(started) <= (4 if processes else 3), started
+        assert started[:3] == [0, 1, 2] and len(started) <= 3, started
 
-    def test_blas_on_one_thread_while_the_pool_lives(self, set_blas_threads, processes):
+    def test_blas_on_one_thread_while_the_pool_lives(self, pool, set_blas_threads):
         set_blas_threads(2)
-        with otfsim._lapack.map_in_order(caller, range(4), 2, processes) as outcomes:
+        with otfsim._lapack.map_in_order(caller, range(4), 2) as outcomes:
             assert blas_count() == 1
             assert caller(None) not in list(outcomes)
         assert blas_count() == 2
-        with otfsim._lapack.map_in_order(caller, range(4), 1, processes) as outcomes:
+        with otfsim._lapack.map_in_order(caller, range(4), 1) as outcomes:
             assert blas_count() == 2
             assert set(outcomes) == {caller(None)}
 

@@ -4,7 +4,6 @@ import contextlib
 import csv
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -17,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import otfsim
-import otfsim._lapack
 from otfsim import kronops
 from otfsim.channel import CP_TOL, LtvChannel, channel_from_json, synthesize
 from otfsim.cli import (
@@ -594,45 +592,25 @@ class TestSparseCsv:
         matrix[37, 3] = matrix[52, 0] = 1.0
         assert _write_sparse_csv(path, matrix, THRESHOLD) == matrix.size
 
-    # Python 3.14 makes forkserver the default start method on Linux. Under
-    # it, or spawn, each worker would import numpy and the package again.
-    @pytest.mark.skipif(sys.platform != "linux"
-                        or "fork" not in multiprocessing.get_all_start_methods(),
-                        reason="the writer's pool asks for fork only on Linux, where it exists")
-    @pytest.mark.parametrize("default", ["forkserver", "spawn"])
-    def test_pool_starts_by_fork_whatever_the_default(self, tmp_path, monkeypatch, default):
-        if default not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"no {default} start method on this platform")
-        from concurrent.futures import ProcessPoolExecutor
-
-        methods = []
-
-        class Recorded(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                methods.append(self._mp_context.get_start_method())
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorded)
-        monkeypatch.setattr(otfsim._lapack, "usable_cpus", lambda: 2)
-        matrix = np.arange(70 * (_CSV_CHUNK_ENTRIES // 16)).reshape(70, -1) + 0.5j
-        before = multiprocessing.get_start_method(allow_none=True)
-        multiprocessing.set_start_method(default, force=True)
-        try:
-            count = _write_sparse_csv(tmp_path / "m.csv", matrix, THRESHOLD)
-        finally:
-            multiprocessing.set_start_method(before, force=True)
-        assert methods == ["fork"]
+    @pytest.mark.parametrize("entries", [1, 17, 100, 1 << 20])
+    def test_bytes_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, entries):
+        # One row per chunk (below and at the column count), five rows, and
+        # the whole matrix; parts at every scale besides the special ones.
+        rng = np.random.default_rng(7)
+        parts = np.concatenate([SPECIAL_PARTS, rng.standard_normal(40) * 10.0 ** rng.integers(
+            -30, 30, 40)])
+        matrix = rng.choice(parts, (23, 17)) + 1j * rng.choice(parts, (23, 17))
+        monkeypatch.setattr("otfsim.cli._CSV_CHUNK_ENTRIES", entries)
+        path = tmp_path / "m.csv"
         expected, expected_count = _per_line_csv(matrix, THRESHOLD)
-        assert count == expected_count
-        assert (tmp_path / "m.csv").read_bytes() == expected
+        assert _write_sparse_csv(path, matrix, THRESHOLD) == expected_count
+        assert path.read_bytes() == expected
 
 
-@pytest.mark.skipif(otfsim._lapack.usable_cpus() < 2,
-                    reason="the sparse-CSV writer runs a process pool only on 2 or more CPUs")
 def test_effective_channel_under_a_profiler(tmp_path):
-    # A profiler runs the CLI as __main__. The pool's row formatter used to
-    # pickle as __main__._csv_rows: exit 1 with a PicklingError at this size,
-    # a hang on larger configs.
+    # A profiler runs the CLI as __main__, not as otfsim.cli. The profiled
+    # run writes the plain run's bytes; this once failed at this size, when
+    # the CSV rows went to worker processes by their __main__ name.
     path = write_config(tmp_path, {
         "frame": {"M": 64, "N": 8, "M_cp": 4},
         "channel": {"kind": "doppler-paths", "L": 4, "P": 3, "nu_max": 0.05},
@@ -915,7 +893,7 @@ def test_capacity_only_flags(tmp_path, mode, flag):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("module", ["jsonschema", "multiprocessing"])
+@pytest.mark.parametrize("module", ["jsonschema", "multiprocessing", "otfsim._decimal"])
 def test_cli_import_leaves_module_out(module):
     code = f"import sys, otfsim.cli; sys.exit({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(otfsim.__file__).parents[1]))

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import otfsim._lapack
+import otfsim._decimal
 import otfsim.capacity
 import otfsim.cli
 from otfsim.cli import main
@@ -172,33 +172,30 @@ def test_out_of_memory_exits_four_with_one_line(tmp_path, capsys, monkeypatch, a
         "out of memory: Unable to allocate 4.00 GiB for an array"]
 
 
-def _out_of_memory_rows(chunk):
-    """Stands in for the CSV writer's row formatter; a module-level function,
-    so that the process pool can pickle it."""
-    raise MemoryError("Unable to allocate 1.00 GiB for an array")
+def test_out_of_memory_while_writing_a_csv_exits_four_with_one_line(
+        tmp_path, capsys, monkeypatch):
+    # effective-channel writes its CSV a chunk of rows at a time, here one
+    # row per chunk: the second chunk's formatting runs out of memory after
+    # the first chunk is written, and the partial CSV is removed.
+    chunks = []
+    g17_columns = otfsim._decimal.g17_columns
 
+    def out_of_memory(values, scalar):
+        chunks.append(len(values))
+        if len(chunks) == 2:
+            raise MemoryError("Unable to allocate 1.00 GiB for an array")
+        return g17_columns(values, scalar)
 
-def test_out_of_memory_in_a_pool_worker_exits_four_with_one_line(tmp_path, capsys, monkeypatch):
-    # effective-channel formats its CSV rows on a process pool, here two
-    # workers over one chunk per row: a MemoryError raised in a worker
-    # reaches the parent through the pool.
-    pools = []
-    pool = otfsim._lapack._pool
-
-    def recorded(workers, processes):
-        pools.append((workers, processes))
-        return pool(workers, processes)
-
-    monkeypatch.setattr(otfsim._lapack, "_pool", recorded)
-    monkeypatch.setattr(otfsim._lapack, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(otfsim._decimal, "g17_columns", out_of_memory)
     monkeypatch.setattr(otfsim.cli, "_CSV_CHUNK_ENTRIES", 1)
-    monkeypatch.setattr(otfsim.cli, "_csv_rows", _out_of_memory_rows)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"frame": FRAME}))
-    assert main(["effective-channel", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
-    assert pools == [(2, True)]
+    out = tmp_path / "out"
+    assert main(["effective-channel", "--config", str(path), "--out", str(out)]) == 4
+    assert len(chunks) == 2
     assert capsys.readouterr().err.splitlines() == [
         "out of memory: Unable to allocate 1.00 GiB for an array"]
+    assert list(out.iterdir()) == []
 
 
 MAGNITUDES = st.sampled_from([0.0, 1.0, 1e150, 1e300])
