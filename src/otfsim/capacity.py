@@ -12,12 +12,16 @@ agreement is part of the contract. Only the log-dets depend on sigma2, so
 each trial forms its channels, K, every K_n and every Gram once for all SNRs,
 and the parts of K and of every K_n that do not depend on the channel are
 built once per run, by its plan, each read by one route only. K comes from
-:func:`mimo.whole_block_k`, the one builder of K. At its peak a trial holds
-the plan's parts, K and its Gram; at a noise level before the last it holds
-the Gram and its shifted copy, and the last level shifts the trial's own copy
-of the Gram in place. :func:`mimo.dense_arrays`, the memory model, lists
-these arrays: the plan checks a capacity run's against the cap before any
-channel is drawn, and the worker rule reads one trial's.
+:func:`mimo.whole_block_k`, the one builder of K, and B_1, its one-antenna
+transform: trials that run side by side share the plan's B_1, and a trial
+too large for that builds its own and frees it once K is built. At its peak
+a trial holds K and its Gram beside the plan's parts, which hold no B_1 when
+trials run alone; at a noise level before the last it holds the Gram and its
+shifted copy, and the last level shifts the trial's own copy of the Gram in
+place.
+:func:`mimo.dense_arrays`, the memory model, lists these arrays: the plan
+checks a capacity run's against the cap before any channel is drawn, and
+the worker rule reads one trial's.
 
 MI follows the paper's convention: identity input covariance, and only
 the transmit window appears in K (the receive window sits after the point
@@ -46,8 +50,9 @@ ADDITIVITY_TOL = 1e-8
 
 # A sweep whose trials each hold at most this many dense bytes, the sum of
 # ``mimo.capacity_trial_arrays``, runs them side by side by default, one per
-# usable CPU, with BLAS on one thread; a larger trial runs alone, with BLAS
-# threads inside its K and Gram. Measured on 2 vCPUs with numpy's bundled
+# usable CPU, with BLAS on one thread, and they share the plan's B_1; a larger
+# trial runs alone, with BLAS threads inside its K and Gram, and builds its own
+# B_1, which it frees before its Gram. Measured on 2 vCPUs with numpy's bundled
 # OpenBLAS on 2 threads and malloc's thresholds pinned, 2x2 frames, 3 runs
 # each, 2 workers against 1: a 48 MiB trial (R=1024, 6 trials) took
 # 1.13-1.26 s against 1.22-1.58 s for +37 MiB peak RSS; a 192 MiB trial
@@ -108,10 +113,14 @@ class TrialPlan:
     The constructor first checks every array of a capacity run, as
     :func:`mimo.dense_arrays` lists them, against the dense cap, so an
     oversized run stops before any part is built or any channel is drawn.
-    It then builds both parts:
+    It then decides, once, whether a trial runs alone: ``runs_alone`` is
+    true when the arrays of :func:`mimo.capacity_trial_arrays` take more
+    than ``_PARALLEL_TRIAL_BYTES``. It then builds the parts:
 
     - ``transform`` is B_1 of :func:`one_antenna_transform`, from which
-      :func:`whole_block_k` builds K;
+      :func:`whole_block_k` builds K. A plan whose trials run alone holds
+      none (``transform`` is None): each trial builds its own and frees it
+      once K is built, so the trial's Gram does not sit beside it;
     - ``modulator`` is the (N, M*n_t, M*n_t) stack kron(I_{n_t}, F_M^H) W_n,
       so K_n = block_n modulator_n.
 
@@ -122,8 +131,11 @@ class TrialPlan:
     def __init__(self, tx_window: WindowSpec, mcfg: MimoConfig, channel_length: int):
         dense_arrays("capacity", mcfg, channel_length)
         self.mcfg = mcfg
-        self.channel_length = channel_length
-        self.transform = one_antenna_transform(tx_window, mcfg.frame)
+        self.tx_window = tx_window
+        held = np.dtype(np.complex128).itemsize * sum(
+            rows * cols for _, rows, cols in capacity_trial_arrays(mcfg, channel_length))
+        self.runs_alone = held > _PARALLEL_TRIAL_BYTES
+        self.transform = None if self.runs_alone else one_antenna_transform(tx_window, mcfg.frame)
         m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
         width = m * mcfg.num_tx
         require_dense(n * width, width, "per-symbol modulator")
@@ -140,12 +152,9 @@ class TrialPlan:
         """The one runner of trials: for each of ``keys`` in order, one
         :class:`BlockMiResult` per noise variance of the channel table
         ``draw(key)``. ``threads`` draws run at once; None runs one at a time
-        when the arrays of :func:`mimo.capacity_trial_arrays` take more than
-        ``_PARALLEL_TRIAL_BYTES``, and else leaves the count to
+        when the plan's trials run alone, and else leaves the count to
         :func:`_lapack.map_in_order`."""
-        held = np.dtype(np.complex128).itemsize * sum(
-            rows * cols for _, rows, cols in capacity_trial_arrays(self.mcfg, self.channel_length))
-        workers = 1 if threads is None and held > _PARALLEL_TRIAL_BYTES else threads
+        workers = 1 if threads is None and self.runs_alone else threads
         with _lapack.map_in_order(lambda key: _trial_block_mis(draw(key), self, noise_vars),
                                   keys, workers) as outcomes:
             return list(outcomes)
@@ -167,7 +176,14 @@ def _trial_block_mis(channels, plan: TrialPlan,
     """One :class:`BlockMiResult` per noise variance for one channel draw."""
     mcfg = plan.mcfg
     block_channel = mimo_block_channel(channels, mcfg)
-    gram = _gram(whole_block_k(block_channel, plan.transform, mcfg))
+    # A trial that runs alone builds its own B_1 and frees it once K is built,
+    # before the Gram is made; K goes once the Gram is made.
+    transform = (one_antenna_transform(plan.tx_window, mcfg.frame) if plan.runs_alone
+                 else plan.transform)
+    k_matrix = whole_block_k(block_channel, transform, mcfg)
+    del transform
+    gram = _gram(k_matrix)
+    del k_matrix
     worst = off_block_max(gram, mcfg.frame.num_subcarriers * mcfg.num_rx)
     require_within(worst, BLOCK_TOL,
                    "K K^H has off-diagonal block magnitude {deviation:.3e} > {tolerance:.1e}")

@@ -71,7 +71,9 @@ def capacity_trial_arrays(mcfg: MimoConfig, channel_length: int) -> List[Tuple[s
     and one more R x R array (the Gram's Fortran-ordered copy, or its shifted
     copy at a noise level before the last), then every K_n and their Grams.
     Not all are alive at once, so their sum bounds what a trial holds beside
-    the plan's parts; the sweep's worker rule reads it."""
+    the plan's parts; the sweep's worker rule reads it. A trial over the
+    rule's threshold also holds its own B_1 while it builds K, and frees it
+    before the Gram, which is no smaller, so the sum bounds that trial too."""
     m, rows = mcfg.frame.num_subcarriers, mcfg.rx_vector_len
     return [
         *_k_arrays(mcfg, channel_length),
@@ -94,7 +96,8 @@ def dense_arrays(mode: str, mcfg: MimoConfig, channel_length: int) -> List[Tuple
     this before it draws any channel. The cap bounds each array on its own,
     and the builders keep their own checks.
 
-    - ``capacity``: the plan's B_1 and per-symbol modulator, then
+    - ``capacity``: B_1 (the plan's, or, in a trial that runs alone, the
+      trial's own while it builds K), the plan's per-symbol modulator, then
       :func:`capacity_trial_arrays`.
     - ``simulate`` and ``effective-channel``: the build of
       :func:`mimo_effective_matrix`, B_1 and K's, then the R x C result.

@@ -250,13 +250,14 @@ class TestSweepBitsAndWorkers:
         # its copy, and the smaller tap tables, block channel and K_n stacks.
         trial = 16 * sum(rows * cols for _, rows, cols in capacity_trial_arrays(PAPER, 1))
         assert 16 * 256 * (256 + 2 * 256) < trial < 16 * 256 * (256 + 3 * 256)
-        plan = otfsim.capacity.TrialPlan(WindowSpec.rectangular(), PAPER, 1)
         table = channel_table(ChannelModel.identity(), PAPER, 0, 0)
         pools = recorded_pools(monkeypatch)
 
         def workers(draws, threads=None):
-            """The draws the runner maps at once; one when it starts no pool."""
+            """The draws the runner maps at once; one when it starts no pool.
+            The plan reads the threshold once, when it is built."""
             pools.clear()
+            plan = otfsim.capacity.TrialPlan(WindowSpec.rectangular(), PAPER, 1)
             plan.block_mis(lambda key: table, range(draws), [1.0], threads)
             return pools[0] if pools else 1
 

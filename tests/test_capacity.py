@@ -651,9 +651,11 @@ class TestOnePlanPerRun:
     """The plan's B_1 (from ``one_antenna_transform``, the builder that K's
     callers share) and its per-symbol modulator (built from ``idft_matrix``)
     are built once per run, by the plan's constructor, and the trials only
-    read them. verify's chain check builds its own B_1 through the same
-    builder and frees it with its K; verify makes its plan at its first MI
-    check, after its dense checks, so those run without the plan's parts."""
+    read them; a trial over ``_PARALLEL_TRIAL_BYTES`` runs alone and builds
+    its own B_1 instead, through the same builder. verify's chain check
+    builds its own B_1 too and frees it with its K; verify makes its plan at
+    its first MI check, after its dense checks, so those run without the
+    plan's parts."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -712,6 +714,42 @@ class TestOnePlanPerRun:
         plan.per_symbol_k(blocks)
         whole_block_k(blocks, plan.transform, mcfg)
         assert counts == {"plan": 1, "transform": 1, "modulator": 1}
+
+    def test_a_trial_that_runs_alone_builds_its_own_transform(self, counts, monkeypatch):
+        # One B_1 per trial, none by the plan, and none per noise level.
+        monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", 0)
+        frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
+        mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=1)
+        model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
+        capacity_sweep([1.0, 0.5], model, WindowSpec.rectangular(), mcfg, trials=3, seed=2)
+        assert counts == {"plan": 1, "runner": 1, "transform": 3, "modulator": 1}
+
+
+class TestTrialsThatRunAlone:
+    """A plan whose trials take more than ``_PARALLEL_TRIAL_BYTES`` holds no
+    B_1, and each trial builds its own: the sweep's bits stay those of the
+    plan-held B_1, at one worker and at two."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("window_kind", ["rectangular", "general"])
+    def test_sweep_bits_equal_with_the_plans_transform(self, monkeypatch, threads, window_kind):
+        frame = OtfsFrameConfig(num_subcarriers=8, num_symbols=4, cp_len=3)
+        mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=2)
+        model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.05)
+        window = random_window(np.random.default_rng(9), window_kind, frame)
+
+        def sweep():
+            return capacity_sweep([1.0, 0.1], model, window, mcfg, trials=3, seed=5,
+                                  threads=threads)
+
+        assert otfsim.capacity.TrialPlan(window, mcfg, 4).transform is not None
+        shared = sweep()
+        monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", 0)
+        assert otfsim.capacity.TrialPlan(window, mcfg, 4).transform is None
+        for a, b in zip(shared, sweep(), strict=True):
+            assert np.array_equal(a.per_trial_otfs_bits, b.per_trial_otfs_bits)
+            assert np.array_equal(a.per_trial_ofdm_bits, b.per_trial_ofdm_bits)
+            assert (a.capacity_otfs, a.capacity_ofdm) == (b.capacity_otfs, b.capacity_ofdm)
 
 
 class TestPaperResultOnRandomGeometries:

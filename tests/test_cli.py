@@ -609,8 +609,9 @@ class TestSparseCsv:
 
 def test_effective_channel_under_a_profiler(tmp_path):
     # A profiler runs the CLI as __main__, not as otfsim.cli. The profiled
-    # run writes the plain run's bytes; this once failed at this size, when
-    # the CSV rows went to worker processes by their __main__ name.
+    # run writes the plain run's bytes. This once failed at this size, when an
+    # earlier writer sent the CSV rows to worker processes by their __main__
+    # name; the writer now formats them in the calling thread.
     path = write_config(tmp_path, {
         "frame": {"M": 64, "N": 8, "M_cp": 4},
         "channel": {"kind": "doppler-paths", "L": 4, "P": 3, "nu_max": 0.05},

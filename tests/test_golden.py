@@ -48,8 +48,8 @@ SISO = {
     "run": {"emit_frequency_domain": True},
 }
 # The tiny configs write each CSV in one chunk. At M=32, N=16 the 512 x 512
-# matrices span several chunks, so the writer's process pool and the
-# full-size matrix products run too.
+# matrices span several chunks, so the writer's chunk-by-chunk formatting
+# and the full-size matrix products run too.
 SISO_MID = {
     "frame": {"M": 32, "N": 16, "M_cp": 4},
     "window": {
