@@ -9,14 +9,14 @@ diagonal, K K^H is block diagonal with blocks K_n K_n^H, so the block
 mutual information log2 det(I + K K^H / sigma2) splits into per-symbol
 terms exactly. Both routes are computed here independently and their
 agreement is part of the contract. Only the log-dets depend on sigma2, so
-each trial forms its channels, K, every K_n and every Gram once for all SNRs,
-and the parts of K and of every K_n that do not depend on the channel are
-built once per run, by its plan, each read by one route only. K comes from
-:func:`mimo.whole_block_k`, the one builder of K, and B_1, its one-antenna
-transform: trials that run side by side share the plan's B_1, and a trial
-too large for that builds its own and frees it once K is built. At its peak
-a trial holds K and its Gram beside the plan's parts, which hold no B_1 when
-trials run alone; at a noise level before the last it holds the Gram and its
+each trial forms its channels, K, every K_n and every Gram once for all SNRs.
+The part of every K_n that does not depend on the channel, the per-symbol
+modulator, is built once per run, by its plan. K comes from
+:func:`mimo.whole_block_k`, the one builder of K, which builds B_1, its
+one-antenna transform, for each K and frees it before the trial's Gram is
+made; B_1 feeds only the block route and the modulator only the per-symbol
+route. At its peak a trial holds K and its Gram beside the plan's per-symbol
+modulator; at a noise level before the last it holds the Gram and its
 shifted copy, and the last level shifts the trial's own copy of the Gram in
 place.
 :func:`mimo.dense_arrays`, the memory model, lists these arrays: the plan
@@ -40,8 +40,7 @@ from .channel import ChannelModel, require_cp_covers
 from .errors import ConfigError, NonFiniteError
 from .kronops import idft_matrix, off_block_max, require_dense, require_finite, require_within
 from .mimo import (MimoConfig, capacity_trial_arrays, channel_table, dense_arrays,
-                   mimo_block_channel, mimo_window_diagonal, one_antenna_transform,
-                   whole_block_k)
+                   mimo_block_channel, mimo_window_diagonal, whole_block_k)
 from .transceiver import OtfsFrameConfig, WindowSpec
 
 # Bounds on K K^H's off-diagonal blocks and on the gap between the two MI routes.
@@ -50,9 +49,8 @@ ADDITIVITY_TOL = 1e-8
 
 # A sweep whose trials each hold at most this many dense bytes, the sum of
 # ``mimo.capacity_trial_arrays``, runs them side by side by default, one per
-# usable CPU, with BLAS on one thread, and they share the plan's B_1; a larger
-# trial runs alone, with BLAS threads inside its K and Gram, and builds its own
-# B_1, which it frees before its Gram. Measured on 2 vCPUs with numpy's bundled
+# usable CPU, with BLAS on one thread; a larger trial runs alone, with BLAS
+# threads inside its K and Gram. Measured on 2 vCPUs with numpy's bundled
 # OpenBLAS on 2 threads and malloc's thresholds pinned, 2x2 frames, 3 runs
 # each, 2 workers against 1: a 48 MiB trial (R=1024, 6 trials) took
 # 1.13-1.26 s against 1.22-1.58 s for +37 MiB peak RSS; a 192 MiB trial
@@ -106,26 +104,22 @@ def mutual_information(k_matrix: np.ndarray, noise_var: float) -> float:
 
 
 class TrialPlan:
-    """The channel-independent parts of K and of every K_n for one transmit
-    window and geometry, shared by every trial of a run whose channels are
+    """The channel-independent part of every K_n for one transmit window and
+    geometry, shared by every trial of a run whose channels are
     ``channel_length`` taps long.
 
     The constructor first checks every array of a capacity run, as
     :func:`mimo.dense_arrays` lists them, against the dense cap, so an
-    oversized run stops before any part is built or any channel is drawn.
-    It then decides, once, whether a trial runs alone: ``runs_alone`` is
-    true when the arrays of :func:`mimo.capacity_trial_arrays` take more
-    than ``_PARALLEL_TRIAL_BYTES``. It then builds the parts:
+    oversized run stops before anything is built or any channel is drawn.
+    It then decides, once, whether a trial runs alone by default:
+    ``runs_alone`` is true when the arrays of
+    :func:`mimo.capacity_trial_arrays` take more than
+    ``_PARALLEL_TRIAL_BYTES``. It then builds ``modulator``, the
+    (N, M*n_t, M*n_t) stack kron(I_{n_t}, F_M^H) W_n, so that
+    K_n = block_n modulator_n.
 
-    - ``transform`` is B_1 of :func:`one_antenna_transform`, from which
-      :func:`whole_block_k` builds K. A plan whose trials run alone holds
-      none (``transform`` is None): each trial builds its own and frees it
-      once K is built, so the trial's Gram does not sit beside it;
-    - ``modulator`` is the (N, M*n_t, M*n_t) stack kron(I_{n_t}, F_M^H) W_n,
-      so K_n = block_n modulator_n.
-
-    B_1 feeds only the block route and the modulator only the per-symbol
-    route, so the two stay independent.
+    Each trial's K comes from :func:`whole_block_k`, which builds its own
+    B_1 from ``tx_window``, so the two routes share no part.
     """
 
     def __init__(self, tx_window: WindowSpec, mcfg: MimoConfig, channel_length: int):
@@ -135,7 +129,6 @@ class TrialPlan:
         held = np.dtype(np.complex128).itemsize * sum(
             rows * cols for _, rows, cols in capacity_trial_arrays(mcfg, channel_length))
         self.runs_alone = held > _PARALLEL_TRIAL_BYTES
-        self.transform = None if self.runs_alone else one_antenna_transform(tx_window, mcfg.frame)
         m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
         width = m * mcfg.num_tx
         require_dense(n * width, width, "per-symbol modulator")
@@ -176,12 +169,8 @@ def _trial_block_mis(channels, plan: TrialPlan,
     """One :class:`BlockMiResult` per noise variance for one channel draw."""
     mcfg = plan.mcfg
     block_channel = mimo_block_channel(channels, mcfg)
-    # A trial that runs alone builds its own B_1 and frees it once K is built,
-    # before the Gram is made; K goes once the Gram is made.
-    transform = (one_antenna_transform(plan.tx_window, mcfg.frame) if plan.runs_alone
-                 else plan.transform)
-    k_matrix = whole_block_k(block_channel, transform, mcfg)
-    del transform
+    # K goes once the Gram is made.
+    k_matrix = whole_block_k(block_channel, plan.tx_window, mcfg)
     gram = _gram(k_matrix)
     del k_matrix
     worst = off_block_max(gram, mcfg.frame.num_subcarriers * mcfg.num_rx)

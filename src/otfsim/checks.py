@@ -77,11 +77,10 @@ ROUTE_TRIALS = 3
 class VerifyContext:
     """Everything a check needs: frame/antenna geometry, the configured
     channel model and windows, the first noise level, and the seed, plus the
-    run's one plan of K's channel-independent parts. Building the context
-    checks every dense array of a verify run, as :func:`mimo.dense_arrays`
-    lists them, against the cap, before any channel is drawn. The plan is
-    made, with both its parts, at the first MI check, after the dense
-    checks, so that those run without the parts beside them."""
+    run's one capacity plan. Building the context checks every dense array
+    of a verify run, as :func:`mimo.dense_arrays` lists them, against the
+    cap, before any channel is drawn. The plan, whose one part is the
+    per-symbol modulator, is made at the first MI check."""
 
     mcfg: MimoConfig
     channel_model: ChannelModel

@@ -54,13 +54,13 @@ class MimoConfig:
 def _k_arrays(mcfg: MimoConfig, channel_length: int) -> List[Tuple[str, int, int]]:
     """What K's build holds besides B_1: the tap tables as :func:`mimo_block_channel`
     stacks them, one array as large as every antenna pair's table together, the
-    block channel, K's row slab (with more than one transmit antenna) and K."""
+    block channel, K's row slab and K."""
     m, n_t = mcfg.frame.num_subcarriers, mcfg.num_tx
     rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
     return [
         ("stacked tap tables", mcfg.num_rx * n_t * mcfg.frame.frame_len, channel_length),
         ("per-symbol block channel stack", rows, m * n_t),
-        *([("row slab of B", m * n_t, cols)] if n_t > 1 else []),
+        ("row slab of B", m * n_t, cols),
         ("whole-block K", rows, cols),
     ]
 
@@ -70,10 +70,10 @@ def capacity_trial_arrays(mcfg: MimoConfig, channel_length: int) -> List[Tuple[s
     from its draw of channels ``channel_length`` taps long: K's build, K's Gram
     and one more R x R array (the Gram's Fortran-ordered copy, or its shifted
     copy at a noise level before the last), then every K_n and their Grams.
-    Not all are alive at once, so their sum bounds what a trial holds beside
-    the plan's parts; the sweep's worker rule reads it. A trial over the
-    rule's threshold also holds its own B_1 while it builds K, and frees it
-    before the Gram, which is no smaller, so the sum bounds that trial too."""
+    Not all are alive at once, and the trial's own B_1, which
+    :func:`whole_block_k` frees on return, is no larger than the Gram's copy,
+    which is not alive beside it, so their sum bounds what a trial holds
+    beside the plan's modulator; the sweep's worker rule reads it."""
     m, rows = mcfg.frame.num_subcarriers, mcfg.rx_vector_len
     return [
         *_k_arrays(mcfg, channel_length),
@@ -96,9 +96,8 @@ def dense_arrays(mode: str, mcfg: MimoConfig, channel_length: int) -> List[Tuple
     this before it draws any channel. The cap bounds each array on its own,
     and the builders keep their own checks.
 
-    - ``capacity``: B_1 (the plan's, or, in a trial that runs alone, the
-      trial's own while it builds K), the plan's per-symbol modulator, then
-      :func:`capacity_trial_arrays`.
+    - ``capacity``: B_1, which each trial builds in :func:`whole_block_k`,
+      the plan's per-symbol modulator, then :func:`capacity_trial_arrays`.
     - ``simulate`` and ``effective-channel``: the build of
       :func:`mimo_effective_matrix`, B_1 and K's, then the R x C result.
     - ``verify``: the largest Kronecker product of ``check_kron_identities``,
@@ -328,39 +327,37 @@ def mimo_modulation_stages(tx_window: WindowSpec, mcfg: MimoConfig) -> List[Kron
 
 
 def one_antenna_transform(tx_window: WindowSpec, frame: OtfsFrameConfig) -> np.ndarray:
-    """B_1, the read-only (M*N)^2 product of :func:`mimo_modulation_stages` for one antenna."""
-    transform = OperatorChain(mimo_modulation_stages(tx_window, MimoConfig(frame))).materialize()
-    transform.flags.writeable = False
-    return transform
+    """B_1, the (M*N)^2 product of :func:`mimo_modulation_stages` for one antenna."""
+    return OperatorChain(mimo_modulation_stages(tx_window, MimoConfig(frame))).materialize()
 
 
-def whole_block_k(block_channel: np.ndarray, transform: np.ndarray, mcfg: MimoConfig) -> np.ndarray:
+def whole_block_k(block_channel: np.ndarray, tx_window: WindowSpec,
+                  mcfg: MimoConfig) -> np.ndarray:
     """The one builder of the whole-block K = diag(blocks) B, R x C, from the
-    stack of :func:`mimo_block_channel` and B_1 of :func:`one_antenna_transform`.
+    stack of :func:`mimo_block_channel` and the transmit window, and the one
+    caller of :func:`one_antenna_transform`: it builds B_1 and drops it on
+    return, so no caller holds B_1 beside what it makes of K.
 
     B, the C x C product of :func:`mimo_modulation_stages`, is B_1 on each
     antenna's rows and columns and zero elsewhere, and is never held. Symbol
     s's rows of K are block_s times symbol s's M*n_t rows of B: a slab, made
     after K and refilled for each symbol, whose antenna-t rows hold B_1's
-    symbol-s rows in antenna t's columns; with one antenna, B_1's own rows.
-    Each product is a zgemm call of the batched
-    ``blocks @ B.reshape(N, M*n_t, C)``, with the same operands up to the
-    signs of zeros in B, so K has the bits of ``OperatorChain.materialize``
+    symbol-s rows in antenna t's columns. Each product is a zgemm call of the
+    batched ``blocks @ B.reshape(N, M*n_t, C)``, with the same operands up to
+    the signs of zeros in B, so K has the bits of ``OperatorChain.materialize``
     with the block-channel stage in front."""
     m, n, n_t = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols, mcfg.num_tx
     rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
+    transform = one_antenna_transform(tx_window, mcfg.frame).reshape(n, m, n, m)
     require_dense(rows, cols, "whole-block K")
     k_matrix = np.empty((rows, cols), dtype=np.complex128)
     k_rows = k_matrix.reshape(n, rows // n, cols)
-    if n_t == 1:
-        np.matmul(block_channel, transform.reshape(n, m, cols), out=k_rows)
-        return k_matrix
     require_dense(m * n_t, cols, "row slab of B")
     # slab[t, i, s', t', j]: row (t, i) and column (s', t', j) of the slab.
     slab = np.zeros((n_t, m, n, n_t, m), dtype=np.complex128)
     antennas = np.arange(n_t)
     for symbol in range(n):
-        slab[antennas, :, :, antennas] = transform.reshape(n, m, n, m)[symbol]
+        slab[antennas, :, :, antennas] = transform[symbol]
         np.matmul(block_channel[symbol], slab.reshape(m * n_t, cols), out=k_rows[symbol])
     return k_matrix
 
@@ -379,5 +376,4 @@ def mimo_effective_matrix(
         KronOperator([DftFactor(n), IdentityFactor(mcfg.num_rx), InverseDftFactor(m)]),
         KronOperator([DiagonalFactor(mimo_window_diagonal(rx_window, mcfg, mcfg.num_rx))]),
         KronOperator([IdentityFactor(n * mcfg.num_rx), DftFactor(m)]),
-    ]).apply(whole_block_k(mimo_block_channel(channels, mcfg),
-                           one_antenna_transform(tx_window, mcfg.frame), mcfg))
+    ]).apply(whole_block_k(mimo_block_channel(channels, mcfg), tx_window, mcfg))

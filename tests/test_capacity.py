@@ -34,17 +34,12 @@ from otfsim.cli import main
 from otfsim.errors import ConfigError, NonFiniteError, SizeCapError, StructureError
 from otfsim.kronops import BlockDiagonalFactor, KronOperator, OperatorChain, dft_matrix, kron
 from otfsim.mimo import (MimoConfig, channel_table, mimo_block_channel, mimo_modulation_stages,
-                         mimo_window_diagonal, one_antenna_transform, whole_block_k)
+                         mimo_window_diagonal, whole_block_k)
 from otfsim.transceiver import OtfsFrameConfig, WindowSpec
 
 
 def rand_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def full_k(blocks, window, mcfg):
-    """The whole-block K of ``blocks`` behind ``window``, from a fresh B_1."""
-    return whole_block_k(blocks, one_antenna_transform(window, mcfg.frame), mcfg)
 
 
 def naive_mi(k_matrix, noise_var):
@@ -141,7 +136,7 @@ class TestBlockMi:
         channels = channel_table(model, mcfg, 1100 + trial, 0)
         result = otfs_block_mi(channels, WindowSpec.rectangular(), 0.8, mcfg)
         blocks = mimo_block_channel(channels, mcfg)
-        k_full = full_k(blocks, WindowSpec.rectangular(), mcfg)
+        k_full = whole_block_k(blocks, WindowSpec.rectangular(), mcfg)
         assert abs(result.total_bits - naive_mi(k_full, 0.8)) <= 1e-8
 
     def test_full_k_matches_dense_kronecker_composition(self):
@@ -152,7 +147,7 @@ class TestBlockMi:
         blocks = mimo_block_channel(channels, mcfg)
         rng = np.random.default_rng(8)
         window = WindowSpec.general(rand_complex(rng, 4))
-        k_full = full_k(blocks, window, mcfg)
+        k_full = whole_block_k(blocks, window, mcfg)
         # Dense oracle assembled from np.kron pieces only.
         big = np.zeros((8, 8), dtype=complex)
         for n, blk in enumerate(blocks):
@@ -173,7 +168,7 @@ class TestBlockMi:
         blocks = mimo_block_channel(channels, mcfg)
         rng = np.random.default_rng(10)
         window = WindowSpec.general(rand_complex(rng, 32))
-        k_full = full_k(blocks, window, mcfg)
+        k_full = whole_block_k(blocks, window, mcfg)
         gram = k_full @ k_full.conj().T
         rows = 8 * 2
         for i in range(4):
@@ -193,7 +188,7 @@ class TestBlockMi:
         channels = channel_table(model, mcfg, 5, 0)
         result = otfs_block_mi(channels, window, 0.1, mcfg)
         blocks = mimo_block_channel(channels, mcfg)
-        k_full = full_k(blocks, window, mcfg)
+        k_full = whole_block_k(blocks, window, mcfg)
         assert result.total_bits == mutual_information(k_full, 0.1)
         # The deviations as measured on a separate K K^H with its diagonal
         # blocks zeroed in a copy.
@@ -622,8 +617,9 @@ def random_window(rng, kind, frame):
 
 
 class TestSweepPlan:
-    # K is built from B_1 one symbol's row slab at a time; it must be the
-    # whole-B chain's K bit for bit at every antenna count.
+    # K is built from B_1 one symbol's row slab at a time, by the same zgemm
+    # calls at every antenna count; it must be the whole-B chain's K bit for
+    # bit, with one antenna too.
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(1, 4), n_t=st.integers(1, 3), n_r=st.integers(1, 3),
            window_kind=st.sampled_from(["rectangular", "separable", "general"]),
@@ -643,19 +639,17 @@ class TestSweepPlan:
             blocks = mimo_block_channel(channel_table(model, mcfg, seed, trial), mcfg)
             expected = OperatorChain([KronOperator([BlockDiagonalFactor(blocks)])]
                                      + mimo_modulation_stages(window, mcfg)).materialize()
-            assert np.array_equal(whole_block_k(blocks, plan.transform, mcfg), expected)
+            assert np.array_equal(whole_block_k(blocks, window, mcfg), expected)
             assert np.array_equal(plan.per_symbol_k(blocks), blocks @ modulator)
 
 
 class TestOnePlanPerRun:
-    """The plan's B_1 (from ``one_antenna_transform``, the builder that K's
-    callers share) and its per-symbol modulator (built from ``idft_matrix``)
-    are built once per run, by the plan's constructor, and the trials only
-    read them; a trial over ``_PARALLEL_TRIAL_BYTES`` runs alone and builds
-    its own B_1 instead, through the same builder. verify's chain check
-    builds its own B_1 too and frees it with its K; verify makes its plan at
-    its first MI check, after its dense checks, so those run without the
-    plan's parts."""
+    """The plan's one part, its per-symbol modulator (built from
+    ``idft_matrix``), is built once per run, by the plan's constructor, and
+    the trials only read it. B_1 (from ``one_antenna_transform``) is built
+    only by ``whole_block_k``, once for each K, whether a trial runs beside
+    others or alone, and by no plan. verify makes its plan at its first MI
+    check."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -671,12 +665,14 @@ class TestOnePlanPerRun:
 
         count(otfsim.capacity.TrialPlan, "__init__", "plan")
         count(otfsim.capacity.TrialPlan, "block_mis", "runner")
-        count(otfsim.capacity, "one_antenna_transform", "transform")
-        count(otfsim.mimo, "one_antenna_transform", "effective-matrix transform")
+        count(otfsim.capacity, "whole_block_k", "K")
+        count(otfsim.mimo, "whole_block_k", "K")
+        count(otfsim.mimo, "one_antenna_transform", "transform")
         count(otfsim.capacity, "idft_matrix", "modulator")
         return counts
 
-    def test_verify_builds_one_plan_and_one_transform(self, counts, tmp_path, monkeypatch):
+    def test_verify_builds_one_transform_per_k_and_one_plan(self, counts, tmp_path,
+                                                             monkeypatch):
         seen = []
 
         def recorded(owner, name, when):
@@ -695,14 +691,15 @@ class TestOnePlanPerRun:
             "channel": {"kind": "doppler-paths", "L": 3, "P": 2, "nu_max": 0.05},
             "noise": {"sigma2": [0.5]}, "run": {"seed": 7}}))
         assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
-        # One plan, made after every dense check, which builds both parts
-        # before the first of the runner calls, one per MI check.
-        assert counts == {"plan": 1, "runner": 2, "transform": 1, "modulator": 1,
-                          "effective-matrix transform": 1}
+        # Five Ks, each with its own B_1: the chain check's effective matrix,
+        # then one draw of the MI-additivity check and three of the
+        # capacity-route check. One plan, made after the chain check's K,
+        # builds its modulator before the first of the runner calls, one per
+        # MI check.
+        assert counts == {"plan": 1, "runner": 2, "K": 5, "transform": 5, "modulator": 1}
         assert seen[:2] == [
-            ("plan", {"effective-matrix transform": 1}),
-            ("runner", {"plan": 1, "transform": 1, "modulator": 1,
-                        "effective-matrix transform": 1})]
+            ("plan", {"K": 1, "transform": 1}),
+            ("runner", {"plan": 1, "K": 1, "transform": 1, "modulator": 1})]
 
     def test_the_plan_builds_each_part_once(self, counts):
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
@@ -710,46 +707,30 @@ class TestOnePlanPerRun:
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
         blocks = mimo_block_channel(channel_table(model, mcfg, 3, 0), mcfg)
         plan = otfsim.capacity.TrialPlan(WindowSpec.rectangular(), mcfg, model.channel_length)
-        assert counts == {"plan": 1, "transform": 1, "modulator": 1}
+        assert counts == {"plan": 1, "modulator": 1}
         plan.per_symbol_k(blocks)
-        whole_block_k(blocks, plan.transform, mcfg)
-        assert counts == {"plan": 1, "transform": 1, "modulator": 1}
+        assert counts == {"plan": 1, "modulator": 1}
+        whole_block_k(blocks, plan.tx_window, mcfg)
+        assert counts == {"plan": 1, "modulator": 1, "transform": 1}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_trials_side_by_side_each_build_their_own_transform(self, counts, threads):
+        # One B_1 per trial's K, none by the plan, and none per noise level.
+        frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
+        mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=1)
+        model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
+        capacity_sweep([1.0, 0.5], model, WindowSpec.rectangular(), mcfg, trials=3, seed=2,
+                       threads=threads)
+        assert counts == {"plan": 1, "runner": 1, "K": 3, "transform": 3, "modulator": 1}
 
     def test_a_trial_that_runs_alone_builds_its_own_transform(self, counts, monkeypatch):
-        # One B_1 per trial, none by the plan, and none per noise level.
+        # The same counts when the worker rule runs each trial alone.
         monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", 0)
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
         mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=1)
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
         capacity_sweep([1.0, 0.5], model, WindowSpec.rectangular(), mcfg, trials=3, seed=2)
-        assert counts == {"plan": 1, "runner": 1, "transform": 3, "modulator": 1}
-
-
-class TestTrialsThatRunAlone:
-    """A plan whose trials take more than ``_PARALLEL_TRIAL_BYTES`` holds no
-    B_1, and each trial builds its own: the sweep's bits stay those of the
-    plan-held B_1, at one worker and at two."""
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("window_kind", ["rectangular", "general"])
-    def test_sweep_bits_equal_with_the_plans_transform(self, monkeypatch, threads, window_kind):
-        frame = OtfsFrameConfig(num_subcarriers=8, num_symbols=4, cp_len=3)
-        mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=2)
-        model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.05)
-        window = random_window(np.random.default_rng(9), window_kind, frame)
-
-        def sweep():
-            return capacity_sweep([1.0, 0.1], model, window, mcfg, trials=3, seed=5,
-                                  threads=threads)
-
-        assert otfsim.capacity.TrialPlan(window, mcfg, 4).transform is not None
-        shared = sweep()
-        monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", 0)
-        assert otfsim.capacity.TrialPlan(window, mcfg, 4).transform is None
-        for a, b in zip(shared, sweep(), strict=True):
-            assert np.array_equal(a.per_trial_otfs_bits, b.per_trial_otfs_bits)
-            assert np.array_equal(a.per_trial_ofdm_bits, b.per_trial_ofdm_bits)
-            assert (a.capacity_otfs, a.capacity_ofdm) == (b.capacity_otfs, b.capacity_ofdm)
+        assert counts == {"plan": 1, "runner": 1, "K": 3, "transform": 3, "modulator": 1}
 
 
 class TestPaperResultOnRandomGeometries:

@@ -5,7 +5,7 @@ matrices, and a capacity trial an R x C K and its R x R Gram. Each test
 traces one function's allocations with ``tracemalloc`` (numpy reports its
 array buffers to it) and bounds the peak in units of one C x C (or R x C)
 complex128 array, so a change that keeps a dense array alive past its last
-reader fails. The measured peaks sit about 0.3 units under each bound;
+reader fails. The measured peaks sit 0.1-0.3 units under each bound;
 keeping the frame-length H for the whole of ``check_specializations``, a
 whole general matrix beside a specialization, the general build's whole
 identity or stage arrays instead of one column slab's, the reduced channel
@@ -13,8 +13,8 @@ beside its column products, the delay-Doppler matrix through the
 frequency-domain export, a copy of a stage's input at a CP or DFT stage,
 the whole C x C transmit transform of a MIMO sweep or effective matrix, a
 whole C x C rebuild in the 2-D circulant check, verify's capacity-route
-draws side by side, or the plan's B_1 beside the Gram of a trial that runs
-alone crosses it.
+draws side by side, or a one-antenna transform B_1 kept beside a trial's
+Gram (as a plan-held B_1 was) crosses it.
 
 An allocator can keep the pages of freed arrays resident, which
 ``tracemalloc`` does not see, so one test also bounds a run's growth in
@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import otfsim.capacity
 from otfsim.capacity import TrialPlan, capacity_sweep
 from otfsim.channel import ChannelModel, assemble_h_matrix, synthesize, trial_rng
 from otfsim.checks import (VerifyContext, check_block_diagonality, check_capacity_routes,
@@ -120,16 +119,15 @@ def test_block_diagonality_holds_no_reduced_matrix(ctx):
 
 
 def test_route_check_holds_one_draw_at_a_time(cfg):
-    # A fresh context, so that the plan's parts are built inside the trace.
-    # About 3.2 units: the plan's B_1 and modulator beside one draw's K and
-    # Gram. A SISO trial at this size runs beside others, so it shares the
-    # plan's B_1.
-    # Mapping the three draws under the sweep's default worker rule, two at
-    # once on two CPUs, took 5.3.
+    # A fresh context, so that the plan's modulator is built inside the trace.
+    # About 2.2 units: the modulator beside one draw's K and Gram, or K beside
+    # the B_1 that its build frees on return. A plan-held B_1 beside K and the
+    # Gram took 3.2; mapping the three draws under the sweep's default worker
+    # rule, two at once on two CPUs, took 5.3.
     fresh = VerifyContext(mcfg=cfg.mcfg, channel_model=cfg.channel_model,
                           tx_window=cfg.tx_window, rx_window=cfg.rx_window,
                           noise_var=1.0, seed=cfg.seed)
-    assert peak_arrays(lambda: check_capacity_routes(fresh)) < 3.6
+    assert peak_arrays(lambda: check_capacity_routes(fresh)) < 2.55
 
 
 def test_effective_matrix_holds_no_copy_of_a_stage_input(cfg):
@@ -175,14 +173,16 @@ def test_frequency_domain_export_frees_the_delay_doppler_matrix(cfg, tmp_path):
     assert peak_arrays(lambda: run_effective_channel(cfg, tmp_path)) < 3.6
 
 
-@pytest.mark.parametrize("n_t, n_r, bound", [(2, 2, 2.95), (3, 2, 2.45)], ids=["2x2", "3x2"])
+@pytest.mark.parametrize("n_t, n_r, bound", [(1, 1, 2.7), (2, 2, 2.6), (3, 2, 2.1)],
+                         ids=["siso", "2x2", "3x2"])
 def test_capacity_trial_holds_no_whole_transmit_transform(n_t, n_r, bound):
-    # One trial at M=32, N=8 peaks at about 2.65 units of R x C at 2x2 and
-    # 2.16 at 3x2: the Gram and its shifted copy beside the plan's parts,
-    # the one-antenna transform B_1 of (M*N)^2 entries, which trials this
-    # small share, and the per-symbol modulator. Holding
-    # the whole C x C transform of the stacked layout, n_t^2 times B_1,
-    # took them to 3.40 and 3.50.
+    # One trial at M=32, N=8 peaks at about 2.41 units of R x C for SISO,
+    # 2.40 at 2x2 and 2.00 at 3x2: K beside the one-antenna transform B_1 of
+    # (M*N)^2 entries, which K's build frees on return, then the Gram and its
+    # shifted copy, beside the plan's per-symbol modulator. A plan-held B_1
+    # beside the Gram took them to 3.41, 2.65 and 2.16; holding the whole
+    # C x C transform of the stacked layout, n_t^2 times B_1, to 3.40 at 2x2
+    # and 3.50 at 3x2.
     frame = OtfsFrameConfig(num_subcarriers=32, num_symbols=8, cp_len=4)
     mcfg = MimoConfig(frame, num_tx=n_t, num_rx=n_r)
     model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.05)
@@ -196,7 +196,7 @@ def test_capacity_trial_holds_no_whole_transmit_transform(n_t, n_r, bound):
                          ids=["siso", "2x2", "3x2", "2x3"])
 def test_capacity_trial_holds_at_most_the_models_trial_arrays(n_t, n_r):
     # The memory model's arrays of one trial, which the sweep's worker rule
-    # sums, bound what a trial at M=32, N=8 holds beside the plan's parts:
+    # sums, bound what a trial at M=32, N=8 holds beside the plan's modulator:
     # the trial peaked at 0.63-0.74 of their sum. A first draw runs before
     # the trace, so that numpy's one-time set-up of its random streams
     # (about 1 MiB) is not counted.
@@ -212,32 +212,6 @@ def test_capacity_trial_holds_at_most_the_models_trial_arrays(n_t, n_r):
     trial(0)
     entries = sum(rows * cols for _, rows, cols in capacity_trial_arrays(mcfg, 4))
     assert peak_arrays(lambda: trial(1), 1, 1) <= entries
-
-
-@pytest.mark.parametrize("n_t, n_r", [(1, 1), (2, 2), (3, 2)], ids=["siso", "2x2", "3x2"])
-def test_a_trial_that_runs_alone_frees_its_transform_before_the_gram(n_t, n_r, monkeypatch):
-    # With the worker rule's threshold below one trial's arrays, a trial at
-    # M=32, N=8 counts as one that runs alone: the plan holds no B_1, and the
-    # trial builds its own and frees it once K is built. Its peak is then the
-    # plan-held run's less B_1, (M*N)^2 entries: from 3.41 to 2.41 units of
-    # R x C for SISO, 2.65 to 2.40 at 2x2 and 2.16 to 2.00 at 3x2. A first
-    # sweep runs before the traces, so that numpy's one-time set-up of its
-    # random streams is not counted.
-    frame = OtfsFrameConfig(num_subcarriers=32, num_symbols=8, cp_len=4)
-    mcfg = MimoConfig(frame, num_tx=n_t, num_rx=n_r)
-    model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.05)
-
-    def sweep():
-        capacity_sweep([1.0, 0.1], model, WindowSpec.rectangular(), mcfg, trials=1, threads=1)
-
-    sweep()
-    assert TrialPlan(WindowSpec.rectangular(), mcfg, model.channel_length).transform is not None
-    shared = peak_arrays(sweep, 1, 1)
-    monkeypatch.setattr(otfsim.capacity, "_PARALLEL_TRIAL_BYTES", 0)
-    assert TrialPlan(WindowSpec.rectangular(), mcfg, model.channel_length).transform is None
-    alone = peak_arrays(sweep, 1, 1)
-    transform = frame.grid_size ** 2
-    assert abs(shared - alone - transform) < 0.05 * transform
 
 
 # The benchmark's large-frame capacity run (M=64, N=16, 2x2, R = C = 2048:
@@ -283,11 +257,11 @@ def test_peak_rss_follows_the_traced_arrays():
     # in place at its last noise level: the traced peak is 136 MiB, K and the
     # Gram, and the peak resident size rose 3.3-6.8 MiB above it (the BLAS
     # packing buffers, for one) under the SkylakeX, Haswell and Sandybridge
-    # kernels. Each trial runs alone, so it frees its own B_1 (16 MiB) before
-    # the Gram; the plan's B_1 beside K and the Gram traced 152 MiB. Under
-    # glibc's dynamic threshold the second trial's arrays came from the heap,
-    # whose freed pages stay resident: 18-22 MiB above it. A shifted copy
-    # beside the Gram traced 157 MiB with the plan's B_1.
+    # kernels. Each trial's K build frees its B_1 (16 MiB) before the Gram; a
+    # plan-held B_1 beside K and the Gram traced 152 MiB. Under glibc's
+    # dynamic threshold the second trial's arrays came from the heap, whose
+    # freed pages stay resident: 18-22 MiB above it. A shifted copy beside
+    # the Gram traced 157 MiB with a plan-held B_1.
     environ = {key: value for key, value in os.environ.items()
                if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
     environ.update(OPENBLAS_NUM_THREADS="1",
