@@ -1,7 +1,7 @@
 """numpy's own OpenBLAS through ctypes: ``zpotrf`` in place, the ``zgemm``
 Gram and the library's thread count; :func:`map_in_order`, the one worker
-pool; and the pin of glibc's malloc thresholds. No other module asks about
-the platform.
+pool; the pin of glibc's malloc thresholds; and :func:`lazy_zeros`, the
+allocator of mostly-zero arrays. No other module asks about the platform.
 
 ``np.linalg.cholesky`` copies its input into Fortran order, hands that
 buffer to the ``zpotrf`` of the OpenBLAS that numpy bundles, and copies the
@@ -48,6 +48,22 @@ threshold the user set, by its ``MALLOC_*_`` variable or its
 the C library has no ``mallopt`` (macOS's, for one) nothing is set. The
 pin is process-wide and changes where an array's memory comes from, not a
 value in it.
+
+numpy advises huge pages for every array of 4 MiB or more, so the first
+write into a 2 MiB stretch of it makes all 2 MiB resident. That suits the
+dense arrays, which are written in full, but not the large references that
+are mostly zero and written only on a band or a diagonal: the frame-length
+channel matrix H, a materialized block-diagonal factor and
+``effective-channel``'s two window matrices. Those come from
+:func:`lazy_zeros`, which advises ``MADV_NOHUGEPAGE`` on the array's whole
+pages right after ``np.zeros``, so a write makes one 4 KiB page resident.
+The advice is per array, not process-wide (numpy's
+``NUMPY_MADVISE_HUGEPAGE=0``): the dense K, the Grams and the Fortran copy
+of the capacity path are written in full and keep their huge pages, which
+spare them one page fault per 4 KiB. Only Linux gets the advice, through the same C library handle as
+``mallopt``, since other systems number their ``madvise`` advice
+differently; elsewhere :func:`lazy_zeros` is ``np.zeros``. The advice
+changes which pages are resident, not a value in the array.
 """
 
 from __future__ import annotations
@@ -91,10 +107,35 @@ def _pin_malloc_thresholds(environ, libc) -> None:
             mallopt(parameter, _MALLOC_THRESHOLD)
 
 
-if os.name == "posix":  # the process's own symbols, the C library's among them
-    _pin_malloc_thresholds(os.environ, ctypes.CDLL(None))
+# The process's own symbols, the C library's among them; None off POSIX.
+_LIBC = ctypes.CDLL(None) if os.name == "posix" else None
+if _LIBC is not None:
+    _pin_malloc_thresholds(os.environ, _LIBC)
 
 import numpy as np  # noqa: E402  (after the timeout and the pin above)
+
+# Linux's madvise and its MADV_NOHUGEPAGE advice, or None on other systems.
+_MADV_NOHUGEPAGE = 15
+_madvise = getattr(_LIBC, "madvise", None) if sys.platform.startswith("linux") else None
+if _madvise is not None:
+    _madvise.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+    _madvise.restype = ctypes.c_int
+_PAGE = os.sysconf("SC_PAGE_SIZE") if _madvise is not None else 1
+
+
+def lazy_zeros(shape, dtype=np.complex128) -> np.ndarray:
+    """``np.zeros(shape, dtype)`` for a large array that is mostly zero and
+    written sparsely. On Linux an array of :data:`_MALLOC_THRESHOLD` bytes or
+    more, the size from which numpy advises huge pages, is then advised
+    ``MADV_NOHUGEPAGE`` on its whole pages, so that each write makes one small
+    page resident; elsewhere, and below that size, it is ``np.zeros``."""
+    array = np.zeros(shape, dtype)
+    if _madvise is not None and array.nbytes >= _MALLOC_THRESHOLD:
+        start = -(-array.ctypes.data // _PAGE) * _PAGE
+        stop = (array.ctypes.data + array.nbytes) // _PAGE * _PAGE
+        _madvise(start, stop - start, _MADV_NOHUGEPAGE)
+    return array
+
 
 # numpy's wheels bundle scipy-openblas with 64-bit LAPACK integers under
 # this file name (numpy.libs on Linux and Windows, numpy/.dylibs on macOS)

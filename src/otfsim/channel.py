@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._lapack import lazy_zeros
 from .errors import ConfigError, DimensionError
 from .kronops import require_dense, require_finite, require_within
 from .transceiver import OtfsFrameConfig, cp_matrices
@@ -184,10 +185,11 @@ def synthesize(
 
 
 def assemble_h_matrix(channel: LtvChannel) -> np.ndarray:
-    """Dense frame-length channel matrix: entry (i, i-l) is taps[i, l]."""
+    """Dense frame-length channel matrix: entry (i, i-l) is taps[i, l]. Only
+    its band is written, so only the band's pages become resident."""
     span, length = channel.span, channel.length
     require_dense(span, span, "dense channel matrix")
-    h = np.zeros((span, span), dtype=np.complex128)
+    h = lazy_zeros((span, span))
     for l in range(length):
         idx = np.arange(l, span)
         h[idx, idx - l] = channel.taps[idx, l]

@@ -218,8 +218,8 @@ def check_specializations(ctx: VerifyContext) -> List[tuple]:
     one slab of columns at a time (:meth:`OperatorChain.slabs`), taking the
     max |difference| per slab: the general matrix is never held whole, and
     the max of the slab maxima is the whole matrix's. A comparison holds the
-    specialization, H and one slab's stages, about 2.8 C x C arrays at
-    M=32, N=16; the check's peak, about 3.1, is the separable build."""
+    specialization, H and one slab's stages, more than any specialization's
+    build holds, so it sets the check's peak."""
     rng = trial_rng(ctx.seed, 5)
     frame = ctx.frame
     channel, blocks = _specialization_blocks(ctx, 21)

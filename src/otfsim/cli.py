@@ -27,6 +27,7 @@ from typing import Collection, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._lapack import lazy_zeros
 from .capacity import CapacityResult, TrialPlan
 from .channel import ChannelModel, awgn, channel_to_json, require_cp_covers, trial_rng
 from .checks import VerifyContext, run_invariant_checks
@@ -571,6 +572,14 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0 if report["all_passed"] else 3
 
 
+def _diagonal_matrix(diagonal: np.ndarray) -> np.ndarray:
+    """``np.diag(diagonal)``, the same array, from :func:`lazy_zeros`, so
+    that only the pages of its diagonal become resident."""
+    matrix = lazy_zeros((diagonal.size, diagonal.size), diagonal.dtype)
+    np.fill_diagonal(matrix, diagonal)
+    return matrix
+
+
 def run_effective_channel(cfg: ExperimentConfig, out_dir: Path) -> int:
     threshold = 1e-12  # entries at or below this magnitude stay out of the CSVs
     mcfg = cfg.mcfg
@@ -593,8 +602,8 @@ def run_effective_channel(cfg: ExperimentConfig, out_dir: Path) -> int:
         freq = BlockDiagonalFactor(to_frequency_domain(blocks)).materialize()
         # Two statements, so each product's operand is freed before the next
         # product; the products and their order fix the CSV's last bits.
-        freq = np.diag(cfg.rx_window.diagonal(frame)) @ freq
-        freq = freq @ np.diag(cfg.tx_window.diagonal(frame))
+        freq = _diagonal_matrix(cfg.rx_window.diagonal(frame)) @ freq
+        freq = freq @ _diagonal_matrix(cfg.tx_window.diagonal(frame))
         _write_sparse_csv(out_dir / "effective_freq.csv", freq, threshold)
         meta["frequency_domain_file"] = "effective_freq.csv"
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

@@ -3,14 +3,15 @@
 Normalized DFT matrices, Kronecker products, column-stacking
 vectorization, and matrix-free application of Kronecker-structured
 operators (DFT factors go through the FFT, so a factor of size n costs
-O(total * log n) instead of a dense product, and write into the previous
-factor's output when that output is the operator's own; 0/1 selection
-factors are gathers; block-diagonal factors go through one batched
-product over their blocks). A chain of FFT, window, gather and single
-dense stages is materialized one slab of identity columns at a time. The
-package's three guards live here too: every dense allocation, every
-finiteness check and every raising tolerance verdict goes through
-``require_dense``, ``require_finite`` and ``require_within``.
+O(total * log n) instead of a dense product; 0/1 selection factors are
+gathers; block-diagonal factors go through one batched product over their
+blocks). DFT and square dense factors write into their input when it is
+an array the operator or chain made, never into the caller's. A chain of
+FFT, window, gather and single dense stages is materialized one slab of
+identity columns at a time. The package's three guards live here too:
+every dense allocation, every finiteness check and every raising
+tolerance verdict goes through ``require_dense``, ``require_finite`` and
+``require_within``.
 
 Conventions: ``vec`` stacks columns (Fortran order), so for conformable
 A, X, B the identity ``kron(B.T, A) @ vec(X) == vec(A @ X @ B)`` holds.
@@ -24,6 +25,7 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._lapack import lazy_zeros
 from .errors import DimensionError, NonFiniteError, SizeCapError, StructureError
 
 # Refuse dense materialization above this many entries (~1.6 GB complex128).
@@ -126,6 +128,21 @@ class DenseFactor:
         out = np.tensordot(self.matrix, tensor, axes=([1], [axis]))
         return np.moveaxis(out, 0, axis)
 
+    def _apply_over(self, tensor: np.ndarray, axis: int) -> np.ndarray:
+        """:meth:`apply`, written into ``tensor``'s memory, which the caller
+        owns. When the factor is square, ``tensor`` is C-contiguous and
+        ``np.tensordot`` would copy it into its operand, that copy is taken
+        here and the product goes into ``tensor``: the same ``np.dot`` of the
+        same operands, so the same bits, without a third array."""
+        if self.rows != self.cols or not tensor.flags.c_contiguous:
+            return self.apply(tensor, axis)
+        moved = np.moveaxis(tensor, axis, 0)
+        operand = moved.reshape(self.cols, -1)
+        if np.may_share_memory(operand, tensor):  # no copy to take
+            return self.apply(tensor, axis)
+        out = np.dot(self.matrix, operand, out=tensor.reshape(operand.shape))
+        return np.moveaxis(out.reshape(moved.shape), 0, axis)
+
 
 class BlockDiagonalFactor:
     """Block-diagonal matrix diag(B_0, ..., B_{N-1}) from an (N, rows, cols)
@@ -144,7 +161,7 @@ class BlockDiagonalFactor:
     def materialize(self) -> np.ndarray:
         require_dense(self.rows, self.cols, "dense block-diagonal matrix")
         count, block_rows, block_cols = self.blocks.shape
-        dense = np.zeros((count, block_rows, count, block_cols), dtype=np.complex128)
+        dense = lazy_zeros((count, block_rows, count, block_cols))
         dense[np.arange(count), :, np.arange(count), :] = self.blocks
         return dense.reshape(self.rows, self.cols)
 
@@ -253,10 +270,12 @@ class KronOperator:
     applies it to vectors (or to matrices, column by column) without
     materializing the product: the input is reshaped into a tensor whose
     axes follow the factor order (first factor slowest) and each factor
-    acts along its own axis. A DFT factor whose input is an array this
-    application made (not the caller's ``x`` or a view of it) transforms
-    that array in place, so a two-factor DFT stage holds one array besides
-    its input, not two.
+    acts along its own axis. ``apply`` never writes the caller's ``x``. An
+    array this application made, or one that an :class:`OperatorChain`
+    passes in as its own, may be overwritten: a DFT factor transforms it in
+    place, so a two-factor DFT stage holds one array besides its input, not
+    two, and a square dense factor writes its product into it (see
+    :meth:`DenseFactor._apply_over`).
     """
 
     def __init__(self, factors: Sequence[Factor]):
@@ -270,6 +289,12 @@ class KronOperator:
         self.shape = (rows, cols)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._apply(x, owned=False)[0]
+
+    def _apply(self, x: np.ndarray, owned: bool) -> Tuple[np.ndarray, bool]:
+        """The product with ``x``, which is overwritten only when ``owned``,
+        and whether the product may be overwritten in turn: it may when
+        ``owned``, or when it is not ``x`` or a view of it."""
         x = np.asarray(x, dtype=np.complex128)
         single = x.ndim == 1
         if single:
@@ -281,13 +306,16 @@ class KronOperator:
         batch = x.shape[1]
         tensor = x.reshape([f.cols for f in self.factors] + [batch])
         for axis, factor in enumerate(self.factors):
-            owned = not np.may_share_memory(tensor, x)
+            owned = owned or not np.may_share_memory(tensor, x)
             if owned and isinstance(factor, (DftFactor, InverseDftFactor)):
                 tensor = factor.apply(tensor, axis, out=tensor)
+            elif owned and isinstance(factor, DenseFactor):
+                tensor = factor._apply_over(tensor, axis)
             else:
                 tensor = factor.apply(tensor, axis)
+        owned = owned or not np.may_share_memory(tensor, x)
         out = tensor.reshape(self.shape[0], batch)
-        return out[:, 0] if single else out
+        return (out[:, 0] if single else out), owned
 
     def materialize(self) -> np.ndarray:
         require_dense(*self.shape, "materialized Kronecker operator")
@@ -319,6 +347,13 @@ class OperatorChain:
     ``OperatorChain([A, B, C]).apply(x)`` computes ``A @ (B @ (C @ x))``.
     Stages are :class:`KronOperator` instances (wrap a plain matrix in a
     single :class:`DenseFactor` to insert it).
+
+    ``apply`` never writes the caller's ``x``. An array that an earlier
+    stage made is the chain's own, and so is the identity that
+    :meth:`materialize` and :meth:`slabs` make: the next stage may overwrite
+    it, as :class:`KronOperator` overwrites the arrays it makes. So a DFT
+    stage holds no array besides its input, and a square dense factor beside
+    another one holds its input and one copy of it rather than three arrays.
     """
 
     def __init__(self, stages: Sequence[KronOperator]):
@@ -333,22 +368,34 @@ class OperatorChain:
         self.shape = (self.stages[0].shape[0], self.stages[-1].shape[1])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        # The loop is here, not behind a call that would hold x, so that an
+        # x that the caller does not keep is freed after the first stage.
+        owned = False
         for stage in reversed(self.stages):
-            x = stage.apply(x)
+            x, owned = stage._apply(x, owned)
+        return x
+
+    def _apply_to_identity(self, start: int, stop: int) -> np.ndarray:
+        """The stages applied to columns ``start:stop`` of the C x C identity.
+        The columns are made here, as the chain's own, so the first stage may
+        overwrite them and nothing else holds them once it is done."""
+        x = np.zeros((self.shape[1], stop - start), dtype=np.complex128)
+        x[np.arange(start, stop), np.arange(stop - start)] = 1.0
+        owned = True
+        for stage in reversed(self.stages):
+            x, owned = stage._apply(x, owned)
         return x
 
     def slabs(self) -> Iterator[Tuple[slice, np.ndarray]]:
         """(columns, the chain applied to those columns of the C x C identity)
         for consecutive slabs of ``SLAB_COLUMNS`` columns; the last slab takes
         the remainder too, so no slab is narrower than ``SLAB_COLUMNS`` unless
-        C is. Each slab's identity columns are made for it, so no whole
-        identity or whole stage array is held."""
+        C is. Each slab's identity columns are made for it, as the chain's
+        own, so no whole identity or whole stage array is held."""
         cols = self.shape[1]
         starts = range(0, max(cols - SLAB_COLUMNS, 0) + 1, SLAB_COLUMNS)
         for start, stop in zip(starts, [*starts[1:], cols]):
-            eye = np.zeros((cols, stop - start), dtype=np.complex128)
-            eye[np.arange(start, stop), np.arange(stop - start)] = 1.0
-            yield slice(start, stop), self.apply(eye)
+            yield slice(start, stop), self._apply_to_identity(start, stop)
 
     def materialize(self) -> np.ndarray:
         """The stages applied to the C x C identity. When every stage can be
@@ -361,10 +408,11 @@ class OperatorChain:
         widest = max(cols, *(stage.shape[0] for stage in self.stages))
         if not all(_slabbable(stage) for stage in self.stages):
             require_dense(widest, cols, "materialized operator chain")
-            return self.apply(np.eye(cols, dtype=np.complex128))
+            return self._apply_to_identity(0, cols)
         require_dense(rows, cols, "materialized operator chain")
         require_dense(widest, min(cols, 2 * SLAB_COLUMNS - 1), "operator chain slab")
         result = np.empty(self.shape, dtype=np.complex128)
         for columns, slab in self.slabs():
             result[:, columns] = slab
+            del slab  # before the next slab is made
         return result

@@ -592,6 +592,34 @@ class TestMallocThresholds:
         otfsim._lapack._pin_malloc_thresholds({}, object())
 
 
+class TestLazyZeros:
+    """``lazy_zeros`` is ``np.zeros``, and on Linux it advises an array of
+    4 MiB or more against huge pages on exactly the pages inside it."""
+
+    def advice(self, monkeypatch, shape, madvise=True):
+        calls = []
+        monkeypatch.setattr(otfsim._lapack, "_madvise",
+                            (lambda *call: calls.append(call) or 0) if madvise else None)
+        array = otfsim._lapack.lazy_zeros(shape)
+        assert array.dtype == np.complex128 and array.shape == shape and not array.any()
+        return array, calls
+
+    def test_advises_the_whole_pages_of_a_large_array(self, monkeypatch):
+        array, calls = self.advice(monkeypatch, (512, 513))
+        page = otfsim._lapack._PAGE
+        [(start, length, advice)] = calls
+        assert advice == otfsim._lapack._MADV_NOHUGEPAGE
+        assert start % page == 0 and length % page == 0
+        assert array.ctypes.data <= start < array.ctypes.data + page
+        assert array.ctypes.data + array.nbytes - page < start + length
+        assert start + length <= array.ctypes.data + array.nbytes
+
+    @pytest.mark.parametrize("shape, madvise", [((511, 512), True), ((512, 513), False)],
+                             ids=["under-4-mib", "not-linux"])
+    def test_advises_nothing_under_4_mib_or_off_linux(self, monkeypatch, shape, madvise):
+        assert self.advice(monkeypatch, shape, madvise)[1] == []
+
+
 def reference_export_config(seed, m=64, n=16, cp=8):
     """SISO frame with a drawn general transmit window and separable receive
     window, as in the benchmark's reference-export workload."""

@@ -20,6 +20,7 @@ from otfsim import kronops
 from otfsim.channel import CP_TOL, LtvChannel, channel_from_json, synthesize
 from otfsim.cli import (
     _CSV_CHUNK_ENTRIES,
+    _diagonal_matrix,
     _fmt,
     _write_sparse_csv,
     config_hash,
@@ -427,6 +428,16 @@ def test_cp_one_sample_short(data, n, n_t, n_r):
 
 
 class TestEffectiveChannelMode:
+    @pytest.mark.parametrize("size, dtype", [(5, np.float64), (5, np.complex128),
+                                             (600, np.complex128)])
+    def test_window_matrix_is_np_diag_bit_for_bit(self, size, dtype):
+        # 600 entries make a 5.5 MiB matrix, advised against huge pages.
+        rng = np.random.default_rng(size)
+        diagonal = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        diagonal = diagonal if dtype is np.complex128 else diagonal.real
+        matrix = _diagonal_matrix(diagonal)
+        assert matrix.dtype == dtype and matrix.tobytes() == np.diag(diagonal).tobytes()
+
     def test_identity_rectangular_dumps_unit_diagonal(self, tmp_path):
         doc = {
             "frame": {"M": 4, "N": 2, "M_cp": 0},

@@ -268,6 +268,134 @@ class TestOperatorChain:
             ])
 
 
+def _divisor(rng, size):
+    return int(rng.choice([d for d in range(1, size + 1) if size % d == 0]))
+
+
+def _random_factor(rng, cols, kind):
+    """A factor of ``cols`` columns: ``kind`` names its class, and a dense,
+    block-diagonal or selection factor gets a random row count."""
+    if kind == "dense":
+        rows = cols if rng.random() < 0.6 else int(rng.integers(1, cols + 3))
+        return DenseFactor(rand_complex(rng, rows, cols))
+    if kind == "identity":
+        return IdentityFactor(cols)
+    if kind == "dft":
+        return DftFactor(cols)
+    if kind == "idft":
+        return InverseDftFactor(cols)
+    if kind == "diagonal":
+        return DiagonalFactor(rand_complex(rng, cols))
+    if kind == "block-diagonal":
+        count = _divisor(rng, cols)
+        return BlockDiagonalFactor(rand_complex(rng, count, int(rng.integers(1, cols // count + 2)),
+                                                cols // count))
+    return SelectionFactor(rng.integers(0, cols, int(rng.integers(1, cols + 3))), cols)
+
+
+FACTOR_KINDS = ("dense", "identity", "dft", "idft", "diagonal", "block-diagonal", "selection")
+
+
+def _random_stage(rng, cols, first=None, last=None):
+    """A stage of one to three random factors over ``cols`` columns; ``first``
+    and ``last`` fix the kinds of its first and last factors."""
+    sizes = [cols]
+    for _ in range(int(rng.integers(0, 3))):
+        split = _divisor(rng, sizes[-1])
+        sizes[-1:] = [split, sizes[-1] // split]
+    kinds = [str(rng.choice(FACTOR_KINDS)) for _ in sizes]
+    if first:
+        kinds[0] = first
+    if last:
+        kinds[-1] = last
+    return KronOperator([_random_factor(rng, size, kind) for size, kind in zip(sizes, kinds)])
+
+
+def _random_chain(rng, shape):
+    """Two to five random stages, listed in matrix order, so the last one acts
+    first, and the chain's column count C. ``shape`` puts a dense factor
+    first or last in one stage of two or more factors, or makes the first
+    stage to act an identity. C is under 40, so materialize fills one slab,
+    and no stage has 128 rows or more."""
+    while True:
+        cols = int(rng.integers(4, 40))
+        special = int(rng.integers(0, 3))
+        stages, size = [], cols
+        for index in range(int(rng.integers(2, 6))):
+            if index == 0 and shape == "identity-first":
+                stage = KronOperator([IdentityFactor(size)])
+            elif index == special and shape in ("dense-first", "dense-last") and size > 3:
+                while True:
+                    stage = _random_stage(rng, size, **{shape.split("-")[1]: "dense"})
+                    if len(stage.factors) > 1:
+                        break
+            else:
+                stage = _random_stage(rng, size)
+            stages.insert(0, stage)
+            size = stage.shape[0]
+        if max(stage.shape[0] for stage in stages) < 128:
+            return OperatorChain(stages), cols
+
+
+def _fresh_reference(chain, x):
+    """The chain applied stage by stage with a fresh array from every factor:
+    dense factors through ``np.tensordot``, the others through their own
+    ``apply``, which makes a new array; nothing is written in place."""
+    x = np.array(x, dtype=np.complex128)
+    single = x.ndim == 1
+    x = x.reshape(len(x), -1)
+    for stage in reversed(chain.stages):
+        tensor = x.reshape([f.cols for f in stage.factors] + [x.shape[1]])
+        for axis, factor in enumerate(stage.factors):
+            if isinstance(factor, DenseFactor):
+                tensor = np.moveaxis(np.tensordot(factor.matrix, tensor, axes=([1], [axis])),
+                                     0, axis)
+            else:
+                tensor = factor.apply(tensor, axis)
+        x = tensor.reshape(stage.shape[0], -1)
+    return x[:, 0] if single else x
+
+
+class TestOwnership:
+    """An operator or chain overwrites only arrays it made (stage outputs and
+    the identity of materialize), never the caller's, and writing in place
+    moves no bit."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("shape", ["dense-first", "dense-last", "identity-first"])
+    def test_random_chain_keeps_its_input_and_the_fresh_bits(self, shape, seed):
+        rng = np.random.default_rng([61, seed, len(shape)])
+        chain, cols = _random_chain(rng, shape)
+        batch = int(rng.integers(0, 4))
+        x = rand_complex(rng, cols, batch) if batch else rand_complex(rng, cols)
+        if batch and seed % 3 == 0:
+            x = np.asfortranarray(x)
+        kept = x.copy()
+        x.flags.writeable = False  # a write into it raises
+        out = chain.apply(x)
+        assert x.tobytes() == kept.tobytes()
+        assert out.tobytes() == _fresh_reference(chain, kept).tobytes()
+        for stage in chain.stages:
+            given = rand_complex(rng, stage.shape[1], 3)
+            before = given.copy()
+            stage.apply(given)
+            assert given.tobytes() == before.tobytes()
+        assert chain.materialize().tobytes() == chain.apply(np.eye(cols, dtype=complex)).tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_dense_factor_over_an_owned_array_has_the_tensordot_bits(self, axis):
+        # Square and C-contiguous, with a batch axis last: the product goes
+        # into the input's memory unless the factor acts on the first axis,
+        # where tensordot's operand is a view of the input, not a copy.
+        rng = np.random.default_rng(62 + axis)
+        tensor = rand_complex(rng, 5, 6, 7, 3)
+        factor = DenseFactor(rand_complex(rng, tensor.shape[axis], tensor.shape[axis]))
+        expected = factor.apply(tensor, axis)
+        out = factor._apply_over(tensor, axis)
+        assert out.tobytes() == expected.tobytes()
+        assert np.may_share_memory(out, tensor) == (axis > 0)
+
+
 class TestBlockDiag:
     def test_materialize_places_blocks_on_the_diagonal(self):
         rng = np.random.default_rng(17)

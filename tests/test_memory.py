@@ -11,14 +11,21 @@ whole general matrix beside a specialization, the general build's whole
 identity or stage arrays instead of one column slab's, the reduced channel
 beside its column products, the delay-Doppler matrix through the
 frequency-domain export, a copy of a stage's input at a CP or DFT stage,
-the whole C x C transmit transform of a MIMO sweep or effective matrix, a
-whole C x C rebuild in the 2-D circulant check, verify's capacity-route
-draws side by side, or a one-antenna transform B_1 kept beside a trial's
-Gram (as a plan-held B_1 was) crosses it.
+a dense stage of the separable build that puts its product in a third
+array instead of over its input, the whole C x C transmit transform of a
+MIMO sweep or effective matrix, a whole C x C rebuild in the 2-D circulant
+check, verify's capacity-route draws side by side, or a one-antenna
+transform B_1 kept beside a trial's Gram (as a plan-held B_1 was) crosses
+it.
 
-An allocator can keep the pages of freed arrays resident, which
-``tracemalloc`` does not see, so one test also bounds a run's growth in
-max RSS, in a fresh interpreter, by its traced peak.
+``tracemalloc`` counts what is allocated, not what is resident, so two
+tests read the resident size of a fresh interpreter. One bounds a large
+capacity run's growth by its traced peak: an allocator that keeps the
+pages of freed arrays resident crosses it. The other bounds how much of a
+mostly-zero reference (the frame-length H, a materialized block-diagonal
+factor, a window matrix) becomes resident, against its traced size: such
+an array built under numpy's huge-page advice, whose sparse writes make
+every 2 MiB of it resident, crosses it.
 """
 
 import os
@@ -36,9 +43,10 @@ from otfsim.channel import ChannelModel, assemble_h_matrix, synthesize, trial_rn
 from otfsim.checks import (VerifyContext, check_block_diagonality, check_capacity_routes,
                            check_chain_vs_matrix, check_specializations)
 from otfsim.cli import parse_config, run_effective_channel
-from otfsim.mimo import MimoConfig, capacity_trial_arrays, channel_table, mimo_effective_matrix
+from otfsim.mimo import (MimoConfig, capacity_trial_arrays, channel_table, mimo_block_channel,
+                         mimo_effective_matrix)
 from otfsim.transceiver import (OtfsFrameConfig, WindowSpec, dd_channel_as_2d_convolution,
-                                effective_matrix_general)
+                                effective_matrix_general, effective_matrix_separable)
 
 # SISO, general transmit window, separable receive window: the dense
 # reference paths of verify and effective-channel. C = M*N = 512, so one
@@ -89,26 +97,45 @@ def peak_arrays(function, rows: int = M * N, cols: int = M * N) -> float:
 
 def test_general_build_holds_one_slab_beside_its_result(ctx):
     # Beside H, which its caller holds, the general build holds its result and
-    # one slab's arrays, about 1.5 units at 64 of C = 512 columns: the slab's
-    # identity columns, the input and output of its H stage, and the slab
-    # before it. Applying the chain to the whole identity took 2.25.
+    # one slab's arrays, about 1.3 units at 64 of C = 512 columns: the input
+    # and output of its H stage. The chain owns the slab's identity columns,
+    # so they are freed after its first stage, and the slab before it is
+    # freed before the next one is made; holding both took 1.57, and
+    # applying the chain to the whole identity 2.25.
     h = assemble_h_matrix(synthesize(ctx.channel_model, ctx.frame, rng=trial_rng(ctx.seed, 0)))
     assert peak_arrays(lambda: effective_matrix_general(
-        h, ctx.tx_window, ctx.rx_window, ctx.frame)) < 1.85
+        h, ctx.tx_window, ctx.rx_window, ctx.frame)) < 1.5
 
 
 def test_specializations_hold_no_whole_general_matrix(ctx):
-    # Each specialization is built whole first; the separable build, about
-    # 3.1 units, is the check's peak. The general operator is then compared
-    # with it one column slab at a time beside H, about 2.8. Holding a whole
-    # general matrix beside the separable build took 4.1.
-    assert peak_arrays(lambda: check_specializations(ctx)) < 3.4
+    # Each specialization is built whole first, the separable one in about 2.0
+    # units. The general operator is then compared with it one column slab at
+    # a time beside H, about 2.8, the check's peak. Holding a whole general
+    # matrix beside the separable build took 4.1; the separable build holding
+    # three arrays at its dense stages, as tensordot does, 3.1.
+    assert peak_arrays(lambda: check_specializations(ctx)) < 3.0
+
+
+def test_separable_build_writes_its_dense_stages_over_their_input(cfg):
+    # The whole identity goes through the chain, about 2.0 units: a square
+    # dense factor beside the identity factor copies its input once, as
+    # np.tensordot does, and writes the product over the input, which the
+    # chain made; the stage's output is then reordered into a new array.
+    # Taking tensordot's product into a third array took 3.0.
+    rng = np.random.default_rng(8)
+    windows = [WindowSpec.separable(rng.standard_normal(N) + 1j * rng.standard_normal(N),
+                                    rng.standard_normal(M) + 1j * rng.standard_normal(M))
+               for _ in range(2)]
+    blocks = mimo_block_channel(channel_table(cfg.channel_model, cfg.mcfg, cfg.seed, 0),
+                                cfg.mcfg)
+    assert peak_arrays(lambda: effective_matrix_separable(blocks, *windows, cfg.frame)) < 2.2
 
 
 def test_chain_vs_matrix_holds_one_general_build(ctx):
-    # H, the general matrix and one slab's arrays, about 2.8 units; the whole
-    # identity through the chain took 3.5.
-    assert peak_arrays(lambda: check_chain_vs_matrix(ctx)) < 3.1
+    # H, the general matrix and one slab's arrays, about 2.6 units; with the
+    # slab's identity columns and the slab before it still held, 2.8, and
+    # with the whole identity through the chain, 3.5.
+    assert peak_arrays(lambda: check_chain_vs_matrix(ctx)) < 2.75
 
 
 def test_block_diagonality_holds_no_reduced_matrix(ctx):
@@ -271,3 +298,60 @@ def test_peak_rss_follows_the_traced_arrays():
     grown, traced = map(int, run.stdout.split())
     assert traced < 140 << 20
     assert grown - traced < 12 << 20
+
+
+# One mostly-zero reference of at least 16 MiB in a fresh interpreter: how
+# far the resident size rose while it was built and held, and its traced
+# size. The frame-length H at M=64, N=16, M_cp=8 (F = 1152, 20 MiB) is
+# written on its band only; effective-channel's frequency stage materializes
+# the block-diagonal channel and builds each window matrix, 16 MiB each at
+# M=64, N=16, written on their blocks and diagonal only.
+SPARSE_BUILD = """
+import sys, tracemalloc
+import numpy as np
+from otfsim import cli
+from otfsim.channel import ChannelModel, assemble_h_matrix, synthesize, trial_rng
+from otfsim.kronops import BlockDiagonalFactor
+from otfsim.transceiver import OtfsFrameConfig
+
+def status_bytes(field):
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith(field + ":"))
+    return int(line.split()[1]) * 1024
+
+frame = OtfsFrameConfig(num_subcarriers=64, num_symbols=16, cp_len=8)
+rng = np.random.default_rng(4)
+channel = synthesize(ChannelModel.doppler_paths(num_taps=6, num_paths=4, max_doppler=0.05),
+                     frame, rng=trial_rng(4, 0))
+blocks = rng.standard_normal((16, 64, 64)) + 1j * rng.standard_normal((16, 64, 64))
+diagonal = rng.standard_normal(64 * 16) + 1j * rng.standard_normal(64 * 16)
+build = {
+    "h": lambda: assemble_h_matrix(channel),
+    "block-diagonal": lambda: BlockDiagonalFactor(blocks).materialize(),
+    "window": lambda: cli._diagonal_matrix(diagonal),
+}[sys.argv[1]]
+resident = status_bytes("VmRSS")
+tracemalloc.start()
+built = build()
+print(status_bytes("VmRSS") - resident, tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="reads /proc and relies on glibc's malloc thresholds")
+@pytest.mark.parametrize("build", ["h", "block-diagonal", "window"])
+def test_mostly_zero_references_are_resident_only_where_written(build):
+    # Each is its own mapping and advised against huge pages, so only the
+    # 4 KiB pages that its writes touch become resident: about a quarter of
+    # each. Under numpy's huge-page advice the first write into each 2 MiB
+    # made all of it resident, the whole traced size, as it did for np.diag's
+    # window matrices. tracemalloc counts the whole array either way.
+    environ = {key: value for key, value in os.environ.items()
+               if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+    environ["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", SPARSE_BUILD, build], env=environ,
+                         capture_output=True, text=True, timeout=120, check=True)
+    grown, traced = map(int, run.stdout.split())
+    assert traced >= 16 << 20
+    assert grown < traced / 2
+
