@@ -10,18 +10,19 @@ mutual information log2 det(I + K K^H / sigma2) splits into per-symbol
 terms exactly. Both routes are computed here independently and their
 agreement is part of the contract. Only the log-dets depend on sigma2, so
 each trial forms its channels, K, every K_n and every Gram once for all SNRs.
-The part of every K_n that does not depend on the channel, the per-symbol
-modulator, is built once per run, by its plan. K comes from
-:func:`mimo.whole_block_k`, the one builder of K, which builds B_1, its
-one-antenna transform, for each K and frees it before the trial's Gram is
-made; B_1 feeds only the block route and the modulator only the per-symbol
-route. At its peak a trial holds K and its Gram beside the plan's per-symbol
-modulator; at a noise level before the last it holds the Gram and its
-shifted copy, and the last level shifts the trial's own copy of the Gram in
-place.
-:func:`mimo.dense_arrays`, the memory model, lists these arrays: the plan
-checks a capacity run's against the cap before any channel is drawn, and
-the worker rule reads one trial's.
+Each trial builds everything it uses, so no dense array lives from one trial
+to the next. It runs the per-symbol route first: :func:`per_symbol_k` builds
+the trial's own per-symbol modulator, the part of every K_n that does not
+depend on the channel, and the trial keeps only the per-symbol bits at every
+noise level. K then comes from :func:`mimo.whole_block_k`, the one builder of
+K, which builds B_1, its one-antenna transform, for K and frees it on return,
+and the block-channel stack goes before the Gram is made. At its peak a
+trial holds K and its Gram; at a noise level before the last it holds the
+Gram and its shifted copy, and the last level shifts the trial's own copy of
+the Gram in place.
+:func:`mimo.dense_arrays`, the memory model, lists these arrays: the runner
+:func:`block_mis` checks a capacity run's against the cap before any channel
+is drawn, and its worker rule reads one trial's.
 
 MI follows the paper's convention: identity input covariance, and only
 the transmit window appears in K (the receive window sits after the point
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import _lapack
 from .channel import ChannelModel, require_cp_covers
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, NonFiniteError, OtfsimError
 from .kronops import idft_matrix, off_block_max, require_dense, require_finite, require_within
 from .mimo import (MimoConfig, capacity_trial_arrays, channel_table, dense_arrays,
                    mimo_block_channel, mimo_window_diagonal, whole_block_k)
@@ -103,56 +104,6 @@ def mutual_information(k_matrix: np.ndarray, noise_var: float) -> float:
     return float(_log_det_bits(_gram(k_matrix), noise_var))
 
 
-class TrialPlan:
-    """The channel-independent part of every K_n for one transmit window and
-    geometry, shared by every trial of a run whose channels are
-    ``channel_length`` taps long.
-
-    The constructor first checks every array of a capacity run, as
-    :func:`mimo.dense_arrays` lists them, against the dense cap, so an
-    oversized run stops before anything is built or any channel is drawn.
-    It then decides, once, whether a trial runs alone by default:
-    ``runs_alone`` is true when the arrays of
-    :func:`mimo.capacity_trial_arrays` take more than
-    ``_PARALLEL_TRIAL_BYTES``. It then builds ``modulator``, the
-    (N, M*n_t, M*n_t) stack kron(I_{n_t}, F_M^H) W_n, so that
-    K_n = block_n modulator_n.
-
-    Each trial's K comes from :func:`whole_block_k`, which builds its own
-    B_1 from ``tx_window``, so the two routes share no part.
-    """
-
-    def __init__(self, tx_window: WindowSpec, mcfg: MimoConfig, channel_length: int):
-        dense_arrays("capacity", mcfg, channel_length)
-        self.mcfg = mcfg
-        self.tx_window = tx_window
-        held = np.dtype(np.complex128).itemsize * sum(
-            rows * cols for _, rows, cols in capacity_trial_arrays(mcfg, channel_length))
-        self.runs_alone = held > _PARALLEL_TRIAL_BYTES
-        m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
-        width = m * mcfg.num_tx
-        require_dense(n * width, width, "per-symbol modulator")
-        window = mimo_window_diagonal(tx_window, mcfg, mcfg.num_tx).reshape(n, 1, width)
-        self.modulator = np.kron(np.eye(mcfg.num_tx), idft_matrix(m)) * window
-        self.modulator.flags.writeable = False
-
-    def per_symbol_k(self, block_channel: np.ndarray) -> np.ndarray:
-        """K_n for each OFDM symbol, an (N, M*n_r, M*n_t) array."""
-        return block_channel @ self.modulator
-
-    def block_mis(self, draw: Callable[[int], list], keys: Sequence[int], noise_vars: Sequence,
-                  threads: Optional[int] = None) -> List[List[BlockMiResult]]:
-        """The one runner of trials: for each of ``keys`` in order, one
-        :class:`BlockMiResult` per noise variance of the channel table
-        ``draw(key)``. ``threads`` draws run at once; None runs one at a time
-        when the plan's trials run alone, and else leaves the count to
-        :func:`_lapack.map_in_order`."""
-        workers = 1 if threads is None and self.runs_alone else threads
-        with _lapack.map_in_order(lambda key: _trial_block_mis(draw(key), self, noise_vars),
-                                  keys, workers) as outcomes:
-            return list(outcomes)
-
-
 @dataclass(frozen=True)
 class BlockMiResult:
     """Block and per-symbol MIs plus the measured deviations: largest
@@ -164,31 +115,96 @@ class BlockMiResult:
     additivity_gap: float
 
 
-def _trial_block_mis(channels, plan: TrialPlan,
+def per_symbol_k(block_channel: np.ndarray, tx_window: WindowSpec,
+                 mcfg: MimoConfig) -> np.ndarray:
+    """K_n for each OFDM symbol, an (N, M*n_r, M*n_t) array: block_n times the
+    per-symbol modulator kron(I_{n_t}, F_M^H) W_n, an (N, M*n_t, M*n_t) stack
+    that is built for the call and dropped on return."""
+    m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
+    width = m * mcfg.num_tx
+    require_dense(n * width, width, "per-symbol modulator")
+    window = mimo_window_diagonal(tx_window, mcfg, mcfg.num_tx).reshape(n, 1, width)
+    return block_channel @ (np.kron(np.eye(mcfg.num_tx), idft_matrix(m)) * window)
+
+
+def block_mis(tx_window: WindowSpec, mcfg: MimoConfig, channel_length: int,
+              draw: Callable[[int], list], keys: Sequence[int], noise_vars: Sequence,
+              threads: Optional[int] = None) -> List[List[BlockMiResult]]:
+    """The one runner of trials: for each of ``keys`` in order, one
+    :class:`BlockMiResult` per noise variance of the channel table
+    ``draw(key)``, whose channels are ``channel_length`` taps long.
+
+    It first checks every array of a capacity run, as
+    :func:`mimo.dense_arrays` lists them, against the dense cap, so an
+    oversized run stops before any channel is drawn. ``threads`` draws run
+    at once; None runs one at a time when the arrays of
+    :func:`mimo.capacity_trial_arrays` take more than
+    ``_PARALLEL_TRIAL_BYTES``, and else leaves the count to
+    :func:`_lapack.map_in_order`."""
+    dense_arrays("capacity", mcfg, channel_length)
+    held = np.dtype(np.complex128).itemsize * sum(
+        rows * cols for _, rows, cols in capacity_trial_arrays(mcfg, channel_length))
+    workers = 1 if threads is None and held > _PARALLEL_TRIAL_BYTES else threads
+    with _lapack.map_in_order(
+            lambda key: _trial_block_mis(draw(key), tx_window, mcfg, noise_vars),
+            keys, workers) as outcomes:
+        return list(outcomes)
+
+
+def _per_symbol_bits(block_channel: np.ndarray, tx_window: WindowSpec, mcfg: MimoConfig,
+                     noise_vars: Sequence[float]):
+    """The per-symbol route of one draw: the list of per-symbol bits at each
+    noise level. An error it meets is returned in place of what it ends: the
+    Grams' in place of the whole result, a log-det's in place of its level's
+    list and every later one's."""
+    try:
+        grams = _gram(per_symbol_k(block_channel, tx_window, mcfg))
+    except OtfsimError as err:
+        return err
+    levels = []
+    for noise_var in noise_vars:
+        try:
+            levels.append(_log_det_bits(grams, noise_var).tolist())
+        except OtfsimError as err:
+            return levels + [err] * (len(noise_vars) - len(levels))
+    return levels
+
+
+def _trial_block_mis(channels, tx_window: WindowSpec, mcfg: MimoConfig,
                      noise_vars: Sequence[float]) -> List[BlockMiResult]:
-    """One :class:`BlockMiResult` per noise variance for one channel draw."""
-    mcfg = plan.mcfg
+    """One :class:`BlockMiResult` per noise variance for one channel draw.
+
+    The per-symbol route runs first and leaves only its bits, so its
+    modulator, K_n and Grams are gone before K is built. A failure it met is
+    raised where the block route's checks come before it: its Grams' after
+    the off-block bound, a log-det's after the block log-det of its level,
+    so a draw fails with the error it would fail with if the block route ran
+    first."""
     block_channel = mimo_block_channel(channels, mcfg)
+    per_symbol = _per_symbol_bits(block_channel, tx_window, mcfg, noise_vars)
+    k_matrix = whole_block_k(block_channel, tx_window, mcfg)
+    del block_channel
     # K goes once the Gram is made.
-    k_matrix = whole_block_k(block_channel, plan.tx_window, mcfg)
     gram = _gram(k_matrix)
     del k_matrix
     worst = off_block_max(gram, mcfg.frame.num_subcarriers * mcfg.num_rx)
     require_within(worst, BLOCK_TOL,
                    "K K^H has off-diagonal block magnitude {deviation:.3e} > {tolerance:.1e}")
+    if isinstance(per_symbol, OtfsimError):
+        raise per_symbol
     # Fortran order once per trial, so that each noise level's shift reads it
     # contiguously; this copy is the trial's own, so the last level shifts it in place.
     gram = np.asfortranarray(gram)
-    symbol_grams = _gram(plan.per_symbol_k(block_channel))
     results = []
-    for level, noise_var in enumerate(noise_vars, 1):
+    for level, (noise_var, bits) in enumerate(zip(noise_vars, per_symbol), 1):
         total = float(_log_det_bits(gram, noise_var,
                                     out=gram if level == len(noise_vars) else None))
-        per_symbol = _log_det_bits(symbol_grams, noise_var).tolist()
-        gap = abs(total - sum(per_symbol))
+        if isinstance(bits, OtfsimError):
+            raise bits
+        gap = abs(total - sum(bits))
         require_within(gap, ADDITIVITY_TOL, "block MI differs from per-symbol sum by "
                        "{deviation:.3e} > {tolerance:.1e}")
-        results.append(BlockMiResult(total_bits=total, per_symbol_bits=per_symbol,
+        results.append(BlockMiResult(total_bits=total, per_symbol_bits=bits,
                                      off_block_deviation=worst, additivity_gap=gap))
     return results
 
@@ -207,12 +223,11 @@ def otfs_block_mi(
     K K^H really is block diagonal and that the block MI equals the
     per-symbol sum; violations raise :class:`StructureError` since they
     indicate a broken decoupling. This is one draw of
-    :meth:`TrialPlan.block_mis` at one noise variance.
+    :func:`block_mis` at one noise variance.
     """
     # The trial's mimo_block_channel rejects a table that is empty or of mixed lengths.
     length = max((ch.length for row in channels for ch in row), default=1)
-    plan = TrialPlan(tx_window, mcfg, length)
-    return plan.block_mis(lambda key: channels, [0], [noise_var])[0][0]
+    return block_mis(tx_window, mcfg, length, lambda key: channels, [0], [noise_var])[0][0]
 
 
 @dataclass(frozen=True)
@@ -281,7 +296,7 @@ def capacity_sweep(
     Trial k draws its channels from the stream keyed by (seed, k), so the
     thread count never changes results, and all noise levels share them, so
     the curve is monotone in the noise variance. The trials run through
-    :meth:`TrialPlan.block_mis`, which picks how many run at once when
+    :func:`block_mis`, which picks how many run at once when
     ``threads`` is None; per trial the channels, K, every K_n and every Gram
     are built once, and each noise level costs one log-det per route;
     :meth:`CapacityResult.of_trials` makes each level's estimate. A CP shorter
@@ -295,6 +310,7 @@ def capacity_sweep(
     if threads is not None and threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     require_cp_covers(model, mcfg.frame)
-    outcomes = TrialPlan(tx_window, mcfg, model.channel_length).block_mis(
-        lambda trial: channel_table(model, mcfg, seed, trial), range(trials), noise_vars, threads)
+    outcomes = block_mis(tx_window, mcfg, model.channel_length,
+                         lambda trial: channel_table(model, mcfg, seed, trial), range(trials),
+                         noise_vars, threads)
     return [CapacityResult.of_trials(point, mcfg.frame) for point in zip(*outcomes)]

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List
 
 import numpy as np
 
-from .capacity import ADDITIVITY_TOL, BLOCK_TOL, TrialPlan
+from .capacity import ADDITIVITY_TOL, BLOCK_TOL, block_mis
 from .channel import (CP_TOL, ChannelModel, assemble_h_matrix, reduce_to_block_channel,
                       synthesize, trial_rng)
 from .errors import NonFiniteError, StructureError
@@ -76,11 +75,11 @@ ROUTE_TRIALS = 3
 @dataclass
 class VerifyContext:
     """Everything a check needs: frame/antenna geometry, the configured
-    channel model and windows, the first noise level, and the seed, plus the
-    run's one capacity plan. Building the context checks every dense array
-    of a verify run, as :func:`mimo.dense_arrays` lists them, against the
-    cap, before any channel is drawn. The plan, whose one part is the
-    per-symbol modulator, is made at the first MI check."""
+    channel model and windows, the first noise level, and the seed. Building
+    the context checks every dense array of a verify run, as
+    :func:`mimo.dense_arrays` lists them, against the cap, before any channel
+    is drawn. It holds no dense array: each MI check's draws build their own,
+    through :func:`capacity.block_mis`."""
 
     mcfg: MimoConfig
     channel_model: ChannelModel
@@ -91,10 +90,6 @@ class VerifyContext:
 
     def __post_init__(self):
         dense_arrays("verify", self.mcfg, self.channel_model.channel_length)
-
-    @cached_property
-    def plan(self) -> TrialPlan:
-        return TrialPlan(self.tx_window, self.mcfg, self.channel_model.channel_length)
 
     @property
     def frame(self) -> OtfsFrameConfig:
@@ -244,17 +239,23 @@ def check_specializations(ctx: VerifyContext) -> List[tuple]:
     return [(deviation(*case), 1e-10) for case in cases]
 
 
+def _block_mis(ctx: VerifyContext, draw, keys) -> list:
+    """:func:`capacity.block_mis` of the context's geometry and transmit window
+    at its noise level, one draw at a time: side by side, the draws would set
+    verify's peak memory."""
+    return block_mis(ctx.tx_window, ctx.mcfg, ctx.channel_model.channel_length, draw, keys,
+                     [ctx.noise_var], threads=1)
+
+
 def check_mi_additivity(ctx: VerifyContext) -> List[tuple]:
-    [[result]] = ctx.plan.block_mis(lambda key: _flat_channel_table(ctx, key), [30],
-                                    [ctx.noise_var], threads=1)
+    [[result]] = _block_mis(ctx, lambda key: _flat_channel_table(ctx, key), [30])
     return [(result.off_block_deviation, BLOCK_TOL), (result.additivity_gap, ADDITIVITY_TOL)]
 
 
 def check_capacity_routes(ctx: VerifyContext) -> List[tuple]:
-    # One draw at a time: side by side, the draws would set verify's peak memory.
-    outcomes = ctx.plan.block_mis(
-        lambda key: channel_table(ctx.channel_model, ctx.mcfg, ctx.seed, key),
-        range(40, 40 + ROUTE_TRIALS), [ctx.noise_var], threads=1)
+    outcomes = _block_mis(
+        ctx, lambda key: channel_table(ctx.channel_model, ctx.mcfg, ctx.seed, key),
+        range(40, 40 + ROUTE_TRIALS))
     worst = 0.0
     for [result] in outcomes:
         otfs_rate = result.total_bits / ctx.frame.frame_len

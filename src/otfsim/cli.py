@@ -28,7 +28,7 @@ from typing import Collection, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._lapack import lazy_zeros
-from .capacity import CapacityResult, TrialPlan
+from .capacity import CapacityResult, block_mis
 from .channel import ChannelModel, awgn, channel_to_json, require_cp_covers, trial_rng
 from .checks import VerifyContext, run_invariant_checks
 from .errors import ConfigError, DimensionError, OtfsimError, SizeCapError
@@ -423,7 +423,7 @@ def _complex_pairs(values: np.ndarray) -> list:
 
 
 def run_capacity(cfg: ExperimentConfig, out_dir: Path) -> int:
-    """The trials of :func:`capacity.capacity_sweep`, through the same plan.
+    """The trials of :func:`capacity.capacity_sweep`, through the same runner.
     With ``export_channels`` each draw writes its trial's channels as it is
     made, so no table is drawn twice or kept past its trial."""
     chan_dir = out_dir / "channels"
@@ -439,8 +439,8 @@ def run_capacity(cfg: ExperimentConfig, out_dir: Path) -> int:
                         json.dumps(channel_to_json(ch), sort_keys=True))
         return table
 
-    outcomes = TrialPlan(cfg.tx_window, cfg.mcfg, cfg.channel_model.channel_length).block_mis(
-        draw, range(cfg.trials), cfg.sigma2_list, cfg.threads)
+    outcomes = block_mis(cfg.tx_window, cfg.mcfg, cfg.channel_model.channel_length, draw,
+                         range(cfg.trials), cfg.sigma2_list, cfg.threads)
     results = [CapacityResult.of_trials(point, cfg.frame) for point in zip(*outcomes)]
     rows = _capacity_rows(cfg, results)
     _write_csv(out_dir / "results.csv", _CSV_HEADER, rows)

@@ -254,9 +254,22 @@ class DiagonalFactor:
         return np.diag(self.diagonal)
 
     def apply(self, tensor: np.ndarray, axis: int) -> np.ndarray:
+        return tensor * self._along(tensor, axis)
+
+    def _apply_over(self, tensor: np.ndarray, axis: int) -> np.ndarray:
+        """:meth:`apply`, written into ``tensor``, which the caller owns: the
+        same broadcast multiply, so the same bits, without a second array.
+        numpy multiplies a lone complex entry in place by its scalar loop,
+        whose bits differ from its vector loop's, so a one-entry ``tensor``
+        takes :meth:`apply`."""
+        if tensor.size == 1:
+            return self.apply(tensor, axis)
+        return np.multiply(tensor, self._along(tensor, axis), out=tensor)
+
+    def _along(self, tensor: np.ndarray, axis: int) -> np.ndarray:
         shape = [1] * tensor.ndim
         shape[axis] = self.rows
-        return tensor * self.diagonal.reshape(shape)
+        return self.diagonal.reshape(shape)
 
 
 Factor = Union[DenseFactor, BlockDiagonalFactor, SelectionFactor, IdentityFactor, DftFactor,
@@ -274,8 +287,8 @@ class KronOperator:
     array this application made, or one that an :class:`OperatorChain`
     passes in as its own, may be overwritten: a DFT factor transforms it in
     place, so a two-factor DFT stage holds one array besides its input, not
-    two, and a square dense factor writes its product into it (see
-    :meth:`DenseFactor._apply_over`).
+    two, a diagonal factor multiplies it in place, and a square dense factor
+    writes its product into it (see :meth:`DenseFactor._apply_over`).
     """
 
     def __init__(self, factors: Sequence[Factor]):
@@ -309,7 +322,7 @@ class KronOperator:
             owned = owned or not np.may_share_memory(tensor, x)
             if owned and isinstance(factor, (DftFactor, InverseDftFactor)):
                 tensor = factor.apply(tensor, axis, out=tensor)
-            elif owned and isinstance(factor, DenseFactor):
+            elif owned and isinstance(factor, (DenseFactor, DiagonalFactor)):
                 tensor = factor._apply_over(tensor, axis)
             else:
                 tensor = factor.apply(tensor, axis)
@@ -352,8 +365,9 @@ class OperatorChain:
     stage made is the chain's own, and so is the identity that
     :meth:`materialize` and :meth:`slabs` make: the next stage may overwrite
     it, as :class:`KronOperator` overwrites the arrays it makes. So a DFT
-    stage holds no array besides its input, and a square dense factor beside
-    another one holds its input and one copy of it rather than three arrays.
+    or diagonal stage holds no array besides its input, and a square dense
+    factor beside another one holds its input and one copy of it rather than
+    three arrays. :meth:`_apply_owned` takes its input as the chain's own too.
     """
 
     def __init__(self, stages: Sequence[KronOperator]):
@@ -375,16 +389,21 @@ class OperatorChain:
             x, owned = stage._apply(x, owned)
         return x
 
-    def _apply_to_identity(self, start: int, stop: int) -> np.ndarray:
-        """The stages applied to columns ``start:stop`` of the C x C identity.
-        The columns are made here, as the chain's own, so the first stage may
-        overwrite them and nothing else holds them once it is done."""
-        x = np.zeros((self.shape[1], stop - start), dtype=np.complex128)
-        x[np.arange(start, stop), np.arange(stop - start)] = 1.0
+    def _apply_owned(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`apply` to an ``x`` that the caller hands over as the chain's
+        own and does not read again: the first stage may overwrite it, so a
+        chain of FFT and diagonal stages works in ``x``'s memory."""
         owned = True
         for stage in reversed(self.stages):
             x, owned = stage._apply(x, owned)
         return x
+
+    def _apply_to_identity(self, start: int, stop: int) -> np.ndarray:
+        """The stages applied to columns ``start:stop`` of the C x C identity.
+        The columns are made here, as the chain's own, so the first stage may
+        overwrite them and nothing else holds them once it is done."""
+        return self._apply_owned(np.eye(self.shape[1], stop - start, -start,
+                                        dtype=np.complex128))
 
     def slabs(self) -> Iterator[Tuple[slice, np.ndarray]]:
         """(columns, the chain applied to those columns of the C x C identity)

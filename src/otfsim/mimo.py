@@ -67,19 +67,21 @@ def _k_arrays(mcfg: MimoConfig, channel_length: int) -> List[Tuple[str, int, int
 
 def capacity_trial_arrays(mcfg: MimoConfig, channel_length: int) -> List[Tuple[str, int, int]]:
     """The dense arrays, as (name, rows, cols), that one capacity trial builds
-    from its draw of channels ``channel_length`` taps long: K's build, K's Gram
-    and one more R x R array (the Gram's Fortran-ordered copy, or its shifted
-    copy at a noise level before the last), then every K_n and their Grams.
-    Not all are alive at once, and the trial's own B_1, which
-    :func:`whole_block_k` frees on return, is no larger than the Gram's copy,
-    which is not alive beside it, so their sum bounds what a trial holds
-    beside the plan's modulator; the sweep's worker rule reads it."""
-    m, rows = mcfg.frame.num_subcarriers, mcfg.rx_vector_len
+    from its draw of channels ``channel_length`` taps long: the per-symbol
+    modulator, K's build, K's Gram and one more R x R array (the Gram's
+    Fortran-ordered copy, or its shifted copy at a noise level before the
+    last), then every K_n and their Grams. Not all are alive at once: the
+    per-symbol route's modulator, K_n and Grams are freed before K is built,
+    and the trial's own B_1, which :func:`whole_block_k` frees on return, is
+    no larger than the Gram's copy, which is not alive beside it, so their
+    sum bounds what a trial holds; the sweep's worker rule reads it."""
+    m, n_t, rows = mcfg.frame.num_subcarriers, mcfg.num_tx, mcfg.rx_vector_len
     return [
+        ("per-symbol modulator", mcfg.frame.num_symbols * m * n_t, m * n_t),
         *_k_arrays(mcfg, channel_length),
         ("K K^H", rows, rows),
         ("copy of K K^H", rows, rows),
-        ("per-symbol K_n stack", rows, m * mcfg.num_tx),
+        ("per-symbol K_n stack", rows, m * n_t),
         ("per-symbol Gram stack", rows, m * mcfg.num_rx),
     ]
 
@@ -97,7 +99,8 @@ def dense_arrays(mode: str, mcfg: MimoConfig, channel_length: int) -> List[Tuple
     and the builders keep their own checks.
 
     - ``capacity``: B_1, which each trial builds in :func:`whole_block_k`,
-      the plan's per-symbol modulator, then :func:`capacity_trial_arrays`.
+      then :func:`capacity_trial_arrays`, whose first is the trial's own
+      per-symbol modulator.
     - ``simulate`` and ``effective-channel``: the build of
       :func:`mimo_effective_matrix`, B_1 and K's, then the R x C result.
     - ``verify``: the largest Kronecker product of ``check_kron_identities``,
@@ -105,17 +108,15 @@ def dense_arrays(mode: str, mcfg: MimoConfig, channel_length: int) -> List[Tuple
       arrays with more than one antenna, then a capacity run's.
     """
     frame = mcfg.frame
-    m, n_t = frame.num_subcarriers, mcfg.num_tx
     transform = ("one-antenna transform B_1", frame.grid_size, frame.grid_size)
     effective = [transform, *_k_arrays(mcfg, channel_length),
                  ("effective matrix", mcfg.rx_vector_len, mcfg.tx_vector_len)]
-    capacity = [transform, ("per-symbol modulator", frame.num_symbols * m * n_t, m * n_t),
-                *capacity_trial_arrays(mcfg, channel_length)]
+    capacity = [transform, *capacity_trial_arrays(mcfg, channel_length)]
     # check_kron_identities' largest product: kron(kron(a, b), d) of 3x4, 2x3
     # and 3x2 operands.
     verify = [("Kronecker identity product", 18, 24),
               ("dense channel matrix", frame.frame_len, frame.frame_len),
-              *(effective if n_t * mcfg.num_rx > 1 else []), *capacity]
+              *(effective if mcfg.num_tx * mcfg.num_rx > 1 else []), *capacity]
     arrays = {"capacity": capacity, "simulate": effective, "effective-channel": effective,
               "verify": verify}[mode]
     for name, rows, cols in arrays:
@@ -370,10 +371,11 @@ def mimo_effective_matrix(
 ) -> np.ndarray:
     """Dense (M*N*n_r) x (M*N*n_t) matrix whose action on the stacked data
     vector equals the noiseless chain: the receive stages applied to the K of
-    :func:`whole_block_k`, which the chain frees after its first stage."""
+    :func:`whole_block_k`. K is handed to the chain as its own, and each
+    stage, FFTs and a diagonal multiply, works in K's memory."""
     m, n = mcfg.frame.num_subcarriers, mcfg.frame.num_symbols
     return OperatorChain([
         KronOperator([DftFactor(n), IdentityFactor(mcfg.num_rx), InverseDftFactor(m)]),
         KronOperator([DiagonalFactor(mimo_window_diagonal(rx_window, mcfg, mcfg.num_rx))]),
         KronOperator([IdentityFactor(n * mcfg.num_rx), DftFactor(m)]),
-    ]).apply(whole_block_k(mimo_block_channel(channels, mcfg), tx_window, mcfg))
+    ])._apply_owned(whole_block_k(mimo_block_channel(channels, mcfg), tx_window, mcfg))

@@ -247,7 +247,8 @@ class TestSweepBitsAndWorkers:
     def test_default_workers_follow_cpus_trials_and_trial_size(self, monkeypatch):
         monkeypatch.setattr(otfsim._lapack, "usable_cpus", lambda: 4)
         # The memory model's one trial: K and two R x R arrays, the Gram and
-        # its copy, and the smaller tap tables, block channel and K_n stacks.
+        # its copy, and the smaller modulator, tap tables, block channel and
+        # K_n stacks.
         trial = 16 * sum(rows * cols for _, rows, cols in capacity_trial_arrays(PAPER, 1))
         assert 16 * 256 * (256 + 2 * 256) < trial < 16 * 256 * (256 + 3 * 256)
         table = channel_table(ChannelModel.identity(), PAPER, 0, 0)
@@ -255,10 +256,10 @@ class TestSweepBitsAndWorkers:
 
         def workers(draws, threads=None):
             """The draws the runner maps at once; one when it starts no pool.
-            The plan reads the threshold once, when it is built."""
+            The runner reads the threshold when it is called."""
             pools.clear()
-            plan = otfsim.capacity.TrialPlan(WindowSpec.rectangular(), PAPER, 1)
-            plan.block_mis(lambda key: table, range(draws), [1.0], threads)
+            otfsim.capacity.block_mis(WindowSpec.rectangular(), PAPER, 1, lambda key: table,
+                                      range(draws), [1.0], threads)
             return pools[0] if pools else 1
 
         if CONTROL is not None:

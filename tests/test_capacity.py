@@ -7,6 +7,7 @@ in terms of the channel's frequency-response values.
 
 import contextlib
 import csv
+import itertools
 import json
 import tempfile
 from collections import Counter
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 
 import otfsim._lapack
 import otfsim.capacity
+import otfsim.checks
+import otfsim.cli
 import otfsim.kronops
 import otfsim.mimo
 from otfsim.capacity import (
@@ -330,12 +333,12 @@ class TestCapacitySweep:
                            mcfg, trials=1)
 
     def test_cp_too_short_rejected(self, monkeypatch):
-        # The CP rule runs before the plan is built or any channel is drawn.
+        # The CP rule runs before the runner starts or any channel is drawn.
         def unreachable(*args, **kwargs):
             raise AssertionError("built or drew before the CP rule")
 
         monkeypatch.setattr(otfsim.mimo, "synthesize", unreachable)
-        monkeypatch.setattr(otfsim.capacity, "TrialPlan", unreachable)
+        monkeypatch.setattr(otfsim.capacity, "block_mis", unreachable)
         mcfg = MimoConfig(OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=1), 2, 2)
         model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.05)
         message = (r"^channel length L=4 needs M_cp >= 3 but M_cp=1; "
@@ -374,10 +377,9 @@ class TestOnePassSweep:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
 
-        for name in ("channel_table", "mimo_block_channel", "whole_block_k", "_gram"):
+        for name in ("block_mis", "channel_table", "mimo_block_channel", "per_symbol_k",
+                     "whole_block_k", "_gram"):
             count(otfsim.capacity, name)
-        for name in ("__init__", "block_mis", "per_symbol_k"):
-            count(otfsim.capacity.TrialPlan, name)
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
         mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=2)
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
@@ -385,9 +387,9 @@ class TestOnePassSweep:
         sweep = capacity_sweep([0.1, 0.5, 2.0], model, WindowSpec.rectangular(), mcfg,
                                trials=trials, seed=8)
         assert len(sweep) == 3
-        # One plan and one runner call per sweep; in each trial one K, one
-        # stack of every K_n, and one Gram of each.
-        assert counts == {"__init__": 1, "block_mis": 1, "channel_table": trials,
+        # One runner call per sweep; in each trial one K, one stack of every
+        # K_n, and one Gram of each.
+        assert counts == {"block_mis": 1, "channel_table": trials,
                           "mimo_block_channel": trials, "whole_block_k": trials,
                           "per_symbol_k": trials, "_gram": trials * 2}
 
@@ -420,7 +422,7 @@ class TestOnePassSweep:
         # The stacked per-symbol route equals one mutual_information per K_n, bit for bit.
         channels = channel_table(model, mcfg, seed, 0)
         blocks = mimo_block_channel(channels, mcfg)
-        k_ns = otfsim.capacity.TrialPlan(window, mcfg, taps).per_symbol_k(blocks)
+        k_ns = otfsim.capacity.per_symbol_k(blocks, window, mcfg)
         for sigma2 in noise_vars:
             assert otfs_block_mi(channels, window, sigma2, mcfg).per_symbol_bits == [
                 mutual_information(k_n, sigma2) for k_n in k_ns]
@@ -452,7 +454,7 @@ class TestReceiveWindowIrrelevance:
         blocks = mimo_block_channel(channels, mcfg)
         rng = np.random.default_rng(14)
         tx = WindowSpec.general(rand_complex(rng, 8))
-        k_list = otfsim.capacity.TrialPlan(tx, mcfg, model.channel_length).per_symbol_k(blocks)
+        k_list = otfsim.capacity.per_symbol_k(blocks, tx, mcfg)
         # Rebuild each K_n by hand: block @ F_M^H scaled by the tx diagonal.
         per_symbol = tx.diagonal(frame).reshape(2, 4)
         for n, k_n in enumerate(k_list):
@@ -512,9 +514,9 @@ class TestSizeCap:
     def test_modulator_over_the_cap_stops_capacity_before_any_draw(self, tmp_path, monkeypatch,
                                                                    capsys):
         # B_1 has (M*N)^2 <= R*max(R, C) entries, so it never binds before the
-        # plan's check; the per-symbol modulator can. n_t=4, n_r=1, M=4, N=1:
-        # K has 4 x 16 = 64 entries and K K^H 16, so the plan's cap check
-        # passes, but the modulator has 16 x 16 = 256 > 200.
+        # runner's check; the per-symbol modulator can. n_t=4, n_r=1, M=4, N=1:
+        # K has 4 x 16 = 64 entries and K K^H 16, but the modulator has
+        # 16 x 16 = 256 > 200, and the runner checks it before any draw.
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "frame": {"M": 4, "N": 1, "M_cp": 2}, "mimo": {"n_t": 4, "n_r": 1},
@@ -616,10 +618,66 @@ def random_window(rng, kind, frame):
     return WindowSpec.rectangular()
 
 
+# A trial's checks in the order their failures take precedence: the block
+# route's Gram and off-block bound, the per-symbol Grams, then at each noise
+# level the block log-det, the per-symbol log-dets and the additivity bound.
+TRIAL_STEPS = ("block Gram", "off-block", "per-symbol Grams",
+               *(f"{step} {level}" for level in (1, 2)
+                 for step in ("block log-det", "per-symbol log-dets", "additivity")))
+
+
+class TestFailureOrder:
+    """A trial runs its per-symbol route first, yet of any two failing checks
+    it raises the one that comes first in ``TRIAL_STEPS``, the order of a
+    trial that runs the block route first, so which error ends a run, and
+    what verify reports of it, does not depend on the order of the routes."""
+
+    @pytest.mark.parametrize("failing", list(itertools.combinations(TRIAL_STEPS, 2)),
+                             ids="+".join)
+    def test_the_first_failing_check_is_raised(self, failing, monkeypatch):
+        gram, log_det = otfsim.capacity._gram, otfsim.capacity._log_det_bits
+        off_block = otfsim.capacity.off_block_max
+        levels = {1.0: 1, 0.5: 2}
+
+        def failing_gram(k):
+            step = "block Gram" if k.ndim == 2 else "per-symbol Grams"
+            if step in failing:
+                raise NonFiniteError(step)
+            return gram(k)
+
+        def failing_log_det(stack, noise_var, out=None):
+            level = levels[noise_var]
+            route = "block log-det" if stack.ndim == 2 else "per-symbol log-dets"
+            if f"{route} {level}" in failing:
+                raise NonFiniteError(f"{route} {level}")
+            bits = log_det(stack, noise_var, out)
+            # A block MI off by the level's number of bits fails its additivity bound.
+            return bits + level if stack.ndim == 2 and f"additivity {level}" in failing else bits
+
+        monkeypatch.setattr(otfsim.capacity, "_gram", failing_gram)
+        monkeypatch.setattr(otfsim.capacity, "_log_det_bits", failing_log_det)
+        monkeypatch.setattr(otfsim.capacity, "off_block_max", lambda *args: (
+            1.0 if "off-block" in failing else off_block(*args)))
+        frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
+        mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=1)
+        model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
+        with pytest.raises((NonFiniteError, StructureError)) as err:
+            capacity_sweep(list(levels), model, WindowSpec.rectangular(), mcfg, trials=1,
+                           threads=1)
+        first = min(failing, key=TRIAL_STEPS.index)
+        if first == "off-block":
+            assert err.value.deviation == 1.0
+        elif first.startswith("additivity"):
+            assert err.value.deviation == pytest.approx(int(first[-1]))
+        else:
+            assert str(err.value) == first
+
+
 class TestSweepPlan:
     # K is built from B_1 one symbol's row slab at a time, by the same zgemm
     # calls at every antenna count; it must be the whole-B chain's K bit for
-    # bit, with one antenna too.
+    # bit, with one antenna too. Each K_n is its block times the modulator
+    # that per_symbol_k builds for the call.
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(1, 4), n_t=st.integers(1, 3), n_r=st.integers(1, 3),
            window_kind=st.sampled_from(["rectangular", "separable", "general"]),
@@ -632,7 +690,6 @@ class TestSweepPlan:
         mcfg = MimoConfig(frame=frame, num_tx=n_t, num_rx=n_r)
         model = ChannelModel.doppler_paths(num_taps=taps, num_paths=1, max_doppler=0.05)
         window = random_window(np.random.default_rng(seed), window_kind, frame)
-        plan = otfsim.capacity.TrialPlan(window, mcfg, taps)
         window_stack = mimo_window_diagonal(window, mcfg, mcfg.num_tx).reshape(n, 1, -1)
         modulator = np.kron(np.eye(mcfg.num_tx), dft_matrix(m).conj().T) * window_stack
         for trial in range(2):
@@ -640,16 +697,18 @@ class TestSweepPlan:
             expected = OperatorChain([KronOperator([BlockDiagonalFactor(blocks)])]
                                      + mimo_modulation_stages(window, mcfg)).materialize()
             assert np.array_equal(whole_block_k(blocks, window, mcfg), expected)
-            assert np.array_equal(plan.per_symbol_k(blocks), blocks @ modulator)
+            assert np.array_equal(otfsim.capacity.per_symbol_k(blocks, window, mcfg),
+                                  blocks @ modulator)
 
 
 class TestOnePlanPerRun:
-    """The plan's one part, its per-symbol modulator (built from
-    ``idft_matrix``), is built once per run, by the plan's constructor, and
-    the trials only read it. B_1 (from ``one_antenna_transform``) is built
-    only by ``whole_block_k``, once for each K, whether a trial runs beside
-    others or alone, and by no plan. verify makes its plan at its first MI
-    check."""
+    """Each call of the runner, ``block_mis``, plans its run once: it checks
+    the run's arrays against the cap (``dense_arrays``) and picks the worker
+    count. Everything dense is built inside a trial: each trial builds its
+    own per-symbol modulator (from ``idft_matrix``, in ``per_symbol_k``) and
+    its own B_1 (from ``one_antenna_transform``, in ``whole_block_k``), once
+    per draw, whether it runs beside others or alone, and none per noise
+    level, so no dense array lives from one trial to the next."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -663,28 +722,17 @@ class TestOnePlanPerRun:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
 
-        count(otfsim.capacity.TrialPlan, "__init__", "plan")
-        count(otfsim.capacity.TrialPlan, "block_mis", "runner")
+        count(otfsim.capacity, "dense_arrays", "plan")
+        for caller in (otfsim.capacity, otfsim.checks, otfsim.cli):
+            count(caller, "block_mis", "runner")
+        count(otfsim.capacity, "per_symbol_k", "K_n")
+        count(otfsim.capacity, "idft_matrix", "modulator")
         count(otfsim.capacity, "whole_block_k", "K")
         count(otfsim.mimo, "whole_block_k", "K")
         count(otfsim.mimo, "one_antenna_transform", "transform")
-        count(otfsim.capacity, "idft_matrix", "modulator")
         return counts
 
-    def test_verify_builds_one_transform_per_k_and_one_plan(self, counts, tmp_path,
-                                                             monkeypatch):
-        seen = []
-
-        def recorded(owner, name, when):
-            original = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                seen.append((when, dict(counts)))
-                return original(*args, **kwargs)
-            monkeypatch.setattr(owner, name, wrapper)
-
-        recorded(otfsim.capacity.TrialPlan, "__init__", "plan")
-        recorded(otfsim.capacity.TrialPlan, "block_mis", "runner")
+    def test_verify_builds_one_modulator_and_one_transform_per_draw(self, counts, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "frame": {"M": 4, "N": 2, "M_cp": 2}, "mimo": {"n_t": 2, "n_r": 2},
@@ -693,35 +741,59 @@ class TestOnePlanPerRun:
         assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
         # Five Ks, each with its own B_1: the chain check's effective matrix,
         # then one draw of the MI-additivity check and three of the
-        # capacity-route check. One plan, made after the chain check's K,
-        # builds its modulator before the first of the runner calls, one per
-        # MI check.
-        assert counts == {"plan": 1, "runner": 2, "K": 5, "transform": 5, "modulator": 1}
-        assert seen[:2] == [
-            ("plan", {"K": 1, "transform": 1}),
-            ("runner", {"plan": 1, "K": 1, "transform": 1, "modulator": 1})]
+        # capacity-route check, one runner call and one plan per MI check.
+        # Each of those four draws builds its own modulator for its K_n.
+        assert counts == {"plan": 2, "runner": 2, "K": 5, "transform": 5, "K_n": 4,
+                          "modulator": 4}
 
-    def test_the_plan_builds_each_part_once(self, counts):
+    def test_each_call_builds_its_own_part(self, counts):
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
         mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=1)
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
         blocks = mimo_block_channel(channel_table(model, mcfg, 3, 0), mcfg)
-        plan = otfsim.capacity.TrialPlan(WindowSpec.rectangular(), mcfg, model.channel_length)
-        assert counts == {"plan": 1, "modulator": 1}
-        plan.per_symbol_k(blocks)
-        assert counts == {"plan": 1, "modulator": 1}
-        whole_block_k(blocks, plan.tx_window, mcfg)
-        assert counts == {"plan": 1, "modulator": 1, "transform": 1}
+        window = WindowSpec.rectangular()
+        for calls in (1, 2):
+            otfsim.capacity.per_symbol_k(blocks, window, mcfg)
+            whole_block_k(blocks, window, mcfg)
+            assert counts == {"K_n": calls, "modulator": calls, "transform": calls}
+
+    def test_a_trial_runs_its_per_symbol_route_first(self, monkeypatch):
+        # Each trial's per-symbol route, its K_n, their Grams and their
+        # log-dets at every level, ends before K is built; then come K, its
+        # Gram and the block log-dets.
+        seen = []
+
+        def recorded(name, label):
+            original = getattr(otfsim.capacity, name)
+
+            def wrapper(*args, **kwargs):
+                seen.append(label(args[0]))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(otfsim.capacity, name, wrapper)
+
+        recorded("per_symbol_k", lambda blocks: "per_symbol_k")
+        recorded("whole_block_k", lambda blocks: "whole_block_k")
+        recorded("_gram", lambda k: f"Gram of {k.ndim}-d")
+        recorded("_log_det_bits", lambda gram: f"log-det of {gram.ndim}-d")
+        frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
+        mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=2)
+        model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
+        capacity_sweep([1.0, 0.5], model, WindowSpec.rectangular(), mcfg, trials=2, seed=2,
+                       threads=1)
+        trial = ["per_symbol_k", "Gram of 3-d", "log-det of 3-d", "log-det of 3-d",
+                 "whole_block_k", "Gram of 2-d", "log-det of 2-d", "log-det of 2-d"]
+        assert seen == trial * 2
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_trials_side_by_side_each_build_their_own_transform(self, counts, threads):
-        # One B_1 per trial's K, none by the plan, and none per noise level.
+        # One modulator and one B_1 per trial, and none per noise level.
         frame = OtfsFrameConfig(num_subcarriers=4, num_symbols=2, cp_len=2)
         mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=1)
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
         capacity_sweep([1.0, 0.5], model, WindowSpec.rectangular(), mcfg, trials=3, seed=2,
                        threads=threads)
-        assert counts == {"plan": 1, "runner": 1, "K": 3, "transform": 3, "modulator": 1}
+        assert counts == {"plan": 1, "runner": 1, "K": 3, "transform": 3, "K_n": 3,
+                          "modulator": 3}
 
     def test_a_trial_that_runs_alone_builds_its_own_transform(self, counts, monkeypatch):
         # The same counts when the worker rule runs each trial alone.
@@ -730,7 +802,8 @@ class TestOnePlanPerRun:
         mcfg = MimoConfig(frame=frame, num_tx=2, num_rx=1)
         model = ChannelModel.doppler_paths(num_taps=3, num_paths=2, max_doppler=0.05)
         capacity_sweep([1.0, 0.5], model, WindowSpec.rectangular(), mcfg, trials=3, seed=2)
-        assert counts == {"plan": 1, "runner": 1, "K": 3, "transform": 3, "modulator": 1}
+        assert counts == {"plan": 1, "runner": 1, "K": 3, "transform": 3, "K_n": 3,
+                          "modulator": 3}
 
 
 class TestPaperResultOnRandomGeometries:
@@ -738,7 +811,7 @@ class TestPaperResultOnRandomGeometries:
     passes and the sweep's two routes agree per trial, at every antenna
     count, window kind and channel kind: the paper's result, off the
     hand-picked sizes, through the sweep's and verify's calls of
-    ``TrialPlan.block_mis``."""
+    ``block_mis``."""
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 4), n_t=st.integers(1, 3), n_r=st.integers(1, 3),

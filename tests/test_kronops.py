@@ -395,6 +395,39 @@ class TestOwnership:
         assert out.tobytes() == expected.tobytes()
         assert np.may_share_memory(out, tensor) == (axis > 0)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(5, 6, 7), (1, 2, 1), (1, 1, 1)])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_diagonal_factor_over_an_owned_array_has_the_apply_bits(self, axis, shape, order):
+        # numpy's vector loop for complex products and its scalar loop, which
+        # it takes for a lone entry multiplied in place, round differently:
+        # a one-entry tensor gets a new array.
+        rng = np.random.default_rng([63, axis, *shape])
+        for _ in range(20):
+            tensor = np.asarray(rand_complex(rng, *shape), order=order)
+            factor = DiagonalFactor(rand_complex(rng, shape[axis]))
+            expected = factor.apply(tensor, axis)
+            out = factor._apply_over(tensor, axis)
+            assert out.tobytes() == expected.tobytes()
+            assert (out is tensor) == (tensor.size > 1)
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_an_input_handed_over_is_transformed_in_its_own_memory(self, batch):
+        # mimo_effective_matrix's receive chain: FFT stages and a diagonal
+        # stage, applied to an array the caller hands over as the chain's own,
+        # work in that array's memory and give apply's bits.
+        rng = np.random.default_rng([64, batch])
+        chain = OperatorChain([
+            KronOperator([DftFactor(3), IdentityFactor(2), InverseDftFactor(4)]),
+            KronOperator([DiagonalFactor(rand_complex(rng, 24))]),
+            KronOperator([IdentityFactor(6), DftFactor(4)]),
+        ])
+        x = rand_complex(rng, 24, batch)
+        expected = chain.apply(x)
+        out = chain._apply_owned(x)
+        assert out.tobytes() == expected.tobytes()
+        assert np.shares_memory(out, x)
+
 
 class TestBlockDiag:
     def test_materialize_places_blocks_on_the_diagonal(self):

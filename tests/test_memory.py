@@ -14,9 +14,11 @@ frequency-domain export, a copy of a stage's input at a CP or DFT stage,
 a dense stage of the separable build that puts its product in a third
 array instead of over its input, the whole C x C transmit transform of a
 MIMO sweep or effective matrix, a whole C x C rebuild in the 2-D circulant
-check, verify's capacity-route draws side by side, or a one-antenna
-transform B_1 kept beside a trial's Gram (as a plan-held B_1 was) crosses
-it.
+check, verify's capacity-route draws side by side, a one-antenna
+transform B_1 kept beside a trial's Gram (as a plan-held B_1 was), a
+per-symbol modulator or block-channel stack kept beside it (as the plan's
+modulator was), or a receive stage that makes a new array beside K instead
+of working in K's memory crosses it.
 
 ``tracemalloc`` counts what is allocated, not what is resident, so two
 tests read the resident size of a fresh interpreter. One bounds a large
@@ -38,7 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otfsim.capacity import TrialPlan, capacity_sweep
+from otfsim.capacity import block_mis, capacity_sweep
 from otfsim.channel import ChannelModel, assemble_h_matrix, synthesize, trial_rng
 from otfsim.checks import (VerifyContext, check_block_diagonality, check_capacity_routes,
                            check_chain_vs_matrix, check_specializations)
@@ -146,11 +148,11 @@ def test_block_diagonality_holds_no_reduced_matrix(ctx):
 
 
 def test_route_check_holds_one_draw_at_a_time(cfg):
-    # A fresh context, so that the plan's modulator is built inside the trace.
-    # About 2.2 units: the modulator beside one draw's K and Gram, or K beside
-    # the B_1 that its build frees on return. A plan-held B_1 beside K and the
-    # Gram took 3.2; mapping the three draws under the sweep's default worker
-    # rule, two at once on two CPUs, took 5.3.
+    # About 2.2 units: one draw's K and Gram, or K beside the B_1 that its
+    # build frees on return; each draw builds its own per-symbol modulator
+    # (0.06 units here) and frees it before K. A plan-held B_1 beside K and
+    # the Gram took 3.2; mapping the three draws under the sweep's default
+    # worker rule, two at once on two CPUs, took 5.3.
     fresh = VerifyContext(mcfg=cfg.mcfg, channel_model=cfg.channel_model,
                           tx_window=cfg.tx_window, rx_window=cfg.rx_window,
                           noise_var=1.0, seed=cfg.seed)
@@ -158,21 +160,20 @@ def test_route_check_holds_one_draw_at_a_time(cfg):
 
 
 def test_effective_matrix_holds_no_copy_of_a_stage_input(cfg):
-    # simulate's and effective-channel's build, about 2.2 units: K beside B_1
-    # and K's row slab, then a receive stage's input and its output. A
-    # two-factor DFT stage writes its second transform into its first one's
-    # output.
+    # simulate's and effective-channel's build, about 2.1 units: K beside B_1
+    # and K's row slab. The receive stages then work in K's memory.
     channels = channel_table(cfg.channel_model, cfg.mcfg, cfg.seed, 0)
     assert peak_arrays(lambda: mimo_effective_matrix(
         channels, cfg.tx_window, cfg.rx_window, cfg.mcfg)) < 2.4
 
 
 def test_mimo_effective_matrix_frees_k_after_the_first_receive_stage():
-    # The receive stages applied to the 3x2 whole-block K, about 2.0 units of
-    # R x C at M=32, N=8: K and the first stage's output; B_1 and K's row
-    # slab live only while K is built. Materializing one chain of every stage
-    # from the C x C identity, with the whole C x C transmit transform, took
-    # 3.15.
+    # The 3x2 whole-block K at M=32, N=8, about 1.5 units of R x C: K beside
+    # B_1 and K's row slab while K is built, then K alone, since the chain
+    # owns K and its FFT and diagonal stages work in K's memory. Handing K to
+    # the chain's public apply, whose first stage made a new array beside
+    # K, took 2.0; materializing one chain of every stage from the C x C
+    # identity, with the whole C x C transmit transform, took 3.15.
     frame = OtfsFrameConfig(num_subcarriers=32, num_symbols=8, cp_len=4)
     mcfg = MimoConfig(frame, num_tx=3, num_rx=2)
     model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.05)
@@ -181,7 +182,7 @@ def test_mimo_effective_matrix_frees_k_after_the_first_receive_stage():
     window = WindowSpec.general(rng.standard_normal(256) + 1j * rng.standard_normal(256))
     peak = peak_arrays(lambda: mimo_effective_matrix(channels, window, window, mcfg),
                        mcfg.rx_vector_len, mcfg.tx_vector_len)
-    assert peak < 2.4
+    assert peak < 1.6
 
 
 def test_two_d_circulant_check_holds_no_whole_rebuild(cfg):
@@ -200,16 +201,18 @@ def test_frequency_domain_export_frees_the_delay_doppler_matrix(cfg, tmp_path):
     assert peak_arrays(lambda: run_effective_channel(cfg, tmp_path)) < 3.6
 
 
-@pytest.mark.parametrize("n_t, n_r, bound", [(1, 1, 2.7), (2, 2, 2.6), (3, 2, 2.1)],
+@pytest.mark.parametrize("n_t, n_r, bound", [(1, 1, 2.4), (2, 2, 2.2), (3, 2, 1.85)],
                          ids=["siso", "2x2", "3x2"])
 def test_capacity_trial_holds_no_whole_transmit_transform(n_t, n_r, bound):
-    # One trial at M=32, N=8 peaks at about 2.41 units of R x C for SISO,
-    # 2.40 at 2x2 and 2.00 at 3x2: K beside the one-antenna transform B_1 of
+    # One trial at M=32, N=8 peaks at about 2.28 units of R x C for SISO,
+    # 2.02 at 2x2 and 1.69 at 3x2: K beside the one-antenna transform B_1 of
     # (M*N)^2 entries, which K's build frees on return, then the Gram and its
-    # shifted copy, beside the plan's per-symbol modulator. A plan-held B_1
-    # beside the Gram took them to 3.41, 2.65 and 2.16; holding the whole
-    # C x C transform of the stacked layout, n_t^2 times B_1, to 3.40 at 2x2
-    # and 3.50 at 3x2.
+    # shifted copy. The per-symbol route's modulator, K_n and Grams are freed
+    # before K is built, and the block-channel stack once K is. The plan's
+    # modulator and the block-channel stack beside K and the Gram took them
+    # to 2.41, 2.40 and 2.00; a plan-held B_1 beside the Gram to 3.41, 2.65
+    # and 2.16; holding the whole C x C transform of the stacked layout,
+    # n_t^2 times B_1, to 3.40 at 2x2 and 3.50 at 3x2.
     frame = OtfsFrameConfig(num_subcarriers=32, num_symbols=8, cp_len=4)
     mcfg = MimoConfig(frame, num_tx=n_t, num_rx=n_r)
     model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.05)
@@ -223,18 +226,18 @@ def test_capacity_trial_holds_no_whole_transmit_transform(n_t, n_r, bound):
                          ids=["siso", "2x2", "3x2", "2x3"])
 def test_capacity_trial_holds_at_most_the_models_trial_arrays(n_t, n_r):
     # The memory model's arrays of one trial, which the sweep's worker rule
-    # sums, bound what a trial at M=32, N=8 holds beside the plan's modulator:
-    # the trial peaked at 0.63-0.74 of their sum. A first draw runs before
+    # sums, bound what a trial at M=32, N=8 holds: the trial peaked at
+    # 0.55-0.65 of their sum. A first draw runs before
     # the trace, so that numpy's one-time set-up of its random streams
     # (about 1 MiB) is not counted.
     frame = OtfsFrameConfig(num_subcarriers=32, num_symbols=8, cp_len=4)
     mcfg = MimoConfig(frame, num_tx=n_t, num_rx=n_r)
     model = ChannelModel.doppler_paths(num_taps=4, num_paths=3, max_doppler=0.05)
-    plan = TrialPlan(WindowSpec.rectangular(), mcfg, model.channel_length)
 
     def trial(key):
-        return plan.block_mis(lambda key: channel_table(model, mcfg, 3, key), [key], [1.0, 0.1],
-                              threads=1)
+        return block_mis(WindowSpec.rectangular(), mcfg, model.channel_length,
+                         lambda key: channel_table(model, mcfg, 3, key), [key], [1.0, 0.1],
+                         threads=1)
 
     trial(0)
     entries = sum(rows * cols for _, rows, cols in capacity_trial_arrays(mcfg, 4))
@@ -251,7 +254,7 @@ def test_capacity_trial_holds_at_most_the_models_trial_arrays(n_t, n_r):
 GROWTH_RUN = """
 import tracemalloc
 import otfsim.cli  # everything a run imports
-from otfsim.capacity import TrialPlan, capacity_sweep
+from otfsim.capacity import capacity_sweep
 from otfsim.channel import ChannelModel
 from otfsim.mimo import MimoConfig
 from otfsim.transceiver import OtfsFrameConfig, WindowSpec
@@ -281,10 +284,13 @@ print(status_bytes("VmHWM") - resident, peak)
 def test_peak_rss_follows_the_traced_arrays():
     # With malloc's thresholds pinned, every array of 4 MiB or more is its
     # own mapping, unmapped when it is freed, and each trial shifts its Gram
-    # in place at its last noise level: the traced peak is 136 MiB, K and the
-    # Gram, and the peak resident size rose 3.3-6.8 MiB above it (the BLAS
+    # in place at its last noise level: the traced peak is 128 MiB, K and the
+    # Gram, and the peak resident size rose 3.7-7.4 MiB above it (the BLAS
     # packing buffers, for one) under the SkylakeX, Haswell and Sandybridge
-    # kernels. Each trial's K build frees its B_1 (16 MiB) before the Gram; a
+    # kernels. Each trial runs its per-symbol route before it builds K and
+    # drops the block-channel stack (4 MiB) once K is built; the plan's
+    # per-symbol modulator (4 MiB) and that stack beside K and the Gram traced
+    # 136 MiB. Each trial's K build frees its B_1 (16 MiB) before the Gram; a
     # plan-held B_1 beside K and the Gram traced 152 MiB. Under glibc's
     # dynamic threshold the second trial's arrays came from the heap, whose
     # freed pages stay resident: 18-22 MiB above it. A shifted copy beside
@@ -296,7 +302,7 @@ def test_peak_rss_follows_the_traced_arrays():
     run = subprocess.run([sys.executable, "-c", GROWTH_RUN], env=environ, capture_output=True,
                          text=True, timeout=120, check=True)
     grown, traced = map(int, run.stdout.split())
-    assert traced < 140 << 20
+    assert traced < 132 << 20
     assert grown - traced < 12 << 20
 
 
