@@ -197,14 +197,6 @@ def check_block_diagonality(ctx: VerifyContext) -> List[tuple]:
     return [(0.0, CP_TOL)]
 
 
-def _specialization_blocks(ctx: VerifyContext, key: int):
-    """The channel drawn under ``key`` and its per-symbol blocks from the
-    tap-table builder. The general builder takes the channel's dense H, so
-    the specialization checks also cross-check the two builders."""
-    channel = _siso_channel(ctx, key)
-    return channel, mimo_block_channel([[channel]], MimoConfig(ctx.frame))
-
-
 def check_specializations(ctx: VerifyContext) -> List[tuple]:
     """Each specialization against the general operator of
     ``effective_matrix_general`` on the same channel, drawn once, one pair at
@@ -214,10 +206,13 @@ def check_specializations(ctx: VerifyContext) -> List[tuple]:
     max |difference| per slab: the general matrix is never held whole, and
     the max of the slab maxima is the whole matrix's. A comparison holds the
     specialization, H and one slab's stages, more than any specialization's
-    build holds, so it sets the check's peak."""
+    build holds, so it sets the check's peak. The specializations take the
+    channel's blocks from the tap-table builder and the general operator
+    takes its dense H, so the check also cross-checks the two builders."""
     rng = trial_rng(ctx.seed, 5)
     frame = ctx.frame
-    channel, blocks = _specialization_blocks(ctx, 21)
+    channel = _siso_channel(ctx, 21)
+    blocks = mimo_block_channel([[channel]], MimoConfig(frame))
     tx_sep = WindowSpec.separable(_rand_complex(rng, frame.num_symbols),
                                   _rand_complex(rng, frame.num_subcarriers))
     rx_sep = WindowSpec.separable(_rand_complex(rng, frame.num_symbols),

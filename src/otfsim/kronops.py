@@ -5,8 +5,9 @@ vectorization, and matrix-free application of Kronecker-structured
 operators (DFT factors go through the FFT, so a factor of size n costs
 O(total * log n) instead of a dense product; 0/1 selection factors are
 gathers; block-diagonal factors go through one batched product over their
-blocks). DFT and square dense factors write into their input when it is
-an array the operator or chain made, never into the caller's. A chain of
+blocks). One in-place rule: every stage writes into the array it is
+given, and the public ``apply`` of an operator or a chain first copies
+the caller's input once, so the caller's array is never written. A chain of
 FFT, window, gather and single dense stages is materialized one slab of
 identity columns at a time. The package's three guards live here too:
 every dense allocation, every finiteness check and every raising
@@ -283,12 +284,12 @@ class KronOperator:
     applies it to vectors (or to matrices, column by column) without
     materializing the product: the input is reshaped into a tensor whose
     axes follow the factor order (first factor slowest) and each factor
-    acts along its own axis. ``apply`` never writes the caller's ``x``. An
-    array this application made, or one that an :class:`OperatorChain`
-    passes in as its own, may be overwritten: a DFT factor transforms it in
-    place, so a two-factor DFT stage holds one array besides its input, not
-    two, a diagonal factor multiplies it in place, and a square dense factor
-    writes its product into it (see :meth:`DenseFactor._apply_over`).
+    acts along its own axis. ``apply`` copies the caller's ``x`` once and
+    works in the copy. Every factor writes into the array it is given: a DFT
+    factor transforms it in place, a diagonal factor multiplies it in place
+    and a square dense factor writes its product into it (see
+    :meth:`DenseFactor._apply_over`), so a two-factor DFT stage holds no
+    array besides its input.
     """
 
     def __init__(self, factors: Sequence[Factor]):
@@ -302,12 +303,11 @@ class KronOperator:
         self.shape = (rows, cols)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(x, owned=False)[0]
+        return self._apply(np.array(x, dtype=np.complex128, order="C"))
 
-    def _apply(self, x: np.ndarray, owned: bool) -> Tuple[np.ndarray, bool]:
-        """The product with ``x``, which is overwritten only when ``owned``,
-        and whether the product may be overwritten in turn: it may when
-        ``owned``, or when it is not ``x`` or a view of it."""
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """The product with ``x``, which is the operator's own: every factor
+        writes into the array it is given, where it can."""
         x = np.asarray(x, dtype=np.complex128)
         single = x.ndim == 1
         if single:
@@ -319,16 +319,14 @@ class KronOperator:
         batch = x.shape[1]
         tensor = x.reshape([f.cols for f in self.factors] + [batch])
         for axis, factor in enumerate(self.factors):
-            owned = owned or not np.may_share_memory(tensor, x)
-            if owned and isinstance(factor, (DftFactor, InverseDftFactor)):
+            if isinstance(factor, (DftFactor, InverseDftFactor)):
                 tensor = factor.apply(tensor, axis, out=tensor)
-            elif owned and isinstance(factor, (DenseFactor, DiagonalFactor)):
+            elif isinstance(factor, (DenseFactor, DiagonalFactor)):
                 tensor = factor._apply_over(tensor, axis)
             else:
                 tensor = factor.apply(tensor, axis)
-        owned = owned or not np.may_share_memory(tensor, x)
         out = tensor.reshape(self.shape[0], batch)
-        return (out[:, 0] if single else out), owned
+        return out[:, 0] if single else out
 
     def materialize(self) -> np.ndarray:
         require_dense(*self.shape, "materialized Kronecker operator")
@@ -361,13 +359,12 @@ class OperatorChain:
     Stages are :class:`KronOperator` instances (wrap a plain matrix in a
     single :class:`DenseFactor` to insert it).
 
-    ``apply`` never writes the caller's ``x``. An array that an earlier
-    stage made is the chain's own, and so is the identity that
-    :meth:`materialize` and :meth:`slabs` make: the next stage may overwrite
-    it, as :class:`KronOperator` overwrites the arrays it makes. So a DFT
-    or diagonal stage holds no array besides its input, and a square dense
-    factor beside another one holds its input and one copy of it rather than
-    three arrays. :meth:`_apply_owned` takes its input as the chain's own too.
+    ``apply`` copies the caller's ``x`` once; :meth:`materialize` and
+    :meth:`slabs` make their identity columns; :meth:`_apply_owned` takes
+    an array its caller hands over. From there every stage writes into the
+    array it is given, as :class:`KronOperator` does, so a DFT or diagonal
+    stage holds no array besides its input, and a square dense factor
+    beside another one holds its input and one copy of it.
     """
 
     def __init__(self, stages: Sequence[KronOperator]):
@@ -382,20 +379,14 @@ class OperatorChain:
         self.shape = (self.stages[0].shape[0], self.stages[-1].shape[1])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        # The loop is here, not behind a call that would hold x, so that an
-        # x that the caller does not keep is freed after the first stage.
-        owned = False
-        for stage in reversed(self.stages):
-            x, owned = stage._apply(x, owned)
-        return x
+        return self._apply_owned(np.array(x, dtype=np.complex128, order="C"))
 
     def _apply_owned(self, x: np.ndarray) -> np.ndarray:
         """:meth:`apply` to an ``x`` that the caller hands over as the chain's
-        own and does not read again: the first stage may overwrite it, so a
-        chain of FFT and diagonal stages works in ``x``'s memory."""
-        owned = True
+        own and does not read again: every stage writes into the array it is
+        given, so a chain of FFT and diagonal stages works in ``x``'s memory."""
         for stage in reversed(self.stages):
-            x, owned = stage._apply(x, owned)
+            x = stage._apply(x)
         return x
 
     def _apply_to_identity(self, start: int, stop: int) -> np.ndarray:

@@ -673,7 +673,7 @@ class TestFailureOrder:
             assert str(err.value) == first
 
 
-class TestSweepPlan:
+class TestWholeBlockKFromRowSlabs:
     # K is built from B_1 one symbol's row slab at a time, by the same zgemm
     # calls at every antenna count; it must be the whole-B chain's K bit for
     # bit, with one antenna too. Each K_n is its block times the modulator
@@ -682,7 +682,8 @@ class TestSweepPlan:
     @given(data=st.data(), n=st.integers(1, 4), n_t=st.integers(1, 3), n_r=st.integers(1, 3),
            window_kind=st.sampled_from(["rectangular", "separable", "general"]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_plan_k_is_the_operator_chain_k(self, data, n, n_t, n_r, window_kind, seed):
+    def test_row_slab_k_is_the_operator_chain_k_bit_for_bit(self, data, n, n_t, n_r,
+                                                             window_kind, seed):
         m = data.draw(st.integers(1, 8), label="M")
         taps = data.draw(st.integers(1, m), label="L")
         cp = data.draw(st.integers(taps - 1, m - 1), label="cp")

@@ -357,9 +357,9 @@ def _fresh_reference(chain, x):
 
 
 class TestOwnership:
-    """An operator or chain overwrites only arrays it made (stage outputs and
-    the identity of materialize), never the caller's, and writing in place
-    moves no bit."""
+    """The public ``apply`` copies the caller's input once and every stage
+    writes into the array it is given: the caller's array is never written,
+    and writing in place moves no bit."""
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("shape", ["dense-first", "dense-last", "identity-first"])

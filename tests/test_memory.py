@@ -17,8 +17,9 @@ MIMO sweep or effective matrix, a whole C x C rebuild in the 2-D circulant
 check, verify's capacity-route draws side by side, a one-antenna
 transform B_1 kept beside a trial's Gram (as a plan-held B_1 was), a
 per-symbol modulator or block-channel stack kept beside it (as the plan's
-modulator was), or a receive stage that makes a new array beside K instead
-of working in K's memory crosses it.
+modulator was), a receive stage that makes a new array beside K instead
+of working in K's memory, or one that makes a new array beside the copy
+that a chain's public ``apply`` takes of its caller's input crosses it.
 
 ``tracemalloc`` counts what is allocated, not what is resident, so two
 tests read the resident size of a fresh interpreter. One bounds a large
@@ -45,8 +46,10 @@ from otfsim.channel import ChannelModel, assemble_h_matrix, synthesize, trial_rn
 from otfsim.checks import (VerifyContext, check_block_diagonality, check_capacity_routes,
                            check_chain_vs_matrix, check_specializations)
 from otfsim.cli import parse_config, run_effective_channel
+from otfsim.kronops import (DftFactor, DiagonalFactor, IdentityFactor, InverseDftFactor,
+                            KronOperator, OperatorChain)
 from otfsim.mimo import (MimoConfig, capacity_trial_arrays, channel_table, mimo_block_channel,
-                         mimo_effective_matrix)
+                         mimo_effective_matrix, mimo_window_diagonal)
 from otfsim.transceiver import (OtfsFrameConfig, WindowSpec, dd_channel_as_2d_convolution,
                                 effective_matrix_general, effective_matrix_separable)
 
@@ -183,6 +186,30 @@ def test_mimo_effective_matrix_frees_k_after_the_first_receive_stage():
     peak = peak_arrays(lambda: mimo_effective_matrix(channels, window, window, mcfg),
                        mcfg.rx_vector_len, mcfg.tx_vector_len)
     assert peak < 1.6
+
+
+def test_public_chain_apply_copies_a_callers_input_once():
+    # mimo_effective_matrix's receive stages at M=32, N=8, 2x2 through the
+    # public apply, on an R x C array that the caller keeps: apply copies it
+    # once and every stage then works in the copy, about 1.06 units of R x C
+    # (the copy and the FFTs' buffers). A stage that made a new array beside
+    # the copy would add a unit. The caller's array, read-only here, is never
+    # written.
+    frame = OtfsFrameConfig(num_subcarriers=32, num_symbols=8, cp_len=4)
+    mcfg = MimoConfig(frame, num_tx=2, num_rx=2)
+    rng = np.random.default_rng(9)
+    window = WindowSpec.general(rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    chain = OperatorChain([
+        KronOperator([DftFactor(8), IdentityFactor(2), InverseDftFactor(32)]),
+        KronOperator([DiagonalFactor(mimo_window_diagonal(window, mcfg, 2))]),
+        KronOperator([IdentityFactor(16), DftFactor(32)]),
+    ])
+    rows, cols = mcfg.rx_vector_len, mcfg.tx_vector_len
+    x = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    kept = x.copy()
+    x.flags.writeable = False  # a write into it raises
+    assert peak_arrays(lambda: chain.apply(x), rows, cols) < 1.1
+    assert x.tobytes() == kept.tobytes()
 
 
 def test_two_d_circulant_check_holds_no_whole_rebuild(cfg):
