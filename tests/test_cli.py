@@ -294,6 +294,18 @@ def test_broken_config_exits_two(tmp_path, capsys, mode, broken):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("mode", ["capacity", "simulate", "effective-channel"])
+def test_short_cp_exits_two_outside_verify(tmp_path, capsys, mode):
+    # M_cp=1 under a channel memory of L=4; verify runs it to report the
+    # failed block-diagonality check instead.
+    path = write_config(tmp_path, {"frame": {"M": 8, "N": 4, "M_cp": 1},
+                                   "channel": {"kind": "doppler-paths", "L": 4, "P": 3,
+                                               "nu_max": 0.05}})
+    assert main([mode, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "M_cp" in err[0]
+
+
 class TestSimulateMode:
     def test_identity_no_noise_reconstructs(self, tmp_path, capsys):
         doc = {
@@ -616,27 +628,6 @@ class TestSparseCsv:
         expected, expected_count = _per_line_csv(matrix, THRESHOLD)
         assert _write_sparse_csv(path, matrix, THRESHOLD) == expected_count
         assert path.read_bytes() == expected
-
-
-def test_effective_channel_under_a_profiler(tmp_path):
-    # A profiler runs the CLI as __main__, not as otfsim.cli. The profiled
-    # run writes the plain run's bytes. This once failed at this size, when an
-    # earlier writer sent the CSV rows to worker processes by their __main__
-    # name; the writer now formats them in the calling thread.
-    path = write_config(tmp_path, {
-        "frame": {"M": 64, "N": 8, "M_cp": 4},
-        "channel": {"kind": "doppler-paths", "L": 4, "P": 3, "nu_max": 0.05},
-        "noise": {"snr_db": [10]}, "run": {"seed": 3, "emit_frequency_domain": True}})
-    env = dict(os.environ, PYTHONPATH=str(Path(otfsim.__file__).parents[1]))
-    for name, profiler in (("plain", []),
-                           ("profiled", ["-m", "cProfile", "-o", str(tmp_path / "stats")])):
-        argv = [sys.executable, *profiler, "-m", "otfsim.cli", "effective-channel",
-                "--config", path, "--out", str(tmp_path / name)]
-        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-    for name in ("effective_dd.csv", "effective_freq.csv", "meta.json"):
-        assert ((tmp_path / "plain" / name).read_bytes()
-                == (tmp_path / "profiled" / name).read_bytes())
 
 
 class TestCapacitySizeCap:
