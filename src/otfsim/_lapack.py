@@ -1,7 +1,7 @@
 """numpy's own OpenBLAS through ctypes: ``zpotrf`` in place, the ``zgemm``
 Gram and the library's thread count; :func:`map_in_order`, the one worker
-pool; the pin of glibc's malloc thresholds; and :func:`lazy_zeros`, the
-allocator of mostly-zero arrays. No other module asks about the platform.
+pool; and :func:`lazy_zeros`, the allocator of mostly-zero arrays. Besides
+:mod:`otfsim._process`, no other module asks about the platform.
 
 ``np.linalg.cholesky`` copies its input into Fortran order, hands that
 buffer to the ``zpotrf`` of the OpenBLAS that numpy bundles, and copies the
@@ -22,33 +22,6 @@ and :func:`map_in_order` starts no threads of its own choosing. Each
 decides here, once, whether an array suits the library, so no other array
 ever reaches a ctypes call.
 
-After each threaded call, and once when it loads, OpenBLAS keeps its idle
-worker threads spinning for ``2**OPENBLAS_THREAD_TIMEOUT`` clock cycles
-before they sleep: by default 2**28, about 0.13 s of one CPU at 2 GHz, which
-no product of this package gains from. So, if numpy is not loaded yet, this
-module sets ``OPENBLAS_THREAD_TIMEOUT=22`` (2**22 cycles, about 2 ms) before
-it imports numpy, since the library reads it once, when numpy loads it. A
-timeout already in the environment is left as it is, and once numpy is
-loaded nothing is set. The timeout changes when idle threads sleep, not how
-a product is split among them, so no output bit depends on it. The package
-imports this module first, so the default holds for the CLI and for any
-program that imports the package before numpy.
-
-glibc's malloc serves a block of at least its mmap threshold from a fresh
-mapping, which ``free`` unmaps, and returns the heap's top to the system
-once more than its trim threshold is free there. Both start at 128 KiB and
-by default rise when a mapped block is freed: after a large array is freed,
-later arrays of a few MiB come from the heap, and their pages stay resident
-after they are freed, so peak RSS followed the order of allocations rather
-than which arrays were alive. So at import this module pins both
-thresholds with ``mallopt`` at :data:`_MALLOC_THRESHOLD`, 4 MiB, the size
-from which numpy asks for huge pages: a fixed threshold does not move. A
-threshold the user set, by its ``MALLOC_*_`` variable or its
-``glibc.malloc.*`` key in ``GLIBC_TUNABLES``, is left as it is, and where
-the C library has no ``mallopt`` (macOS's, for one) nothing is set. The
-pin is process-wide and changes where an array's memory comes from, not a
-value in it.
-
 numpy advises huge pages for every array of 4 MiB or more, so the first
 write into a 2 MiB stretch of it makes all 2 MiB resident. That suits the
 dense arrays, which are written in full, but not the large references that
@@ -60,10 +33,11 @@ pages right after ``np.zeros``, so a write makes one 4 KiB page resident.
 The advice is per array, not process-wide (numpy's
 ``NUMPY_MADVISE_HUGEPAGE=0``): the dense K, the Grams and the Fortran copy
 of the capacity path are written in full and keep their huge pages, which
-spare them one page fault per 4 KiB. Only Linux gets the advice, through the same C library handle as
-``mallopt``, since other systems number their ``madvise`` advice
-differently; elsewhere :func:`lazy_zeros` is ``np.zeros``. The advice
-changes which pages are resident, not a value in the array.
+spare them one page fault per 4 KiB. Only Linux gets the advice, through
+the C library handle of :mod:`otfsim._process`, since other systems number
+their ``madvise`` advice differently; elsewhere :func:`lazy_zeros` is
+``np.zeros``. The advice changes which pages are resident, not a value in
+the array.
 """
 
 from __future__ import annotations
@@ -79,40 +53,9 @@ import threading
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
-if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
+import numpy as np
 
-# glibc's mallopt parameters and the value both are pinned at, numpy's
-# huge-page size (``1 << 22`` in its allocator).
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MALLOC_THRESHOLD = 4 << 20
-# Each parameter's environment variable and GLIBC_TUNABLES key.
-_MALLOC_SETTINGS = {
-    _M_MMAP_THRESHOLD: ("MALLOC_MMAP_THRESHOLD_", "glibc.malloc.mmap_threshold"),
-    _M_TRIM_THRESHOLD: ("MALLOC_TRIM_THRESHOLD_", "glibc.malloc.trim_threshold"),
-}
-
-
-def _pin_malloc_thresholds(environ, libc) -> None:
-    """Set each of malloc's mmap and trim thresholds that ``environ`` does
-    not set to :data:`_MALLOC_THRESHOLD`, by ``libc.mallopt``; nothing when
-    ``libc`` has no ``mallopt``."""
-    mallopt = getattr(libc, "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    tunables = {item.partition("=")[0] for item in environ.get("GLIBC_TUNABLES", "").split(":")}
-    for parameter, (variable, key) in _MALLOC_SETTINGS.items():
-        if variable not in environ and key not in tunables:
-            mallopt(parameter, _MALLOC_THRESHOLD)
-
-
-# The process's own symbols, the C library's among them; None off POSIX.
-_LIBC = ctypes.CDLL(None) if os.name == "posix" else None
-if _LIBC is not None:
-    _pin_malloc_thresholds(os.environ, _LIBC)
-
-import numpy as np  # noqa: E402  (after the timeout and the pin above)
+from ._process import _LIBC, _MALLOC_THRESHOLD
 
 # Linux's madvise and its MADV_NOHUGEPAGE advice, or None on other systems.
 _MADV_NOHUGEPAGE = 15

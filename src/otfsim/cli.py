@@ -12,6 +12,9 @@ ending the run carries (see :mod:`otfsim.errors`): 2 config error,
 3 invariant/structural failure, a non-finite number or a log-det that
 double precision cannot resolve, 4 dense-size cap exceeded; a run that
 runs out of memory also exits 4.
+
+On import, before it loads numpy, this module applies the command's
+process-wide settings (:func:`otfsim._process.tune`), however it starts.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, List, Optional, Sequence, Tuple
+
+from . import _process
+
+# Before numpy loads, which is why the imports below follow this call.
+_process.tune()
 
 import numpy as np
 

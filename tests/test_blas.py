@@ -24,6 +24,7 @@ import pytest
 
 import otfsim._lapack
 import otfsim.capacity
+from otfsim import _process
 from otfsim.capacity import _gram, capacity_sweep
 from otfsim.channel import ChannelModel
 from otfsim.cli import main
@@ -511,12 +512,16 @@ class TestMapInOrder:
         assert [state for _, state in results] == [expected] * 4
 
 
+# Every variable the CLI's process settings read.
+SETTING_VARIABLES = {"OPENBLAS_THREAD_TIMEOUT", "GLIBC_TUNABLES",
+                     *(variable for variable, _ in _process._MALLOC_SETTINGS.values())}
+
+
 def fresh_interpreter(code, **env):
     """stdout of ``code`` run by a new Python with the package on its path,
-    ``OPENBLAS_THREAD_TIMEOUT`` unset and every other variable as in
-    ``env`` or inherited."""
-    environ = {key: value for key, value in os.environ.items()
-               if key != "OPENBLAS_THREAD_TIMEOUT"}
+    every variable of ``SETTING_VARIABLES`` unset and every other variable
+    as in ``env`` or inherited."""
+    environ = {key: value for key, value in os.environ.items() if key not in SETTING_VARIABLES}
     environ.update(env, PYTHONPATH=str(Path(otfsim._lapack.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True,
                          text=True, timeout=60, check=True)
@@ -524,16 +529,17 @@ def fresh_interpreter(code, **env):
 
 
 class TestIdleThreadTimeout:
-    """The package sets OpenBLAS's idle-thread timeout before numpy loads the
-    library, so idle BLAS threads sleep within about 2 ms of a threaded call
-    instead of spinning for about 0.13 s; it never overrides a timeout set
-    before it."""
+    """Importing the CLI sets OpenBLAS's idle-thread timeout before numpy
+    loads the library, so idle BLAS threads sleep within about 2 ms of a
+    threaded call instead of spinning for about 0.13 s; it never overrides a
+    timeout set before it. Importing the package sets nothing."""
 
     @pytest.mark.parametrize("code, env, expected", [
-        ("import otfsim", {}, "22"),
-        ("import otfsim", {"OPENBLAS_THREAD_TIMEOUT": "28"}, "28"),
-        ("import numpy, otfsim", {}, "None"),
-    ], ids=["default", "user-set", "numpy-first"])
+        ("import sys, otfsim; assert 'numpy' not in sys.modules", {}, "None"),
+        ("import otfsim.cli", {}, "22"),
+        ("import otfsim.cli", {"OPENBLAS_THREAD_TIMEOUT": "28"}, "28"),
+        ("import numpy, otfsim.cli", {}, "None"),
+    ], ids=["package", "cli", "user-set", "numpy-first"])
     def test_default_never_overrides_anyone(self, code, env, expected):
         code += "; import os; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
         assert fresh_interpreter(code, **env).strip() == expected
@@ -542,7 +548,7 @@ class TestIdleThreadTimeout:
         if CONTROL is None or otfsim._lapack.usable_cpus() < 2:
             pytest.skip("needs numpy's bundled OpenBLAS and two usable CPUs")
         code = (
-            "import otfsim  # before numpy, as in the CLI\n"
+            "import otfsim.cli  # before numpy, as in the CLI\n"
             "import time\n"
             "import numpy as np\n"
             "from otfsim import _lapack\n"
@@ -567,12 +573,31 @@ def fake_libc(calls):
     return types.SimpleNamespace(mallopt=mallopt)
 
 
-MMAP, TRIM = otfsim._lapack._M_MMAP_THRESHOLD, otfsim._lapack._M_TRIM_THRESHOLD
+MMAP, TRIM = _process._M_MMAP_THRESHOLD, _process._M_TRIM_THRESHOLD
+# How far glibc's mapped bytes (``mallinfo2().hblkhd``) grow, in KiB, while
+# a fresh interpreter that ran ``{}`` allocates a 1 MiB numpy array.
+MAPPED_KIB = """
+import ctypes
+{}
+import numpy as np
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(field, ctypes.c_size_t) for field in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+before = mallinfo2().hblkhd
+array = np.ones(1 << 17)
+print((mallinfo2().hblkhd - before) // 1024)
+"""
 
 
 class TestMallocThresholds:
-    """At import the package pins glibc's mmap and trim thresholds at 4 MiB,
-    each unless the user set it, and does nothing without ``mallopt``."""
+    """Importing the CLI pins glibc's mmap and trim thresholds at 4 MiB, each
+    unless the user set it, and does nothing without ``mallopt``. Importing
+    the package pins nothing."""
 
     @pytest.mark.parametrize("environ, pinned", [
         ({}, [MMAP, TRIM]),
@@ -586,11 +611,19 @@ class TestMallocThresholds:
             "trim-tunable", "other-tunable"])
     def test_pins_each_threshold_the_user_did_not_set(self, environ, pinned):
         calls = []
-        otfsim._lapack._pin_malloc_thresholds(environ, fake_libc(calls))
+        _process._pin_malloc_thresholds(environ, fake_libc(calls))
         assert calls == [(parameter, 4 << 20) for parameter in pinned]
 
     def test_nothing_happens_without_mallopt(self):
-        otfsim._lapack._pin_malloc_thresholds({}, object())
+        _process._pin_malloc_thresholds({}, object())
+
+    @pytest.mark.parametrize("module, mapped_kib", [("otfsim", 1024), ("otfsim.cli", 0)],
+                             ids=["package", "cli"])
+    def test_only_the_cli_serves_a_1_mib_array_from_the_heap(self, module, mapped_kib):
+        if not hasattr(_process._LIBC, "mallinfo2"):
+            pytest.skip("needs glibc's mallinfo2")
+        grown = int(fresh_interpreter(MAPPED_KIB.format(f"import {module}")))
+        assert mapped_kib <= grown <= mapped_kib + 8
 
 
 class TestLazyZeros:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
@@ -896,11 +897,61 @@ def test_capacity_only_flags(tmp_path, mode, flag):
     assert err.value.code == 2
 
 
+def exits_zero(code):
+    """Whether ``code`` run by a new Python with the package on its path exits 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(otfsim.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 @pytest.mark.parametrize("module", ["jsonschema", "multiprocessing", "otfsim._decimal"])
 def test_cli_import_leaves_module_out(module):
-    code = f"import sys, otfsim.cli; sys.exit({module!r} in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(otfsim.__file__).parents[1]))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert exits_zero(f"import sys, otfsim.cli; sys.exit({module!r} in sys.modules)")
+
+
+@pytest.mark.parametrize("module", ["numpy", "otfsim._lapack"])
+def test_package_import_leaves_module_out(module):
+    assert exits_zero(f"import sys, otfsim; sys.exit({module!r} in sys.modules)")
+
+
+# The names the package has exported since before its exports were lazy, by
+# defining module.
+EXPORTS = {
+    "capacity": ["BlockMiResult", "CapacityResult", "capacity_sweep", "ergodic_capacity",
+                 "mutual_information", "otfs_block_mi"],
+    "channel": ["ChannelModel", "LtvChannel", "assemble_h_matrix", "awgn", "channel_from_json",
+                "channel_to_json", "reduce_to_block_channel", "synthesize", "trial_rng"],
+    "errors": ["ConfigError", "DimensionError", "NonFiniteError", "OtfsimError", "SizeCapError",
+               "StructureError"],
+    "kronops": ["DENSE_ENTRY_CAP", "BlockDiagonalFactor", "DenseFactor", "DftFactor",
+                "DiagonalFactor", "IdentityFactor", "InverseDftFactor", "KronOperator",
+                "OperatorChain", "SelectionFactor", "dft_matrix", "idft_matrix", "kron", "unvec",
+                "vec"],
+    "mimo": ["MimoChainResult", "MimoConfig", "channel_table", "mimo_block_channel", "mimo_chain",
+             "mimo_effective_matrix", "mimo_isfft", "mimo_modulation_stages", "mimo_window",
+             "mimo_window_diagonal", "stack_grids"],
+    "transceiver": ["CpMatrices", "OtfsFrameConfig", "TwoDConvResult", "WindowSpec",
+                    "apply_window", "convolve_2d_circular", "cp_matrices",
+                    "dd_channel_as_2d_convolution", "effective_matrix_frequency_domain",
+                    "effective_matrix_general", "effective_matrix_rectangular",
+                    "effective_matrix_separable", "effective_operator_general", "isfft",
+                    "ofdm_demodulate", "ofdm_modulate", "receive_basis", "sfft", "siso_chain",
+                    "to_frequency_domain", "transmit_basis"],
+}
+
+
+def test_package_exports_each_name_from_its_module():
+    names = [name for names in EXPORTS.values() for name in names]
+    assert sorted(otfsim.__all__) == sorted([*names, "__version__"])
+    for module, names in EXPORTS.items():
+        for name in names:
+            assert getattr(otfsim, name) is getattr(importlib.import_module(f"otfsim.{module}"),
+                                                    name)
+    assert set(otfsim.__all__) <= set(dir(otfsim))
+    assert otfsim.__version__ == "0.1.0"
+
+
+def test_package_import_reads_modules_as_attributes():
+    assert exits_zero("import otfsim; otfsim.capacity.capacity_sweep; otfsim.kronops.kron")
 
 
 class TestLoadConfigDocument:

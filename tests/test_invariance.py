@@ -48,9 +48,9 @@ SETTINGS = {
     "default": Setting(),
     "one-blas-thread": Setting({"OPENBLAS_NUM_THREADS": "1"}),
     "one-cpu": Setting(one_cpu=True),
-    # OpenBLAS's own idle-thread timeout in place of the package's shorter one.
+    # OpenBLAS's own idle-thread timeout in place of the CLI's shorter one.
     "timeout-28": Setting({"OPENBLAS_THREAD_TIMEOUT": "28"}),
-    # glibc's 128 KiB thresholds, fixed by the environment, so the package's
+    # glibc's 128 KiB thresholds, fixed by the environment, so the CLI's
     # 4 MiB pin is skipped.
     "malloc-128k": Setting({"MALLOC_MMAP_THRESHOLD_": "131072",
                             "MALLOC_TRIM_THRESHOLD_": "131072"}),
